@@ -88,7 +88,6 @@ from .seqcore import (
     delta,
     order_estimate,
     pascal_row,
-    poly_eval,
     seq_from_function,
     weighted_sum_diagnostic,
 )

@@ -149,6 +149,8 @@ class BihariBound:
 
     When ``condition_violated`` is set, the integral of 1/g plateaus below
     the weight sum and no finite M exists; M is then +inf.
+    ``quadrature_error`` is the sum of the error estimates of every
+    integrated piece (0 on the exact route).
     """
 
     M: float
@@ -164,6 +166,16 @@ def bihari_bound(prob: BihariProblem) -> BihariBound:
     G(M) >= total up to the bisection width.  condition_violated is
     reported when G plateaus (growth < PLATEAU_EPS per doubling, or the
     exact improper integral is finite) strictly below the weight sum.
+
+    On the quadrature route each new G value is carried forward from the
+    nearest point below it where G is already known, G(b) = G(a) + the
+    integral over [a, b], so every piece of [lambda, M] is integrated once.
+    The tolerance is split so that the pieces behind any G value have
+    budgets summing to at most QUAD_TOL.  Doubling step i (step 0 is the
+    first bracket [lambda, hi]) gets QUAD_TOL / ((i + 1) (i + 2)); steps
+    0 .. K - 1 sum to QUAD_TOL (1 - 1 / (K + 1)).  After K doublings the
+    bisection pieces, disjoint subintervals of the last bracket, share the
+    remaining QUAD_TOL / (K + 1) in proportion to their widths.
     """
     total = prob.total
     lam = prob.lam
@@ -174,17 +186,27 @@ def bihari_bound(prob: BihariProblem) -> BihariBound:
         if g_lam <= 0.0:
             raise QuadratureDomainError(f"g(lambda) = {g_lam!r} is not positive")
 
-        def G(t: float) -> float:
-            return prob.g.recip_primitive(lam, t)
+        def G_from(a: float, g_a: float, b: float, budget: float) -> float:
+            return prob.g.recip_primitive(lam, b)
 
     else:
-        integrand = _recip(prob.g)
+        recip = _recip(prob.g)
+        # Pieces share endpoints, and a bisection piece inside the previous
+        # one revisits its sample points: each g value is computed once.
+        recip_at: dict[float, float] = {}
 
-        def G(t: float) -> float:
-            nonlocal err_seen
-            value, err = adaptive_simpson(integrand, lam, t, QUAD_TOL)
-            err_seen = max(err_seen, err)
+        def integrand(t: float) -> float:
+            value = recip_at.get(t)
+            if value is None:
+                value = recip_at[t] = recip(t)
             return value
+
+        def G_from(a: float, g_a: float, b: float, budget: float) -> float:
+            """G(b) from G(a) = g_a, integrating only [a, b] within the budget."""
+            nonlocal err_seen
+            value, err = adaptive_simpson(integrand, a, b, budget)
+            err_seen += err
+            return g_a + value
 
     if total == 0.0:
         return BihariBound(M=lam, G_at_M=0.0, quadrature_error=0.0)
@@ -197,32 +219,36 @@ def bihari_bound(prob: BihariProblem) -> BihariBound:
                 M=math.inf, G_at_M=g_limit, quadrature_error=0.0, condition_violated=True
             )
 
-    lo = lam
+    lo, g_lo = lam, 0.0
     hi = max(2.0 * lam, lam + 1.0)
-    g_hi = G(hi)
+    g_hi = G_from(lo, g_lo, hi, QUAD_TOL / 2.0)
+    doublings = 0
     while g_hi < total:
         if hi >= BRACKET_CAP:
             raise BracketRangeError(
                 f"G({BRACKET_CAP:g}) = {g_hi} still below total {total}; "
                 "bound exceeds the supported bracket range"
             )
+        doublings += 1
         nxt = min(hi * 2.0, BRACKET_CAP)
-        g_nxt = G(nxt)
+        g_nxt = G_from(hi, g_hi, nxt, QUAD_TOL / ((doublings + 1) * (doublings + 2)))
         if g_nxt - g_hi < PLATEAU_EPS and g_nxt < total:
             return BihariBound(
                 M=math.inf, G_at_M=g_nxt, quadrature_error=err_seen, condition_violated=True
             )
-        lo, hi, g_hi = hi, nxt, g_nxt
+        lo, g_lo, hi, g_hi = hi, g_hi, nxt, g_nxt
 
+    tol_per_width = QUAD_TOL / (doublings + 1) / (hi - lo)
     for _ in range(64):
         if hi - lo <= BISECT_RTOL * (1.0 + hi):
             break
         mid = 0.5 * (lo + hi)
-        if G(mid) >= total:
-            hi = mid
+        g_mid = G_from(lo, g_lo, mid, tol_per_width * (mid - lo))
+        if g_mid >= total:
+            hi, g_hi = mid, g_mid
         else:
-            lo = mid
-    return BihariBound(M=hi, G_at_M=G(hi), quadrature_error=err_seen)
+            lo, g_lo = mid, g_mid
+    return BihariBound(M=hi, G_at_M=g_hi, quadrature_error=err_seen)
 
 
 def worst_case_w(

@@ -61,6 +61,17 @@ def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str) 
         raise ConfigError(f"missing key(s) {sorted(missing)} in {where}")
 
 
+def _int_field(value: Any, name: str) -> int:
+    """An integer-valued JSON number; bools, non-finite and fractional values are rejected."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or (isinstance(value, float) and not value.is_integer())
+    ):
+        raise ConfigError(f"field {name}: must be an integer, got {value!r}")
+    return int(value)
+
+
 def _ref_from_json(obj: Any, where: str) -> CatalogRef:
     if not isinstance(obj, dict):
         raise ConfigError(f"field {where}: expected an object with id/params")
@@ -98,17 +109,9 @@ class ExperimentConfig:
             raise ConfigError("field spec: must be an object")
         _require_keys(spec_raw, _SPEC_KEYS, _SPEC_KEYS - {"q"}, "spec")
         q = spec_raw.get("q")
-        if q is not None:
-            if not isinstance(q, (int, float)) or float(q) != int(q):
-                raise ConfigError(f"field q: must be an integer or null, got {q!r}")
-            q = int(q)
-        for name in ("m", "k"):
-            v = spec_raw[name]
-            if not isinstance(v, (int, float)) or float(v) != int(v):
-                raise ConfigError(f"field {name}: must be an integer, got {v!r}")
         spec = EquationSpec(
-            m=int(spec_raw["m"]),
-            k=int(spec_raw["k"]),
+            m=_int_field(spec_raw["m"], "m"),
+            k=_int_field(spec_raw["k"], "k"),
             c=float(spec_raw["c"]),
             u=_ref_from_json(spec_raw["u"], "u"),
             a=_ref_from_json(spec_raw["a"], "a"),
@@ -117,7 +120,7 @@ class ExperimentConfig:
             g=_ref_from_json(spec_raw["g"], "g"),
             sigma=_ref_from_json(spec_raw["sigma"], "sigma"),
             s=float(spec_raw["s"]),
-            q=q,
+            q=None if q is None else _int_field(q, "q"),
         )
         seeds = raw["seeds"]
         if not isinstance(seeds, dict):
@@ -128,9 +131,7 @@ class ExperimentConfig:
             raise ConfigError("field seeds.x: must be a list or null")
         if not isinstance(seeds["z"], list):
             raise ConfigError("field seeds.z: must be a list")
-        horizon = raw["horizon"]
-        if not isinstance(horizon, (int, float)) or float(horizon) != int(horizon):
-            raise ConfigError(f"field horizon: must be an integer, got {horizon!r}")
+        horizon = _int_field(raw["horizon"], "horizon")
         case_id = raw["case"]
         if case_id not in ("a", "b", "c"):
             raise ConfigError(f"field case: must be a, b or c, got {case_id!r}")
@@ -149,7 +150,7 @@ class ExperimentConfig:
             spec=spec,
             x_seed=None if x_raw is None else tuple(float(v) for v in x_raw),
             z_seed=tuple(float(v) for v in seeds["z"]),
-            horizon=int(horizon),
+            horizon=horizon,
             case_id=case_id,
             mode=mode,
             thresholds=thresholds,
@@ -263,18 +264,16 @@ def _atomic_write(path: Path, data: str) -> None:
         raise
 
 
-def _format_float(v: float) -> str:
-    return f"{v:.17g}"
-
-
 def _trace_csv(trace: SolutionTrace, m: int) -> str:
-    dz = delta(trace.z, m)
+    """Rows n, x_n, z_n, m-th difference of z at n (empty in the last m rows)."""
+    z, x = trace.z, trace.x
+    dz = delta(z, m).values
+    ns = range(z.start, z.end + 1)
+    x_vals = x.values[z.start - x.start : z.end - x.start + 1]
+    full = len(dz)
     lines = ["n,x,z,delta_m_z"]
-    for n in range(trace.z.start, trace.z.end + 1):
-        d = _format_float(dz.at(n)) if n <= dz.end else ""
-        lines.append(
-            f"{n},{_format_float(trace.x.at(n))},{_format_float(trace.z.at(n))},{d}"
-        )
+    lines += map("%d,%.17g,%.17g,%.17g".__mod__, zip(ns, x_vals, z.values, dz))
+    lines += map("%d,%.17g,%.17g,".__mod__, zip(ns[full:], x_vals[full:], z.values[full:]))
     return "\n".join(lines) + "\n"
 
 

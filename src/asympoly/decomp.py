@@ -18,12 +18,13 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
+from itertools import compress, repeat
+from operator import add, ge, mul, sub, truediv
 
 from .errors import DivergenceError, WindowLengthError
 from .neutral_solver import EquationSpec, SolutionTrace, UNIT_MARGIN
 from .seqcore import (
     DEFAULT_THRESHOLDS,
-    CompensatedSum,
     OrderVerdict,
     PolyCoeffs,
     Seq,
@@ -31,6 +32,7 @@ from .seqcore import (
     binomial,
     csum,
     delta,
+    index_powers,
     order_estimate,
 )
 
@@ -84,39 +86,42 @@ def _solve_normal_equations(ata: list[list[float]], atb: list[float]) -> list[fl
     return out
 
 
-def _lstsq_degrees(ns: list[int], resid: list[float], degrees: list[int]) -> dict[int, float]:
+def _lstsq_degrees(ns: range, resid: tuple[float, ...], degrees: list[int]) -> dict[int, float]:
     """Least-squares fit of the residual against the monomials n**d.
 
     The basis is scaled by the last index to keep the normal equations
     well conditioned; corrections are returned in the unscaled basis.
     """
     scale = float(ns[-1])
-    k = len(degrees)
-    cols = [[(n / scale) ** d for n in ns] for d in degrees]
-    ata = [[csum(cols[i][p] * cols[j][p] for p in range(len(ns))) for j in range(k)] for i in range(k)]
-    atb = [csum(cols[i][p] * resid[p] for p in range(len(ns))) for i in range(k)]
+    scaled = [n / scale for n in ns]
+    cols = [list(map(pow, scaled, repeat(d))) for d in degrees]
+    ata = [[csum(map(mul, ci, cj)) for cj in cols] for ci in cols]
+    atb = [csum(map(mul, ci, resid)) for ci in cols]
     sol = _solve_normal_equations(ata, atb)
     return {d: sol[i] / scale**d for i, d in enumerate(degrees)}
 
 
 def _decay_fit(remainder: Seq, trail_fraction: float) -> tuple[float, float]:
     tail = remainder.trailing(trail_fraction)
-    pts = [
-        (math.log(n), math.log(abs(v)))
-        for n, v in tail.items()
-        if n >= 1 and abs(v) >= DECAY_FIT_FLOOR
-    ]
-    if len(pts) < 2:
+    lo = max(tail.start, 1)
+    mags = list(map(abs, tail.values[lo - tail.start :]))
+    kept = list(map(ge, mags, repeat(DECAY_FIT_FLOOR)))
+    xs = list(map(math.log, compress(range(lo, tail.end + 1), kept)))
+    ys = list(map(math.log, compress(mags, kept)))
+    if len(xs) < 2:
         return math.nan, math.nan
-    xm = csum(p[0] for p in pts) / len(pts)
-    ym = csum(p[1] for p in pts) / len(pts)
-    sxx = csum((p[0] - xm) ** 2 for p in pts)
+    xm = csum(xs) / len(xs)
+    ym = csum(ys) / len(ys)
+    dx = [x - xm for x in xs]
+    dy = [y - ym for y in ys]
+    sxx = csum(map(pow, dx, repeat(2)))
     if sxx == 0.0:
         return math.nan, math.nan
-    sxy = csum((p[0] - xm) * (p[1] - ym) for p in pts)
+    sxy = csum(map(mul, dx, dy))
     slope = sxy / sxx
-    ss_res = csum((p[1] - (ym + slope * (p[0] - xm))) ** 2 for p in pts)
-    ss_tot = csum((p[1] - ym) ** 2 for p in pts)
+    fitted = map(add, repeat(ym), map(mul, repeat(slope), dx))
+    ss_res = csum(map(pow, map(sub, ys, fitted), repeat(2)))
+    ss_tot = csum(map(pow, dy, repeat(2)))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     return slope, r2
 
@@ -147,7 +152,7 @@ def extract_polynomial(
     d_min = max(0, math.ceil(s - 1e-12))
     tail_count = max(1, math.ceil(len(z) * thresholds.coeff_window_fraction))
     coeffs = [0.0] * m
-    work = Seq(z.start, z.values)
+    work = z
     for d in range(m - 1, d_min - 1, -1):
         try:
             diff = delta(work, d)
@@ -160,10 +165,8 @@ def extract_polynomial(
         c = mean / math.factorial(d)
         coeffs[d] = c
         try:
-            work = Seq(
-                work.start,
-                tuple(v - c * float(n) ** d for n, v in work.items()),
-            )
+            monomial = map(mul, repeat(c), index_powers(work.start, len(work), d))
+            work = Seq(work.start, tuple(map(sub, work.values, monomial)))
         except ValueError as exc:
             raise DivergenceError(f"divergent input: {exc}") from exc
 
@@ -171,26 +174,32 @@ def extract_polynomial(
     # as nuisance columns so their content cannot leak into the kept
     # coefficients, but only kept degrees receive corrections.
     half = len(z) - len(z) // 2
-    ns = [z.start + i for i in range(len(z) - half, len(z))]
-    resid = list(work.values[-half:])
-    corrections = _lstsq_degrees(ns, resid, list(range(m)))
+    ns = range(z.end - half + 1, z.end + 1)
+    corrections = _lstsq_degrees(ns, work.values[-half:], list(range(m)))
     for d in range(d_min, m):
         coeffs[d] += corrections[d]
 
     psi = PolyCoeffs(tuple(coeffs))
-    rem_vals = tuple(v - psi(n) for n, v in z.items())
-    for i, v in enumerate(rem_vals):
-        if not math.isfinite(v):
-            raise DivergenceError(f"remainder not finite at index {z.start + i}")
-    remainder = Seq(z.start, rem_vals)
+    rem_vals = tuple(map(sub, z.values, psi.at_indices(z.start, len(z))))
+    try:
+        remainder = Seq(z.start, rem_vals)
+    except ValueError:
+        i = next(i for i, v in enumerate(rem_vals) if not math.isfinite(v))
+        raise DivergenceError(f"remainder not finite at index {z.start + i}") from None
 
-    scale = max(abs(v) for v in z.values)
-    sup_rem = max(abs(v) for v in rem_vals)
+    scale = max(map(abs, z.values))
+    sup_rem = max(map(abs, rem_vals))
     if sup_rem <= thresholds.noise_floor * (1.0 + scale):
         # Pure rounding residue: certified small directly.
         tail_seq = remainder.trailing(1.0 / 3.0)
+        skip = 1 if tail_seq.start == 0 and s != 0.0 else 0
+        count = len(tail_seq) - skip
         metric = max(
-            abs(v) / float(n) ** s for n, v in tail_seq.items() if n != 0 or s == 0.0
+            map(
+                truediv,
+                map(abs, tail_seq.values[skip:]),
+                index_powers(tail_seq.start + skip, count, s),
+            )
         )
         verdict = OrderVerdict("small_o", s, metric, 0.0, metric)
     else:
@@ -275,7 +284,7 @@ def regularity_check(
         raise ValueError(f"q must be >= 0, got {q}")
     if len(w) < 64 + q:
         raise WindowLengthError(f"need at least {64 + q} entries, got {len(w)}")
-    base = max(abs(v) for v in w.values) if scale is None else scale
+    base = max(map(abs, w.values)) if scale is None else scale
     verdicts = tuple(
         order_estimate(
             delta(w, p),

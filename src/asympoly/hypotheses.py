@@ -13,11 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from operator import sub, truediv
 
 from .catalog import Majorant, RhsFunction
 from .decomp import SolutionDecomposition, decompose_solution
 from .errors import ConfigError
-from .neutral_solver import EquationSpec, SolutionTrace, runtime, start_index
+from .neutral_solver import EquationSpec, Runtime, SolutionTrace, runtime
 from .seqcore import (
     DEFAULT_THRESHOLDS,
     OrderVerdict,
@@ -25,8 +27,8 @@ from .seqcore import (
     Thresholds,
     classify_oscillation,
     csum,
+    index_powers,
     order_estimate,
-    seq_from_function,
     weighted_sum_diagnostic,
 )
 
@@ -136,7 +138,7 @@ def check_u_rate(
     u: Seq, c: float, e: float, thresholds: Thresholds = DEFAULT_THRESHOLDS
 ) -> OrderVerdict:
     """Order verdict for u - c against n**e (the rate hypothesis on u)."""
-    shifted = Seq(u.start, tuple(v - c for v in u.values))
+    shifted = Seq(u.start, tuple(map(sub, u.values, repeat(c))))
     return order_estimate(shifted, e, thresholds)
 
 
@@ -162,15 +164,15 @@ def polynomial_growth_check(
     return GrowthCheck(max_resid < allowance, slope, max_resid, allowance)
 
 
-def _composed_growth_check(
-    trace: SolutionTrace, spec: EquationSpec, p: float
-) -> CheckResult:
+def _composed_growth_check(trace: SolutionTrace, rt: Runtime, p: float) -> CheckResult:
     """Trailing-half sup of |x_{sigma(n)}|/n**p against the mid-window sup."""
-    rt = runtime(spec)
-    n0 = trace.start
-    ratios = []
-    for n in range(n0, trace.z.end + 1):
-        ratios.append(abs(trace.x.at(rt.sigma(n))) / float(n) ** p)
+    x = trace.x
+    ns = range(trace.start, trace.z.end + 1)
+    sig = list(map(rt.sigma.fn, ns))
+    if min(sig) < x.start or max(sig) > x.end:
+        x.at(next(sv for sv in sig if not x.start <= sv <= x.end))  # raises IndexRangeError
+    x_sig = map(x.values.__getitem__, map(sub, sig, repeat(x.start)))
+    ratios = list(map(truediv, map(abs, x_sig), index_powers(ns.start, len(ns), p)))
     count = len(ratios)
     half = ratios[count - count // 2 :]
     mid = ratios[count // 4 : count - count // 2]
@@ -247,8 +249,10 @@ def theorem_dispatch(
     a_diag = weighted_sum_diagnostic(rt.a.sample(1, N), m - 1 - s, thresholds)
     b_diag = weighted_sum_diagnostic(rt.b.sample(1, N), m - 1 - s, thresholds)
     rate_exp = float(1 - m) if mode == "regular" else s + 1.0 - m
-    u_window = rt.u.sample(trace.x.start, len(trace.x))
-    u_rate = check_u_rate(rt.u.sample(1, N), spec.c, rate_exp, thresholds)
+    # One sample of u on [1, end of x] serves both the rate check on [1, N]
+    # and the oscillation checks, which read u on x's window (x starts >= 1).
+    u_window = rt.u.sample(1, trace.x.end)
+    u_rate = check_u_rate(u_window.window(1, N), spec.c, rate_exp, thresholds)
     checks = [
         CheckResult(
             "a-summability", a_diag.converged, a_diag.tail_estimate,
@@ -267,11 +271,12 @@ def theorem_dispatch(
     if case_id == "a":
         checks.append(CheckResult(
             "g-nondecreasing", rt.g.nondecreasing, 0.0, "catalog guarantee"))
-        grid = check_g_p_bounded(rt.f, rt.g, float(m - 1))
+        grid = check_g_p_bounded(rt.f, rt.g, float(m - 1), n_max=trace.horizon)
         checks.append(CheckResult(
             "f-g-bounded", grid.passed, grid.worst_ratio,
             f"(g, {m - 1})-bounded, worst ratio {grid.worst_ratio:.6g}"))
-        sigma_excess = max(rt.sigma(n) - n for n in range(n0, N + 1))
+        ns = range(n0, N + 1)
+        sigma_excess = max(map(sub, map(rt.sigma.fn, ns), ns))
         checks.append(CheckResult(
             "sigma-within-past", sigma_excess <= 0, float(sigma_excess),
             f"max(sigma(n) - n) = {sigma_excess}"))
@@ -285,11 +290,11 @@ def theorem_dispatch(
     elif case_id == "b":
         checks.append(CheckResult(
             "g-locally-bounded", rt.g.locally_bounded, 0.0, "catalog guarantee"))
-        grid = check_g_p_bounded(rt.f, rt.g, p_eff)
+        grid = check_g_p_bounded(rt.f, rt.g, p_eff, n_max=trace.horizon)
         checks.append(CheckResult(
             "f-g-bounded", grid.passed, grid.worst_ratio,
             f"(g, {p_eff:g})-bounded, worst ratio {grid.worst_ratio:.6g}"))
-        checks.append(_composed_growth_check(trace, spec, p_eff))
+        checks.append(_composed_growth_check(trace, rt, p_eff))
         checks.append(_alternative_check(trace, spec, u_window, thresholds))
     else:
         bound = rt.f.bound if rt.f.bounded else math.inf

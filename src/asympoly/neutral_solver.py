@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import count
+from typing import Callable
 
 from .catalog import (
     CatalogRef,
@@ -52,6 +54,11 @@ UNIT_MARGIN = 1e-6
 RELATION_RTOL = 1e-9
 
 
+def _is_int(value: object) -> bool:
+    """True for an int that is not a bool (True would otherwise read as 1)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class EquationSpec:
     """Full description of one equation instance.
@@ -74,18 +81,22 @@ class EquationSpec:
     q: int | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.m, int) or self.m < 1:
+        if not _is_int(self.m) or self.m < 1:
             raise ConfigError(f"field m: difference order must be an integer >= 1, got {self.m!r}")
         if self.m > MAX_DIFFERENCE_ORDER:
             raise ConfigError(f"field m: order {self.m} exceeds supported maximum {MAX_DIFFERENCE_ORDER}")
-        if not isinstance(self.k, int):
+        if not _is_int(self.k):
             raise ConfigError(f"field k: neutral shift must be an integer, got {self.k!r}")
+        for name in ("c", "s"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+                raise ConfigError(f"field {name}: must be a finite number, got {value!r}")
         if abs(abs(self.c) - 1.0) <= UNIT_MARGIN:
             raise ConfigError(f"field c: |c| must differ from 1 by more than {UNIT_MARGIN}, got c={self.c}")
         if self.s > self.m - 1 + 1e-12:
             raise ConfigError(f"field s: need s <= m - 1 = {self.m - 1}, got {self.s}")
         if self.q is not None:
-            if not isinstance(self.q, int) or not 0 <= self.q <= self.m - 1:
+            if not _is_int(self.q) or not 0 <= self.q <= self.m - 1:
                 raise ConfigError(f"field q: need an integer in [0, {self.m - 1}], got {self.q!r}")
         # Building the catalog entries validates identifiers and parameters.
         u_gen = make_generator(self.u)
@@ -316,72 +327,76 @@ def simulate(spec: EquationSpec, x_seed: Seq | None, z_seed: Seq, N: int) -> Sol
             got = "nothing" if x_seed is None else f"[{x_seed.start}, {x_seed.end}]"
             raise SeedError(f"x seed must cover exactly [{lo}, {hi}], got {got}")
 
-    signs = pascal_row(m)
+    # Signed binomial coefficient of z_{n+i}, i < m, in the m-th difference at n.
+    coeffs = tuple(
+        c if (m - i) % 2 == 0 else -c for i, c in enumerate(pascal_row(m)[:m])
+    )
     # z values indexed from n0, x values indexed from xs.
     z_vals = list(z_seed.values)
     x_vals: list[float] = list(x_seed.values) if x_seed is not None else []
+    sigma, a, f, b, u = rt.sigma.fn, rt.a.fn, rt.f.fn, rt.b.fn, rt.u.fn
+    limit = DIVERGENCE_LIMIT
 
-    def u_at(n: int) -> float:
-        return rt.u(n)
-
-    def extend_x_for_z_index(j: int) -> None:
-        """Derive the x value(s) unlocked by knowing z at index j."""
+    def extend_x_for_z_index(j: int, uj: float) -> None:
+        """Derive the x value(s) unlocked by knowing z at index j (uj = u_j)."""
         zj = z_vals[j - n0]
         if k < 0:
-            xv = zj - u_at(j) * x_vals[j + k - xs]
-            _check_finite(xv, "|x|", j)
-            x_vals.append(xv)  # x index j
+            xv = zj - uj * x_vals[j + k - xs]
+            at = j  # x index of the new value
         elif k == 0:
-            den = 1.0 + u_at(j)
+            den = 1.0 + uj
             if abs(den) <= SINGULAR_GUARD:
                 raise SingularRecoveryError(
                     f"1 + u_n = {den!r} at index {j} is below the singularity guard"
                 )
             xv = zj / den
-            _check_finite(xv, "|x|", j)
-            x_vals.append(xv)  # x index j
+            at = j
         else:
-            un = u_at(j)
-            if abs(un) <= SINGULAR_GUARD:
+            if abs(uj) <= SINGULAR_GUARD:
                 raise SingularRecoveryError(
-                    f"u_n = {un!r} at index {j} is below the singularity guard"
+                    f"u_n = {uj!r} at index {j} is below the singularity guard"
                 )
-            xv = (zj - x_vals[j - xs]) / un
-            _check_finite(xv, "|x|", j + k)
-            x_vals.append(xv)  # x index j + k
+            xv = (zj - x_vals[j - xs]) / uj
+            at = j + k
+        if not -limit <= xv <= limit:
+            _check_finite(xv, "|x|", at)
+        x_vals.append(xv)
 
     for j in range(n0, n0 + m):
-        extend_x_for_z_index(j)
+        extend_x_for_z_index(j, u(j))
 
+    steps = range(n0, N - m + 1)
+    u_next = map(u, range(n0 + m, N + 1))  # u at the z index each step adds
     log: list[tuple[int, int, int]] = []
-    for n in range(n0, N - m + 1):
+    for n, sv, an, bn, un in zip(steps, map(sigma, steps), map(a, steps), map(b, steps), u_next):
         x_horizon = xs + len(x_vals) - 1
-        sv = rt.sigma(n)
         log.append((n, sv, x_horizon))
         if sv < xs or sv > x_horizon:
             raise CausalityError(
                 f"step n={n}: sigma(n)={sv} outside realized x range [{xs}, {x_horizon}]"
             )
-        rhs = rt.a(n) * rt.f(n, x_vals[sv - xs]) + rt.b(n)
-        acc = rhs
-        for i in range(m):
-            coeff = signs[i] if (m - i) % 2 == 0 else -signs[i]
-            acc -= coeff * z_vals[n + i - n0]
-        _check_finite(acc, "|z|", n + m)
+        acc = an * f(n, x_vals[sv - xs]) + bn
+        for coeff, zv in zip(coeffs, z_vals[-m:]):
+            acc -= coeff * zv
+        if not -limit <= acc <= limit:
+            _check_finite(acc, "|z|", n + m)
         z_vals.append(acc)
-        extend_x_for_z_index(n + m)
+        extend_x_for_z_index(n + m, un)
 
     x = Seq(xs, tuple(x_vals))
     z = Seq(n0, tuple(z_vals))
-    _verify_relation(x, z, rt, k)
+    _verify_relation(x, z, u, k)
     return SolutionTrace(x=x, z=z, horizon=N, start=n0, causality_log=tuple(log))
 
 
-def _verify_relation(x: Seq, z: Seq, rt: Runtime, k: int) -> None:
-    for n, zn in z.items():
-        term = rt.u(n) * x.at(n + k)
-        scale = 1.0 + abs(zn) + abs(x.at(n)) + abs(term)
-        if abs(zn - (x.at(n) + term)) > RELATION_RTOL * scale:
+def _verify_relation(x: Seq, z: Seq, u: Callable[[int], float], k: int) -> None:
+    """Re-check z_n = x_n + u_n x_{n+k} on z's window."""
+    off = z.start - x.start
+    u_n = map(u, range(z.start, z.end + 1))
+    rows = zip(count(z.start), z.values, x.values[off:], u_n, x.values[off + k :])
+    for n, zn, xn, un, xnk in rows:
+        term = un * xnk
+        if abs(zn - (xn + term)) > RELATION_RTOL * (1.0 + abs(zn) + abs(xn) + abs(term)):
             raise RuntimeError(
                 f"internal error: neutral relation violated at index {n} after simulation"
             )

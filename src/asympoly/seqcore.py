@@ -13,8 +13,8 @@ Conventions fixed once here and reused everywhere:
 * a small-o verdict at exponent s requires the trailing-third sup of
   |x_n|/n**s to be below ``tau_small`` *and* to have decreased against the
   middle third;
-* window sums accumulate in compensated (Neumaier) summation in index
-  order, so diagnostics are reproducible;
+* window sums are exactly rounded (``math.fsum``), so they do not depend
+  on the order of the terms and diagnostics are reproducible;
 * index n = 0 never enters an n**s-weighted diagnostic unless s == 0
   (the weight is undefined or degenerate there); windows built from
   generators start at index 1.
@@ -25,6 +25,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
+from operator import add, lt, mul, sub, truediv
 from typing import Callable, Iterable, Iterator
 
 from .errors import IndexRangeError, WindowLengthError
@@ -82,12 +84,12 @@ class Seq:
             raise ValueError(f"start index must be an integer, got {self.start!r}")
         if self.start < 0:
             raise ValueError(f"start index must be >= 0, got {self.start}")
-        vals = tuple(float(v) for v in self.values)
+        vals = tuple(map(float, self.values))
         if not vals:
             raise ValueError("sequence window must be non-empty")
-        for i, v in enumerate(vals):
-            if not math.isfinite(v):
-                raise ValueError(f"non-finite value at index {self.start + i}")
+        if not all(map(math.isfinite, vals)):
+            i = next(i for i, v in enumerate(vals) if not math.isfinite(v))
+            raise ValueError(f"non-finite value at index {self.start + i}")
         object.__setattr__(self, "values", vals)
 
     def __len__(self) -> int:
@@ -125,16 +127,17 @@ class Seq:
         count = max(1, math.ceil(len(self.values) * fraction))
         return Seq(self.end - count + 1, self.values[-count:])
 
-    def map(self, fn: Callable[[int, float], float]) -> "Seq":
-        """Elementwise transform (n, x_n) -> value, same window."""
-        return Seq(self.start, tuple(fn(n, v) for n, v in self.items()))
-
 
 def seq_from_function(fn: Callable[[int], float], start: int = 1, length: int = 1) -> Seq:
     """Materialize fn on the window [start, start + length - 1]."""
     if length < 1:
         raise ValueError("length must be >= 1")
-    return Seq(start, tuple(float(fn(start + i)) for i in range(length)))
+    return Seq(start, tuple(map(fn, range(start, start + length))))
+
+
+def index_powers(start: int, length: int, e: float) -> Iterator[float]:
+    """float(n) ** e for n = start, ..., start + length - 1, lazily."""
+    return map(pow, map(float, range(start, start + length)), repeat(e))
 
 
 @dataclass(frozen=True)
@@ -169,8 +172,16 @@ class PolyCoeffs:
             acc = acc * n + c
         return acc
 
+    def at_indices(self, start: int, length: int) -> tuple[float, ...]:
+        """Values at n = start, ..., start + length - 1, each equal to self(n)."""
+        ns = range(start, start + length)
+        acc: Iterable[float] = repeat(0.0, length)
+        for c in reversed(self.coeffs):
+            acc = map(add, map(mul, acc, ns), repeat(c))
+        return tuple(acc)
+
     def sample(self, start: int, length: int) -> Seq:
-        return seq_from_function(self.__call__, start, length)
+        return Seq(start, self.at_indices(start, length))
 
     def padded(self, degree: int) -> tuple[float, ...]:
         """Coefficients extended with zeros through the given degree."""
@@ -179,17 +190,12 @@ class PolyCoeffs:
         return self.coeffs + (0.0,) * (degree + 1 - len(self.coeffs))
 
 
-def poly_eval(p: PolyCoeffs, n: float) -> float:
-    """Evaluate the polynomial sequence at index n (Horner order)."""
-    return p(n)
-
-
 class CompensatedSum:
-    """Neumaier compensated accumulator.
+    """Neumaier compensated accumulator, for running sums read after each add.
 
-    Adding values in index order gives window sums whose rounding error is
-    independent of magnitude ordering, which is what makes the diagnostics
-    deterministic and tight.
+    Adding values in index order gives sums whose rounding error is
+    independent of magnitude ordering.  A sum of a whole window goes
+    through :func:`csum` instead.
     """
 
     __slots__ = ("_s", "_c")
@@ -212,11 +218,15 @@ class CompensatedSum:
 
 
 def csum(values: Iterable[float]) -> float:
-    """Compensated sum of an iterable, consumed in order."""
-    acc = CompensatedSum()
-    for v in values:
-        acc.add(v)
-    return acc.value
+    """Exactly rounded sum of an iterable (``math.fsum``), independent of order.
+
+    A sum whose partial sums leave the float range is NaN, so callers that
+    check the result with ``math.isfinite`` see it as divergent.
+    """
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        return math.nan
 
 
 @lru_cache(maxsize=None)
@@ -260,10 +270,10 @@ def delta(x: Seq, m: int) -> Seq:
         )
     if m == 0:
         return x
-    vals: tuple[float, ...] | list[float] = x.values
+    vals = x.values
     for _ in range(m):
-        vals = [vals[i + 1] - vals[i] for i in range(len(vals) - 1)]
-    return Seq(x.start, tuple(vals))
+        vals = tuple(map(sub, vals[1:], vals))
+    return Seq(x.start, vals)
 
 
 @dataclass(frozen=True)
@@ -284,18 +294,13 @@ def weighted_sum_diagnostic(
     """
     if len(x) < 16:
         raise WindowLengthError(f"need at least 16 entries, got {len(x)}")
-    tail_from = x.start + (3 * len(x)) // 4
-    total = CompensatedSum()
-    tail = CompensatedSum()
-    for n, v in x.items():
-        if n == 0 and w != 0.0:
-            continue
-        term = float(n) ** w * abs(v)
-        total.add(term)
-        if n >= tail_from:
-            tail.add(term)
-    partial = total.value
-    tail_part = tail.value
+    skip = 1 if x.start == 0 and w != 0.0 else 0
+    tail_at = (3 * len(x)) // 4 - skip
+    terms = tuple(
+        map(mul, index_powers(x.start + skip, len(x) - skip, w), map(abs, x.values[skip:]))
+    )
+    partial = csum(terms)
+    tail_part = csum(terms[tail_at:])
     return WeightedSumDiagnostic(
         partial, tail_part, tail_part < thresholds.tau_tail * (1.0 + partial)
     )
@@ -343,16 +348,11 @@ def order_estimate(
     """
     if len(x) < 32:
         raise WindowLengthError(f"need at least 32 entries, got {len(x)}")
-    ratios = []
-    raw = []
-    excluded = False
-    for n, v in x.items():
-        if n == 0 and s != 0.0:
-            excluded = True
-            continue
-        ratios.append(abs(v) / float(n) ** s)
-        raw.append(abs(v))
-    count = len(ratios)
+    excluded = x.start == 0 and s != 0.0
+    raw = tuple(map(abs, x.values[1:] if excluded else x.values))
+    count = len(raw)
+    start = x.end - count + 1
+    ratios = raw if s == 0.0 else tuple(map(truediv, raw, index_powers(start, count, s)))
     third = count // 3
     mid = ratios[count - 2 * third : count - third]
     trail = ratios[count - third :]
@@ -387,6 +387,10 @@ OSCILLATION_LABELS = (
 )
 
 
+def _any_negative(values: Iterable[float]) -> bool:
+    return any(map(lt, values, repeat(0.0)))
+
+
 def classify_oscillation(
     x: Seq, u: Seq, k: int, thresholds: Thresholds = DEFAULT_THRESHOLDS
 ) -> frozenset[str]:
@@ -406,16 +410,16 @@ def classify_oscillation(
         )
     count = hi - lo + 1
     tail_lo = hi - max(1, math.ceil(count * thresholds.trail_fraction)) + 1
-    non = k_non = uk_non = True
-    for n in range(tail_lo, hi + 1):
-        xn = x.at(n)
-        if xn * x.at(n + 1) < 0.0:
-            non = False
-        xnk = x.at(n + k)
-        if xn * xnk < 0.0:
-            k_non = False
-        if xn * u.at(n) * xnk < 0.0:
-            uk_non = False
+    width = hi - tail_lo + 1
+
+    def window_from(seq: Seq, n: int) -> tuple[float, ...]:
+        return seq.values[n - seq.start : n - seq.start + width]
+
+    xn, xn1, xnk = window_from(x, tail_lo), window_from(x, tail_lo + 1), window_from(x, tail_lo + k)
+    un = window_from(u, tail_lo)
+    non = not _any_negative(map(mul, xn, xn1))
+    k_non = not _any_negative(map(mul, xn, xnk))
+    uk_non = not _any_negative(map(mul, map(mul, xn, un), xnk))
     labels = set()
     if non:
         labels.add("nonoscillatory")

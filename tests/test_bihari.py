@@ -91,6 +91,19 @@ class TestBihariBound:
         assert b.condition_violated
         assert abs(b.G_at_M - 1.0) < 1e-9
 
+    def test_quadrature_integrates_each_piece_once(self):
+        # G is carried forward between bracketing and bisection points, so
+        # the plateau route costs a few thousand g evaluations, not millions.
+        calls = []
+
+        def g(t):
+            calls.append(t)
+            return t * t
+
+        b = bihari_bound(BihariProblem(g, 1.0, 2.0))
+        assert b.condition_violated
+        assert len(calls) < 10_000
+
     def test_plain_callable_agrees_with_catalog(self):
         exact = bihari_bound(BihariProblem(IDENTITY, 1.0, 1.0)).M
         quad = bihari_bound(BihariProblem(lambda t: t, 1.0, 1.0)).M

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -52,6 +53,26 @@ class TestExperimentConfig:
         raw["case"] = "z"
         with pytest.raises(ConfigError, match="case"):
             ExperimentConfig.from_json(json.dumps(raw))
+
+
+@pytest.mark.parametrize(
+    "section, field, value",
+    [
+        ("spec", "m", True),
+        ("spec", "k", True),
+        (None, "horizon", True),
+        ("spec", "c", math.nan),
+        ("spec", "s", math.nan),
+    ],
+)
+def test_bool_and_nan_rejected_at_the_boundary(section, field, value, tmp_path, capsys):
+    raw = json.loads(fixture_text("t1_case_a_m1.json"))
+    (raw if section is None else raw[section])[field] = value
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    assert run(str(config), out_dir=str(tmp_path / "o")) == EXIT_CONFIG
+    assert f"field {field}:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 class TestRunCommand:

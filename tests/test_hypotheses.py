@@ -40,6 +40,27 @@ class TestCheckGPBounded:
             for p in (0.0, 1.0):
                 assert check_g_p_bounded(zero, g, p).passed
 
+    def test_dispatch_scans_n_up_to_the_trace_horizon(self, monkeypatch):
+        import asympoly.hypotheses as hyp
+
+        scanned = []
+        real = hyp.check_g_p_bounded
+
+        def recording(f, g, p, n_max=10000):
+            def f_rec(n, t):
+                scanned.append(n)
+                return f(n, t)
+
+            return real(f_rec, g, p, n_max)
+
+        monkeypatch.setattr(hyp, "check_g_p_bounded", recording)
+        inst = BY_NAME["t1_case_a_m1"]
+        x_seed, z_seed = consistent_seeds(inst.spec, inst.profile)
+        trace = simulate(inst.spec, x_seed, z_seed, 100_000)
+        theorem_dispatch(inst.spec, trace, inst.case_id)
+        assert min(scanned) == 1
+        assert max(scanned) == 100_000
+
 
 class TestCheckURate:
     def test_fast_approach_is_small_o(self):

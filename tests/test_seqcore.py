@@ -15,7 +15,6 @@ from asympoly.seqcore import (
     delta,
     order_estimate,
     pascal_row,
-    poly_eval,
     seq_from_function,
     weighted_sum_diagnostic,
 )
@@ -56,17 +55,17 @@ class TestSeq:
 
 class TestPolyCoeffs:
     def test_eval_linear(self):
-        assert poly_eval(PolyCoeffs((0.0, 1.0)), 7) == 7.0
+        assert PolyCoeffs((0.0, 1.0))(7) == 7.0
 
     def test_zero_polynomial(self):
         p = PolyCoeffs(())
         assert p.degree == -1
         for n in (0, 3, 100):
-            assert poly_eval(p, n) == 0.0
+            assert p(n) == 0.0
 
     def test_direct_evaluation(self):
         # 1 - 2*3 + 3**2 = 4
-        assert poly_eval(PolyCoeffs((1.0, -2.0, 1.0)), 3) == 4.0
+        assert PolyCoeffs((1.0, -2.0, 1.0))(3) == 4.0
 
     def test_degree_ignores_trailing_zeros(self):
         assert PolyCoeffs((1.0, 0.0, 0.0)).degree == 0
