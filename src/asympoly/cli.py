@@ -4,7 +4,7 @@ Loads a strict JSON config describing one equation instance, simulates it,
 decomposes the solution, checks the selected theorem case, and writes
 machine-readable reports: trace.csv (n, x, z, m-th difference of z),
 decomposition.json and verdict.json.  Identical configs produce
-byte-identical outputs (compensated sums, fixed evaluation order,
+byte-identical outputs (exactly rounded sums, fixed evaluation order,
 canonical JSON).
 
 Exit codes: 0 all hypotheses and the conclusion certified; 1 config

@@ -2,7 +2,7 @@
 
 This is the vocabulary the rest of the package speaks: finite windows of
 real sequences with an explicit start index, polynomial sequences, exact
-binomial coefficients, compensated window sums, and the finite-horizon
+binomial coefficients, exactly rounded window sums, and the finite-horizon
 order-of-growth diagnostics.  Every operation is a pure function of
 immutable inputs, so values can be shared freely between threads.
 
