@@ -410,6 +410,9 @@ def classify_oscillation(
         )
     count = hi - lo + 1
     tail_lo = hi - max(1, math.ceil(count * thresholds.trail_fraction)) + 1
+    # A trail longer than the window (trail_fraction > 1) reaches before
+    # lo; reading its first row through at() raises IndexRangeError.
+    x.at(tail_lo), x.at(tail_lo + 1), x.at(tail_lo + k), u.at(tail_lo)
     width = hi - tail_lo + 1
 
     def window_from(seq: Seq, n: int) -> tuple[float, ...]:
