@@ -1,16 +1,11 @@
 """Closed-form catalogs for the equation building blocks.
 
 Every right-hand side f(n, t), majorant g, delay map sigma and coefficient
-generator used anywhere in the package is drawn from the fixed catalog
-below.  There is deliberately no expression interpreter: extending the
-catalog is a code change, which keeps runs deterministic and testable.
-
-Identifiers (exact strings):
-
-* f:      sigmoid, arctan, power_sgn, linear, bounded_sin
-* g:      identity, power, affine, constant
-* sigma:  identity, delay_d, half, floor_log
-* u/a/b:  constant, power_offset, power, alt_power, geometric
+generator used anywhere in the package is drawn from the fixed tables
+below, one per family.  There is deliberately no expression interpreter:
+extending the catalog is a code change, which keeps runs deterministic
+and testable.  ``asympoly catalog`` lists every identifier with its
+parameters and their rules.
 """
 
 from __future__ import annotations
@@ -34,12 +29,42 @@ class CatalogRef:
         return {"id": self.id, "params": dict(self.params)}
 
 
-def _param(ref: CatalogRef, name: str, *, integer: bool = False) -> float:
+@dataclass(frozen=True)
+class Entry:
+    """One catalog identifier: its parameters, their rule and its builder.
+
+    ``build`` takes the parameter values in ``params`` order and returns
+    the fields that follow ``ref`` in the family's entry class.  ``rule``
+    is (parameter, predicate, rule text), checked before building;
+    ``integers`` names the parameters that must be integers.
+    """
+
+    params: tuple[str, ...]
+    build: Callable[..., tuple]
+    rule: tuple[str, Callable[[float], bool], str] | None = None
+    integers: tuple[str, ...] = ()
+
+    def schema(self) -> str:
+        """The listing text: parameter names, integer flags and the rule."""
+        names = ", ".join(p + " (integer)" * (p in self.integers) for p in self.params)
+        rule = f"; {self.rule[2]}" if self.rule else ""
+        return (names or "-") + rule
+
+
+def _param(ref: CatalogRef, name: str, integer: bool) -> float:
     if name not in ref.params:
         raise CatalogError(f"catalog entry {ref.id!r} requires parameter {name!r}")
     value = ref.params[name]
+    try:
+        finite = not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):  # not a number, or an int beyond float range
+        finite = False
+    if not finite:
+        raise CatalogError(
+            f"parameter {name!r} of {ref.id!r} must be a finite number, got {value!r}"
+        )
     if integer:
-        if float(value) != int(value):
+        if value != int(value):
             raise CatalogError(
                 f"parameter {name!r} of {ref.id!r} must be an integer, got {value!r}"
             )
@@ -47,12 +72,23 @@ def _param(ref: CatalogRef, name: str, *, integer: bool = False) -> float:
     return float(value)
 
 
-def _check_params(ref: CatalogRef, allowed: tuple[str, ...]) -> None:
-    extra = set(ref.params) - set(allowed)
+def _build(table: Mapping[str, Entry], family: str, ref: CatalogRef) -> tuple:
+    """Validate ref against its table entry and return the built fields."""
+    entry = table.get(ref.id)
+    if entry is None:
+        raise CatalogError(f"unknown {family} identifier {ref.id!r}")
+    extra = set(ref.params) - set(entry.params)
     if extra:
         raise CatalogError(
             f"unknown parameter(s) {sorted(extra)} for catalog entry {ref.id!r}"
         )
+    values = [_param(ref, name, name in entry.integers) for name in entry.params]
+    if entry.rule is not None:
+        name, holds, text = entry.rule
+        value = values[entry.params.index(name)]
+        if not holds(value):
+            raise CatalogError(f"{ref.id} needs {text}, got {value}")
+    return entry.build(*values)
 
 
 @dataclass(frozen=True)
@@ -68,28 +104,23 @@ class RhsFunction:
         return self.fn(n, t)
 
 
+F_TABLE = {
+    "sigmoid": Entry((), lambda: (lambda n, t: t / (1.0 + t * t), True, 0.5)),
+    "arctan": Entry((), lambda: (lambda n, t: math.atan(t), True, math.pi / 2)),
+    "power_sgn": Entry(
+        ("gamma",),
+        lambda gamma: (
+            lambda n, t: math.copysign(abs(t) ** gamma, t) if t else 0.0, False, None
+        ),
+        ("gamma", lambda v: 0.0 < v <= 1.0, "0 < gamma <= 1"),
+    ),
+    "linear": Entry((), lambda: (lambda n, t: t, False, None)),
+    "bounded_sin": Entry((), lambda: (lambda n, t: math.sin(t), True, 1.0)),
+}
+
+
 def make_f(ref: CatalogRef) -> RhsFunction:
-    if ref.id == "sigmoid":
-        _check_params(ref, ())
-        return RhsFunction(ref, lambda n, t: t / (1.0 + t * t), True, 0.5)
-    if ref.id == "arctan":
-        _check_params(ref, ())
-        return RhsFunction(ref, lambda n, t: math.atan(t), True, math.pi / 2)
-    if ref.id == "power_sgn":
-        _check_params(ref, ("gamma",))
-        gamma = _param(ref, "gamma")
-        if not 0.0 < gamma <= 1.0:
-            raise CatalogError(f"power_sgn needs 0 < gamma <= 1, got {gamma}")
-        return RhsFunction(
-            ref, lambda n, t: math.copysign(abs(t) ** gamma, t) if t else 0.0, False, None
-        )
-    if ref.id == "linear":
-        _check_params(ref, ())
-        return RhsFunction(ref, lambda n, t: t, False, None)
-    if ref.id == "bounded_sin":
-        _check_params(ref, ())
-        return RhsFunction(ref, lambda n, t: math.sin(t), True, 1.0)
-    raise CatalogError(f"unknown f identifier {ref.id!r}")
+    return RhsFunction(ref, *_build(F_TABLE, "f", ref))
 
 
 @dataclass(frozen=True)
@@ -117,42 +148,40 @@ class Majorant:
         return self._primitive(lam, t)
 
 
+def _power_majorant(gamma: float) -> tuple:
+    def primitive(lam: float, t: float) -> float:
+        if gamma == 1.0:
+            return math.log(t / lam)
+        return (t ** (1.0 - gamma) - lam ** (1.0 - gamma)) / (1.0 - gamma)
+
+    return lambda t: t**gamma, gamma <= 1.0, primitive
+
+
+def _affine_majorant(alpha: float, beta: float) -> tuple:
+    def primitive(lam: float, t: float) -> float:
+        if alpha == 0.0:
+            return (t - lam) / beta
+        return (math.log(alpha * t + beta) - math.log(alpha * lam + beta)) / alpha
+
+    return lambda t: alpha * t + beta, True, primitive
+
+
+G_TABLE = {
+    "identity": Entry((), lambda: (lambda t: t, True, lambda lam, t: math.log(t / lam))),
+    "power": Entry(("gamma",), _power_majorant, ("gamma", lambda v: v > 0.0, "gamma > 0")),
+    "affine": Entry(
+        ("alpha", "beta"), _affine_majorant, ("alpha", lambda v: v >= 0.0, "alpha >= 0")
+    ),
+    "constant": Entry(
+        ("value",),
+        lambda value: (lambda t: value, True, lambda lam, t: (t - lam) / value),
+        ("value", lambda v: v > 0.0, "value > 0"),
+    ),
+}
+
+
 def make_g(ref: CatalogRef) -> Majorant:
-    if ref.id == "identity":
-        _check_params(ref, ())
-        return Majorant(ref, lambda t: t, True, lambda lam, t: math.log(t / lam))
-    if ref.id == "power":
-        _check_params(ref, ("gamma",))
-        gamma = _param(ref, "gamma")
-        if gamma <= 0.0:
-            raise CatalogError(f"power majorant needs gamma > 0, got {gamma}")
-
-        def primitive(lam: float, t: float, gamma: float = gamma) -> float:
-            if gamma == 1.0:
-                return math.log(t / lam)
-            return (t ** (1.0 - gamma) - lam ** (1.0 - gamma)) / (1.0 - gamma)
-
-        return Majorant(ref, lambda t: t**gamma, gamma <= 1.0, primitive)
-    if ref.id == "affine":
-        _check_params(ref, ("alpha", "beta"))
-        alpha = _param(ref, "alpha")
-        beta = _param(ref, "beta")
-        if alpha < 0.0:
-            raise CatalogError(f"affine majorant needs alpha >= 0, got {alpha}")
-
-        def primitive(lam: float, t: float, a: float = alpha, b: float = beta) -> float:
-            if a == 0.0:
-                return (t - lam) / b
-            return (math.log(a * t + b) - math.log(a * lam + b)) / a
-
-        return Majorant(ref, lambda t: alpha * t + beta, True, primitive)
-    if ref.id == "constant":
-        _check_params(ref, ("value",))
-        value = _param(ref, "value")
-        if value <= 0.0:
-            raise CatalogError(f"constant majorant needs value > 0, got {value}")
-        return Majorant(ref, lambda t: value, True, lambda lam, t: (t - lam) / value)
-    raise CatalogError(f"unknown g identifier {ref.id!r}")
+    return Majorant(ref, *_build(G_TABLE, "g", ref))
 
 
 @dataclass(frozen=True)
@@ -166,21 +195,16 @@ class DelayMap:
         return self.fn(n)
 
 
+SIGMA_TABLE = {
+    "identity": Entry((), lambda: (lambda n: n,)),
+    "delay_d": Entry(("d",), lambda d: (lambda n: n - d,), integers=("d",)),
+    "half": Entry((), lambda: (lambda n: n // 2,)),
+    "floor_log": Entry((), lambda: (lambda n: int(math.floor(math.log(n))),)),
+}
+
+
 def make_sigma(ref: CatalogRef) -> DelayMap:
-    if ref.id == "identity":
-        _check_params(ref, ())
-        return DelayMap(ref, lambda n: n)
-    if ref.id == "delay_d":
-        _check_params(ref, ("d",))
-        d = _param(ref, "d", integer=True)
-        return DelayMap(ref, lambda n: n - d)
-    if ref.id == "half":
-        _check_params(ref, ())
-        return DelayMap(ref, lambda n: n // 2)
-    if ref.id == "floor_log":
-        _check_params(ref, ())
-        return DelayMap(ref, lambda n: int(math.floor(math.log(n))))
-    raise CatalogError(f"unknown sigma identifier {ref.id!r}")
+    return DelayMap(ref, *_build(SIGMA_TABLE, "sigma", ref))
 
 
 @dataclass(frozen=True)
@@ -198,85 +222,51 @@ class SeqGenerator:
         return seq_from_function(self.fn, start, length)
 
 
+_RHO_RULE = ("rho", lambda v: v > 0.0, "rho > 0")
+
+GENERATOR_TABLE = {
+    "constant": Entry(("value",), lambda value: (lambda n: value, value)),
+    "power_offset": Entry(
+        ("c", "A", "rho"),
+        lambda c, amp, rho: (lambda n: c + amp * float(n) ** -rho, c),
+        _RHO_RULE,
+    ),
+    "power": Entry(
+        ("A", "rho"), lambda amp, rho: (lambda n: amp * float(n) ** -rho, 0.0), _RHO_RULE
+    ),
+    "alt_power": Entry(
+        ("A", "rho"),
+        lambda amp, rho: (
+            lambda n: amp * (1.0 if n % 2 == 0 else -1.0) * float(n) ** -rho, 0.0
+        ),
+        _RHO_RULE,
+    ),
+    "geometric": Entry(
+        ("A", "ratio"),
+        lambda amp, ratio: (lambda n: amp * ratio**n, 0.0),
+        ("ratio", lambda v: 0.0 < v < 1.0, "0 < ratio < 1"),
+    ),
+}
+
+
 def make_generator(ref: CatalogRef) -> SeqGenerator:
-    if ref.id == "constant":
-        _check_params(ref, ("value",))
-        value = _param(ref, "value")
-        return SeqGenerator(ref, lambda n: value, value)
-    if ref.id == "power_offset":
-        _check_params(ref, ("c", "A", "rho"))
-        c = _param(ref, "c")
-        amp = _param(ref, "A")
-        rho = _param(ref, "rho")
-        if rho <= 0.0:
-            raise CatalogError(f"power_offset needs rho > 0, got {rho}")
-        return SeqGenerator(ref, lambda n: c + amp * float(n) ** -rho, c)
-    if ref.id == "power":
-        _check_params(ref, ("A", "rho"))
-        amp = _param(ref, "A")
-        rho = _param(ref, "rho")
-        if rho <= 0.0:
-            raise CatalogError(f"power needs rho > 0, got {rho}")
-        return SeqGenerator(ref, lambda n: amp * float(n) ** -rho, 0.0)
-    if ref.id == "alt_power":
-        _check_params(ref, ("A", "rho"))
-        amp = _param(ref, "A")
-        rho = _param(ref, "rho")
-        if rho <= 0.0:
-            raise CatalogError(f"alt_power needs rho > 0, got {rho}")
-        return SeqGenerator(
-            ref, lambda n: amp * (1.0 if n % 2 == 0 else -1.0) * float(n) ** -rho, 0.0
-        )
-    if ref.id == "geometric":
-        _check_params(ref, ("A", "ratio"))
-        amp = _param(ref, "A")
-        ratio = _param(ref, "ratio")
-        if not 0.0 < ratio < 1.0:
-            raise CatalogError(f"geometric needs 0 < ratio < 1, got {ratio}")
-        return SeqGenerator(ref, lambda n: amp * ratio**n, 0.0)
-    raise CatalogError(f"unknown generator identifier {ref.id!r}")
+    return SeqGenerator(ref, *_build(GENERATOR_TABLE, "generator", ref))
 
 
-#: Identifier -> parameter schema, used by validation and the CLI listing.
-F_SCHEMAS = {
-    "arctan": "",
-    "bounded_sin": "",
-    "linear": "",
-    "power_sgn": "gamma (0 < gamma <= 1)",
-    "sigmoid": "",
-}
-G_SCHEMAS = {
-    "affine": "alpha >= 0, beta",
-    "constant": "value > 0",
-    "identity": "",
-    "power": "gamma > 0",
-}
-SIGMA_SCHEMAS = {
-    "delay_d": "d (integer)",
-    "floor_log": "",
-    "half": "",
-    "identity": "",
-}
-GENERATOR_SCHEMAS = {
-    "alt_power": "A, rho > 0",
-    "constant": "value",
-    "geometric": "A, ratio in (0, 1)",
-    "power": "A, rho > 0",
-    "power_offset": "c, A, rho > 0",
-}
+#: (listing title, table) of every family, in listing order.
+FAMILIES = (
+    ("f (right-hand side)", F_TABLE),
+    ("g (majorant)", G_TABLE),
+    ("sigma (delay)", SIGMA_TABLE),
+    ("u/a/b (generators)", GENERATOR_TABLE),
+)
 
 
 def catalog_listing() -> str:
     """Stable, alphabetically ordered listing of every catalog identifier."""
     lines = []
-    for title, schemas in (
-        ("f (right-hand side)", F_SCHEMAS),
-        ("g (majorant)", G_SCHEMAS),
-        ("sigma (delay)", SIGMA_SCHEMAS),
-        ("u/a/b (generators)", GENERATOR_SCHEMAS),
-    ):
+    for title, table in FAMILIES:
         lines.append(f"{title}:")
-        for name in sorted(schemas):
-            schema = schemas[name] or "-"
-            lines.append(f"  {name:<14} params: {schema}")
+        for name in sorted(table):
+            lines.append(f"  {name:<14} params: {table[name].schema()}")
     return "\n".join(lines) + "\n"

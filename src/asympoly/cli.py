@@ -40,7 +40,7 @@ from .neutral_solver import (
     start_index,
     x_start_index,
 )
-from .seqcore import OrderVerdict, Seq, Thresholds, delta
+from .seqcore import Seq, Thresholds, delta
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -70,6 +70,17 @@ def _int_field(value: Any, name: str) -> int:
     ):
         raise ConfigError(f"field {name}: must be an integer, got {value!r}")
     return int(value)
+
+
+def _num_field(value: Any, name: str) -> float:
+    """A finite JSON number; bools, non-numbers and non-finite values are rejected."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not -sys.float_info.max <= value <= sys.float_info.max
+    ):
+        raise ConfigError(f"field {name}: must be a finite number, got {value!r}")
+    return float(value)
 
 
 def _ref_from_json(obj: Any, where: str) -> CatalogRef:
@@ -112,14 +123,14 @@ class ExperimentConfig:
         spec = EquationSpec(
             m=_int_field(spec_raw["m"], "m"),
             k=_int_field(spec_raw["k"], "k"),
-            c=float(spec_raw["c"]),
+            c=_num_field(spec_raw["c"], "c"),
             u=_ref_from_json(spec_raw["u"], "u"),
             a=_ref_from_json(spec_raw["a"], "a"),
             b=_ref_from_json(spec_raw["b"], "b"),
             f=_ref_from_json(spec_raw["f"], "f"),
             g=_ref_from_json(spec_raw["g"], "g"),
             sigma=_ref_from_json(spec_raw["sigma"], "sigma"),
-            s=float(spec_raw["s"]),
+            s=_num_field(spec_raw["s"], "s"),
             q=None if q is None else _int_field(q, "q"),
         )
         seeds = raw["seeds"]
@@ -142,14 +153,16 @@ class ExperimentConfig:
         if not isinstance(thr_raw, dict):
             raise ConfigError("field thresholds: must be an object")
         _require_keys(thr_raw, _THRESHOLD_KEYS, set(), "thresholds")
-        thresholds = Thresholds(**{k: float(v) for k, v in thr_raw.items()})
+        thresholds = Thresholds(
+            **{k: _num_field(v, f"thresholds.{k}") for k, v in thr_raw.items()}
+        )
         output = raw.get("output")
         if output is not None and not isinstance(output, str):
             raise ConfigError("field output: must be a string path")
         return ExperimentConfig(
             spec=spec,
-            x_seed=None if x_raw is None else tuple(float(v) for v in x_raw),
-            z_seed=tuple(float(v) for v in seeds["z"]),
+            x_seed=None if x_raw is None else tuple(_num_field(v, "seeds.x") for v in x_raw),
+            z_seed=tuple(_num_field(v, "seeds.z") for v in seeds["z"]),
             horizon=horizon,
             case_id=case_id,
             mode=mode,
@@ -197,29 +210,18 @@ class ExperimentConfig:
         return Seq(xs, self.x_seed), z_seed
 
 
-def _verdict_to_dict(v: OrderVerdict) -> dict:
-    return {
-        "kind": v.kind,
-        "exponent": v.exponent,
-        "metric": v.metric,
-        "trend": v.trend,
-        "bound": v.bound,
-        "excluded_zero": v.excluded_zero,
-    }
-
-
 def _report_to_dict(r: DecompositionReport) -> dict:
     return {
         "psi": list(r.psi.coeffs),
         "s": r.s,
-        "remainder_verdict": _verdict_to_dict(r.remainder_verdict),
+        "remainder_verdict": asdict(r.remainder_verdict),
         "remainder_window": [r.remainder.start, r.remainder.end],
         "decay_exponent": r.decay_exponent,
         "decay_r2": r.decay_r2,
         "regular_q": r.regular_q,
         "regular_checks": None
         if r.regular_checks is None
-        else [_verdict_to_dict(c) for c in r.regular_checks],
+        else [asdict(c) for c in r.regular_checks],
         "regular_passed": r.regular_passed,
     }
 
@@ -238,17 +240,8 @@ def _hypothesis_to_dict(v: HypothesisVerdict) -> dict:
         "mode": v.mode,
         "passed": v.passed,
         "failed_check": v.failed_check,
-        "checks": [
-            {"name": c.name, "passed": c.passed, "metric": c.metric, "detail": c.detail}
-            for c in v.checks
-        ],
-        "conclusion": {
-            "passed": v.conclusion.passed,
-            "s": v.conclusion.s,
-            "remainder_kind": v.conclusion.remainder_kind,
-            "metric": v.conclusion.metric,
-            "regular_passed": v.conclusion.regular_passed,
-        },
+        "checks": [asdict(c) for c in v.checks],
+        "conclusion": asdict(v.conclusion),
     }
 
 

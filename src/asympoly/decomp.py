@@ -19,7 +19,7 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from itertools import compress, repeat
-from operator import add, ge, mul, sub, truediv
+from operator import ge, mul, sub, truediv
 
 from .errors import DivergenceError, WindowLengthError
 from .neutral_solver import EquationSpec, SolutionTrace, UNIT_MARGIN
@@ -33,6 +33,7 @@ from .seqcore import (
     csum,
     delta,
     index_powers,
+    line_fit,
     order_estimate,
 )
 
@@ -110,18 +111,10 @@ def _decay_fit(remainder: Seq, trail_fraction: float) -> tuple[float, float]:
     ys = list(map(math.log, compress(mags, kept)))
     if len(xs) < 2:
         return math.nan, math.nan
-    xm = csum(xs) / len(xs)
+    slope, resid = line_fit(xs, ys)
     ym = csum(ys) / len(ys)
-    dx = [x - xm for x in xs]
-    dy = [y - ym for y in ys]
-    sxx = csum(map(pow, dx, repeat(2)))
-    if sxx == 0.0:
-        return math.nan, math.nan
-    sxy = csum(map(mul, dx, dy))
-    slope = sxy / sxx
-    fitted = map(add, repeat(ym), map(mul, repeat(slope), dx))
-    ss_res = csum(map(pow, map(sub, ys, fitted), repeat(2)))
-    ss_tot = csum(map(pow, dy, repeat(2)))
+    ss_res = csum(map(pow, resid, repeat(2)))
+    ss_tot = csum(map(pow, map(sub, ys, repeat(ym)), repeat(2)))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     return slope, r2
 

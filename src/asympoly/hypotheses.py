@@ -19,15 +19,15 @@ from operator import sub, truediv
 from .catalog import Majorant, RhsFunction
 from .decomp import SolutionDecomposition, decompose_solution
 from .errors import ConfigError
-from .neutral_solver import EquationSpec, Runtime, SolutionTrace, runtime
+from .neutral_solver import EquationSpec, Runtime, SolutionTrace
 from .seqcore import (
     DEFAULT_THRESHOLDS,
     OrderVerdict,
     Seq,
     Thresholds,
     classify_oscillation,
-    csum,
     index_powers,
+    line_fit,
     order_estimate,
     weighted_sum_diagnostic,
 )
@@ -154,12 +154,11 @@ def polynomial_growth_check(
     if len(x) < 64:
         raise ValueError(f"need at least 64 entries, got {len(x)}")
     tail = x.trailing(thresholds.trail_fraction)
-    pts = [(math.log(n), math.log1p(abs(v))) for n, v in tail.items() if n >= 1]
-    xm = csum(p[0] for p in pts) / len(pts)
-    ym = csum(p[1] for p in pts) / len(pts)
-    sxx = csum((p[0] - xm) ** 2 for p in pts)
-    slope = csum((p[0] - xm) * (p[1] - ym) for p in pts) / sxx
-    max_resid = max(abs(p[1] - (ym + slope * (p[0] - xm))) for p in pts)
+    lo = max(tail.start, 1)
+    log_n = list(map(math.log, range(lo, tail.end + 1)))
+    log_x = list(map(math.log1p, map(abs, tail.values[lo - tail.start :])))
+    slope, resid = line_fit(log_n, log_x)
+    max_resid = max(map(abs, resid))
     allowance = 0.5 * math.log(x.end)
     return GrowthCheck(max_resid < allowance, slope, max_resid, allowance)
 
@@ -240,7 +239,7 @@ def theorem_dispatch(
             raise ConfigError(
                 f"field s: regular mode requires s == q, got s={spec.s}, q={spec.q}"
             )
-    rt = runtime(spec)
+    rt = spec.rt
     m, s = spec.m, spec.s
     n0 = trace.start
     N = trace.z.end

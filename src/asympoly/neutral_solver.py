@@ -18,7 +18,7 @@ u = -1/2, k = 1 gives z identically 0), not a solver defect.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import count
 from typing import Callable
 
@@ -34,10 +34,10 @@ from .catalog import (
     make_sigma,
 )
 from .errors import (
+    CatalogError,
     CausalityError,
     ConfigError,
     DivergenceError,
-    IndexRangeError,
     SeedError,
     SingularRecoveryError,
     WindowLengthError,
@@ -79,6 +79,8 @@ class EquationSpec:
     sigma: CatalogRef
     s: float
     q: int | None = None
+    #: The catalog entries, built once from the references above.
+    rt: Runtime = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not _is_int(self.m) or self.m < 1:
@@ -98,16 +100,10 @@ class EquationSpec:
         if self.q is not None:
             if not _is_int(self.q) or not 0 <= self.q <= self.m - 1:
                 raise ConfigError(f"field q: need an integer in [0, {self.m - 1}], got {self.q!r}")
-        # Building the catalog entries validates identifiers and parameters.
-        u_gen = make_generator(self.u)
-        make_generator(self.a)
-        make_generator(self.b)
-        make_f(self.f)
-        make_g(self.g)
-        make_sigma(self.sigma)
-        if abs(u_gen.limit - self.c) > 1e-12 * (1.0 + abs(self.c)):
+        object.__setattr__(self, "rt", runtime(self))
+        if abs(self.rt.u.limit - self.c) > 1e-12 * (1.0 + abs(self.c)):
             raise ConfigError(
-                f"field u: generator limit {u_gen.limit} inconsistent with c={self.c}"
+                f"field u: generator limit {self.rt.u.limit} inconsistent with c={self.c}"
             )
 
 
@@ -124,14 +120,22 @@ class Runtime:
 
 
 def runtime(spec: EquationSpec) -> Runtime:
-    return Runtime(
-        u=make_generator(spec.u),
-        a=make_generator(spec.a),
-        b=make_generator(spec.b),
-        f=make_f(spec.f),
-        g=make_g(spec.g),
-        sigma=make_sigma(spec.sigma),
-    )
+    """Build every catalog entry of spec; an invalid one names its spec field."""
+    makers = {
+        "u": make_generator,
+        "a": make_generator,
+        "b": make_generator,
+        "f": make_f,
+        "g": make_g,
+        "sigma": make_sigma,
+    }
+    built = {}
+    for name, make in makers.items():
+        try:
+            built[name] = make(getattr(spec, name))
+        except CatalogError as exc:
+            raise CatalogError(f"field {name}: {exc}") from None
+    return Runtime(**built)
 
 
 def start_index(spec: EquationSpec) -> int:
@@ -146,17 +150,12 @@ def x_start_index(spec: EquationSpec) -> int:
 
 @dataclass(frozen=True)
 class SolutionTrace:
-    """Simulated solution: x, z, the horizon, and the causality audit log.
-
-    Entries of causality_log are (step n, sigma(n), x horizon at that step).
-    ``start`` records the n0 the run was seeded at.
-    """
+    """Simulated solution: x, z, the horizon, and the n0 the run was seeded at."""
 
     x: Seq
     z: Seq
     horizon: int
     start: int
-    causality_log: tuple[tuple[int, int, int], ...]
 
 
 def z_from_x(x: Seq, u: Seq, k: int) -> Seq:
@@ -169,6 +168,28 @@ def z_from_x(x: Seq, u: Seq, k: int) -> Seq:
             f"leave no valid index for shift k={k}"
         )
     return Seq(lo, tuple(x.at(n) + u.at(n) * x.at(n + k) for n in range(lo, hi + 1)))
+
+
+def _recover_x(x_vals: list[float], k: int, n: int, zn: float, un: float) -> float:
+    """Append the x value that z_n unlocks, inverting z_n = x_n + u_n x_{n+k}.
+
+    That value is x_n for k <= 0 and x_{n+k} for k > 0.  x_vals holds the
+    x values recovered so far, so the one read back (x_{n+k} for k < 0,
+    x_n for k > 0) is x_vals[-|k|].
+    """
+    if k < 0:
+        xv = zn - un * x_vals[k]
+    elif k == 0:
+        den = 1.0 + un
+        if abs(den) <= SINGULAR_GUARD:
+            raise SingularRecoveryError(f"1 + u_n = {den!r} at index {n} is below the singularity guard")
+        xv = zn / den
+    else:
+        if abs(un) <= SINGULAR_GUARD:
+            raise SingularRecoveryError(f"u_n = {un!r} at index {n} is below the singularity guard")
+        xv = (zn - x_vals[-k]) / un
+    x_vals.append(xv)
+    return xv
 
 
 def x_from_z(z: Seq, u: Seq, k: int, seed: Seq | None = None) -> Seq:
@@ -186,41 +207,19 @@ def x_from_z(z: Seq, u: Seq, k: int, seed: Seq | None = None) -> Seq:
     if k == 0:
         if seed is not None:
             raise SeedError("k=0 recovery takes no seed")
-        vals = []
-        for n, zn in z.items():
-            den = 1.0 + u.at(n)
-            if abs(den) <= SINGULAR_GUARD:
-                raise SingularRecoveryError(f"1 + u_n = {den!r} at index {n} is below the singularity guard")
-            vals.append(zn / den)
-        return Seq(z.start, tuple(vals))
-    if seed is None:
+    elif seed is None:
         raise SeedError(f"recovery with k={k} requires a seed window")
-    if k < 0:
-        r = -k
-        if seed.start != z.start + k or len(seed) != r:
+    else:
+        lo = z.start + min(k, 0)
+        if seed.start != lo or len(seed) != abs(k):
             raise SeedError(
-                f"k={k} recovery needs seed exactly on [{z.start + k}, {z.start - 1}], "
+                f"k={k} recovery needs seed exactly on [{lo}, {lo + abs(k) - 1}], "
                 f"got [{seed.start}, {seed.end}]"
             )
-        out_start = z.start + k
-        vals = list(seed.values)
-        for n, zn in z.items():
-            vals.append(zn - u.at(n) * vals[n - r - out_start])
-        return Seq(out_start, tuple(vals))
-    # k > 0: x_{n+k} = (z_n - x_n) / u_n
-    if seed.start != z.start or len(seed) != k:
-        raise SeedError(
-            f"k={k} recovery needs seed exactly on [{z.start}, {z.start + k - 1}], "
-            f"got [{seed.start}, {seed.end}]"
-        )
-    vals = list(seed.values)
-    out_start = z.start
-    for n, zn in z.items():
-        un = u.at(n)
-        if abs(un) <= SINGULAR_GUARD:
-            raise SingularRecoveryError(f"u_n = {un!r} at index {n} is below the singularity guard")
-        vals.append((zn - vals[n - out_start]) / un)
-    return Seq(out_start, tuple(vals))
+    vals = [] if seed is None else list(seed.values)
+    for n, zn, un in zip(count(z.start), z.values, u.values[z.start - u.start :]):
+        _recover_x(vals, k, n, zn, un)
+    return Seq(z.start + min(k, 0), tuple(vals))
 
 
 def consistent_seeds(spec: EquationSpec, profile: Seq) -> tuple[Seq | None, Seq]:
@@ -231,7 +230,7 @@ def consistent_seeds(spec: EquationSpec, profile: Seq) -> tuple[Seq | None, Seq]
     k > 0.  The z seeds are computed through the neutral relation, so the
     pair is consistent by construction.
     """
-    rt = runtime(spec)
+    u = spec.rt.u
     n0 = start_index(spec)
     m, k = spec.m, spec.k
     lo = n0 + min(k, 0)
@@ -241,7 +240,7 @@ def consistent_seeds(spec: EquationSpec, profile: Seq) -> tuple[Seq | None, Seq]
             f"seed profile must cover exactly [{lo}, {hi}], got [{profile.start}, {profile.end}]"
         )
     z_vals = tuple(
-        profile.at(n) + rt.u(n) * profile.at(n + k) for n in range(n0, n0 + m)
+        profile.at(n) + u(n) * profile.at(n + k) for n in range(n0, n0 + m)
     )
     z_seed = Seq(n0, z_vals)
     if k > 0:
@@ -279,15 +278,13 @@ def validate_causality(spec: EquationSpec, N: int) -> CausalityReport:
     window (reading the future past the x horizon, or before the window
     start, which also enforces sigma(n) >= 1 on the simulated range).
     """
-    rt = runtime(spec)
     n0 = start_index(spec)
     xs = x_start_index(spec)
-    shift = max(spec.k, 0)
-    for n in range(n0, max(n0, N - spec.m + 1)):
-        horizon = n + spec.m - 1 + shift
-        sv = rt.sigma(n)
-        if sv < xs or sv > horizon:
-            return CausalityReport(False, n, sv, horizon, xs)
+    lag = spec.m - 1 + max(spec.k, 0)  # x horizon at step n is n + lag
+    steps = range(n0, max(n0, N - spec.m + 1))
+    for n, sv in zip(steps, map(spec.rt.sigma.fn, steps)):
+        if sv < xs or sv > n + lag:
+            return CausalityReport(False, n, sv, n + lag, xs)
     return CausalityReport(True)
 
 
@@ -302,12 +299,13 @@ def simulate(spec: EquationSpec, x_seed: Seq | None, z_seed: Seq, N: int) -> Sol
     """Advance the equation from its seeds to z horizon N.
 
     z_seed must supply z at the m indices [n0, n0 + m - 1]; x_seed must
-    cover exactly the indices listed in :func:`consistent_seeds`.  The
-    returned trace satisfies the neutral relation on the full overlap
-    window (re-verified before returning) and the stepping residual of the
-    equation itself is at rounding level.
+    cover exactly the indices listed in :func:`consistent_seeds`.  Every
+    sigma(n) is checked against the realized x window before the first
+    step.  The returned trace satisfies the neutral relation on the full
+    overlap window (re-verified before returning) and the stepping
+    residual of the equation itself is at rounding level.
     """
-    rt = runtime(spec)
+    rt = spec.rt
     m, k = spec.m, spec.k
     n0 = start_index(spec)
     xs = x_start_index(spec)
@@ -326,6 +324,12 @@ def simulate(spec: EquationSpec, x_seed: Seq | None, z_seed: Seq, N: int) -> Sol
         if x_seed is None or x_seed.start != lo or x_seed.end != hi:
             got = "nothing" if x_seed is None else f"[{x_seed.start}, {x_seed.end}]"
             raise SeedError(f"x seed must cover exactly [{lo}, {hi}], got {got}")
+    report = validate_causality(spec, N)
+    if not report.ok:
+        raise CausalityError(
+            f"step n={report.step}: sigma(n)={report.sigma_value} "
+            f"outside realized x range [{xs}, {report.x_horizon}]"
+        )
 
     # Signed binomial coefficient of z_{n+i}, i < m, in the m-th difference at n.
     coeffs = tuple(
@@ -336,57 +340,30 @@ def simulate(spec: EquationSpec, x_seed: Seq | None, z_seed: Seq, N: int) -> Sol
     x_vals: list[float] = list(x_seed.values) if x_seed is not None else []
     sigma, a, f, b, u = rt.sigma.fn, rt.a.fn, rt.f.fn, rt.b.fn, rt.u.fn
     limit = DIVERGENCE_LIMIT
+    shift = max(k, 0)  # the x value z_j unlocks has index j + shift
 
-    def extend_x_for_z_index(j: int, uj: float) -> None:
-        """Derive the x value(s) unlocked by knowing z at index j (uj = u_j)."""
-        zj = z_vals[j - n0]
-        if k < 0:
-            xv = zj - uj * x_vals[j + k - xs]
-            at = j  # x index of the new value
-        elif k == 0:
-            den = 1.0 + uj
-            if abs(den) <= SINGULAR_GUARD:
-                raise SingularRecoveryError(
-                    f"1 + u_n = {den!r} at index {j} is below the singularity guard"
-                )
-            xv = zj / den
-            at = j
-        else:
-            if abs(uj) <= SINGULAR_GUARD:
-                raise SingularRecoveryError(
-                    f"u_n = {uj!r} at index {j} is below the singularity guard"
-                )
-            xv = (zj - x_vals[j - xs]) / uj
-            at = j + k
+    for j, zj in zip(count(n0), z_seed.values):
+        xv = _recover_x(x_vals, k, j, zj, u(j))
         if not -limit <= xv <= limit:
-            _check_finite(xv, "|x|", at)
-        x_vals.append(xv)
-
-    for j in range(n0, n0 + m):
-        extend_x_for_z_index(j, u(j))
+            _check_finite(xv, "|x|", j + shift)
 
     steps = range(n0, N - m + 1)
     u_next = map(u, range(n0 + m, N + 1))  # u at the z index each step adds
-    log: list[tuple[int, int, int]] = []
     for n, sv, an, bn, un in zip(steps, map(sigma, steps), map(a, steps), map(b, steps), u_next):
-        x_horizon = xs + len(x_vals) - 1
-        log.append((n, sv, x_horizon))
-        if sv < xs or sv > x_horizon:
-            raise CausalityError(
-                f"step n={n}: sigma(n)={sv} outside realized x range [{xs}, {x_horizon}]"
-            )
         acc = an * f(n, x_vals[sv - xs]) + bn
         for coeff, zv in zip(coeffs, z_vals[-m:]):
             acc -= coeff * zv
         if not -limit <= acc <= limit:
             _check_finite(acc, "|z|", n + m)
         z_vals.append(acc)
-        extend_x_for_z_index(n + m, un)
+        xv = _recover_x(x_vals, k, n + m, acc, un)
+        if not -limit <= xv <= limit:
+            _check_finite(xv, "|x|", n + m + shift)
 
     x = Seq(xs, tuple(x_vals))
     z = Seq(n0, tuple(z_vals))
     _verify_relation(x, z, u, k)
-    return SolutionTrace(x=x, z=z, horizon=N, start=n0, causality_log=tuple(log))
+    return SolutionTrace(x=x, z=z, horizon=N, start=n0)
 
 
 def _verify_relation(x: Seq, z: Seq, u: Callable[[int], float], k: int) -> None:

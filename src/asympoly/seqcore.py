@@ -229,6 +229,20 @@ def csum(values: Iterable[float]) -> float:
         return math.nan
 
 
+def line_fit(xs: list[float], ys: list[float]) -> tuple[float, list[float]]:
+    """Least-squares line through the points (xs, ys), with exactly rounded sums.
+
+    Returns the slope and the residuals y - (mean(ys) + slope (x - mean(xs)))
+    in input order; the slope is NaN when the xs do not vary.
+    """
+    xm = csum(xs) / len(xs)
+    ym = csum(ys) / len(ys)
+    dx = [x - xm for x in xs]
+    sxx = csum(map(pow, dx, repeat(2)))
+    slope = csum(map(mul, dx, map(sub, ys, repeat(ym)))) / sxx if sxx else math.nan
+    return slope, [y - (ym + slope * d) for y, d in zip(ys, dx)]
+
+
 @lru_cache(maxsize=None)
 def pascal_row(m: int) -> tuple[int, ...]:
     """Row m of Pascal's triangle, exact integers, orders capped at 20."""

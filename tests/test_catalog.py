@@ -3,6 +3,10 @@ import math
 import pytest
 
 from asympoly.catalog import (
+    F_TABLE,
+    G_TABLE,
+    GENERATOR_TABLE,
+    SIGMA_TABLE,
     CatalogRef,
     catalog_listing,
     make_f,
@@ -115,3 +119,42 @@ def test_listing_contains_required_identifiers_and_is_stable():
                   "power_offset", "alt_power", "geometric"):
         assert ident in listing
     assert listing == catalog_listing()
+
+
+FAMILY_MAKERS = (
+    (F_TABLE, make_f),
+    (G_TABLE, make_g),
+    (SIGMA_TABLE, make_sigma),
+    (GENERATOR_TABLE, make_generator),
+)
+
+
+def _valid_params(entry):
+    """A value for every listed parameter that satisfies the entry's rule."""
+    def allowed(name, value):
+        return entry.rule is None or entry.rule[0] != name or entry.rule[1](value)
+
+    return {name: next(v for v in (1, 0.5) if allowed(name, v)) for name in entry.params}
+
+
+def test_every_table_entry_builds_with_exactly_its_params():
+    listing = catalog_listing()
+    for table, make in FAMILY_MAKERS:
+        for ident, entry in table.items():
+            params = _valid_params(entry)
+            assert make(CatalogRef(ident, params)).ref.id == ident
+            with pytest.raises(CatalogError, match="unknown parameter"):
+                make(CatalogRef(ident, {**params, "extra": 1.0}))
+            for name in params:
+                fewer = {k: v for k, v in params.items() if k != name}
+                with pytest.raises(CatalogError, match="requires parameter"):
+                    make(CatalogRef(ident, fewer))
+            assert f"  {ident:<14} params: {entry.schema()}" in listing
+
+
+@pytest.mark.parametrize("value", [True, [1], "1", math.nan, math.inf, 10**400])
+def test_non_numeric_and_non_finite_params_rejected(value):
+    with pytest.raises(CatalogError, match="'A' of 'power' must be a finite number"):
+        make_generator(CatalogRef("power", {"A": value, "rho": 1.0}))
+    with pytest.raises(CatalogError, match="'d' of 'delay_d' must be a finite number"):
+        make_sigma(CatalogRef("delay_d", {"d": value}))

@@ -63,6 +63,10 @@ class TestExperimentConfig:
         (None, "horizon", True),
         ("spec", "c", math.nan),
         ("spec", "s", math.nan),
+        ("spec", "s", [0]),
+        ("spec", "c", "abc"),
+        ("seeds", "z", [True]),
+        ("thresholds", "tau_small", True),
     ],
 )
 def test_bool_and_nan_rejected_at_the_boundary(section, field, value, tmp_path, capsys):
@@ -71,7 +75,32 @@ def test_bool_and_nan_rejected_at_the_boundary(section, field, value, tmp_path, 
     config = tmp_path / "config.json"
     config.write_text(json.dumps(raw), encoding="utf-8")
     assert run(str(config), out_dir=str(tmp_path / "o")) == EXIT_CONFIG
-    assert f"field {field}:" in capsys.readouterr().err
+    name = field if section in (None, "spec") else f"{section}.{field}"
+    assert f"field {name}:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+_POWER_OFFSET = {"id": "power_offset", "params": {"c": 0.5, "A": None, "rho": 2.0}}
+_DELAY_D = {"id": "delay_d", "params": {"d": None}}
+
+
+@pytest.mark.parametrize(
+    "field, ref, param, literal",
+    [
+        ("u", _POWER_OFFSET, "A", "[1]"),
+        ("u", _POWER_OFFSET, "A", "true"),
+        ("u", _POWER_OFFSET, "A", "NaN"),
+        ("sigma", _DELAY_D, "d", "1e400"),
+    ],
+)
+def test_bad_catalog_params_rejected_at_the_boundary(field, ref, param, literal, tmp_path, capsys):
+    raw = json.loads(fixture_text("t1_case_a_m1.json"))
+    raw["spec"][field] = {"id": ref["id"], "params": {**ref["params"], param: "@value"}}
+    # The JSON literal is spliced in as text, exactly as a user would write it.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw).replace('"@value"', literal), encoding="utf-8")
+    assert run(str(config), out_dir=str(tmp_path / "o")) == EXIT_CONFIG
+    assert f"field {field}: parameter {param!r} of {ref['id']!r}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

@@ -1,10 +1,14 @@
+import dataclasses
 import math
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asympoly.catalog import CatalogRef
+from asympoly.cli import ExperimentConfig
 from asympoly.errors import (
     CausalityError,
     ConfigError,
@@ -13,6 +17,7 @@ from asympoly.errors import (
     SingularRecoveryError,
     WindowLengthError,
 )
+from asympoly.hypotheses import theorem_dispatch
 from asympoly.instances import BY_NAME, instance_trace
 from asympoly.neutral_solver import (
     EquationSpec,
@@ -32,6 +37,8 @@ from asympoly.seqcore import (
     order_estimate,
     seq_from_function,
 )
+
+FIXTURES = Path(__file__).resolve().parent.parent / "src" / "asympoly" / "fixtures"
 
 
 def spec_with(**overrides):
@@ -64,6 +71,27 @@ class TestEquationSpec:
         with pytest.raises(ConfigError, match="q"):
             spec_with(m=2, s=1.0, q=2)
         spec_with(m=2, s=1.0, q=1)  # valid
+
+    def test_catalog_built_once_per_spec(self, monkeypatch):
+        # Spec, seeds, simulation and dispatch share the spec's one runtime.
+        calls = []
+        modules = [m for n, m in sys.modules.items() if n.split(".")[0] == "asympoly"]
+        for name in ("make_f", "make_g", "make_generator", "make_sigma"):
+            orig = getattr(sys.modules["asympoly.catalog"], name)
+
+            def counted(ref, orig=orig):
+                calls.append(ref.id)
+                return orig(ref)
+
+            for module in modules:
+                if getattr(module, name, None) is orig:
+                    monkeypatch.setattr(module, name, counted)
+        inst = BY_NAME["t1_case_b_m2"]
+        spec = dataclasses.replace(inst.spec)
+        x_seed, z_seed = consistent_seeds(spec, inst.profile)
+        trace = simulate(spec, x_seed, z_seed, 2000)
+        theorem_dispatch(spec, trace, inst.case_id, inst.mode)
+        assert len(calls) == 6
 
     def test_u_limit_must_match_c(self):
         with pytest.raises(ConfigError, match="u"):
@@ -260,11 +288,18 @@ class TestSimulate:
         with pytest.raises(SeedError):
             simulate(spec, Seq(2, (1.0,)), Seq(2, (1.0, 1.0)), 100)  # no x seed for k=0
 
-    def test_causality_log_recorded(self, traces):
-        tr = traces["t1_case_a_m2"]
-        assert tr.causality_log[0][0] == tr.start
-        n, sv, horizon = tr.causality_log[0]
-        assert sv == n and horizon >= sv
+    def test_causality_error_matches_the_dry_run(self):
+        config = ExperimentConfig.from_json(
+            (FIXTURES / "causality_violation.json").read_text(encoding="utf-8")
+        )
+        report = validate_causality(config.spec, config.horizon)
+        assert not report.ok
+        with pytest.raises(CausalityError) as err:
+            simulate(config.spec, *config.seed_windows(), config.horizon)
+        assert str(err.value) == (
+            f"step n={report.step}: sigma(n)={report.sigma_value} "
+            f"outside realized x range [{report.x_start}, {report.x_horizon}]"
+        )
 
     def test_boundedness_transfer(self, traces):
         # |c| < 1 and k <= 0: |x| stays within b/(1-beta) + K
