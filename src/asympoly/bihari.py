@@ -16,11 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
+from operator import sub, truediv
 from typing import Callable
 
 from .catalog import Majorant
 from .errors import BracketRangeError, QuadratureDomainError, WindowLengthError
-from .seqcore import CompensatedSum, Seq, delta
+from .seqcore import CompensatedSum, Seq, csum, delta, index_powers
 
 #: Absolute tolerance of the adaptive quadrature.
 QUAD_TOL = 1e-10
@@ -47,11 +49,9 @@ def adaptive_simpson(
     if b == a:
         return 0.0, 0.0
 
-    def simpson(lo: float, hi: float, flo: float, fmid: float, fhi: float) -> float:
-        return (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
-
-    total = CompensatedSum()
-    err_total = CompensatedSum()
+    # Accepted panel values and |err|, summed once at the end.
+    panels: list[float] = []
+    errs: list[float] = []
     mid0 = 0.5 * (a + b)
     stack = [(a, b, fn(a), fn(mid0), fn(b), tol, 0)]
     while stack:
@@ -61,17 +61,18 @@ def adaptive_simpson(
         rmid = 0.5 * (mid + hi)
         flm = fn(lmid)
         frm = fn(rmid)
-        whole = simpson(lo, hi, flo, fmid, fhi)
-        left = simpson(lo, mid, flo, flm, fmid)
-        right = simpson(mid, hi, fmid, frm, fhi)
+        # Simpson's rule on the whole panel and on its two halves.
+        whole = (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
+        left = (mid - lo) / 6.0 * (flo + 4.0 * flm + fmid)
+        right = (hi - mid) / 6.0 * (fmid + 4.0 * frm + fhi)
         err = (left + right - whole) / 15.0
         if abs(err) <= budget or depth >= 60:
-            total.add(left + right + err)
-            err_total.add(abs(err))
+            panels.append(left + right + err)
+            errs.append(abs(err))
         else:
             stack.append((lo, mid, flo, flm, fmid, budget / 2.0, depth + 1))
             stack.append((mid, hi, fmid, frm, fhi, budget / 2.0, depth + 1))
-    return total.value, err_total.value
+    return csum(panels), csum(errs)
 
 
 def _recip(g: Callable[[float], float]) -> Callable[[float], float]:
@@ -105,12 +106,19 @@ def integrate_recip_g(
     return value
 
 
+def _check_weights(values: tuple[float, ...], start: int) -> None:
+    """Reject the first negative weight; ``values[i]`` is a_{start + i}."""
+    if values and min(values) < 0.0:
+        i = next(i for i, v in enumerate(values) if v < 0.0)
+        raise ValueError(f"negative weight a_{start + i} = {values[i]}")
+
+
 @dataclass(frozen=True)
 class BihariProblem:
     """Inputs of the discrete Bihari bound.
 
     ``total_a`` may be the scalar sum of the weights or a window of
-    nonnegative weights to be summed (compensated).  ``p`` is the start
+    nonnegative weights to be summed (exactly rounded).  ``p`` is the start
     index of the inequality; it does not enter the bound itself but fixes
     where the extremal oracle starts.
     """
@@ -127,19 +135,14 @@ class BihariProblem:
         if not g_lam > 0.0:
             raise ValueError(f"g(lambda) = {g_lam!r} must be positive")
         if isinstance(self.total_a, Seq):
-            for n, v in self.total_a.items():
-                if v < 0.0:
-                    raise ValueError(f"negative weight a_{n} = {v}")
+            _check_weights(self.total_a.values, self.total_a.start)
         elif self.total_a < 0.0:
             raise ValueError(f"total weight must be >= 0, got {self.total_a}")
 
     @property
     def total(self) -> float:
         if isinstance(self.total_a, Seq):
-            acc = CompensatedSum()
-            for v in self.total_a.values:
-                acc.add(v)
-            return acc.value
+            return csum(self.total_a.values)
         return float(self.total_a)
 
 
@@ -264,14 +267,15 @@ def worst_case_w(
         raise WindowLengthError(
             f"weight window [{a.start}, {a.end}] does not cover [{p}, {N - 1}]"
         )
-    for n in range(p, N):
-        if a.at(n) < 0.0:
-            raise ValueError(f"negative weight a_{n} = {a.at(n)}")
-    acc = CompensatedSum(lam)
-    w = [float(lam)]
-    for n in range(p, N):
-        acc.add(a.at(n) * g(w[-1]))
-        w.append(acc.value)
+    weights = a.values[p - a.start : max(N, p) - a.start]
+    _check_weights(weights, p)
+    fn = g.fn if isinstance(g, Majorant) else g
+    add = CompensatedSum(lam).add
+    wn = float(lam)
+    w = [wn]
+    for av in weights:
+        wn = add(av * fn(wn))
+        w.append(wn)
     return Seq(p, tuple(w))
 
 
@@ -289,12 +293,10 @@ def bhl2_constant(x: Seq, m: int, n0: int) -> float:
     dm = delta(x, m)  # indices x.start .. x.end - m
     if n0 > dm.end:
         raise WindowLengthError(f"window too short: no differences at or after n0={n0}")
-    best = BHL2_EPS
-    running = CompensatedSum()
-    for n in range(n0, x.end - m + 2):
-        term = abs(x.at(n)) / float(n) ** (m - 1) - running.value
-        if term > best:
-            best = term
-        if n <= dm.end:
-            running.add(abs(dm.at(n)))
-    return best
+    xs = x.values[n0 - x.start : dm.end + 2 - x.start]
+    # before[i] is the running sum of |d| over [n0, n0 + i).
+    add = CompensatedSum().add
+    before = [0.0]
+    before += [add(abs(d)) for d in dm.values[n0 - dm.start :]]
+    scaled = map(truediv, map(abs, xs), index_powers(n0, len(xs), m - 1))
+    return max(chain((BHL2_EPS,), map(sub, scaled, before)))

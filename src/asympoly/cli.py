@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -50,6 +51,8 @@ EXIT_SIMULATION = 3
 _SPEC_KEYS = {"m", "k", "c", "u", "a", "b", "f", "g", "sigma", "s", "q"}
 _TOP_KEYS = {"spec", "seeds", "horizon", "case", "mode", "thresholds", "output"}
 _THRESHOLD_KEYS = {f.name for f in fields(Thresholds)}
+#: Thresholds that are fractions of the window, in (0, 1]; the others must be >= 0.
+_FRACTION_THRESHOLDS = {"trail_fraction", "coeff_window_fraction"}
 
 
 def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str) -> None:
@@ -81,6 +84,30 @@ def _num_field(value: Any, name: str) -> float:
     ):
         raise ConfigError(f"field {name}: must be a finite number, got {value!r}")
     return float(value)
+
+
+def _threshold_field(value: Any, key: str) -> float:
+    """A threshold: a finite number in (0, 1] for a window fraction, else >= 0."""
+    name = f"thresholds.{key}"
+    v = _num_field(value, name)
+    if key in _FRACTION_THRESHOLDS:
+        if not 0.0 < v <= 1.0:
+            raise ConfigError(f"field {name}: must be in (0, 1], got {v!r}")
+    elif v < 0.0:
+        raise ConfigError(f"field {name}: must be >= 0, got {v!r}")
+    return v
+
+
+def _check_s_floor(spec: EquationSpec, horizon: int) -> None:
+    """Reject an s whose summability weight n**(m - 1 - s) overflows by n = horizon."""
+    if horizon > 1:
+        ln_horizon = math.log(horizon)
+        if (spec.m - 1 - spec.s) * ln_horizon > math.log(sys.float_info.max):
+            floor = spec.m - 1 - math.log(sys.float_info.max) / ln_horizon
+            raise ConfigError(
+                f"field s: n**(m - 1 - s) overflows at horizon {horizon}; "
+                f"need s >= {floor:.6g}, got {spec.s}"
+            )
 
 
 def _ref_from_json(obj: Any, where: str) -> CatalogRef:
@@ -154,7 +181,7 @@ class ExperimentConfig:
             raise ConfigError("field thresholds: must be an object")
         _require_keys(thr_raw, _THRESHOLD_KEYS, set(), "thresholds")
         thresholds = Thresholds(
-            **{k: _num_field(v, f"thresholds.{k}") for k, v in thr_raw.items()}
+            **{k: _threshold_field(v, k) for k, v in thr_raw.items()}
         )
         output = raw.get("output")
         if output is not None and not isinstance(output, str):
@@ -289,6 +316,7 @@ def run(config_path: str, horizon: int | None = None, out_dir: str | None = None
     N = config.horizon if horizon is None else horizon
     out = Path(out_dir or config.output or f"{path.stem}_out")
     try:
+        _check_s_floor(config.spec, N)
         x_seed, z_seed = config.seed_windows()
         trace = simulate(config.spec, x_seed, z_seed, N)
     except (CausalityError, DivergenceError, SingularRecoveryError) as exc:

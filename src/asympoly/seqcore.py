@@ -204,13 +204,16 @@ class CompensatedSum:
         self._s = float(value)
         self._c = 0.0
 
-    def add(self, v: float) -> None:
-        t = self._s + v
-        if abs(self._s) >= abs(v):
-            self._c += (self._s - t) + v
+    def add(self, v: float) -> float:
+        """Add v and return the running value, the same float as ``value``."""
+        s = self._s
+        t = s + v
+        if abs(s) >= abs(v):
+            self._c += (s - t) + v
         else:
-            self._c += (v - t) + self._s
+            self._c += (v - t) + s
         self._s = t
+        return t + self._c
 
     @property
     def value(self) -> float:

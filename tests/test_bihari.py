@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -13,7 +14,7 @@ from asympoly.bihari import (
 )
 from asympoly.catalog import CatalogRef, make_g
 from asympoly.errors import QuadratureDomainError, WindowLengthError
-from asympoly.seqcore import Seq, delta, seq_from_function
+from asympoly.seqcore import CompensatedSum, Seq, delta, seq_from_function
 
 IDENTITY = make_g(CatalogRef("identity"))
 POWER2 = make_g(CatalogRef("power", {"gamma": 2.0}))
@@ -214,3 +215,77 @@ class TestBhl2Constant:
             if n <= d.end:
                 running += abs(d.at(n))
         assert violated
+
+
+def _reference_worst_case_w(a, g, lam, p, N):
+    """The oracle recursion read index by index: at(), add, then .value."""
+    acc = CompensatedSum(lam)
+    w = [float(lam)]
+    for n in range(p, N):
+        acc.add(a.at(n) * g(w[-1]))
+        w.append(acc.value)
+    return w
+
+
+def _reference_bhl2(x, m, n0):
+    """The BHL2 constant read index by index: at() and .value before each add."""
+    dm = delta(x, m)
+    best = 1e-12
+    running = CompensatedSum()
+    for n in range(n0, x.end - m + 2):
+        term = abs(x.at(n)) / float(n) ** (m - 1) - running.value
+        if term > best:
+            best = term
+        if n <= dm.end:
+            running.add(abs(dm.at(n)))
+    return best
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+class TestOracleKernels:
+    """The slice-driven kernels against index-by-index reference loops."""
+
+    def test_worst_case_w_matches_reference_loop(self):
+        rng = random.Random(11)
+        # p > a.start and N - 1 < a.end, so both slice offsets are exercised.
+        p, N = 5, 590
+        for g in CATALOG_GS + (lambda t: 0.5 + t * t,):
+            a = Seq(2, tuple(rng.uniform(0.0, 5e-4) for _ in range(600)))
+            w = worst_case_w(a, g, 0.75, p, N)
+            assert w.start == p
+            assert _hex(w.values) == _hex(_reference_worst_case_w(a, g, 0.75, p, N))
+
+    def test_worst_case_w_calls_g_once_per_weight(self):
+        calls = []
+
+        def g(t):
+            calls.append(t)
+            return 1.0 + t
+
+        a = Seq(2, (0.1,) * 20)
+        worst_case_w(a, g, 1.0, 4, 17)
+        assert len(calls) == 17 - 4
+        calls.clear()
+        worst_case_w(a, dataclasses.replace(IDENTITY, fn=g), 1.0, 4, 17)
+        assert len(calls) == 17 - 4
+
+    def test_negative_weight_names_its_index(self):
+        a = Seq(2, (0.5, -0.5, 1.0))
+        for p in (2, 3):
+            with pytest.raises(ValueError, match=r"negative weight a_3 = -0\.5$"):
+                worst_case_w(a, IDENTITY, 1.0, p, 5)
+        with pytest.raises(ValueError, match=r"negative weight a_3 = -0\.5$"):
+            BihariProblem(IDENTITY, 1.0, a)
+
+    def test_bhl2_constant_matches_reference_loop(self):
+        rng = random.Random(5)
+        for m in (1, 2, 3):
+            for start in (0, 1, 3):
+                values = [rng.uniform(-5.0, 5.0) * (i + 1) ** (m - 1) for i in range(300)]
+                x = Seq(start, tuple(values))
+                for n0 in (max(1, start), max(1, start) + 7):
+                    got = bhl2_constant(x, m, n0)
+                    assert got.hex() == _reference_bhl2(x, m, n0).hex()

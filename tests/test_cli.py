@@ -67,6 +67,14 @@ class TestExperimentConfig:
         ("spec", "c", "abc"),
         ("seeds", "z", [True]),
         ("thresholds", "tau_small", True),
+        # n**(m - 1 - s) overflows a float at the horizon 1e4.
+        ("spec", "s", -400),
+        ("spec", "s", -1e308),
+        ("thresholds", "coeff_window_fraction", -1),
+        ("thresholds", "coeff_window_fraction", 0),
+        ("thresholds", "trail_fraction", 0),
+        ("thresholds", "trail_fraction", 1.5),
+        ("thresholds", "tau_small", -0.1),
     ],
 )
 def test_bool_and_nan_rejected_at_the_boundary(section, field, value, tmp_path, capsys):
@@ -78,6 +86,24 @@ def test_bool_and_nan_rejected_at_the_boundary(section, field, value, tmp_path, 
     name = field if section in (None, "spec") else f"{section}.{field}"
     assert f"field {name}:" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_s_floor_follows_the_effective_horizon(tmp_path):
+    # m = 1 at horizon 1e4: the floor is s >= -ln(max float) / ln(1e4) = -77.06.
+    raw = json.loads(fixture_text("t1_case_a_m1.json"))
+    raw["spec"]["s"] = -77.0
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    assert run(str(config), out_dir=str(tmp_path / "inside")) in (EXIT_OK, EXIT_HYPOTHESIS)
+    # s = -100 is below the floor at 1e4 but inside it at an overridden horizon of 1e3.
+    raw["spec"]["s"] = -100.0
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    assert run(str(config), out_dir=str(tmp_path / "below")) == EXIT_CONFIG
+    assert not (tmp_path / "below").exists()
+    assert run(str(config), horizon=1000, out_dir=str(tmp_path / "short")) in (
+        EXIT_OK,
+        EXIT_HYPOTHESIS,
+    )
 
 
 _POWER_OFFSET = {"id": "power_offset", "params": {"c": 0.5, "A": None, "rho": 2.0}}

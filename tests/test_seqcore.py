@@ -156,6 +156,11 @@ class TestCompensatedSum:
             acc.add(v)
         assert acc.value == 1.0 + 1e-15
 
+    def test_add_returns_the_running_value(self):
+        acc = CompensatedSum(0.5)
+        for v in [1e16, 1.0, -1e16, 1.0, 0.1, -0.2, 3e-17, -2.5] * 20:
+            assert acc.add(v).hex() == acc.value.hex()
+
 
 class TestWeightedSumDiagnostic:
     def test_zeta_two_partial(self):
