@@ -15,7 +15,7 @@ tested against) and the growth constant L with
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from operator import sub, truediv
 from typing import Callable
@@ -127,6 +127,8 @@ class BihariProblem:
     lam: float
     total_a: float | Seq
     p: int = 1
+    #: The weight total: total_a itself, or the exactly rounded window sum.
+    total: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.lam < 0.0:
@@ -136,14 +138,14 @@ class BihariProblem:
             raise ValueError(f"g(lambda) = {g_lam!r} must be positive")
         if isinstance(self.total_a, Seq):
             _check_weights(self.total_a.values, self.total_a.start)
-        elif self.total_a < 0.0:
-            raise ValueError(f"total weight must be >= 0, got {self.total_a}")
-
-    @property
-    def total(self) -> float:
-        if isinstance(self.total_a, Seq):
-            return csum(self.total_a.values)
-        return float(self.total_a)
+            total = csum(self.total_a.values)
+            if not math.isfinite(total):
+                raise ValueError("total_a: the weight window's sum overflows the float range")
+        elif not self.total_a >= 0.0:  # also rejects NaN
+            raise ValueError(f"total_a: total weight must be >= 0, got {self.total_a}")
+        else:
+            total = float(self.total_a)
+        object.__setattr__(self, "total", total)
 
 
 @dataclass(frozen=True)

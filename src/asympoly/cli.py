@@ -21,11 +21,12 @@ import os
 import sys
 import tempfile
 from dataclasses import asdict, dataclass, fields
+from itertools import chain, islice
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable, Iterator
 
 from .catalog import CatalogRef, catalog_listing
-from .decomp import DecompositionReport, SolutionDecomposition
+from .decomp import MIN_WINDOW, DecompositionReport, SolutionDecomposition
 from .errors import (
     AsymPolyError,
     CausalityError,
@@ -47,6 +48,17 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_HYPOTHESIS = 2
 EXIT_SIMULATION = 3
+
+#: trace.csv rows joined into one string per write.
+CSV_CHUNK_ROWS = 1024
+#: Memory estimate of one run per step of horizon.  The peak traced memory
+#: (tracemalloc) of simulate, dispatch and the three writes is at most
+#: 416 B per step at horizon 1e5 on the shipped certified fixtures
+#: (t2_regular_m3; 416 at 1e4, 425 at 2000); rounded up, with headroom for
+#: other Python versions.  tests/test_cli.py re-measures it at 2000.
+BYTES_PER_STEP = 500
+#: Largest accepted horizon, about 2 GB of run memory at BYTES_PER_STEP.
+MAX_HORIZON = 4_000_000
 
 _SPEC_KEYS = {"m", "k", "c", "u", "a", "b", "f", "g", "sigma", "s", "q"}
 _TOP_KEYS = {"spec", "seeds", "horizon", "case", "mode", "thresholds", "output"}
@@ -98,6 +110,24 @@ def _threshold_field(value: Any, key: str) -> float:
     return v
 
 
+def _check_horizon(spec: EquationSpec, horizon: int) -> None:
+    """Reject a horizon whose z window [n0, N] is shorter than the analysis
+    needs, or whose estimated memory exceeds the MAX_HORIZON cap."""
+    n0 = start_index(spec)
+    need = MIN_WINDOW + (spec.q or 0)
+    if horizon - n0 + 1 < need:
+        raise ConfigError(
+            f"field horizon: the analysis needs at least {need} z values on "
+            f"[n0, horizon] with n0 = {n0}, so horizon >= {n0 + need - 1}; got {horizon}"
+        )
+    if horizon > MAX_HORIZON:
+        raise ConfigError(
+            f"field horizon: {horizon} would need about "
+            f"{horizon * BYTES_PER_STEP / 1e9:.3g} GB at {BYTES_PER_STEP} B per step; "
+            f"the cap is {MAX_HORIZON}"
+        )
+
+
 def _check_s_floor(spec: EquationSpec, horizon: int) -> None:
     """Reject an s whose summability weight n**(m - 1 - s) overflows by n = horizon."""
     if horizon > 1:
@@ -108,6 +138,23 @@ def _check_s_floor(spec: EquationSpec, horizon: int) -> None:
                 f"field s: n**(m - 1 - s) overflows at horizon {horizon}; "
                 f"need s >= {floor:.6g}, got {spec.s}"
             )
+
+
+def _check_seed_lengths(spec: EquationSpec, x_raw: list | None, z_raw: list) -> None:
+    """seeds.z holds z on [n0, n0 + m - 1]; seeds.x holds |k| values, null when k = 0."""
+    if len(z_raw) != spec.m:
+        raise ConfigError(
+            f"field seeds.z: must hold exactly m = {spec.m} values, got {len(z_raw)}"
+        )
+    if spec.k == 0:
+        if x_raw is not None:
+            raise ConfigError("field seeds.x: must be null when k = 0")
+    elif x_raw is None:
+        raise ConfigError(f"field seeds.x: required when k = {spec.k}")
+    elif len(x_raw) != abs(spec.k):
+        raise ConfigError(
+            f"field seeds.x: must hold exactly |k| = {abs(spec.k)} values, got {len(x_raw)}"
+        )
 
 
 def _ref_from_json(obj: Any, where: str) -> CatalogRef:
@@ -169,6 +216,7 @@ class ExperimentConfig:
             raise ConfigError("field seeds.x: must be a list or null")
         if not isinstance(seeds["z"], list):
             raise ConfigError("field seeds.z: must be a list")
+        _check_seed_lengths(spec, x_raw, seeds["z"])
         horizon = _int_field(raw["horizon"], "horizon")
         case_id = raw["case"]
         if case_id not in ("a", "b", "c"):
@@ -227,12 +275,8 @@ class ExperimentConfig:
     def seed_windows(self) -> tuple[Seq | None, Seq]:
         n0 = start_index(self.spec)
         z_seed = Seq(n0, self.z_seed)
-        if self.spec.k == 0:
-            if self.x_seed is not None:
-                raise ConfigError("field seeds.x: must be null when k = 0")
-            return None, z_seed
         if self.x_seed is None:
-            raise ConfigError(f"field seeds.x: required when k = {self.spec.k}")
+            return None, z_seed
         xs = x_start_index(self.spec) if self.spec.k < 0 else n0
         return Seq(xs, self.x_seed), z_seed
 
@@ -272,11 +316,12 @@ def _hypothesis_to_dict(v: HypothesisVerdict) -> dict:
     }
 
 
-def _atomic_write(path: Path, data: str) -> None:
+def _atomic_write(path: Path, chunks: Iterable[str]) -> None:
+    """Write the concatenated chunks to a temp file, then rename it to path."""
     fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(data)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -284,17 +329,24 @@ def _atomic_write(path: Path, data: str) -> None:
         raise
 
 
-def _trace_csv(trace: SolutionTrace, m: int) -> str:
-    """Rows n, x_n, z_n, m-th difference of z at n (empty in the last m rows)."""
+def _trace_csv(trace: SolutionTrace, m: int) -> Iterator[str]:
+    """Rows n, x_n, z_n, m-th difference of z at n (empty in the last m rows).
+
+    Yields the header, then the rows joined in chunks of CSV_CHUNK_ROWS,
+    so the whole file never sits in memory as one string.
+    """
     z, x = trace.z, trace.x
     dz = delta(z, m).values
     ns = range(z.start, z.end + 1)
     x_vals = x.values[z.start - x.start : z.end - x.start + 1]
     full = len(dz)
-    lines = ["n,x,z,delta_m_z"]
-    lines += map("%d,%.17g,%.17g,%.17g".__mod__, zip(ns, x_vals, z.values, dz))
-    lines += map("%d,%.17g,%.17g,".__mod__, zip(ns[full:], x_vals[full:], z.values[full:]))
-    return "\n".join(lines) + "\n"
+    rows = chain(
+        map("%d,%.17g,%.17g,%.17g\n".__mod__, zip(ns, x_vals, z.values, dz)),
+        map("%d,%.17g,%.17g,\n".__mod__, zip(ns[full:], x_vals[full:], z.values[full:])),
+    )
+    yield "n,x,z,delta_m_z\n"
+    while chunk := "".join(islice(rows, CSV_CHUNK_ROWS)):
+        yield chunk
 
 
 def _json_text(payload: dict) -> str:
@@ -316,6 +368,7 @@ def run(config_path: str, horizon: int | None = None, out_dir: str | None = None
     N = config.horizon if horizon is None else horizon
     out = Path(out_dir or config.output or f"{path.stem}_out")
     try:
+        _check_horizon(config.spec, N)
         _check_s_floor(config.spec, N)
         x_seed, z_seed = config.seed_windows()
         trace = simulate(config.spec, x_seed, z_seed, N)
@@ -337,9 +390,9 @@ def run(config_path: str, horizon: int | None = None, out_dir: str | None = None
     out.mkdir(parents=True, exist_ok=True)
     _atomic_write(out / "trace.csv", _trace_csv(trace, config.spec.m))
     _atomic_write(
-        out / "decomposition.json", _json_text(_decomposition_to_dict(verdict.decomposition))
+        out / "decomposition.json", [_json_text(_decomposition_to_dict(verdict.decomposition))]
     )
-    _atomic_write(out / "verdict.json", _json_text(_hypothesis_to_dict(verdict)))
+    _atomic_write(out / "verdict.json", [_json_text(_hypothesis_to_dict(verdict))])
     status = "pass" if verdict.passed else f"fail ({verdict.failed_check})"
     print(f"{path.name}: {status}; reports in {out}")
     return EXIT_OK if verdict.passed else EXIT_HYPOTHESIS

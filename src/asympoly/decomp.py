@@ -43,6 +43,9 @@ TRANSFER_RTOL = 1e-10
 DECAY_FIT_FLOOR = 1e-14
 #: Multiples of one rounding ulp treated as quantization noise.
 NOISE_SAFETY = 4.0
+#: Shortest window extract_polynomial accepts; regularity_check at order q
+#: needs MIN_WINDOW + q entries.
+MIN_WINDOW = 64
 
 
 @dataclass(frozen=True)
@@ -96,7 +99,12 @@ def _lstsq_degrees(ns: range, resid: tuple[float, ...], degrees: list[int]) -> d
     scale = float(ns[-1])
     scaled = [n / scale for n in ns]
     cols = [list(map(pow, scaled, repeat(d))) for d in degrees]
-    ata = [[csum(map(mul, ci, cj)) for cj in cols] for ci in cols]
+    # The normal matrix is symmetric: each entry is summed once.
+    k = len(cols)
+    ata = [[0.0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            ata[i][j] = ata[j][i] = csum(map(mul, cols[i], cols[j]))
     atb = [csum(map(mul, ci, resid)) for ci in cols]
     sol = _solve_normal_equations(ata, atb)
     return {d: sol[i] / scale**d for i, d in enumerate(degrees)}
@@ -138,8 +146,8 @@ def extract_polynomial(
     certificate for the remainder).  When q is given, the iterated
     difference checks of the remainder are run as well.
     """
-    if len(z) < 64:
-        raise WindowLengthError(f"need at least 64 entries, got {len(z)}")
+    if len(z) < MIN_WINDOW:
+        raise WindowLengthError(f"need at least {MIN_WINDOW} entries, got {len(z)}")
     if s > m - 1 + 1e-12:
         raise ValueError(f"need s <= m - 1 = {m - 1}, got {s}")
     d_min = max(0, math.ceil(s - 1e-12))
@@ -275,8 +283,8 @@ def regularity_check(
     """
     if q < 0:
         raise ValueError(f"q must be >= 0, got {q}")
-    if len(w) < 64 + q:
-        raise WindowLengthError(f"need at least {64 + q} entries, got {len(w)}")
+    if len(w) < MIN_WINDOW + q:
+        raise WindowLengthError(f"need at least {MIN_WINDOW + q} entries, got {len(w)}")
     base = max(map(abs, w.values)) if scale is None else scale
     verdicts = tuple(
         order_estimate(

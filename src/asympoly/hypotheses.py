@@ -19,13 +19,14 @@ from operator import sub, truediv
 from .catalog import Majorant, RhsFunction
 from .decomp import SolutionDecomposition, decompose_solution
 from .errors import ConfigError
-from .neutral_solver import EquationSpec, Runtime, SolutionTrace
+from .neutral_solver import EquationSpec, SolutionTrace
 from .seqcore import (
     DEFAULT_THRESHOLDS,
     OrderVerdict,
     Seq,
     Thresholds,
     classify_oscillation,
+    index_power_tables,
     index_powers,
     line_fit,
     order_estimate,
@@ -163,11 +164,11 @@ def polynomial_growth_check(
     return GrowthCheck(max_resid < allowance, slope, max_resid, allowance)
 
 
-def _composed_growth_check(trace: SolutionTrace, rt: Runtime, p: float) -> CheckResult:
+def _composed_growth_check(trace: SolutionTrace, p: float) -> CheckResult:
     """Trailing-half sup of |x_{sigma(n)}|/n**p against the mid-window sup."""
     x = trace.x
     ns = range(trace.start, trace.z.end + 1)
-    sig = list(map(rt.sigma.fn, ns))
+    sig = trace.samples.sigma
     if min(sig) < x.start or max(sig) > x.end:
         x.at(next(sv for sv in sig if not x.start <= sv <= x.end))  # raises IndexRangeError
     x_sig = map(x.values.__getitem__, map(sub, sig, repeat(x.start)))
@@ -245,64 +246,67 @@ def theorem_dispatch(
     N = trace.z.end
     p_eff = float(m - 1) if p is None else float(p)
 
-    a_diag = weighted_sum_diagnostic(rt.a.sample(1, N), m - 1 - s, thresholds)
-    b_diag = weighted_sum_diagnostic(rt.b.sample(1, N), m - 1 - s, thresholds)
-    rate_exp = float(1 - m) if mode == "regular" else s + 1.0 - m
-    # One sample of u on [1, end of x] serves both the rate check on [1, N]
-    # and the oscillation checks, which read u on x's window (x starts >= 1).
-    u_window = rt.u.sample(1, trace.x.end)
-    u_rate = check_u_rate(u_window.window(1, N), spec.c, rate_exp, thresholds)
-    checks = [
-        CheckResult(
-            "a-summability", a_diag.converged, a_diag.tail_estimate,
-            f"partial sum {a_diag.partial_sum:.6g} at weight {m - 1 - s:g}",
-        ),
-        CheckResult(
-            "b-summability", b_diag.converged, b_diag.tail_estimate,
-            f"partial sum {b_diag.partial_sum:.6g} at weight {m - 1 - s:g}",
-        ),
-        CheckResult(
-            "u-rate", u_rate.is_small_o, u_rate.metric,
-            f"u - c against n**{rate_exp:g}: {u_rate.kind}",
-        ),
-    ]
+    samples = trace.samples
+    # Every n**e weight of this run is computed once, on [1, end of x].
+    with index_power_tables(trace.x.end):
+        a_diag = weighted_sum_diagnostic(Seq(1, samples.a), m - 1 - s, thresholds)
+        b_diag = weighted_sum_diagnostic(Seq(1, samples.b), m - 1 - s, thresholds)
+        rate_exp = float(1 - m) if mode == "regular" else s + 1.0 - m
+        # The sample of u on [1, end of x] serves both the rate check on [1, N]
+        # and the oscillation checks, which read u on x's window (x starts >= 1).
+        u_window = Seq(1, samples.u)
+        u_rate = check_u_rate(u_window.window(1, N), spec.c, rate_exp, thresholds)
+        checks = [
+            CheckResult(
+                "a-summability", a_diag.converged, a_diag.tail_estimate,
+                f"partial sum {a_diag.partial_sum:.6g} at weight {m - 1 - s:g}",
+            ),
+            CheckResult(
+                "b-summability", b_diag.converged, b_diag.tail_estimate,
+                f"partial sum {b_diag.partial_sum:.6g} at weight {m - 1 - s:g}",
+            ),
+            CheckResult(
+                "u-rate", u_rate.is_small_o, u_rate.metric,
+                f"u - c against n**{rate_exp:g}: {u_rate.kind}",
+            ),
+        ]
 
-    if case_id == "a":
-        checks.append(CheckResult(
-            "g-nondecreasing", rt.g.nondecreasing, 0.0, "catalog guarantee"))
-        grid = check_g_p_bounded(rt.f, rt.g, float(m - 1), n_max=trace.horizon)
-        checks.append(CheckResult(
-            "f-g-bounded", grid.passed, grid.worst_ratio,
-            f"(g, {m - 1})-bounded, worst ratio {grid.worst_ratio:.6g}"))
-        ns = range(n0, N + 1)
-        sigma_excess = max(map(sub, map(rt.sigma.fn, ns), ns))
-        checks.append(CheckResult(
-            "sigma-within-past", sigma_excess <= 0, float(sigma_excess),
-            f"max(sigma(n) - n) = {sigma_excess}"))
-        checks.append(CheckResult(
-            "g-integral-divergent", rt.g.integral_diverges, 0.0,
-            "exact catalog primitive"))
-        labels = classify_oscillation(trace.x, u_window, spec.k, thresholds)
-        checks.append(CheckResult(
-            "uk-nonoscillation", "uk_nonoscillatory" in labels, 0.0,
-            f"labels: {', '.join(sorted(labels))}"))
-    elif case_id == "b":
-        checks.append(CheckResult(
-            "g-locally-bounded", rt.g.locally_bounded, 0.0, "catalog guarantee"))
-        grid = check_g_p_bounded(rt.f, rt.g, p_eff, n_max=trace.horizon)
-        checks.append(CheckResult(
-            "f-g-bounded", grid.passed, grid.worst_ratio,
-            f"(g, {p_eff:g})-bounded, worst ratio {grid.worst_ratio:.6g}"))
-        checks.append(_composed_growth_check(trace, rt, p_eff))
-        checks.append(_alternative_check(trace, spec, u_window, thresholds))
-    else:
-        bound = rt.f.bound if rt.f.bounded else math.inf
-        checks.append(CheckResult(
-            "f-bounded", rt.f.bounded, bound,
-            f"catalog bound {bound:g}" if rt.f.bounded else "f unbounded in catalog"))
-        checks.append(_alternative_check(trace, spec, u_window, thresholds))
+        if case_id == "a":
+            checks.append(CheckResult(
+                "g-nondecreasing", rt.g.nondecreasing, 0.0, "catalog guarantee"))
+            grid = check_g_p_bounded(rt.f, rt.g, float(m - 1), n_max=trace.horizon)
+            checks.append(CheckResult(
+                "f-g-bounded", grid.passed, grid.worst_ratio,
+                f"(g, {m - 1})-bounded, worst ratio {grid.worst_ratio:.6g}"))
+            sigma_excess = max(map(sub, samples.sigma, range(n0, N + 1)))
+            checks.append(CheckResult(
+                "sigma-within-past", sigma_excess <= 0, float(sigma_excess),
+                f"max(sigma(n) - n) = {sigma_excess}"))
+            checks.append(CheckResult(
+                "g-integral-divergent", rt.g.integral_diverges, 0.0,
+                "exact catalog primitive"))
+            labels = classify_oscillation(trace.x, u_window, spec.k, thresholds)
+            checks.append(CheckResult(
+                "uk-nonoscillation", "uk_nonoscillatory" in labels, 0.0,
+                f"labels: {', '.join(sorted(labels))}"))
+        elif case_id == "b":
+            checks.append(CheckResult(
+                "g-locally-bounded", rt.g.locally_bounded, 0.0, "catalog guarantee"))
+            grid = check_g_p_bounded(rt.f, rt.g, p_eff, n_max=trace.horizon)
+            checks.append(CheckResult(
+                "f-g-bounded", grid.passed, grid.worst_ratio,
+                f"(g, {p_eff:g})-bounded, worst ratio {grid.worst_ratio:.6g}"))
+            checks.append(_composed_growth_check(trace, p_eff))
+            checks.append(_alternative_check(trace, spec, u_window, thresholds))
+        else:
+            bound = rt.f.bound if rt.f.bounded else math.inf
+            checks.append(CheckResult(
+                "f-bounded", rt.f.bounded, bound,
+                f"catalog bound {bound:g}" if rt.f.bounded else "f unbounded in catalog"))
+            checks.append(_alternative_check(trace, spec, u_window, thresholds))
 
-    decomposition = decompose_solution(trace, spec, thresholds)
+        decomposition = decompose_solution(trace, spec, thresholds)
+
     x_rep = decomposition.x_report
     base_ok = x_rep.remainder_verdict.is_small_o
     regular_ok: bool | None = None

@@ -18,9 +18,10 @@ u = -1/2, k = 1 gives z identically 0), not a solver defect.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from itertools import count
-from typing import Callable
+from typing import Iterable, Sequence
 
 from .catalog import (
     CatalogRef,
@@ -149,13 +150,50 @@ def x_start_index(spec: EquationSpec) -> int:
 
 
 @dataclass(frozen=True)
+class CoefficientSamples:
+    """u, a, b and sigma, each evaluated once per run at every index it is read.
+
+    ``u[n - 1]`` is u_n for n in [1, end of x]; ``a[n - 1]`` and
+    ``b[n - 1]`` are a_n and b_n for n in [1, N]; ``sigma[n - n0]`` is
+    sigma(n) for n in [n0, N].  The arrays hold the same doubles and ints
+    the catalog callables return, 8 bytes each (sigma stays a list when a
+    value does not fit 64 bits); treat them as read-only.
+    """
+
+    u: array
+    a: array
+    b: array
+    sigma: Sequence[int]
+
+
+def sample_coefficients(spec: EquationSpec, N: int) -> CoefficientSamples:
+    """Evaluate u, a, b and sigma once on the windows a run to horizon N reads."""
+    rt = spec.rt
+    ns = range(1, N + 1)
+    sigma = list(map(rt.sigma.fn, range(start_index(spec), N + 1)))
+    try:
+        sigma = array("q", sigma)
+    except OverflowError:
+        pass  # an index beyond 64 bits fails the causality check; keep the list
+    return CoefficientSamples(
+        u=array("d", map(rt.u.fn, range(1, N + max(spec.k, 0) + 1))),
+        a=array("d", map(rt.a.fn, ns)),
+        b=array("d", map(rt.b.fn, ns)),
+        sigma=sigma,
+    )
+
+
+@dataclass(frozen=True)
 class SolutionTrace:
-    """Simulated solution: x, z, the horizon, and the n0 the run was seeded at."""
+    """Simulated solution: x, z, the horizon, the n0 the run was seeded at,
+    and the coefficient samples the run stepped with (which the hypothesis
+    checks read instead of evaluating the catalog again)."""
 
     x: Seq
     z: Seq
     horizon: int
     start: int
+    samples: CoefficientSamples
 
 
 def z_from_x(x: Seq, u: Seq, k: int) -> Seq:
@@ -278,11 +316,16 @@ def validate_causality(spec: EquationSpec, N: int) -> CausalityReport:
     window (reading the future past the x horizon, or before the window
     start, which also enforces sigma(n) >= 1 on the simulated range).
     """
+    return _causality_report(spec, N, map(spec.rt.sigma.fn, count(start_index(spec))))
+
+
+def _causality_report(spec: EquationSpec, N: int, sigma: Iterable[int]) -> CausalityReport:
+    """validate_causality on sigma(n0), sigma(n0 + 1), ... as given."""
     n0 = start_index(spec)
     xs = x_start_index(spec)
     lag = spec.m - 1 + max(spec.k, 0)  # x horizon at step n is n + lag
     steps = range(n0, max(n0, N - spec.m + 1))
-    for n, sv in zip(steps, map(spec.rt.sigma.fn, steps)):
+    for n, sv in zip(steps, sigma):
         if sv < xs or sv > n + lag:
             return CausalityReport(False, n, sv, n + lag, xs)
     return CausalityReport(True)
@@ -299,13 +342,13 @@ def simulate(spec: EquationSpec, x_seed: Seq | None, z_seed: Seq, N: int) -> Sol
     """Advance the equation from its seeds to z horizon N.
 
     z_seed must supply z at the m indices [n0, n0 + m - 1]; x_seed must
-    cover exactly the indices listed in :func:`consistent_seeds`.  Every
+    cover exactly the indices listed in :func:`consistent_seeds`.  u, a, b
+    and sigma are evaluated once (:func:`sample_coefficients`) and every
     sigma(n) is checked against the realized x window before the first
-    step.  The returned trace satisfies the neutral relation on the full
-    overlap window (re-verified before returning) and the stepping
-    residual of the equation itself is at rounding level.
+    step.  The returned trace carries those samples, satisfies the neutral
+    relation on the full overlap window (re-verified before returning) and
+    the stepping residual of the equation itself is at rounding level.
     """
-    rt = spec.rt
     m, k = spec.m, spec.k
     n0 = start_index(spec)
     xs = x_start_index(spec)
@@ -324,7 +367,8 @@ def simulate(spec: EquationSpec, x_seed: Seq | None, z_seed: Seq, N: int) -> Sol
         if x_seed is None or x_seed.start != lo or x_seed.end != hi:
             got = "nothing" if x_seed is None else f"[{x_seed.start}, {x_seed.end}]"
             raise SeedError(f"x seed must cover exactly [{lo}, {hi}], got {got}")
-    report = validate_causality(spec, N)
+    samples = sample_coefficients(spec, N)
+    report = _causality_report(spec, N, samples.sigma)
     if not report.ok:
         raise CausalityError(
             f"step n={report.step}: sigma(n)={report.sigma_value} "
@@ -338,18 +382,22 @@ def simulate(spec: EquationSpec, x_seed: Seq | None, z_seed: Seq, N: int) -> Sol
     # z values indexed from n0, x values indexed from xs.
     z_vals = list(z_seed.values)
     x_vals: list[float] = list(x_seed.values) if x_seed is not None else []
-    sigma, a, f, b, u = rt.sigma.fn, rt.a.fn, rt.f.fn, rt.b.fn, rt.u.fn
+    f = spec.rt.f.fn
+    # u_n for n in [n0, N], the z window; a_n and b_n for each step n.
+    u_z = samples.u[n0 - 1 : N]
+    a_steps = samples.a[n0 - 1 : N - m]
+    b_steps = samples.b[n0 - 1 : N - m]
     limit = DIVERGENCE_LIMIT
     shift = max(k, 0)  # the x value z_j unlocks has index j + shift
 
-    for j, zj in zip(count(n0), z_seed.values):
-        xv = _recover_x(x_vals, k, j, zj, u(j))
+    for j, zj, uj in zip(count(n0), z_seed.values, u_z):
+        xv = _recover_x(x_vals, k, j, zj, uj)
         if not -limit <= xv <= limit:
             _check_finite(xv, "|x|", j + shift)
 
     steps = range(n0, N - m + 1)
-    u_next = map(u, range(n0 + m, N + 1))  # u at the z index each step adds
-    for n, sv, an, bn, un in zip(steps, map(sigma, steps), map(a, steps), map(b, steps), u_next):
+    u_next = u_z[m:]  # u at the z index each step adds
+    for n, sv, an, bn, un in zip(steps, samples.sigma, a_steps, b_steps, u_next):
         acc = an * f(n, x_vals[sv - xs]) + bn
         for coeff, zv in zip(coeffs, z_vals[-m:]):
             acc -= coeff * zv
@@ -362,15 +410,14 @@ def simulate(spec: EquationSpec, x_seed: Seq | None, z_seed: Seq, N: int) -> Sol
 
     x = Seq(xs, tuple(x_vals))
     z = Seq(n0, tuple(z_vals))
-    _verify_relation(x, z, u, k)
-    return SolutionTrace(x=x, z=z, horizon=N, start=n0)
+    _verify_relation(x, z, u_z, k)
+    return SolutionTrace(x=x, z=z, horizon=N, start=n0, samples=samples)
 
 
-def _verify_relation(x: Seq, z: Seq, u: Callable[[int], float], k: int) -> None:
-    """Re-check z_n = x_n + u_n x_{n+k} on z's window."""
+def _verify_relation(x: Seq, z: Seq, u_z: Iterable[float], k: int) -> None:
+    """Re-check z_n = x_n + u_n x_{n+k} on z's window; u_z holds u on that window."""
     off = z.start - x.start
-    u_n = map(u, range(z.start, z.end + 1))
-    rows = zip(count(z.start), z.values, x.values[off:], u_n, x.values[off + k :])
+    rows = zip(count(z.start), z.values, x.values[off:], u_z, x.values[off + k :])
     for n, zn, xn, un, xnk in rows:
         term = un * xnk
         if abs(zn - (xn + term)) > RELATION_RTOL * (1.0 + abs(zn) + abs(xn) + abs(term)):

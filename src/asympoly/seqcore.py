@@ -23,6 +23,9 @@ Conventions fixed once here and reused everywhere:
 from __future__ import annotations
 
 import math
+from array import array
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
@@ -135,8 +138,49 @@ def seq_from_function(fn: Callable[[int], float], start: int = 1, length: int = 
     return Seq(start, tuple(map(fn, range(start, start + length))))
 
 
+#: The innermost index_power_tables scope: its last index and its tables,
+#: float(n) ** e for n in [1, last] keyed by e (None: some value overflows).
+#: A table holds 8-byte doubles; as a tuple of floats it would take 32 bytes
+#: per value and raise the peak memory of a long run by a fifth.
+_POWER_TABLES: ContextVar[tuple[int, dict[float, array | None]] | None] = ContextVar(
+    "asympoly_index_power_tables", default=None
+)
+
+
+@contextmanager
+def index_power_tables(last: int) -> Iterator[None]:
+    """Serve :func:`index_powers` on [1, last] from one table per exponent.
+
+    A table is built on the first request for its exponent and dropped when
+    the scope exits.  The scope lives in a context variable, so threads
+    never share it.
+    """
+    token = _POWER_TABLES.set((last, {}))
+    try:
+        yield
+    finally:
+        _POWER_TABLES.reset(token)
+
+
 def index_powers(start: int, length: int, e: float) -> Iterator[float]:
-    """float(n) ** e for n = start, ..., start + length - 1, lazily."""
+    """float(n) ** e for n = start, ..., start + length - 1.
+
+    Inside an :func:`index_power_tables` scope a window within [1, last]
+    is read from the scope's table for e.  Any other window is computed
+    lazily, so n = 0 with e < 0 raises ZeroDivisionError when it is
+    reached.  Both routes give the same floats.
+    """
+    scope = _POWER_TABLES.get()
+    if scope is not None and start >= 1 and start + length - 1 <= scope[0]:
+        last, tables = scope
+        if e not in tables:
+            try:
+                tables[e] = array("d", map(pow, map(float, range(1, last + 1)), repeat(e)))
+            except OverflowError:  # computed per window, where it may still fit
+                tables[e] = None
+        table = tables[e]
+        if table is not None:
+            return iter(table[start - 1 : start - 1 + length])
     return map(pow, map(float, range(start, start + length)), repeat(e))
 
 

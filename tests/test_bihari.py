@@ -119,6 +119,15 @@ class TestBihariBound:
         with pytest.raises(ValueError):
             BihariProblem(IDENTITY, 1.0, Seq(1, (0.5, -0.1)))
 
+    def test_nan_total_rejected(self):
+        with pytest.raises(ValueError, match="total_a"):
+            BihariProblem(IDENTITY, 1.0, math.nan)
+
+    def test_overflowing_weight_window_rejected(self):
+        # Each weight is finite; their exactly rounded sum is not.
+        with pytest.raises(ValueError, match="total_a"):
+            BihariProblem(IDENTITY, 1.0, Seq(1, (1e308, 1e308)))
+
     def test_g_lambda_positive_required(self):
         with pytest.raises(ValueError):
             BihariProblem(IDENTITY, 0.0, 1.0)  # g(0) = 0

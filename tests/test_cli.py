@@ -1,11 +1,17 @@
+import contextlib
+import dataclasses
+import io
 import json
 import math
 import subprocess
 import sys
+import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from asympoly import cli, neutral_solver
 from asympoly.cli import EXIT_CONFIG, EXIT_HYPOTHESIS, EXIT_OK, EXIT_SIMULATION, ExperimentConfig, run
 from asympoly.errors import ConfigError
 
@@ -75,6 +81,8 @@ class TestExperimentConfig:
         ("thresholds", "trail_fraction", 0),
         ("thresholds", "trail_fraction", 1.5),
         ("thresholds", "tau_small", -0.1),
+        ("seeds", "z", [1.75, 1.75]),
+        (None, "horizon", 10),
     ],
 )
 def test_bool_and_nan_rejected_at_the_boundary(section, field, value, tmp_path, capsys):
@@ -104,6 +112,97 @@ def test_s_floor_follows_the_effective_horizon(tmp_path):
         EXIT_OK,
         EXIT_HYPOTHESIS,
     )
+
+
+def test_seed_x_length_rejected_at_the_boundary(tmp_path, capsys):
+    raw = json.loads(fixture_text("t2_regular_m3.json"))  # k = -1: one x seed
+    raw["seeds"]["x"] = [4.0, 4.0]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    assert run(str(config), out_dir=str(tmp_path / "o")) == EXIT_CONFIG
+    assert "field seeds.x:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "name, shortest",
+    [
+        ("t1_case_a_m1.json", 64),  # n0 = 1, 64 z values
+        ("t2_regular_m3.json", 68),  # n0 = 3, 64 + q = 66 z values
+    ],
+)
+def test_shortest_horizon_is_the_analysis_window(name, shortest, tmp_path, capsys):
+    config = str(FIXTURES / name)
+    assert run(config, horizon=shortest - 1, out_dir=str(tmp_path / "short")) == EXIT_CONFIG
+    assert "field horizon:" in capsys.readouterr().err
+    assert not (tmp_path / "short").exists()
+    assert run(config, horizon=shortest, out_dir=str(tmp_path / "ok")) in (EXIT_OK, EXIT_HYPOTHESIS)
+
+
+def test_horizon_beyond_the_cap_is_rejected_before_simulating(tmp_path, capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("simulate was reached")
+
+    monkeypatch.setattr(cli, "simulate", never)
+    raw = json.loads(fixture_text("t1_case_a_m1.json"))
+    raw["horizon"] = 10**12
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    assert run(str(config), out_dir=str(tmp_path / "o")) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "field horizon:" in err and "GB" in err
+    assert not (tmp_path / "o").exists()
+    config = str(FIXTURES / "t1_case_a_m1.json")
+    assert run(config, horizon=cli.MAX_HORIZON + 1, out_dir=str(tmp_path / "o")) == EXIT_CONFIG
+    assert "field horizon:" in capsys.readouterr().err
+
+
+def test_bytes_per_step_bounds_the_run_memory(tmp_path):
+    # The memory estimate behind MAX_HORIZON: a whole run (simulate, dispatch
+    # and the writes) peaks below BYTES_PER_STEP per step on every certified
+    # fixture.  Per step, the peak at 2000 is above the one at 1e4 and 1e5.
+    horizon = 2_000
+    manifest = json.loads((FIXTURES / "manifest.json").read_text())
+    for entry in manifest["fixtures"]:
+        if entry["expect_exit"] != EXIT_OK:
+            continue
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = run(str(FIXTURES / entry["file"]), horizon, str(tmp_path / entry["file"]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert peak <= cli.BYTES_PER_STEP * horizon, (entry["file"], peak / horizon)
+
+
+@pytest.mark.parametrize("name", ["t1_case_a_m2.json", "t1_case_b_m3.json", "t2_regular_m3.json"])
+def test_each_coefficient_is_evaluated_once_per_index(name, tmp_path, monkeypatch):
+    calls: list[tuple[str, Counter]] = []
+
+    def counting(make):
+        def build(ref):
+            entry = make(ref)
+            counter: Counter = Counter()
+            fn = entry.fn
+
+            def counted(n):
+                counter[n] += 1
+                return fn(n)
+
+            calls.append((ref.id, counter))
+            return dataclasses.replace(entry, fn=counted)
+
+        return build
+
+    monkeypatch.setattr(neutral_solver, "make_generator", counting(neutral_solver.make_generator))
+    monkeypatch.setattr(neutral_solver, "make_sigma", counting(neutral_solver.make_sigma))
+    assert run(str(FIXTURES / name), out_dir=str(tmp_path / "o")) == EXIT_OK
+    assert len(calls) == 4  # u, a, b and sigma
+    for ref_id, counter in calls:
+        assert counter, ref_id
+        assert max(counter.values()) == 1, (ref_id, counter.most_common(1))
 
 
 _POWER_OFFSET = {"id": "power_offset", "params": {"c": 0.5, "A": None, "rho": 2.0}}

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from asympoly import hypotheses, seqcore
 from asympoly.catalog import CatalogRef, RhsFunction, make_f, make_g
 from asympoly.decomp import extract_polynomial
 from asympoly.errors import ConfigError
@@ -204,3 +205,24 @@ def test_geometric_forcing_small_at_every_exponent():
     for s in (1.0, 0.0, -1.0):
         rep = extract_polynomial(trace.x, 2, s)
         assert rep.remainder_verdict.kind == "small_o", s
+
+
+class TestIndexPowerScope:
+    def test_no_table_left_after_dispatch_returns(self, traces):
+        inst = BY_NAME["t1_case_b_m3"]
+        theorem_dispatch(inst.spec, traces[inst.name], inst.case_id, inst.mode)
+        assert seqcore._POWER_TABLES.get() is None
+
+    def test_no_table_left_after_dispatch_raises(self, traces, monkeypatch):
+        inst = BY_NAME["t1_case_a_m2"]
+        seen = []
+
+        def failing(*args, **kwargs):
+            seen.append(dict(seqcore._POWER_TABLES.get()[1]))
+            raise RuntimeError("decomposition failed")
+
+        monkeypatch.setattr(hypotheses, "decompose_solution", failing)
+        with pytest.raises(RuntimeError, match="decomposition failed"):
+            theorem_dispatch(inst.spec, traces[inst.name], inst.case_id, inst.mode)
+        assert seen and seen[0]  # the checks before it filled the scope's tables
+        assert seqcore._POWER_TABLES.get() is None

@@ -1,4 +1,7 @@
+import contextlib
 import math
+import threading
+from itertools import repeat
 
 import pytest
 from hypothesis import given, settings
@@ -13,12 +16,15 @@ from asympoly.seqcore import (
     classify_oscillation,
     csum,
     delta,
+    index_power_tables,
+    index_powers,
     order_estimate,
     pascal_row,
     seq_from_function,
     weighted_sum_diagnostic,
 )
 
+from asympoly import seqcore
 from conftest import cumsum_window
 
 
@@ -273,3 +279,59 @@ def test_thresholds_are_data():
     t = Thresholds(tau_small=0.1)
     assert t.tau_small == 0.1
     assert t.tau_tail == 1e-3
+
+
+class TestIndexPowers:
+    EXPONENTS = (-2, -1, 0, 0.5, 1, 2, 3.7)
+
+    @staticmethod
+    def direct(start, length, e):
+        return list(map(pow, map(float, range(start, start + length)), repeat(e)))
+
+    @pytest.mark.parametrize("scoped", [False, True])
+    @pytest.mark.parametrize("start", [0, 1, 5000])
+    def test_matches_pow_bit_for_bit(self, scoped, start):
+        length = 3000
+        with index_power_tables(8000) if scoped else contextlib.nullcontext():
+            for e in self.EXPONENTS:
+                if start == 0 and e < 0:
+                    # 0.0 ** e: both routes raise when n = 0 is reached.
+                    with pytest.raises(ZeroDivisionError):
+                        self.direct(start, length, e)
+                    with pytest.raises(ZeroDivisionError):
+                        list(index_powers(start, length, e))
+                    continue
+                got = list(index_powers(start, length, e))
+                assert list(map(float.hex, got)) == list(map(float.hex, self.direct(start, length, e)))
+                if scoped:
+                    # Windows within [1, last] are served from the scope's table.
+                    assert (e in seqcore._POWER_TABLES.get()[1]) == (start >= 1)
+        assert seqcore._POWER_TABLES.get() is None
+
+    def test_window_past_the_scope_is_computed_directly(self):
+        with index_power_tables(100):
+            got = list(index_powers(90, 20, 1.5))
+            assert 1.5 not in seqcore._POWER_TABLES.get()[1]
+        assert got == self.direct(90, 20, 1.5)
+
+    def test_overflowing_exponent_falls_back_per_window(self):
+        # 2**1000 fits a float, 3**1000 does not: the table cannot be built,
+        # but a window that stays finite is still served.
+        with index_power_tables(3):
+            assert list(index_powers(1, 2, 1000)) == [1.0, 2.0**1000]
+            with pytest.raises(OverflowError):
+                list(index_powers(1, 3, 1000))
+
+    def test_scope_is_not_shared_with_other_threads(self):
+        seen = []
+
+        def worker():
+            seen.append((seqcore._POWER_TABLES.get(), list(index_powers(1, 5, 0.5))))
+
+        with index_power_tables(10):
+            list(index_powers(1, 5, 0.5))
+            thread = threading.Thread(target=worker)
+            thread.start()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert seen == [(None, self.direct(1, 5, 0.5))]
