@@ -34,7 +34,7 @@ from .errors import (
     DivergenceError,
     SingularRecoveryError,
 )
-from .hypotheses import HypothesisVerdict, theorem_dispatch
+from .hypotheses import HypothesisVerdict, theorem_dispatch, validate_mode
 from .neutral_solver import (
     EquationSpec,
     SolutionTrace,
@@ -224,6 +224,7 @@ class ExperimentConfig:
         mode = raw.get("mode", "plain")
         if mode not in ("plain", "regular"):
             raise ConfigError(f"field mode: must be plain or regular, got {mode!r}")
+        validate_mode(spec, mode)
         thr_raw = raw.get("thresholds", {})
         if not isinstance(thr_raw, dict):
             raise ConfigError("field thresholds: must be an object")
@@ -387,12 +388,16 @@ def run(config_path: str, horizon: int | None = None, out_dir: str | None = None
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    out.mkdir(parents=True, exist_ok=True)
-    _atomic_write(out / "trace.csv", _trace_csv(trace, config.spec.m))
-    _atomic_write(
-        out / "decomposition.json", [_json_text(_decomposition_to_dict(verdict.decomposition))]
-    )
-    _atomic_write(out / "verdict.json", [_json_text(_hypothesis_to_dict(verdict))])
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        _atomic_write(out / "trace.csv", _trace_csv(trace, config.spec.m))
+        _atomic_write(
+            out / "decomposition.json", [_json_text(_decomposition_to_dict(verdict.decomposition))]
+        )
+        _atomic_write(out / "verdict.json", [_json_text(_hypothesis_to_dict(verdict))])
+    except OSError as exc:
+        print(f"error: cannot write output to {out}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     status = "pass" if verdict.passed else f"fail ({verdict.failed_check})"
     print(f"{path.name}: {status}; reports in {out}")
     return EXIT_OK if verdict.passed else EXIT_HYPOTHESIS

@@ -213,6 +213,17 @@ def _alternative_check(
     )
 
 
+def validate_mode(spec: EquationSpec, mode: str) -> None:
+    """Regular mode needs an integer target: q set and s == q."""
+    if mode == "regular":
+        if spec.q is None:
+            raise ConfigError("field q: regular mode requires q to be set")
+        if spec.s != spec.q:
+            raise ConfigError(
+                f"field s: regular mode requires s == q, got s={spec.s}, q={spec.q}"
+            )
+
+
 def theorem_dispatch(
     spec: EquationSpec,
     trace: SolutionTrace,
@@ -233,13 +244,7 @@ def theorem_dispatch(
         raise ValueError(f"case_id must be one of a, b, c; got {case_id!r}")
     if mode not in ("plain", "regular"):
         raise ValueError(f"mode must be plain or regular, got {mode!r}")
-    if mode == "regular":
-        if spec.q is None:
-            raise ConfigError("field q: regular mode requires q to be set")
-        if spec.s != spec.q:
-            raise ConfigError(
-                f"field s: regular mode requires s == q, got s={spec.s}, q={spec.q}"
-            )
+    validate_mode(spec, mode)
     rt = spec.rt
     m, s = spec.m, spec.s
     n0 = trace.start

@@ -1,14 +1,39 @@
+import json
+from pathlib import Path
+
 import pytest
 
-from asympoly.instances import INSTANCES, instance_trace
+from asympoly.cli import ExperimentConfig
+from asympoly.neutral_solver import simulate
 
 HORIZON = 10_000
+FIXTURES = Path(__file__).resolve().parent.parent / "src" / "asympoly" / "fixtures"
+
+
+def manifest_entries():
+    """The manifest's fixture entries: file, expect_exit and note."""
+    return json.loads((FIXTURES / "manifest.json").read_text(encoding="utf-8"))["fixtures"]
+
+
+def load_fixture(name):
+    """The shipped fixture ``name`` (without .json), parsed as ``cli.run`` parses it."""
+    return ExperimentConfig.from_json((FIXTURES / f"{name}.json").read_text(encoding="utf-8"))
+
+
+#: Every shipped fixture whose run certifies the theorem (exit 0), by name.
+CERTIFIED = {
+    Path(e["file"]).stem: load_fixture(Path(e["file"]).stem)
+    for e in manifest_entries()
+    if e["expect_exit"] == 0
+}
 
 
 @pytest.fixture(scope="session")
 def traces():
-    """Simulated traces of every shipped instance at the shared horizon."""
-    return {inst.name: instance_trace(inst, HORIZON) for inst in INSTANCES}
+    """Simulated traces of every certified fixture at the shared horizon."""
+    return {
+        name: simulate(cfg.spec, *cfg.seed_windows(), HORIZON) for name, cfg in CERTIFIED.items()
+    }
 
 
 def cumsum_window(dvals, start, m):

@@ -4,18 +4,15 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines.  Tolerances and runtime budgets are pinned here, not configurable.
 """
 
-import json
 import math
 import random
-import sys
 import time
-from pathlib import Path
 
 import pytest
 
 from asympoly.bihari import BihariProblem, bihari_bound, worst_case_w
 from asympoly.catalog import CatalogRef, make_g
-from asympoly.cli import EXIT_HYPOTHESIS, EXIT_OK, run
+from asympoly.cli import selftest
 from asympoly.decomp import (
     decompose_solution,
     regularity_check,
@@ -23,19 +20,13 @@ from asympoly.decomp import (
 )
 from asympoly.errors import CausalityError
 from asympoly.hypotheses import theorem_dispatch
-from asympoly.instances import (
-    BY_NAME,
-    INSTANCES,
-    T1_INSTANCE_NAMES,
-    T2_INSTANCE_NAMES,
-    instance_seeds,
-)
 from asympoly.neutral_solver import EquationSpec, consistent_seeds, simulate
 from asympoly.seqcore import PolyCoeffs, Seq, delta, seq_from_function
 
-from conftest import cumsum_window
+from conftest import CERTIFIED, cumsum_window, load_fixture
 
-FIXTURES = Path(__file__).resolve().parent.parent / "src" / "asympoly" / "fixtures"
+T1_NAMES = tuple(name for name, cfg in CERTIFIED.items() if cfg.mode == "plain")
+T2_NAMES = tuple(name for name, cfg in CERTIFIED.items() if cfg.mode == "regular")
 
 
 def _report(number, name, t0, budget):
@@ -133,19 +124,19 @@ def test_criterion_4_round_trips():
 
 def test_criterion_5_theorem_t1_end_to_end(traces):
     t0 = time.monotonic()
-    assert len(T1_INSTANCE_NAMES) >= 6
-    covered_m = {BY_NAME[n].spec.m for n in T1_INSTANCE_NAMES}
-    covered_k = {BY_NAME[n].spec.k for n in T1_INSTANCE_NAMES}
-    covered_case = {BY_NAME[n].case_id for n in T1_INSTANCE_NAMES}
+    assert len(T1_NAMES) >= 6
+    covered_m = {CERTIFIED[n].spec.m for n in T1_NAMES}
+    covered_k = {CERTIFIED[n].spec.k for n in T1_NAMES}
+    covered_case = {CERTIFIED[n].case_id for n in T1_NAMES}
     assert covered_m >= {1, 2, 3}
     assert covered_k >= {-1, 0, 1}
     assert covered_case >= {"a", "b"}
-    for name in T1_INSTANCE_NAMES:
-        spec = BY_NAME[name].spec
+    for name in T1_NAMES:
+        spec = CERTIFIED[name].spec
         assert spec.s in {0.0, float(spec.m - 2), float(spec.m - 1)}
-    assert {BY_NAME[n].spec.s for n in T1_INSTANCE_NAMES} >= {0.0, 1.0, 2.0}
-    for name in T1_INSTANCE_NAMES:
-        inst = BY_NAME[name]
+    assert {CERTIFIED[n].spec.s for n in T1_NAMES} >= {0.0, 1.0, 2.0}
+    for name in T1_NAMES:
+        inst = CERTIFIED[name]
         verdict = theorem_dispatch(inst.spec, traces[name], inst.case_id, inst.mode)
         assert verdict.passed, (name, verdict.failed_check)
         dec = verdict.decomposition
@@ -159,14 +150,14 @@ def test_criterion_5_theorem_t1_end_to_end(traces):
             if tv == 0.0 and dv == 0.0:
                 continue
             assert abs(tv - dv) <= 0.02 * max(abs(tv), abs(dv)), (name, d, tv, dv)
-    _report(5, "theorem end-to-end on the shipped instances", t0, 30.0)
+    _report(5, "theorem end-to-end on the shipped fixtures", t0, 30.0)
 
 
 def test_criterion_6_regular_refinement(traces):
     t0 = time.monotonic()
-    assert len(T2_INSTANCE_NAMES) == 2
-    for name in T2_INSTANCE_NAMES:
-        inst = BY_NAME[name]
+    assert len(T2_NAMES) == 2
+    for name in T2_NAMES:
+        inst = CERTIFIED[name]
         assert inst.spec.q == inst.spec.s  # integer target
         assert inst.spec.u.id == "power_offset"
         assert inst.spec.u.params["rho"] == inst.spec.m  # u = c + A n^-m
@@ -183,20 +174,10 @@ def test_criterion_6_regular_refinement(traces):
 def test_criterion_7_negative_controls():
     t0 = time.monotonic()
     # (i) harmonic b breaks the b-summability hypothesis, named in the verdict
-    inst = BY_NAME["t1_case_b_m2"]
-    spec = EquationSpec(
-        m=2, k=0, c=-0.5,
-        u=CatalogRef("power_offset", {"c": -0.5, "A": 1.0, "rho": 1.0}),
-        a=CatalogRef("power", {"A": 1.0, "rho": 2.0}),
-        b=CatalogRef("power", {"A": 1.0, "rho": 1.0}),
-        f=CatalogRef("sigmoid"),
-        g=CatalogRef("constant", {"value": 1.0}),
-        sigma=CatalogRef("identity"),
-        s=1.0,
-    )
-    x_seed, z_seed = consistent_seeds(spec, inst.profile)
-    trace = simulate(spec, x_seed, z_seed, 10_000)
-    verdict = theorem_dispatch(spec, trace, "b")
+    cfg = load_fixture("fail_b_summability")
+    assert cfg.spec.b == CatalogRef("power", {"A": 1.0, "rho": 1.0})
+    trace = simulate(cfg.spec, *cfg.seed_windows(), 10_000)
+    verdict = theorem_dispatch(cfg.spec, trace, cfg.case_id)
     assert not verdict.passed
     assert verdict.failed_check == "b-summability"
     # (ii) alternating window fails the regular check at p = 1
@@ -235,21 +216,10 @@ def test_criterion_8_stolz_cesaro_coefficients():
     _report(8, "Stolz-Cesaro coefficient property", t0, 5.0)
 
 
-def test_criterion_9_determinism(tmp_path, capsys):
+def test_criterion_9_determinism(capsys):
     t0 = time.monotonic()
-    manifest = json.loads((FIXTURES / "manifest.json").read_text())
-    for entry in manifest["fixtures"]:
-        name = entry["file"]
-        out1 = tmp_path / f"{name}.r1"
-        out2 = tmp_path / f"{name}.r2"
-        code1 = run(str(FIXTURES / name), out_dir=str(out1))
-        code2 = run(str(FIXTURES / name), out_dir=str(out2))
-        assert code1 == entry["expect_exit"], name
-        assert code2 == entry["expect_exit"], name
-        if code1 in (EXIT_OK, EXIT_HYPOTHESIS):
-            for artifact in ("trace.csv", "decomposition.json", "verdict.json"):
-                b1 = (out1 / artifact).read_bytes()
-                b2 = (out2 / artifact).read_bytes()
-                assert b1 == b2, (name, artifact)
+    # selftest runs every manifest fixture twice, checks its exit code and
+    # compares the artifacts of the two runs byte for byte.
+    assert selftest() == 0
     with capsys.disabled():
         _report(9, "byte-identical reruns of every fixture", t0, 60.0)

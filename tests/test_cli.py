@@ -15,7 +15,7 @@ from asympoly import cli, neutral_solver
 from asympoly.cli import EXIT_CONFIG, EXIT_HYPOTHESIS, EXIT_OK, EXIT_SIMULATION, ExperimentConfig, run
 from asympoly.errors import ConfigError
 
-FIXTURES = Path(__file__).resolve().parent.parent / "src" / "asympoly" / "fixtures"
+from conftest import CERTIFIED, FIXTURES, manifest_entries
 
 
 def fixture_text(name):
@@ -157,24 +157,55 @@ def test_horizon_beyond_the_cap_is_rejected_before_simulating(tmp_path, capsys, 
     assert "field horizon:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "name, edit, field",
+    [
+        ("t1_case_a_m2.json", {"mode": "regular"}, "q"),  # q is null
+        ("t2_regular_m2.json", {"s": 0.0}, "s"),  # q = 1
+    ],
+)
+def test_inconsistent_regular_mode_is_rejected_before_simulating(
+    name, edit, field, tmp_path, capsys, monkeypatch
+):
+    def never(*args):
+        raise AssertionError("simulate was reached")
+
+    monkeypatch.setattr(cli, "simulate", never)
+    raw = json.loads(fixture_text(name))
+    for key, value in edit.items():
+        (raw if key == "mode" else raw["spec"])[key] = value
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    assert run(str(config), out_dir=str(tmp_path / "o")) == EXIT_CONFIG
+    assert f"field {field}: regular mode requires" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("out", ["file", "file/sub"])
+def test_unwritable_output_exits_one(out, tmp_path, capsys):
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    config = str(FIXTURES / "t1_case_a_m1.json")
+    assert run(config, horizon=200, out_dir=str(tmp_path / out)) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "cannot write output" in err and "Traceback" not in err
+    assert (tmp_path / "file").read_text(encoding="utf-8") == ""
+
+
 def test_bytes_per_step_bounds_the_run_memory(tmp_path):
     # The memory estimate behind MAX_HORIZON: a whole run (simulate, dispatch
     # and the writes) peaks below BYTES_PER_STEP per step on every certified
     # fixture.  Per step, the peak at 2000 is above the one at 1e4 and 1e5.
     horizon = 2_000
-    manifest = json.loads((FIXTURES / "manifest.json").read_text())
-    for entry in manifest["fixtures"]:
-        if entry["expect_exit"] != EXIT_OK:
-            continue
+    for name in CERTIFIED:
         tracemalloc.start()
         try:
             with contextlib.redirect_stdout(io.StringIO()):
-                code = run(str(FIXTURES / entry["file"]), horizon, str(tmp_path / entry["file"]))
+                code = run(str(FIXTURES / f"{name}.json"), horizon, str(tmp_path / name))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert code == EXIT_OK
-        assert peak <= cli.BYTES_PER_STEP * horizon, (entry["file"], peak / horizon)
+        assert peak <= cli.BYTES_PER_STEP * horizon, (name, peak / horizon)
 
 
 @pytest.mark.parametrize("name", ["t1_case_a_m2.json", "t1_case_b_m3.json", "t2_regular_m3.json"])
@@ -301,7 +332,18 @@ class TestCatalogCommand:
         assert runs[0] == runs[1]
 
 
+def test_every_module_is_reached_from_the_package():
+    # A module that nothing in the package imports is code only tests use.
+    package = Path(cli.__file__).parent
+    code = "import sys, asympoly, asympoly.cli; print(*sorted(sys.modules))"
+    loaded = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    ).stdout.split()
+    for path in sorted(package.glob("*.py")):
+        name = "asympoly" if path.stem == "__init__" else f"asympoly.{path.stem}"
+        assert name in loaded, name
+
+
 def test_manifest_covers_all_exit_codes():
-    manifest = json.loads((FIXTURES / "manifest.json").read_text())
-    codes = {entry["expect_exit"] for entry in manifest["fixtures"]}
+    codes = {entry["expect_exit"] for entry in manifest_entries()}
     assert codes == {0, 1, 2, 3}

@@ -13,11 +13,10 @@ from asympoly.decomp import (
     transfer_polynomial,
 )
 from asympoly.errors import WindowLengthError
-from asympoly.instances import BY_NAME
 from asympoly.neutral_solver import EquationSpec, consistent_seeds, simulate
 from asympoly.seqcore import PolyCoeffs, Seq, csum, seq_from_function
 
-from conftest import tail_sum_window
+from conftest import CERTIFIED, tail_sum_window
 
 
 class TestExtractPolynomial:
@@ -220,8 +219,7 @@ class TestDecomposeSolution:
         assert max(abs(v) for v in dec.x_report.remainder.values) < 1e-6
 
     def test_transfer_agrees_with_direct_extraction(self, traces):
-        inst = BY_NAME["t1_case_a_m2"]
-        dec = decompose_solution(traces[inst.name], inst.spec)
+        dec = decompose_solution(traces["t1_case_a_m2"], CERTIFIED["t1_case_a_m2"].spec)
         transferred = dec.psi_x_transferred.padded(1)
         direct = dec.x_report.psi.padded(1)
         assert abs(transferred[1] - direct[1]) <= 0.02 * max(
@@ -250,9 +248,9 @@ class TestDecomposeSolution:
         assert abs(dec.x_report.psi.padded(0)[0] - product) < 1e-3
 
     def test_regular_reports_present_when_q_set(self, traces):
-        inst = BY_NAME["t2_regular_m2"]
-        dec = decompose_solution(traces[inst.name], inst.spec)
-        assert dec.x_report.regular_q == inst.spec.q
+        spec = CERTIFIED["t2_regular_m2"].spec
+        dec = decompose_solution(traces["t2_regular_m2"], spec)
+        assert dec.x_report.regular_q == spec.q
         assert dec.x_report.regular_passed is True
         assert dec.z_report.regular_passed is True
-        assert len(dec.x_report.regular_checks) == inst.spec.q + 1
+        assert len(dec.x_report.regular_checks) == spec.q + 1

@@ -23,8 +23,9 @@ import pytest
 
 from asympoly.cli import run
 
+from conftest import FIXTURES, manifest_entries
+
 ROOT = Path(__file__).resolve().parent.parent
-FIXTURES = ROOT / "src" / "asympoly" / "fixtures"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 #: Relative tolerance of a psi coefficient, scaled by max |psi| of its vector.
 PSI_RTOL = 1e-9
@@ -32,8 +33,7 @@ PSI_KEYS = ("psi_z", "psi_x", "psi_x_transferred")
 
 
 def manifest_files():
-    manifest = json.loads((FIXTURES / "manifest.json").read_text(encoding="utf-8"))
-    return [entry["file"] for entry in manifest["fixtures"]]
+    return [entry["file"] for entry in manifest_entries()]
 
 
 def golden_entry(name, out_dir):

@@ -12,9 +12,10 @@ from asympoly.hypotheses import (
     polynomial_growth_check,
     theorem_dispatch,
 )
-from asympoly.instances import BY_NAME, INSTANCES
 from asympoly.neutral_solver import EquationSpec, consistent_seeds, simulate
 from asympoly.seqcore import Seq, seq_from_function
+
+from conftest import CERTIFIED, load_fixture
 
 CONST_ONE = make_g(CatalogRef("constant", {"value": 1.0}))
 IDENTITY_G = make_g(CatalogRef("identity"))
@@ -55,9 +56,8 @@ class TestCheckGPBounded:
             return real(f_rec, g, p, n_max)
 
         monkeypatch.setattr(hyp, "check_g_p_bounded", recording)
-        inst = BY_NAME["t1_case_a_m1"]
-        x_seed, z_seed = consistent_seeds(inst.spec, inst.profile)
-        trace = simulate(inst.spec, x_seed, z_seed, 100_000)
+        inst = CERTIFIED["t1_case_a_m1"]
+        trace = simulate(inst.spec, *inst.seed_windows(), 100_000)
         theorem_dispatch(inst.spec, trace, inst.case_id)
         assert min(scanned) == 1
         assert max(scanned) == 100_000
@@ -98,8 +98,7 @@ class TestPolynomialGrowthCheck:
 
 class TestTheoremDispatch:
     def test_case_a_instance_passes(self, traces):
-        inst = BY_NAME["t1_case_a_m2"]
-        v = theorem_dispatch(inst.spec, traces[inst.name], "a")
+        v = theorem_dispatch(CERTIFIED["t1_case_a_m2"].spec, traces["t1_case_a_m2"], "a")
         assert v.passed
         assert v.failed_check is None
         assert v.conclusion.remainder_kind == "small_o"
@@ -111,20 +110,9 @@ class TestTheoremDispatch:
         ]
 
     def test_broken_b_summability_is_named(self):
-        inst = BY_NAME["t1_case_b_m2"]
-        spec = EquationSpec(
-            m=2, k=0, c=-0.5,
-            u=CatalogRef("power_offset", {"c": -0.5, "A": 1.0, "rho": 1.0}),
-            a=CatalogRef("power", {"A": 1.0, "rho": 2.0}),
-            b=CatalogRef("power", {"A": 1.0, "rho": 1.0}),  # harmonic
-            f=CatalogRef("sigmoid"),
-            g=CatalogRef("constant", {"value": 1.0}),
-            sigma=CatalogRef("identity"),
-            s=1.0,
-        )
-        x_seed, z_seed = consistent_seeds(spec, inst.profile)
-        trace = simulate(spec, x_seed, z_seed, 10_000)
-        v = theorem_dispatch(spec, trace, "b")
+        cfg = load_fixture("fail_b_summability")  # harmonic b
+        trace = simulate(cfg.spec, *cfg.seed_windows(), 10_000)
+        v = theorem_dispatch(cfg.spec, trace, "b")
         assert not v.passed
         assert v.failed_check == "b-summability"
 
@@ -147,8 +135,8 @@ class TestTheoremDispatch:
 
     def test_soundness_wiring(self, traces):
         # overall pass implies every sub-check and the conclusion passed
-        for inst in INSTANCES:
-            v = theorem_dispatch(inst.spec, traces[inst.name], inst.case_id, inst.mode)
+        for name, inst in CERTIFIED.items():
+            v = theorem_dispatch(inst.spec, traces[name], inst.case_id, inst.mode)
             if v.passed:
                 assert all(c.passed for c in v.checks)
                 assert v.conclusion.passed
@@ -156,18 +144,17 @@ class TestTheoremDispatch:
                 assert v.failed_check is not None
 
     def test_regular_mode_requires_integer_match(self, traces):
-        inst = BY_NAME["t1_case_a_m2"]  # q is None
+        spec = CERTIFIED["t1_case_a_m2"].spec  # q is None
         with pytest.raises(ConfigError):
-            theorem_dispatch(inst.spec, traces[inst.name], "a", mode="regular")
+            theorem_dispatch(spec, traces["t1_case_a_m2"], "a", mode="regular")
 
     def test_invalid_case_rejected(self, traces):
-        inst = BY_NAME["t1_case_a_m2"]
         with pytest.raises(ValueError):
-            theorem_dispatch(inst.spec, traces[inst.name], "d")
+            theorem_dispatch(CERTIFIED["t1_case_a_m2"].spec, traces["t1_case_a_m2"], "d")
 
     def test_regular_instances_pass(self, traces):
         for name in ("t2_regular_m2", "t2_regular_m3"):
-            inst = BY_NAME[name]
+            inst = CERTIFIED[name]
             v = theorem_dispatch(inst.spec, traces[name], inst.case_id, "regular")
             assert v.passed, (name, v.failed_check)
             assert v.conclusion.regular_passed is True
@@ -175,8 +162,7 @@ class TestTheoremDispatch:
     def test_case_c_bounded_f(self, traces):
         # the m=2 case (a) instance also satisfies case (c): sigmoid is
         # bounded and k(|c|-1) = 1 >= 0
-        inst = BY_NAME["t1_case_a_m2"]
-        v = theorem_dispatch(inst.spec, traces[inst.name], "c")
+        v = theorem_dispatch(CERTIFIED["t1_case_a_m2"].spec, traces["t1_case_a_m2"], "c")
         assert v.passed
         names = [c.name for c in v.checks]
         assert "f-bounded" in names and "alternative" in names
@@ -209,12 +195,12 @@ def test_geometric_forcing_small_at_every_exponent():
 
 class TestIndexPowerScope:
     def test_no_table_left_after_dispatch_returns(self, traces):
-        inst = BY_NAME["t1_case_b_m3"]
-        theorem_dispatch(inst.spec, traces[inst.name], inst.case_id, inst.mode)
+        inst = CERTIFIED["t1_case_b_m3"]
+        theorem_dispatch(inst.spec, traces["t1_case_b_m3"], inst.case_id, inst.mode)
         assert seqcore._POWER_TABLES.get() is None
 
     def test_no_table_left_after_dispatch_raises(self, traces, monkeypatch):
-        inst = BY_NAME["t1_case_a_m2"]
+        inst = CERTIFIED["t1_case_a_m2"]
         seen = []
 
         def failing(*args, **kwargs):
@@ -223,6 +209,6 @@ class TestIndexPowerScope:
 
         monkeypatch.setattr(hypotheses, "decompose_solution", failing)
         with pytest.raises(RuntimeError, match="decomposition failed"):
-            theorem_dispatch(inst.spec, traces[inst.name], inst.case_id, inst.mode)
+            theorem_dispatch(inst.spec, traces["t1_case_a_m2"], inst.case_id, inst.mode)
         assert seen and seen[0]  # the checks before it filled the scope's tables
         assert seqcore._POWER_TABLES.get() is None

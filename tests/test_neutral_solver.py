@@ -1,14 +1,12 @@
 import dataclasses
 import math
 import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asympoly.catalog import CatalogRef
-from asympoly.cli import ExperimentConfig
 from asympoly.errors import (
     CausalityError,
     ConfigError,
@@ -18,7 +16,6 @@ from asympoly.errors import (
     WindowLengthError,
 )
 from asympoly.hypotheses import theorem_dispatch
-from asympoly.instances import BY_NAME, instance_trace
 from asympoly.neutral_solver import (
     EquationSpec,
     consistent_seeds,
@@ -38,7 +35,7 @@ from asympoly.seqcore import (
     seq_from_function,
 )
 
-FIXTURES = Path(__file__).resolve().parent.parent / "src" / "asympoly" / "fixtures"
+from conftest import CERTIFIED, load_fixture
 
 
 def spec_with(**overrides):
@@ -86,10 +83,9 @@ class TestEquationSpec:
             for module in modules:
                 if getattr(module, name, None) is orig:
                     monkeypatch.setattr(module, name, counted)
-        inst = BY_NAME["t1_case_b_m2"]
+        inst = CERTIFIED["t1_case_b_m2"]
         spec = dataclasses.replace(inst.spec)
-        x_seed, z_seed = consistent_seeds(spec, inst.profile)
-        trace = simulate(spec, x_seed, z_seed, 2000)
+        trace = simulate(spec, *inst.seed_windows(), 2000)
         theorem_dispatch(spec, trace, inst.case_id, inst.mode)
         assert len(calls) == 6
 
@@ -217,6 +213,18 @@ class TestConsistentSeeds:
         assert z_seed.start == 2 and len(z_seed) == 2
         assert z_seed.values == (3.0, 3.0)
 
+    @pytest.mark.parametrize(
+        "name, profile",
+        [
+            ("t1_case_a_m2", Seq(2, (1.0, 1.0, 1.0))),  # k = 1, the README example
+            ("t1_case_a_m3", Seq(2, (4.0, 9.0, 16.0, 25.0))),  # k = -1
+            ("t1_case_b_m2", Seq(2, (1.0, 2.0))),  # k = 0
+        ],
+    )
+    def test_fixture_seeds_come_from_a_profile(self, name, profile):
+        cfg = CERTIFIED[name]
+        assert consistent_seeds(cfg.spec, profile) == cfg.seed_windows()
+
 
 class TestSimulate:
     def test_forced_partial_sum(self):
@@ -241,7 +249,7 @@ class TestSimulate:
         from asympoly.neutral_solver import runtime
 
         for name in ("t1_case_a_m2", "t1_case_b_m3", "t1_case_a_m1_kneg"):
-            inst = BY_NAME[name]
+            inst = CERTIFIED[name]
             tr = traces[name]
             rt = runtime(inst.spec)
             dz = delta(tr.z, inst.spec.m)
@@ -255,8 +263,8 @@ class TestSimulate:
     def test_trace_relation_holds(self, traces):
         from asympoly.neutral_solver import runtime
 
-        inst = BY_NAME["t1_case_a_m3"]
-        tr = traces[inst.name]
+        inst = CERTIFIED["t1_case_a_m3"]
+        tr = traces["t1_case_a_m3"]
         rt = runtime(inst.spec)
         for n in range(tr.z.start, tr.z.end + 1, 97):
             zn = tr.z.at(n)
@@ -289,9 +297,7 @@ class TestSimulate:
             simulate(spec, Seq(2, (1.0,)), Seq(2, (1.0, 1.0)), 100)  # no x seed for k=0
 
     def test_causality_error_matches_the_dry_run(self):
-        config = ExperimentConfig.from_json(
-            (FIXTURES / "causality_violation.json").read_text(encoding="utf-8")
-        )
+        config = load_fixture("causality_violation")
         report = validate_causality(config.spec, config.horizon)
         assert not report.ok
         with pytest.raises(CausalityError) as err:
@@ -303,8 +309,7 @@ class TestSimulate:
 
     def test_boundedness_transfer(self, traces):
         # |c| < 1 and k <= 0: |x| stays within b/(1-beta) + K
-        inst = BY_NAME["t1_case_a_m1_kneg"]
-        tr = traces[inst.name]
+        tr = traces["t1_case_a_m1_kneg"]
         u = seq_from_function(
             lambda n: 0.5 + 0.25 / n, tr.x.start, len(tr.x)
         )
@@ -317,8 +322,8 @@ class TestSimulate:
     def test_limit_transfer(self, traces):
         # x bounded and z convergent: (1+c) * lim x = lim z, checked through
         # trailing means at the horizon
-        inst = BY_NAME["t1_case_a_m1"]
-        tr = traces[inst.name]
+        inst = CERTIFIED["t1_case_a_m1"]
+        tr = traces["t1_case_a_m1"]
         assert order_estimate(tr.x, 0.5).kind == "small_o"  # x bounded
         x_tail = tr.x.trailing(0.25)
         z_tail = tr.z.trailing(0.25)
@@ -352,7 +357,7 @@ class TestValidateCausality:
     def test_oscillation_labels_on_trace(self, traces):
         # the case (a) instances are (u,k)-nonoscillatory by construction
         for name in ("t1_case_a_m1", "t1_case_a_m2", "t1_case_a_m3"):
-            inst = BY_NAME[name]
+            inst = CERTIFIED[name]
             tr = traces[name]
             u = seq_from_function(
                 lambda n, sp=inst.spec: _u_value(sp, n), tr.x.start, len(tr.x)
