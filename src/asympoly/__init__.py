@@ -64,13 +64,11 @@ from .hypotheses import (
     theorem_dispatch,
 )
 from .neutral_solver import (
-    CausalityReport,
     EquationSpec,
     SolutionTrace,
     consistent_seeds,
     simulate,
     start_index,
-    validate_causality,
     x_from_z,
     x_start_index,
     z_from_x,
@@ -87,7 +85,6 @@ from .seqcore import (
     csum,
     delta,
     order_estimate,
-    pascal_row,
     seq_from_function,
     weighted_sum_diagnostic,
 )

@@ -25,9 +25,6 @@ class CatalogRef:
     id: str
     params: Mapping[str, float] = field(default_factory=dict)
 
-    def as_dict(self) -> dict:
-        return {"id": self.id, "params": dict(self.params)}
-
 
 @dataclass(frozen=True)
 class Entry:

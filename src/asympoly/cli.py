@@ -15,6 +15,7 @@ error; 2 a hypothesis or the conclusion failed; 3 the simulation errored
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -157,6 +158,16 @@ def _check_seed_lengths(spec: EquationSpec, x_raw: list | None, z_raw: list) -> 
         )
 
 
+def _check_output_dir(out: Path) -> None:
+    """Raise NotADirectoryError when out, or its nearest existing ancestor,
+    is not a directory, so the run fails before simulating.  Creates nothing."""
+    for path in (out, *out.parents):
+        if os.path.lexists(path):  # a dangling symlink also blocks mkdir
+            if not path.is_dir():
+                raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(path))
+            return
+
+
 def _ref_from_json(obj: Any, where: str) -> CatalogRef:
     if not isinstance(obj, dict):
         raise ConfigError(f"field {where}: expected an object with id/params")
@@ -246,40 +257,12 @@ class ExperimentConfig:
             output=output,
         )
 
-    def to_json(self) -> str:
-        payload = {
-            "spec": {
-                "m": self.spec.m,
-                "k": self.spec.k,
-                "c": self.spec.c,
-                "u": self.spec.u.as_dict(),
-                "a": self.spec.a.as_dict(),
-                "b": self.spec.b.as_dict(),
-                "f": self.spec.f.as_dict(),
-                "g": self.spec.g.as_dict(),
-                "sigma": self.spec.sigma.as_dict(),
-                "s": self.spec.s,
-                "q": self.spec.q,
-            },
-            "seeds": {
-                "x": None if self.x_seed is None else list(self.x_seed),
-                "z": list(self.z_seed),
-            },
-            "horizon": self.horizon,
-            "case": self.case_id,
-            "mode": self.mode,
-            "thresholds": asdict(self.thresholds),
-            "output": self.output,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
     def seed_windows(self) -> tuple[Seq | None, Seq]:
         n0 = start_index(self.spec)
         z_seed = Seq(n0, self.z_seed)
         if self.x_seed is None:
             return None, z_seed
-        xs = x_start_index(self.spec) if self.spec.k < 0 else n0
-        return Seq(xs, self.x_seed), z_seed
+        return Seq(x_start_index(self.spec), self.x_seed), z_seed
 
 
 def _report_to_dict(r: DecompositionReport) -> dict:
@@ -371,11 +354,15 @@ def run(config_path: str, horizon: int | None = None, out_dir: str | None = None
     try:
         _check_horizon(config.spec, N)
         _check_s_floor(config.spec, N)
+        _check_output_dir(out)
         x_seed, z_seed = config.seed_windows()
         trace = simulate(config.spec, x_seed, z_seed, N)
     except (CausalityError, DivergenceError, SingularRecoveryError) as exc:
         print(f"simulation error: {exc}", file=sys.stderr)
         return EXIT_SIMULATION
+    except OSError as exc:
+        print(f"error: cannot write output to {out}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except (AsymPolyError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

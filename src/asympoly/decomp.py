@@ -29,7 +29,6 @@ from .seqcore import (
     PolyCoeffs,
     Seq,
     Thresholds,
-    binomial,
     csum,
     delta,
     index_powers,
@@ -245,7 +244,7 @@ def transfer_polynomial(phi: PolyCoeffs, c: float, k: int) -> PolyCoeffs:
     psi = [0.0] * (deg + 1)
     for i in range(deg, -1, -1):
         shift = csum(
-            binomial(j, i) * float(k) ** (j - i) * psi[j] for j in range(i + 1, deg + 1)
+            math.comb(j, i) * float(k) ** (j - i) * psi[j] for j in range(i + 1, deg + 1)
         )
         psi[i] = (phi_c[i] - c * shift) / (1.0 + c)
     result = PolyCoeffs(tuple(psi))

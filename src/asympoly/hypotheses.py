@@ -37,6 +37,9 @@ from .seqcore import (
 GROWTH_SLACK = 0.1
 #: Relative slack of the pointwise (g, p)-boundedness grid check.
 GP_GRID_SLACK = 1e-12
+#: Points per decade of the (g, p)-boundedness grid, in n and in |t|.
+GRID_N_PER_DECADE = 6
+GRID_T_PER_DECADE = 2
 
 
 @dataclass(frozen=True)
@@ -94,15 +97,16 @@ class HypothesisVerdict:
     decomposition: SolutionDecomposition
 
 
-def _log_grid_n(n_max: int, per_decade: int = 6) -> list[int]:
-    count = max(2, int(math.log10(max(n_max, 2)) * per_decade) + 1)
+def _log_grid_n(n_max: int) -> list[int]:
+    count = max(2, int(math.log10(max(n_max, 2)) * GRID_N_PER_DECADE) + 1)
     raw = [round(10.0 ** (i * math.log10(n_max) / (count - 1))) for i in range(count)]
     return sorted({max(1, n) for n in raw})
 
 
-def _log_grid_t(t_max: float = 1e6, per_decade: int = 2) -> list[float]:
+def _log_grid_t() -> list[float]:
     decades = 12  # 1e-6 .. 1e+6
-    mags = [10.0 ** (-6 + i / per_decade) for i in range(decades * per_decade + 1)]
+    steps = decades * GRID_T_PER_DECADE
+    mags = [10.0 ** (-6 + i / GRID_T_PER_DECADE) for i in range(steps + 1)]
     return [-t for t in reversed(mags)] + [0.0] + mags
 
 
@@ -229,16 +233,15 @@ def theorem_dispatch(
     trace: SolutionTrace,
     case_id: str,
     mode: str = "plain",
-    p: float | None = None,
     thresholds: Thresholds = DEFAULT_THRESHOLDS,
 ) -> HypothesisVerdict:
     """Run every hypothesis check of the selected case and the conclusion.
 
-    ``p`` is the boundedness/growth exponent of case (b); it defaults to
-    m - 1, the exponent the case (a) reduction produces.  In regular mode
-    the spec must carry q with s == q, the u-rate is checked at exponent
-    1 - m, and the conclusion additionally requires the remainder to pass
-    the iterated-difference checks.
+    Cases (a) and (b) check f (g, p)-bounded at p = m - 1, the exponent the
+    case (a) reduction produces, and case (b) checks the composed growth at
+    the same p.  In regular mode the spec must carry q with s == q, the
+    u-rate is checked at exponent 1 - m, and the conclusion additionally
+    requires the remainder to pass the iterated-difference checks.
     """
     if case_id not in ("a", "b", "c"):
         raise ValueError(f"case_id must be one of a, b, c; got {case_id!r}")
@@ -249,7 +252,7 @@ def theorem_dispatch(
     m, s = spec.m, spec.s
     n0 = trace.start
     N = trace.z.end
-    p_eff = float(m - 1) if p is None else float(p)
+    p_eff = float(m - 1)
 
     samples = trace.samples
     # Every n**e weight of this run is computed once, on [1, end of x].
@@ -279,10 +282,10 @@ def theorem_dispatch(
         if case_id == "a":
             checks.append(CheckResult(
                 "g-nondecreasing", rt.g.nondecreasing, 0.0, "catalog guarantee"))
-            grid = check_g_p_bounded(rt.f, rt.g, float(m - 1), n_max=trace.horizon)
+            grid = check_g_p_bounded(rt.f, rt.g, p_eff, n_max=trace.horizon)
             checks.append(CheckResult(
                 "f-g-bounded", grid.passed, grid.worst_ratio,
-                f"(g, {m - 1})-bounded, worst ratio {grid.worst_ratio:.6g}"))
+                f"(g, {p_eff:g})-bounded, worst ratio {grid.worst_ratio:.6g}"))
             sigma_excess = max(map(sub, samples.sigma, range(n0, N + 1)))
             checks.append(CheckResult(
                 "sigma-within-past", sigma_excess <= 0, float(sigma_excess),

@@ -43,7 +43,7 @@ from .errors import (
     SingularRecoveryError,
     WindowLengthError,
 )
-from .seqcore import MAX_DIFFERENCE_ORDER, Seq, pascal_row
+from .seqcore import MAX_DIFFERENCE_ORDER, Seq
 
 #: |x| or |z| beyond this aborts a run with DivergenceError.
 DIVERGENCE_LIMIT = 1e300
@@ -290,45 +290,22 @@ def consistent_seeds(spec: EquationSpec, profile: Seq) -> tuple[Seq | None, Seq]
     return x_seed, z_seed
 
 
-@dataclass(frozen=True)
-class CausalityReport:
-    """Result of the dry-run index bookkeeping."""
+def _check_causality(spec: EquationSpec, N: int, sigma: Iterable[int]) -> None:
+    """Raise CausalityError at the first step whose sigma(n) leaves the x window.
 
-    ok: bool
-    step: int | None = None
-    sigma_value: int | None = None
-    x_horizon: int | None = None
-    x_start: int | None = None
-
-    def describe(self) -> str:
-        if self.ok:
-            return "ok"
-        return (
-            f"causality violation at step n={self.step}: sigma(n)={self.sigma_value} "
-            f"outside realized x range [{self.x_start}, {self.x_horizon}]"
-        )
-
-
-def validate_causality(spec: EquationSpec, N: int) -> CausalityReport:
-    """Dry-run the index bookkeeping up to horizon N, no arithmetic.
-
-    Reports the first step at which sigma(n) would leave the realized x
-    window (reading the future past the x horizon, or before the window
-    start, which also enforces sigma(n) >= 1 on the simulated range).
+    sigma holds sigma(n0), sigma(n0 + 1), ...  At step n the realized x
+    window is [x start, n + m - 1 + max(k, 0)]; reading past its end reads
+    the future, and reading before its start also enforces sigma(n) >= 1
+    on the simulated range.
     """
-    return _causality_report(spec, N, map(spec.rt.sigma.fn, count(start_index(spec))))
-
-
-def _causality_report(spec: EquationSpec, N: int, sigma: Iterable[int]) -> CausalityReport:
-    """validate_causality on sigma(n0), sigma(n0 + 1), ... as given."""
     n0 = start_index(spec)
     xs = x_start_index(spec)
     lag = spec.m - 1 + max(spec.k, 0)  # x horizon at step n is n + lag
-    steps = range(n0, max(n0, N - spec.m + 1))
-    for n, sv in zip(steps, sigma):
+    for n, sv in zip(range(n0, max(n0, N - spec.m + 1)), sigma):
         if sv < xs or sv > n + lag:
-            return CausalityReport(False, n, sv, n + lag, xs)
-    return CausalityReport(True)
+            raise CausalityError(
+                f"step n={n}: sigma(n)={sv} outside realized x range [{xs}, {n + lag}]"
+            )
 
 
 def _check_finite(value: float, what: str, index: int) -> None:
@@ -368,17 +345,10 @@ def simulate(spec: EquationSpec, x_seed: Seq | None, z_seed: Seq, N: int) -> Sol
             got = "nothing" if x_seed is None else f"[{x_seed.start}, {x_seed.end}]"
             raise SeedError(f"x seed must cover exactly [{lo}, {hi}], got {got}")
     samples = sample_coefficients(spec, N)
-    report = _causality_report(spec, N, samples.sigma)
-    if not report.ok:
-        raise CausalityError(
-            f"step n={report.step}: sigma(n)={report.sigma_value} "
-            f"outside realized x range [{xs}, {report.x_horizon}]"
-        )
+    _check_causality(spec, N, samples.sigma)
 
     # Signed binomial coefficient of z_{n+i}, i < m, in the m-th difference at n.
-    coeffs = tuple(
-        c if (m - i) % 2 == 0 else -c for i, c in enumerate(pascal_row(m)[:m])
-    )
+    coeffs = tuple((-1) ** (m - i) * math.comb(m, i) for i in range(m))
     # z values indexed from n0, x values indexed from xs.
     z_vals = list(z_seed.values)
     x_vals: list[float] = list(x_seed.values) if x_seed is not None else []

@@ -1,10 +1,10 @@
 """Finite-difference calculus on realized sequence windows.
 
 This is the vocabulary the rest of the package speaks: finite windows of
-real sequences with an explicit start index, polynomial sequences, exact
-binomial coefficients, exactly rounded window sums, and the finite-horizon
-order-of-growth diagnostics.  Every operation is a pure function of
-immutable inputs, so values can be shared freely between threads.
+real sequences with an explicit start index, polynomial sequences,
+exactly rounded window sums, and the finite-horizon order-of-growth
+diagnostics.  Every operation is a pure function of immutable inputs, so
+values can be shared freely between threads.
 
 Conventions fixed once here and reused everywhere:
 
@@ -27,7 +27,6 @@ from array import array
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import repeat
 from operator import add, lt, mul, sub, truediv
 from typing import Callable, Iterable, Iterator
@@ -165,11 +164,14 @@ def index_power_tables(last: int) -> Iterator[None]:
 def index_powers(start: int, length: int, e: float) -> Iterator[float]:
     """float(n) ** e for n = start, ..., start + length - 1.
 
-    Inside an :func:`index_power_tables` scope a window within [1, last]
-    is read from the scope's table for e.  Any other window is computed
-    lazily, so n = 0 with e < 0 raises ZeroDivisionError when it is
-    reached.  Both routes give the same floats.
+    e == 0 gives 1.0 for every n (as pow does, 0.0 ** 0 included) and
+    builds no table.  Inside an :func:`index_power_tables` scope a window
+    within [1, last] is read from the scope's table for e.  Any other
+    window is computed lazily, so n = 0 with e < 0 raises
+    ZeroDivisionError when it is reached.  All routes give the same floats.
     """
+    if e == 0:
+        return repeat(1.0, length)
     scope = _POWER_TABLES.get()
     if scope is not None and start >= 1 and start + length - 1 <= scope[0]:
         last, tables = scope
@@ -288,27 +290,6 @@ def line_fit(xs: list[float], ys: list[float]) -> tuple[float, list[float]]:
     sxx = csum(map(pow, dx, repeat(2)))
     slope = csum(map(mul, dx, map(sub, ys, repeat(ym)))) / sxx if sxx else math.nan
     return slope, [y - (ym + slope * d) for y, d in zip(ys, dx)]
-
-
-@lru_cache(maxsize=None)
-def pascal_row(m: int) -> tuple[int, ...]:
-    """Row m of Pascal's triangle, exact integers, orders capped at 20."""
-    if m < 0:
-        raise ValueError("binomial row index must be >= 0")
-    if m > MAX_DIFFERENCE_ORDER:
-        raise ValueError(
-            f"difference order {m} exceeds the supported maximum {MAX_DIFFERENCE_ORDER}"
-        )
-    row = (1,)
-    for _ in range(m):
-        row = tuple(a + b for a, b in zip((0,) + row, row + (0,)))
-    return row
-
-
-def binomial(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    return pascal_row(n)[k]
 
 
 def delta(x: Seq, m: int) -> Seq:

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -23,13 +24,6 @@ def fixture_text(name):
 
 
 class TestExperimentConfig:
-    def test_round_trip_is_byte_stable(self):
-        for name in ("t1_case_a_m2.json", "t2_regular_m3.json"):
-            text = fixture_text(name)
-            cfg = ExperimentConfig.from_json(text)
-            assert cfg.to_json() == text
-            assert ExperimentConfig.from_json(cfg.to_json()).to_json() == text
-
     def test_unknown_top_level_key_rejected(self):
         raw = json.loads(fixture_text("t1_case_a_m1.json"))
         raw["extra"] = 1
@@ -182,13 +176,19 @@ def test_inconsistent_regular_mode_is_rejected_before_simulating(
 
 
 @pytest.mark.parametrize("out", ["file", "file/sub"])
-def test_unwritable_output_exits_one(out, tmp_path, capsys):
+def test_unwritable_output_exits_one(out, tmp_path, capsys, monkeypatch):
+    # The output path is checked before anything is simulated.
+    def never(*args):
+        raise AssertionError("simulate was reached")
+
+    monkeypatch.setattr(cli, "simulate", never)
     (tmp_path / "file").write_text("", encoding="utf-8")
     config = str(FIXTURES / "t1_case_a_m1.json")
     assert run(config, horizon=200, out_dir=str(tmp_path / out)) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert "cannot write output" in err and "Traceback" not in err
+    assert f"error: cannot write output to {tmp_path / out}:" in err and "Traceback" not in err
     assert (tmp_path / "file").read_text(encoding="utf-8") == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
 
 
 def test_bytes_per_step_bounds_the_run_memory(tmp_path):
@@ -342,6 +342,18 @@ def test_every_module_is_reached_from_the_package():
     for path in sorted(package.glob("*.py")):
         name = "asympoly" if path.stem == "__init__" else f"asympoly.{path.stem}"
         assert name in loaded, name
+
+
+def test_readme_library_example_certifies_its_equation():
+    root = Path(__file__).resolve().parent.parent
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    example = readme.split("## Library example", 1)[1]
+    code = example.split("```python\n", 1)[1].split("```", 1)[0]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    ).stdout
+    assert out.splitlines()[0] == "True small_o"
 
 
 def test_manifest_covers_all_exit_codes():

@@ -168,6 +168,41 @@ class TestTheoremDispatch:
         assert "f-bounded" in names and "alternative" in names
 
 
+class TestAlternativeCheck:
+    # m = 1, k = 1 and c = 0.5 give k(|c| - 1) < 0, so the three-way
+    # alternative falls through to its polynomial-growth branch and past it.
+    SPEC = EquationSpec(
+        m=1, k=1, c=0.5,
+        u=CatalogRef("constant", {"value": 0.5}),
+        a=CatalogRef("constant", {"value": 0.0}),
+        b=CatalogRef("constant", {"value": 0.0}),
+        f=CatalogRef("sigmoid"),
+        g=CatalogRef("constant", {"value": 1.0}),
+        sigma=CatalogRef("identity"),
+        s=0.0,
+    )
+
+    def dispatch(self, profile):
+        trace = simulate(self.SPEC, *consistent_seeds(self.SPEC, Seq(1, profile)), 200)
+        verdict = theorem_dispatch(self.SPEC, trace, "b")
+        return verdict, next(c for c in verdict.checks if c.name == "alternative")
+
+    def test_zero_solution_has_polynomial_growth(self):
+        _, check = self.dispatch((0.0, 0.0))
+        assert check.passed
+        assert check.metric == 0.0
+        assert check.detail == "polynomial growth, exponent 0"
+
+    def test_oscillating_exponential_solution_fails(self):
+        # z = 1, so x_{n+1} = 2 - 2 x_n: the distance to 2/3 doubles each step
+        # with alternating sign.
+        verdict, check = self.dispatch((1.0, 0.0))
+        assert verdict.failed_check == "x-sigma-growth"
+        assert not check.passed
+        assert check.metric == -0.5
+        assert check.detail == "k(|c|-1) < 0, no polynomial-growth certificate, trace oscillates"
+
+
 def test_geometric_forcing_small_at_every_exponent():
     # a and b decaying geometrically: the remainder is certified small at
     # every exponent from m-1 down to -1 (root test: (2^-n)^(1/n) = 1/2 < 1)

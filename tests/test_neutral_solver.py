@@ -21,7 +21,6 @@ from asympoly.neutral_solver import (
     consistent_seeds,
     simulate,
     start_index,
-    validate_causality,
     x_from_z,
     x_start_index,
     z_from_x,
@@ -296,16 +295,11 @@ class TestSimulate:
         with pytest.raises(SeedError):
             simulate(spec, Seq(2, (1.0,)), Seq(2, (1.0, 1.0)), 100)  # no x seed for k=0
 
-    def test_causality_error_matches_the_dry_run(self):
+    def test_causality_fixture_names_the_first_bad_step(self):
         config = load_fixture("causality_violation")
-        report = validate_causality(config.spec, config.horizon)
-        assert not report.ok
         with pytest.raises(CausalityError) as err:
             simulate(config.spec, *config.seed_windows(), config.horizon)
-        assert str(err.value) == (
-            f"step n={report.step}: sigma(n)={report.sigma_value} "
-            f"outside realized x range [{report.x_start}, {report.x_horizon}]"
-        )
+        assert str(err.value) == "step n=1: sigma(n)=6 outside realized x range [1, 1]"
 
     def test_boundedness_transfer(self, traces):
         # |c| < 1 and k <= 0: |x| stays within b/(1-beta) + K
@@ -333,17 +327,18 @@ class TestSimulate:
 
 
 class TestValidateCausality:
+    # simulate checks every sigma(n) against the realized x window before stepping.
     def test_identity_with_positive_shift_ok(self):
         spec = spec_with(m=2, k=1, c=2.0, u=CatalogRef("constant", {"value": 2.0}))
-        assert validate_causality(spec, 500).ok
+        x_seed, z_seed = consistent_seeds(spec, Seq(2, (1.0, 1.0, 1.0)))
+        assert simulate(spec, x_seed, z_seed, 500).z.end == 500
 
     def test_future_read_reported_at_first_step(self):
         spec = spec_with(sigma=CatalogRef("delay_d", {"d": -5}))
-        report = validate_causality(spec, 500)
-        assert not report.ok
-        assert report.step == 1
-        assert report.sigma_value == 6
-        assert "sigma" in report.describe()
+        x_seed, z_seed = consistent_seeds(spec, Seq(1, (1.0,)))
+        with pytest.raises(CausalityError) as err:
+            simulate(spec, x_seed, z_seed, 500)
+        assert str(err.value) == "step n=1: sigma(n)=6 outside realized x range [1, 1]"
 
     def test_half_delay_with_negative_shift_ok(self):
         spec = spec_with(
@@ -351,8 +346,9 @@ class TestValidateCausality:
             u=CatalogRef("constant", {"value": 0.5}),
             sigma=CatalogRef("half"),
         )
+        x_seed, z_seed = consistent_seeds(spec, Seq(1, (1.0, 1.0, 1.0)))
         for N in (50, 500, 5000):
-            assert validate_causality(spec, N).ok
+            assert simulate(spec, x_seed, z_seed, N).z.end == N
 
     def test_oscillation_labels_on_trace(self, traces):
         # the case (a) instances are (u,k)-nonoscillatory by construction

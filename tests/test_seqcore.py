@@ -19,7 +19,6 @@ from asympoly.seqcore import (
     index_power_tables,
     index_powers,
     order_estimate,
-    pascal_row,
     seq_from_function,
     weighted_sum_diagnostic,
 )
@@ -113,8 +112,6 @@ class TestDelta:
     def test_order_cap(self):
         with pytest.raises(ValueError):
             delta(seq_from_function(float, 1, 40), 21)
-        with pytest.raises(ValueError):
-            pascal_row(21)
 
     def test_composition_exact(self):
         x = seq_from_function(lambda n: math.sin(0.7 * n) * n, 1, 100)
@@ -304,8 +301,9 @@ class TestIndexPowers:
                 got = list(index_powers(start, length, e))
                 assert list(map(float.hex, got)) == list(map(float.hex, self.direct(start, length, e)))
                 if scoped:
-                    # Windows within [1, last] are served from the scope's table.
-                    assert (e in seqcore._POWER_TABLES.get()[1]) == (start >= 1)
+                    # Windows within [1, last] are served from the scope's table;
+                    # e == 0 is 1.0 everywhere and needs none.
+                    assert (e in seqcore._POWER_TABLES.get()[1]) == (start >= 1 and e != 0)
         assert seqcore._POWER_TABLES.get() is None
 
     def test_window_past_the_scope_is_computed_directly(self):
