@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import sub, truediv
-from typing import Callable
+from typing import Callable, Sequence
 
 from .catalog import Majorant
 from .errors import BracketRangeError, QuadratureDomainError, WindowLengthError
@@ -106,7 +106,7 @@ def integrate_recip_g(
     return value
 
 
-def _check_weights(values: tuple[float, ...], start: int) -> None:
+def _check_weights(values: Sequence[float], start: int) -> None:
     """Reject the first negative weight; ``values[i]`` is a_{start + i}."""
     if values and min(values) < 0.0:
         i = next(i for i, v in enumerate(values) if v < 0.0)
@@ -269,7 +269,8 @@ def worst_case_w(
         raise WindowLengthError(
             f"weight window [{a.start}, {a.end}] does not cover [{p}, {N - 1}]"
         )
-    weights = a.values[p - a.start : max(N, p) - a.start]
+    # One list read: each read from the array would box a new float.
+    weights = a.values[p - a.start : max(N, p) - a.start].tolist()
     _check_weights(weights, p)
     fn = g.fn if isinstance(g, Majorant) else g
     add = CompensatedSum(lam).add
@@ -278,7 +279,7 @@ def worst_case_w(
     for av in weights:
         wn = add(av * fn(wn))
         w.append(wn)
-    return Seq(p, tuple(w))
+    return Seq(p, w)
 
 
 def bhl2_constant(x: Seq, m: int, n0: int) -> float:

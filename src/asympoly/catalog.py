@@ -12,10 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from functools import partial
+from itertools import cycle, islice, repeat
+from operator import add, floordiv, mul
+from typing import Callable, Iterable, Mapping
 
 from .errors import CatalogError
-from .seqcore import Seq, seq_from_function
+from .seqcore import Seq
 
 
 @dataclass(frozen=True)
@@ -181,22 +184,43 @@ def make_g(ref: CatalogRef) -> Majorant:
     return Majorant(ref, *_build(G_TABLE, "g", ref))
 
 
+def _indices(start: int, length: int) -> range:
+    return range(start, start + length)
+
+
+def _delay(d: int, start: int, length: int) -> range:
+    return _indices(start - d, length)
+
+
+def _half(start: int, length: int) -> Iterable[int]:
+    return map(floordiv, _indices(start, length), repeat(2))
+
+
+def _floor_log(start: int, length: int) -> Iterable[int]:
+    return map(math.floor, map(math.log, _indices(start, length)))
+
+
 @dataclass(frozen=True)
 class DelayMap:
-    """Catalog entry for the delay sigma: index -> index."""
+    """Catalog entry for the delay sigma: index -> index.
+
+    ``window(start, length)`` gives sigma(n) for n = start, ...,
+    start + length - 1.  It is the entry's one formula: a single index is
+    read through it too.
+    """
 
     ref: CatalogRef
-    fn: Callable[[int], int]
+    window: Callable[[int, int], Iterable[int]]
 
     def __call__(self, n: int) -> int:
-        return self.fn(n)
+        return next(iter(self.window(n, 1)))
 
 
 SIGMA_TABLE = {
-    "identity": Entry((), lambda: (lambda n: n,)),
-    "delay_d": Entry(("d",), lambda d: (lambda n: n - d,), integers=("d",)),
-    "half": Entry((), lambda: (lambda n: n // 2,)),
-    "floor_log": Entry((), lambda: (lambda n: int(math.floor(math.log(n))),)),
+    "identity": Entry((), lambda: (_indices,)),
+    "delay_d": Entry(("d",), lambda d: (partial(_delay, d),), integers=("d",)),
+    "half": Entry((), lambda: (_half,)),
+    "floor_log": Entry((), lambda: (_floor_log,)),
 }
 
 
@@ -206,41 +230,70 @@ def make_sigma(ref: CatalogRef) -> DelayMap:
 
 @dataclass(frozen=True)
 class SeqGenerator:
-    """Catalog entry for a coefficient sequence (u, a or b), with its limit."""
+    """Catalog entry for a coefficient sequence (u, a or b), with its limit.
+
+    ``window(start, length)`` gives the values at n = start, ...,
+    start + length - 1 through C-level maps.  It is the entry's one
+    formula: a single index is read through it too.
+    """
 
     ref: CatalogRef
-    fn: Callable[[int], float]
+    window: Callable[[int, int], Iterable[float]]
     limit: float
 
     def __call__(self, n: int) -> float:
-        return self.fn(n)
+        return next(iter(self.window(n, 1)))
 
     def sample(self, start: int, length: int) -> Seq:
-        return seq_from_function(self.fn, start, length)
+        return Seq(start, self.window(start, length))
+
+
+def _constant(value: float, start: int, length: int) -> Iterable[float]:
+    return repeat(value, length)
+
+
+def _inverse_powers(rho: float, start: int, length: int) -> Iterable[float]:
+    """float(n) ** -rho."""
+    return map(pow, map(float, _indices(start, length)), repeat(-rho))
+
+
+def _power(amp: float, rho: float, start: int, length: int) -> Iterable[float]:
+    """amp * float(n) ** -rho."""
+    return map(mul, repeat(amp), _inverse_powers(rho, start, length))
+
+
+def _power_offset(c: float, amp: float, rho: float, start: int, length: int) -> Iterable[float]:
+    """c + amp * float(n) ** -rho."""
+    return map(add, repeat(c), _power(amp, rho, start, length))
+
+
+def _alt_power(amp: float, rho: float, start: int, length: int) -> Iterable[float]:
+    """amp * (1.0 if n is even else -1.0) * float(n) ** -rho (amp * -1.0 is -amp exactly)."""
+    signed = islice(cycle((amp, -amp) if start % 2 == 0 else (-amp, amp)), length)
+    return map(mul, signed, _inverse_powers(rho, start, length))
+
+
+def _geometric(amp: float, ratio: float, start: int, length: int) -> Iterable[float]:
+    """amp * ratio ** n."""
+    return map(mul, repeat(amp), map(pow, repeat(ratio), _indices(start, length)))
 
 
 _RHO_RULE = ("rho", lambda v: v > 0.0, "rho > 0")
 
 GENERATOR_TABLE = {
-    "constant": Entry(("value",), lambda value: (lambda n: value, value)),
+    "constant": Entry(("value",), lambda value: (partial(_constant, value), value)),
     "power_offset": Entry(
         ("c", "A", "rho"),
-        lambda c, amp, rho: (lambda n: c + amp * float(n) ** -rho, c),
+        lambda c, amp, rho: (partial(_power_offset, c, amp, rho), c),
         _RHO_RULE,
     ),
-    "power": Entry(
-        ("A", "rho"), lambda amp, rho: (lambda n: amp * float(n) ** -rho, 0.0), _RHO_RULE
-    ),
+    "power": Entry(("A", "rho"), lambda amp, rho: (partial(_power, amp, rho), 0.0), _RHO_RULE),
     "alt_power": Entry(
-        ("A", "rho"),
-        lambda amp, rho: (
-            lambda n: amp * (1.0 if n % 2 == 0 else -1.0) * float(n) ** -rho, 0.0
-        ),
-        _RHO_RULE,
+        ("A", "rho"), lambda amp, rho: (partial(_alt_power, amp, rho), 0.0), _RHO_RULE
     ),
     "geometric": Entry(
         ("A", "ratio"),
-        lambda amp, ratio: (lambda n: amp * ratio**n, 0.0),
+        lambda amp, ratio: (partial(_geometric, amp, ratio), 0.0),
         ("ratio", lambda v: 0.0 < v < 1.0, "0 < ratio < 1"),
     ),
 }

@@ -54,12 +54,13 @@ EXIT_SIMULATION = 3
 CSV_CHUNK_ROWS = 1024
 #: Memory estimate of one run per step of horizon.  The peak traced memory
 #: (tracemalloc) of simulate, dispatch and the three writes is at most
-#: 416 B per step at horizon 1e5 on the shipped certified fixtures
-#: (t2_regular_m3; 416 at 1e4, 425 at 2000); rounded up, with headroom for
-#: other Python versions.  tests/test_cli.py re-measures it at 2000.
-BYTES_PER_STEP = 500
+#: 171 B per step at horizon 1e5 on the shipped certified fixtures
+#: (t2_regular_m3; 172 at 1e4).  Fixed costs weigh more at short horizons:
+#: at 2000, where tests/test_cli.py re-measures it, the peak reaches 222.
+#: Rounded up from that, with headroom for other Python versions.
+BYTES_PER_STEP = 250
 #: Largest accepted horizon, about 2 GB of run memory at BYTES_PER_STEP.
-MAX_HORIZON = 4_000_000
+MAX_HORIZON = 8_000_000
 
 _SPEC_KEYS = {"m", "k", "c", "u", "a", "b", "f", "g", "sigma", "s", "q"}
 _TOP_KEYS = {"spec", "seeds", "horizon", "case", "mode", "thresholds", "output"}
@@ -122,10 +123,11 @@ def _check_horizon(spec: EquationSpec, horizon: int) -> None:
             f"[n0, horizon] with n0 = {n0}, so horizon >= {n0 + need - 1}; got {horizon}"
         )
     if horizon > MAX_HORIZON:
+        # The figure is the cap's: a horizon beyond the float range has none.
         raise ConfigError(
-            f"field horizon: {horizon} would need about "
-            f"{horizon * BYTES_PER_STEP / 1e9:.3g} GB at {BYTES_PER_STEP} B per step; "
-            f"the cap is {MAX_HORIZON}"
+            f"field horizon: {horizon} exceeds the cap {MAX_HORIZON}, about "
+            f"{MAX_HORIZON * BYTES_PER_STEP / 1e9:.3g} GB of run memory at "
+            f"{BYTES_PER_STEP} B per step"
         )
 
 

@@ -20,6 +20,7 @@ import sys
 from dataclasses import dataclass, replace
 from itertools import compress, repeat
 from operator import ge, mul, sub, truediv
+from typing import Sequence
 
 from .errors import DivergenceError, WindowLengthError
 from .neutral_solver import EquationSpec, SolutionTrace, UNIT_MARGIN
@@ -89,15 +90,14 @@ def _solve_normal_equations(ata: list[list[float]], atb: list[float]) -> list[fl
     return out
 
 
-def _lstsq_degrees(ns: range, resid: tuple[float, ...], degrees: list[int]) -> dict[int, float]:
+def _lstsq_degrees(ns: range, resid: Sequence[float], degrees: list[int]) -> dict[int, float]:
     """Least-squares fit of the residual against the monomials n**d.
 
     The basis is scaled by the last index to keep the normal equations
     well conditioned; corrections are returned in the unscaled basis.
     """
     scale = float(ns[-1])
-    scaled = [n / scale for n in ns]
-    cols = [list(map(pow, scaled, repeat(d))) for d in degrees]
+    cols = [list(map(pow, map(truediv, ns, repeat(scale)), repeat(d))) for d in degrees]
     # The normal matrix is symmetric: each entry is summed once.
     k = len(cols)
     ata = [[0.0] * k for _ in range(k)]
@@ -112,10 +112,10 @@ def _lstsq_degrees(ns: range, resid: tuple[float, ...], degrees: list[int]) -> d
 def _decay_fit(remainder: Seq, trail_fraction: float) -> tuple[float, float]:
     tail = remainder.trailing(trail_fraction)
     lo = max(tail.start, 1)
-    mags = list(map(abs, tail.values[lo - tail.start :]))
-    kept = list(map(ge, mags, repeat(DECAY_FIT_FLOOR)))
+    vals = tail.values[lo - tail.start :]
+    kept = list(map(ge, map(abs, vals), repeat(DECAY_FIT_FLOOR)))
     xs = list(map(math.log, compress(range(lo, tail.end + 1), kept)))
-    ys = list(map(math.log, compress(mags, kept)))
+    ys = list(map(math.log, compress(map(abs, vals), kept)))
     if len(xs) < 2:
         return math.nan, math.nan
     slope, resid = line_fit(xs, ys)
@@ -126,30 +126,12 @@ def _decay_fit(remainder: Seq, trail_fraction: float) -> tuple[float, float]:
     return slope, r2
 
 
-def extract_polynomial(
-    z: Seq,
-    m: int,
-    s: float,
-    q: int | None = None,
-    thresholds: Thresholds = DEFAULT_THRESHOLDS,
-) -> DecompositionReport:
-    """Split z into a degree < m polynomial and an o(n**s)-candidate rest.
+def _fit_polynomial(z: Seq, m: int, d_min: int, thresholds: Thresholds) -> PolyCoeffs:
+    """Coefficients of degrees d_min .. m - 1 (the lower ones stay 0).
 
-    Coefficients are estimated top-down: c_d is the trailing-window mean
-    of the d-th difference divided by d!, the monomial is subtracted, and
-    the recursion continues down to degree max(0, ceil(s)); a joint
-    least-squares pass over the trailing half then corrects the kept
-    coefficients.  A remainder at rounding level relative to the input is
-    certified small_o directly; otherwise the order verdict is computed,
-    with big_O downgraded to neither (only smallness is a meaningful
-    certificate for the remainder).  When q is given, the iterated
-    difference checks of the remainder are run as well.
+    Top-down trailing means of iterated differences, then one joint
+    least-squares correction; see :func:`extract_polynomial`.
     """
-    if len(z) < MIN_WINDOW:
-        raise WindowLengthError(f"need at least {MIN_WINDOW} entries, got {len(z)}")
-    if s > m - 1 + 1e-12:
-        raise ValueError(f"need s <= m - 1 = {m - 1}, got {s}")
-    d_min = max(0, math.ceil(s - 1e-12))
     tail_count = max(1, math.ceil(len(z) * thresholds.coeff_window_fraction))
     coeffs = [0.0] * m
     work = z
@@ -178,17 +160,50 @@ def extract_polynomial(
     corrections = _lstsq_degrees(ns, work.values[-half:], list(range(m)))
     for d in range(d_min, m):
         coeffs[d] += corrections[d]
+    return PolyCoeffs(tuple(coeffs))
 
-    psi = PolyCoeffs(tuple(coeffs))
-    rem_vals = tuple(map(sub, z.values, psi.at_indices(z.start, len(z))))
+
+def _remainder(z: Seq, psi: PolyCoeffs) -> Seq:
+    """z - psi on z's window; a non-finite entry is a DivergenceError."""
+    vals = tuple(map(sub, z.values, psi.at_indices(z.start, len(z))))
     try:
-        remainder = Seq(z.start, rem_vals)
+        return Seq(z.start, vals)
     except ValueError:
-        i = next(i for i, v in enumerate(rem_vals) if not math.isfinite(v))
+        i = next(i for i, v in enumerate(vals) if not math.isfinite(v))
         raise DivergenceError(f"remainder not finite at index {z.start + i}") from None
 
+
+def extract_polynomial(
+    z: Seq,
+    m: int,
+    s: float,
+    q: int | None = None,
+    thresholds: Thresholds = DEFAULT_THRESHOLDS,
+) -> DecompositionReport:
+    """Split z into a degree < m polynomial and an o(n**s)-candidate rest.
+
+    Coefficients are estimated top-down: c_d is the trailing-window mean
+    of the d-th difference divided by d!, the monomial is subtracted, and
+    the recursion continues down to degree max(0, ceil(s)); a joint
+    least-squares pass over the trailing half then corrects the kept
+    coefficients.  A remainder at rounding level relative to the input is
+    certified small_o directly; otherwise the order verdict is computed,
+    with big_O downgraded to neither (only smallness is a meaningful
+    certificate for the remainder).  When q is given, the iterated
+    difference checks of the remainder are run as well.
+    """
+    if len(z) < MIN_WINDOW:
+        raise WindowLengthError(f"need at least {MIN_WINDOW} entries, got {len(z)}")
+    if s > m - 1 + 1e-12:
+        raise ValueError(f"need s <= m - 1 = {m - 1}, got {s}")
+    d_min = max(0, math.ceil(s - 1e-12))
+    # The fit's working windows die with these helpers, before the decay fit
+    # below, where a run's memory peaks.
+    psi = _fit_polynomial(z, m, d_min, thresholds)
+    remainder = _remainder(z, psi)
+
     scale = max(map(abs, z.values))
-    sup_rem = max(map(abs, rem_vals))
+    sup_rem = max(map(abs, remainder.values))
     if sup_rem <= thresholds.noise_floor * (1.0 + scale):
         # Pure rounding residue: certified small directly.
         tail_seq = remainder.trailing(1.0 / 3.0)

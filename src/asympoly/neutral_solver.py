@@ -21,7 +21,7 @@ import math
 from array import array
 from dataclasses import dataclass, field
 from itertools import count
-from typing import Iterable, Sequence
+from typing import Iterable, MutableSequence, Sequence
 
 from .catalog import (
     CatalogRef,
@@ -155,9 +155,11 @@ class CoefficientSamples:
 
     ``u[n - 1]`` is u_n for n in [1, end of x]; ``a[n - 1]`` and
     ``b[n - 1]`` are a_n and b_n for n in [1, N]; ``sigma[n - n0]`` is
-    sigma(n) for n in [n0, N].  The arrays hold the same doubles and ints
-    the catalog callables return, 8 bytes each (sigma stays a list when a
-    value does not fit 64 bits); treat them as read-only.
+    sigma(n) for n in [n0, N].  u, a and b are stored as ``array('d')``
+    and sigma as ``array('q')``, 8 bytes a value, holding exactly what the
+    catalog windows give (sigma stays a list when a value does not fit
+    64 bits).  They are read-only: the run's checks read them after
+    simulate has stepped with them.
     """
 
     u: array
@@ -169,16 +171,17 @@ class CoefficientSamples:
 def sample_coefficients(spec: EquationSpec, N: int) -> CoefficientSamples:
     """Evaluate u, a, b and sigma once on the windows a run to horizon N reads."""
     rt = spec.rt
-    ns = range(1, N + 1)
-    sigma = list(map(rt.sigma.fn, range(start_index(spec), N + 1)))
+    n0 = start_index(spec)
     try:
-        sigma = array("q", sigma)
+        sigma: Sequence[int] = array("q", rt.sigma.window(n0, N - n0 + 1))
     except OverflowError:
-        pass  # an index beyond 64 bits fails the causality check; keep the list
+        # An index beyond 64 bits fails the causality check; keep a list.  The
+        # failed array may have consumed part of the window, so sample it anew.
+        sigma = list(rt.sigma.window(n0, N - n0 + 1))
     return CoefficientSamples(
-        u=array("d", map(rt.u.fn, range(1, N + max(spec.k, 0) + 1))),
-        a=array("d", map(rt.a.fn, ns)),
-        b=array("d", map(rt.b.fn, ns)),
+        u=array("d", rt.u.window(1, N + max(spec.k, 0))),
+        a=array("d", rt.a.window(1, N)),
+        b=array("d", rt.b.window(1, N)),
         sigma=sigma,
     )
 
@@ -208,7 +211,7 @@ def z_from_x(x: Seq, u: Seq, k: int) -> Seq:
     return Seq(lo, tuple(x.at(n) + u.at(n) * x.at(n + k) for n in range(lo, hi + 1)))
 
 
-def _recover_x(x_vals: list[float], k: int, n: int, zn: float, un: float) -> float:
+def _recover_x(x_vals: MutableSequence[float], k: int, n: int, zn: float, un: float) -> float:
     """Append the x value that z_n unlocks, inverting z_n = x_n + u_n x_{n+k}.
 
     That value is x_n for k <= 0 and x_{n+k} for k > 0.  x_vals holds the
@@ -257,7 +260,7 @@ def x_from_z(z: Seq, u: Seq, k: int, seed: Seq | None = None) -> Seq:
     vals = [] if seed is None else list(seed.values)
     for n, zn, un in zip(count(z.start), z.values, u.values[z.start - u.start :]):
         _recover_x(vals, k, n, zn, un)
-    return Seq(z.start + min(k, 0), tuple(vals))
+    return Seq(z.start + min(k, 0), vals)
 
 
 def consistent_seeds(spec: EquationSpec, profile: Seq) -> tuple[Seq | None, Seq]:
@@ -350,8 +353,8 @@ def simulate(spec: EquationSpec, x_seed: Seq | None, z_seed: Seq, N: int) -> Sol
     # Signed binomial coefficient of z_{n+i}, i < m, in the m-th difference at n.
     coeffs = tuple((-1) ** (m - i) * math.comb(m, i) for i in range(m))
     # z values indexed from n0, x values indexed from xs.
-    z_vals = list(z_seed.values)
-    x_vals: list[float] = list(x_seed.values) if x_seed is not None else []
+    z_vals = array("d", z_seed.values)
+    x_vals = array("d", x_seed.values if x_seed is not None else ())
     f = spec.rt.f.fn
     # u_n for n in [n0, N], the z window; a_n and b_n for each step n.
     u_z = samples.u[n0 - 1 : N]
@@ -378,8 +381,8 @@ def simulate(spec: EquationSpec, x_seed: Seq | None, z_seed: Seq, N: int) -> Sol
         if not -limit <= xv <= limit:
             _check_finite(xv, "|x|", n + m + shift)
 
-    x = Seq(xs, tuple(x_vals))
-    z = Seq(n0, tuple(z_vals))
+    x = Seq(xs, x_vals)
+    z = Seq(n0, z_vals)
     _verify_relation(x, z, u_z, k)
     return SolutionTrace(x=x, z=z, horizon=N, start=n0, samples=samples)
 

@@ -27,9 +27,9 @@ from array import array
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import islice, repeat
 from operator import add, lt, mul, sub, truediv
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import IndexRangeError, WindowLengthError
 
@@ -73,20 +73,24 @@ DEFAULT_THRESHOLDS = Thresholds()
 class Seq:
     """A realized window of a real sequence.
 
-    ``values[i]`` is the entry at index ``start + i``.  Entries are finite
-    floats; reading outside the window raises :class:`IndexRangeError`
-    instead of silently defaulting.
+    ``values[i]`` is the entry at index ``start + i``.  The constructor
+    takes any iterable of reals and stores its own ``array('d')`` copy,
+    8 bytes per entry, so later changes to the source do not reach the
+    window; treat ``values`` as read-only.  Entries are finite floats;
+    reading outside the window raises :class:`IndexRangeError` instead of
+    silently defaulting.  An array is unhashable, so a Seq is too; nothing
+    in the package or the benchmark hashes one.
     """
 
     start: int
-    values: tuple[float, ...]
+    values: array
 
     def __post_init__(self) -> None:
         if not isinstance(self.start, int) or isinstance(self.start, bool):
             raise ValueError(f"start index must be an integer, got {self.start!r}")
         if self.start < 0:
             raise ValueError(f"start index must be >= 0, got {self.start}")
-        vals = tuple(map(float, self.values))
+        vals = array("d", self.values)
         if not vals:
             raise ValueError("sequence window must be non-empty")
         if not all(map(math.isfinite, vals)):
@@ -278,18 +282,22 @@ def csum(values: Iterable[float]) -> float:
         return math.nan
 
 
-def line_fit(xs: list[float], ys: list[float]) -> tuple[float, list[float]]:
+def line_fit(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, Iterator[float]]:
     """Least-squares line through the points (xs, ys), with exactly rounded sums.
 
-    Returns the slope and the residuals y - (mean(ys) + slope (x - mean(xs)))
-    in input order; the slope is NaN when the xs do not vary.
+    Returns the slope and an iterator over the residuals
+    y - (mean(ys) + slope (x - mean(xs))) in input order; the slope is NaN
+    when the xs do not vary.  Nothing of the size of the input is stored.
     """
     xm = csum(xs) / len(xs)
     ym = csum(ys) / len(ys)
-    dx = [x - xm for x in xs]
-    sxx = csum(map(pow, dx, repeat(2)))
-    slope = csum(map(mul, dx, map(sub, ys, repeat(ym)))) / sxx if sxx else math.nan
-    return slope, [y - (ym + slope * d) for y, d in zip(ys, dx)]
+    sxx = csum(map(pow, map(sub, xs, repeat(xm)), repeat(2)))
+    if sxx:
+        slope = csum(map(mul, map(sub, xs, repeat(xm)), map(sub, ys, repeat(ym)))) / sxx
+    else:
+        slope = math.nan
+    fitted = map(add, repeat(ym), map(mul, repeat(slope), map(sub, xs, repeat(xm))))
+    return slope, map(sub, ys, fitted)
 
 
 def delta(x: Seq, m: int) -> Seq:
@@ -391,20 +399,21 @@ def order_estimate(
     if len(x) < 32:
         raise WindowLengthError(f"need at least 32 entries, got {len(x)}")
     excluded = x.start == 0 and s != 0.0
-    raw = tuple(map(abs, x.values[1:] if excluded else x.values))
-    count = len(raw)
+    skip = 1 if excluded else 0
+    count = len(x) - skip
     start = x.end - count + 1
-    ratios = raw if s == 0.0 else tuple(map(truediv, raw, index_powers(start, count, s)))
     third = count // 3
-    mid = ratios[count - 2 * third : count - third]
-    trail = ratios[count - third :]
-    early = ratios[: count - third]
-    metric = max(trail)
-    mid_sup = max(mid)
-    early_sup = max(early)
+    mags = map(abs, islice(x.values, skip, None))
+    ratios = mags if s == 0.0 else map(truediv, mags, index_powers(start, count, s))
+    # One pass, no copy: the part before the middle third, the middle third,
+    # then the trailing third.
+    lead_sup = max(islice(ratios, count - 2 * third))
+    mid_sup = max(islice(ratios, third))
+    metric = max(ratios)
+    early_sup = max(lead_sup, mid_sup)
     if (
         noise_scale is not None
-        and max(raw[count - third :]) <= noise_scale
+        and max(map(abs, x.values[len(x) - third :])) <= noise_scale
         and metric < thresholds.tau_small
     ):
         return OrderVerdict("small_o", s, metric, 0.0, early_sup, excluded)

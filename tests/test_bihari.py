@@ -161,7 +161,7 @@ class TestWorstCaseW:
         g1 = make_g(CatalogRef("constant", {"value": 1.0}))
         a = Seq(1, (0.5, 1.5, 2.0, 0.25))
         w = worst_case_w(a, g1, 0.0, 1, 5)
-        assert w.values == (0.0, 0.5, 2.0, 4.0, 4.25)
+        assert tuple(w.values) == (0.0, 0.5, 2.0, 4.0, 4.25)
 
     def test_negative_weight_rejected(self):
         a = Seq(1, (0.5, -0.5, 1.0))

@@ -108,7 +108,29 @@ def test_generator_sampling():
     pw = make_generator(CatalogRef("power", {"A": 1.0, "rho": 1.0}))
     s = pw.sample(2, 3)
     assert s.start == 2
-    assert s.values == (0.5, 1.0 / 3.0, 0.25)
+    assert tuple(s.values) == (0.5, 1.0 / 3.0, 0.25)
+
+
+@pytest.mark.parametrize("start", [1, 2, 7])
+def test_generator_windows_match_their_formulas_bit_for_bit(start):
+    c, amp, rho, ratio = 0.3, -1.7, 0.9, 0.6
+    formulas = {
+        "constant": ({"value": amp}, lambda n: amp),
+        "power": ({"A": amp, "rho": rho}, lambda n: amp * float(n) ** -rho),
+        "power_offset": ({"c": c, "A": amp, "rho": rho}, lambda n: c + amp * float(n) ** -rho),
+        "alt_power": (
+            {"A": amp, "rho": rho},
+            lambda n: amp * (1.0 if n % 2 == 0 else -1.0) * float(n) ** -rho,
+        ),
+        "geometric": ({"A": amp, "ratio": ratio}, lambda n: amp * ratio**n),
+    }
+    assert set(formulas) == set(GENERATOR_TABLE)
+    ns = range(start, start + 25)
+    for ident, (params, formula) in formulas.items():
+        gen = make_generator(CatalogRef(ident, params))
+        expected = [formula(n).hex() for n in ns]
+        assert [v.hex() for v in gen.window(start, len(ns))] == expected, ident
+        assert [gen(n).hex() for n in ns] == expected, ident
 
 
 def test_listing_contains_required_identifiers_and_is_stable():

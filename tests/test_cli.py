@@ -138,17 +138,24 @@ def test_horizon_beyond_the_cap_is_rejected_before_simulating(tmp_path, capsys, 
         raise AssertionError("simulate was reached")
 
     monkeypatch.setattr(cli, "simulate", never)
-    raw = json.loads(fixture_text("t1_case_a_m1.json"))
-    raw["horizon"] = 10**12
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(raw), encoding="utf-8")
-    assert run(str(config), out_dir=str(tmp_path / "o")) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert "field horizon:" in err and "GB" in err
-    assert not (tmp_path / "o").exists()
-    config = str(FIXTURES / "t1_case_a_m1.json")
-    assert run(config, horizon=cli.MAX_HORIZON + 1, out_dir=str(tmp_path / "o")) == EXIT_CONFIG
-    assert "field horizon:" in capsys.readouterr().err
+    rows = [
+        (10**12, None),
+        (1e308, None),  # a JSON float: its integer has 309 digits
+        (2000, "1" + "0" * 400),
+        (2000, str(cli.MAX_HORIZON + 1)),
+    ]
+    for config_horizon, override in rows:
+        raw = json.loads(fixture_text("t1_case_a_m1.json"))
+        raw["horizon"] = config_horizon
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw), encoding="utf-8")
+        argv = ["run", str(config), "--out", str(tmp_path / "o")]
+        if override is not None:
+            argv += ["--horizon", override]
+        assert cli.main(argv) == EXIT_CONFIG, (config_horizon, override)
+        err = capsys.readouterr().err
+        assert "field horizon:" in err and "GB" in err, err
+        assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize(
@@ -216,14 +223,14 @@ def test_each_coefficient_is_evaluated_once_per_index(name, tmp_path, monkeypatc
         def build(ref):
             entry = make(ref)
             counter: Counter = Counter()
-            fn = entry.fn
+            window = entry.window
 
-            def counted(n):
-                counter[n] += 1
-                return fn(n)
+            def counted(start, length):
+                counter.update(range(start, start + length))
+                return window(start, length)
 
             calls.append((ref.id, counter))
-            return dataclasses.replace(entry, fn=counted)
+            return dataclasses.replace(entry, window=counted)
 
         return build
 

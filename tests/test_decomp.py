@@ -47,7 +47,7 @@ class TestExtractPolynomial:
         rebuilt = tuple(
             rep.psi(n) + rep.remainder.at(n) for n, _ in z.items()
         )
-        assert rebuilt == z.values
+        assert rebuilt == tuple(z.values)
 
     def test_degrees_below_s_left_to_remainder(self):
         z = seq_from_function(lambda n: 2.0 * n + 5.0, 1, 512)

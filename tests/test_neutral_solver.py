@@ -210,7 +210,7 @@ class TestConsistentSeeds:
         x_seed, z_seed = consistent_seeds(spec, Seq(2, (1.0, 1.0, 1.0)))
         assert x_seed.start == 2 and len(x_seed) == 1
         assert z_seed.start == 2 and len(z_seed) == 2
-        assert z_seed.values == (3.0, 3.0)
+        assert tuple(z_seed.values) == (3.0, 3.0)
 
     @pytest.mark.parametrize(
         "name, profile",
