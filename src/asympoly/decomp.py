@@ -20,7 +20,7 @@ import sys
 from dataclasses import dataclass, replace
 from itertools import compress, repeat
 from operator import ge, mul, sub, truediv
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import DivergenceError, WindowLengthError
 from .neutral_solver import EquationSpec, SolutionTrace, UNIT_MARGIN
@@ -97,7 +97,15 @@ def _lstsq_degrees(ns: range, resid: Sequence[float], degrees: list[int]) -> dic
     well conditioned; corrections are returned in the unscaled basis.
     """
     scale = float(ns[-1])
-    cols = [list(map(pow, map(truediv, ns, repeat(scale)), repeat(d))) for d in degrees]
+
+    def column(d: int) -> list[float]:
+        # pow(t, 0) is 1.0 and pow(t, 1) is t, exactly, so those need no pow.
+        if d == 0:
+            return [1.0] * len(ns)
+        scaled = map(truediv, ns, repeat(scale))
+        return list(scaled if d == 1 else map(pow, scaled, repeat(d)))
+
+    cols = [column(d) for d in degrees]
     # The normal matrix is symmetric: each entry is summed once.
     k = len(cols)
     ata = [[0.0] * k for _ in range(k)]
@@ -110,11 +118,12 @@ def _lstsq_degrees(ns: range, resid: Sequence[float], degrees: list[int]) -> dic
 
 
 def _decay_fit(remainder: Seq, trail_fraction: float) -> tuple[float, float]:
-    tail = remainder.trailing(trail_fraction)
-    lo = max(tail.start, 1)
-    vals = tail.values[lo - tail.start :]
+    # The trailing ceil(len * trail_fraction) entries, index 0 left out.
+    count = max(1, math.ceil(len(remainder) * trail_fraction))
+    lo = max(remainder.end - count + 1, 1)
+    vals = remainder.values[lo - remainder.start :]
     kept = list(map(ge, map(abs, vals), repeat(DECAY_FIT_FLOOR)))
-    xs = list(map(math.log, compress(range(lo, tail.end + 1), kept)))
+    xs = list(map(math.log, compress(range(lo, remainder.end + 1), kept)))
     ys = list(map(math.log, compress(map(abs, vals), kept)))
     if len(xs) < 2:
         return math.nan, math.nan
@@ -130,11 +139,17 @@ def _fit_polynomial(z: Seq, m: int, d_min: int, thresholds: Thresholds) -> PolyC
     """Coefficients of degrees d_min .. m - 1 (the lower ones stay 0).
 
     Top-down trailing means of iterated differences, then one joint
-    least-squares correction; see :func:`extract_polynomial`.
+    least-squares correction; see :func:`extract_polynomial`.  The means
+    read the last tail_count + d values of the working window and the
+    correction its trailing half, so the cascade runs on the trailing
+    max(half, tail_count + m - 1) values of z alone: each entry is the
+    same float it is over the whole window, and so is every coefficient.
     """
     tail_count = max(1, math.ceil(len(z) * thresholds.coeff_window_fraction))
+    half = len(z) - len(z) // 2
+    keep = min(len(z), max(half, tail_count + m - 1))
     coeffs = [0.0] * m
-    work = z
+    work = z.window(z.end - keep + 1, z.end)
     for d in range(m - 1, d_min - 1, -1):
         try:
             diff = delta(work, d)
@@ -148,14 +163,13 @@ def _fit_polynomial(z: Seq, m: int, d_min: int, thresholds: Thresholds) -> PolyC
         coeffs[d] = c
         try:
             monomial = map(mul, repeat(c), index_powers(work.start, len(work), d))
-            work = Seq(work.start, tuple(map(sub, work.values, monomial)))
+            work = Seq(work.start, map(sub, work.values, monomial))
         except ValueError as exc:
             raise DivergenceError(f"divergent input: {exc}") from exc
 
     # Joint least-squares pass on the residual: degrees below d_min enter
     # as nuisance columns so their content cannot leak into the kept
     # coefficients, but only kept degrees receive corrections.
-    half = len(z) - len(z) // 2
     ns = range(z.end - half + 1, z.end + 1)
     corrections = _lstsq_degrees(ns, work.values[-half:], list(range(m)))
     for d in range(d_min, m):
@@ -165,11 +179,14 @@ def _fit_polynomial(z: Seq, m: int, d_min: int, thresholds: Thresholds) -> PolyC
 
 def _remainder(z: Seq, psi: PolyCoeffs) -> Seq:
     """z - psi on z's window; a non-finite entry is a DivergenceError."""
-    vals = tuple(map(sub, z.values, psi.at_indices(z.start, len(z))))
+
+    def values() -> Iterator[float]:
+        return map(sub, z.values, psi.at_indices(z.start, len(z)))
+
     try:
-        return Seq(z.start, vals)
+        return Seq(z.start, values())
     except ValueError:
-        i = next(i for i, v in enumerate(vals) if not math.isfinite(v))
+        i = next(i for i, v in enumerate(values()) if not math.isfinite(v))
         raise DivergenceError(f"remainder not finite at index {z.start + i}") from None
 
 
@@ -300,16 +317,20 @@ def regularity_check(
     if len(w) < MIN_WINDOW + q:
         raise WindowLengthError(f"need at least {MIN_WINDOW + q} entries, got {len(w)}")
     base = max(map(abs, w.values)) if scale is None else scale
-    verdicts = tuple(
-        order_estimate(
-            delta(w, p),
-            float(q - p),
-            thresholds,
-            noise_scale=NOISE_SAFETY * 2.0**p * sys.float_info.epsilon * base,
+    verdicts = []
+    level = w
+    for p in range(q + 1):
+        if p:
+            level = delta(level, 1)  # the p-th difference, exactly as delta(w, p)
+        verdicts.append(
+            order_estimate(
+                level,
+                float(q - p),
+                thresholds,
+                noise_scale=NOISE_SAFETY * 2.0**p * sys.float_info.epsilon * base,
+            )
         )
-        for p in range(q + 1)
-    )
-    return RegularityReport(q, verdicts, all(v.kind == "small_o" for v in verdicts))
+    return RegularityReport(q, tuple(verdicts), all(v.kind == "small_o" for v in verdicts))
 
 
 @dataclass(frozen=True)

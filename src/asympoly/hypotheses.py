@@ -143,7 +143,7 @@ def check_u_rate(
     u: Seq, c: float, e: float, thresholds: Thresholds = DEFAULT_THRESHOLDS
 ) -> OrderVerdict:
     """Order verdict for u - c against n**e (the rate hypothesis on u)."""
-    shifted = Seq(u.start, tuple(map(sub, u.values, repeat(c))))
+    shifted = Seq(u.start, map(sub, u.values, repeat(c)))
     return order_estimate(shifted, e, thresholds)
 
 
@@ -260,10 +260,10 @@ def theorem_dispatch(
         a_diag = weighted_sum_diagnostic(Seq(1, samples.a), m - 1 - s, thresholds)
         b_diag = weighted_sum_diagnostic(Seq(1, samples.b), m - 1 - s, thresholds)
         rate_exp = float(1 - m) if mode == "regular" else s + 1.0 - m
-        # The sample of u on [1, end of x] serves both the rate check on [1, N]
-        # and the oscillation checks, which read u on x's window (x starts >= 1).
-        u_window = Seq(1, samples.u)
-        u_rate = check_u_rate(u_window.window(1, N), spec.c, rate_exp, thresholds)
+        # u on [1, N] serves both the rate check and the oscillation checks:
+        # those read u_n only where x_{n+1} and x_{n+k} exist, so n <= N.
+        u_window = Seq(1, samples.u[:N])
+        u_rate = check_u_rate(u_window, spec.c, rate_exp, thresholds)
         checks = [
             CheckResult(
                 "a-summability", a_diag.converged, a_diag.tail_estimate,

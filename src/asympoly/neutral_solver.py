@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from collections import deque
 from dataclasses import dataclass, field
 from itertools import count
 from typing import Iterable, MutableSequence, Sequence
@@ -169,7 +170,11 @@ class CoefficientSamples:
 
 
 def sample_coefficients(spec: EquationSpec, N: int) -> CoefficientSamples:
-    """Evaluate u, a, b and sigma once on the windows a run to horizon N reads."""
+    """Evaluate u, a, b and sigma once on the windows a run to horizon N reads.
+
+    sigma comes first and is checked for causality (:func:`_check_causality`),
+    so a run that reads the future fails before u, a or b is sampled.
+    """
     rt = spec.rt
     n0 = start_index(spec)
     try:
@@ -178,6 +183,7 @@ def sample_coefficients(spec: EquationSpec, N: int) -> CoefficientSamples:
         # An index beyond 64 bits fails the causality check; keep a list.  The
         # failed array may have consumed part of the window, so sample it anew.
         sigma = list(rt.sigma.window(n0, N - n0 + 1))
+    _check_causality(spec, N, sigma)
     return CoefficientSamples(
         u=array("d", rt.u.window(1, N + max(spec.k, 0))),
         a=array("d", rt.a.window(1, N)),
@@ -322,12 +328,13 @@ def simulate(spec: EquationSpec, x_seed: Seq | None, z_seed: Seq, N: int) -> Sol
     """Advance the equation from its seeds to z horizon N.
 
     z_seed must supply z at the m indices [n0, n0 + m - 1]; x_seed must
-    cover exactly the indices listed in :func:`consistent_seeds`.  u, a, b
-    and sigma are evaluated once (:func:`sample_coefficients`) and every
-    sigma(n) is checked against the realized x window before the first
-    step.  The returned trace carries those samples, satisfies the neutral
-    relation on the full overlap window (re-verified before returning) and
-    the stepping residual of the equation itself is at rounding level.
+    cover exactly the indices listed in :func:`consistent_seeds`.  sigma,
+    u, a and b are evaluated once (:func:`sample_coefficients`), and every
+    sigma(n) is checked against the realized x window before u, a and b
+    are sampled.  The returned trace carries those samples, satisfies the
+    neutral relation on the full overlap window (re-verified before
+    returning) and the stepping residual of the equation itself is at
+    rounding level.
     """
     m, k = spec.m, spec.k
     n0 = start_index(spec)
@@ -348,12 +355,13 @@ def simulate(spec: EquationSpec, x_seed: Seq | None, z_seed: Seq, N: int) -> Sol
             got = "nothing" if x_seed is None else f"[{x_seed.start}, {x_seed.end}]"
             raise SeedError(f"x seed must cover exactly [{lo}, {hi}], got {got}")
     samples = sample_coefficients(spec, N)
-    _check_causality(spec, N, samples.sigma)
 
     # Signed binomial coefficient of z_{n+i}, i < m, in the m-th difference at n.
     coeffs = tuple((-1) ** (m - i) * math.comb(m, i) for i in range(m))
-    # z values indexed from n0, x values indexed from xs.
+    # z values indexed from n0, x values indexed from xs; the last m z values,
+    # oldest first, for the m-th difference.
     z_vals = array("d", z_seed.values)
+    z_last = deque(z_seed.values, maxlen=m)
     x_vals = array("d", x_seed.values if x_seed is not None else ())
     f = spec.rt.f.fn
     # u_n for n in [n0, N], the z window; a_n and b_n for each step n.
@@ -372,11 +380,12 @@ def simulate(spec: EquationSpec, x_seed: Seq | None, z_seed: Seq, N: int) -> Sol
     u_next = u_z[m:]  # u at the z index each step adds
     for n, sv, an, bn, un in zip(steps, samples.sigma, a_steps, b_steps, u_next):
         acc = an * f(n, x_vals[sv - xs]) + bn
-        for coeff, zv in zip(coeffs, z_vals[-m:]):
+        for coeff, zv in zip(coeffs, z_last):
             acc -= coeff * zv
         if not -limit <= acc <= limit:
             _check_finite(acc, "|z|", n + m)
         z_vals.append(acc)
+        z_last.append(acc)
         xv = _recover_x(x_vals, k, n + m, acc, un)
         if not -limit <= xv <= limit:
             _check_finite(xv, "|x|", n + m + shift)

@@ -74,10 +74,14 @@ class Seq:
     """A realized window of a real sequence.
 
     ``values[i]`` is the entry at index ``start + i``.  The constructor
-    takes any iterable of reals and stores its own ``array('d')`` copy,
-    8 bytes per entry, so later changes to the source do not reach the
-    window; treat ``values`` as read-only.  Entries are finite floats;
-    reading outside the window raises :class:`IndexRangeError` instead of
+    takes any iterable of reals (a lazy ``map`` included, so no caller
+    builds a tuple first) and stores its own ``array('d')`` copy, 8 bytes
+    per entry, so later changes to the source do not reach the window;
+    treat ``values`` as read-only.  Entries are finite floats: the window
+    is summed once, and only a sum that is not finite triggers the
+    entry-by-entry scan, which rejects the first NaN or infinity and
+    accepts a window of finite values whose sum merely overflows.
+    Reading outside the window raises :class:`IndexRangeError` instead of
     silently defaulting.  An array is unhashable, so a Seq is too; nothing
     in the package or the benchmark hashes one.
     """
@@ -93,9 +97,12 @@ class Seq:
         vals = array("d", self.values)
         if not vals:
             raise ValueError("sequence window must be non-empty")
-        if not all(map(math.isfinite, vals)):
-            i = next(i for i, v in enumerate(vals) if not math.isfinite(v))
-            raise ValueError(f"non-finite value at index {self.start + i}")
+        # A NaN or an infinity makes the sum non-finite; finite values can too,
+        # by overflow, so the sum only decides whether to scan.
+        if not math.isfinite(sum(vals)):
+            bad = next((i for i, v in enumerate(vals) if not math.isfinite(v)), None)
+            if bad is not None:
+                raise ValueError(f"non-finite value at index {self.start + bad}")
         object.__setattr__(self, "values", vals)
 
     def __len__(self) -> int:
@@ -222,13 +229,14 @@ class PolyCoeffs:
             acc = acc * n + c
         return acc
 
-    def at_indices(self, start: int, length: int) -> tuple[float, ...]:
-        """Values at n = start, ..., start + length - 1, each equal to self(n)."""
+    def at_indices(self, start: int, length: int) -> Iterator[float]:
+        """Values at n = start, ..., start + length - 1, each equal to self(n),
+        computed as they are read."""
         ns = range(start, start + length)
         acc: Iterable[float] = repeat(0.0, length)
         for c in reversed(self.coeffs):
             acc = map(add, map(mul, acc, ns), repeat(c))
-        return tuple(acc)
+        return iter(acc)
 
     def sample(self, start: int, length: int) -> Seq:
         return Seq(start, self.at_indices(start, length))
@@ -304,9 +312,9 @@ def delta(x: Seq, m: int) -> Seq:
     """m-th forward difference of the window.
 
     Computed by iterating the first difference, so
-    ``delta(delta(x, 1), m - 1)`` reproduces ``delta(x, m)`` exactly.
-    The result keeps the start index and is shorter by m entries;
-    ``delta(x, 0)`` is x itself.
+    ``delta(delta(x, 1), m - 1)`` and ``delta(delta(x, m - 1), 1)``
+    reproduce ``delta(x, m)`` exactly.  The result keeps the start index
+    and is shorter by m entries; ``delta(x, 0)`` is x itself.
     """
     if m < 0:
         raise ValueError("difference order must be >= 0")
@@ -321,9 +329,9 @@ def delta(x: Seq, m: int) -> Seq:
     if m == 0:
         return x
     vals = x.values
-    for _ in range(m):
-        vals = tuple(map(sub, vals[1:], vals))
-    return Seq(x.start, vals)
+    for _ in range(m - 1):
+        vals = array("d", map(sub, vals[1:], vals))
+    return Seq(x.start, map(sub, vals[1:], vals))
 
 
 @dataclass(frozen=True)

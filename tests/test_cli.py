@@ -215,11 +215,15 @@ def test_bytes_per_step_bounds_the_run_memory(tmp_path):
         assert peak <= cli.BYTES_PER_STEP * horizon, (name, peak / horizon)
 
 
-@pytest.mark.parametrize("name", ["t1_case_a_m2.json", "t1_case_b_m3.json", "t2_regular_m3.json"])
-def test_each_coefficient_is_evaluated_once_per_index(name, tmp_path, monkeypatch):
+def count_sampled_indices(monkeypatch):
+    """Count, per catalog entry built for a spec, every index its window samples.
+
+    Returns a list filled with (kind, Counter) in build order, kind being
+    "generator" for u, a and b and "sigma" for the delay map.
+    """
     calls: list[tuple[str, Counter]] = []
 
-    def counting(make):
+    def counting(make, kind):
         def build(ref):
             entry = make(ref)
             counter: Counter = Counter()
@@ -229,18 +233,36 @@ def test_each_coefficient_is_evaluated_once_per_index(name, tmp_path, monkeypatc
                 counter.update(range(start, start + length))
                 return window(start, length)
 
-            calls.append((ref.id, counter))
+            calls.append((kind, counter))
             return dataclasses.replace(entry, window=counted)
 
         return build
 
-    monkeypatch.setattr(neutral_solver, "make_generator", counting(neutral_solver.make_generator))
-    monkeypatch.setattr(neutral_solver, "make_sigma", counting(neutral_solver.make_sigma))
+    monkeypatch.setattr(
+        neutral_solver, "make_generator", counting(neutral_solver.make_generator, "generator")
+    )
+    monkeypatch.setattr(neutral_solver, "make_sigma", counting(neutral_solver.make_sigma, "sigma"))
+    return calls
+
+
+@pytest.mark.parametrize("name", ["t1_case_a_m2.json", "t1_case_b_m3.json", "t2_regular_m3.json"])
+def test_each_coefficient_is_evaluated_once_per_index(name, tmp_path, monkeypatch):
+    calls = count_sampled_indices(monkeypatch)
     assert run(str(FIXTURES / name), out_dir=str(tmp_path / "o")) == EXIT_OK
     assert len(calls) == 4  # u, a, b and sigma
-    for ref_id, counter in calls:
-        assert counter, ref_id
-        assert max(counter.values()) == 1, (ref_id, counter.most_common(1))
+    for kind, counter in calls:
+        assert counter, kind
+        assert max(counter.values()) == 1, (kind, counter.most_common(1))
+
+
+def test_causality_fails_before_u_a_and_b_are_sampled(tmp_path, monkeypatch, capsys):
+    calls = count_sampled_indices(monkeypatch)
+    code = run(str(FIXTURES / "causality_violation.json"), out_dir=str(tmp_path / "o"))
+    assert code == EXIT_SIMULATION
+    assert "simulation error: step n=1: sigma(n)=6 outside realized x range" in capsys.readouterr().err
+    assert [kind for kind, _ in calls] == ["generator"] * 3 + ["sigma"]  # u, a, b, sigma
+    assert calls[3][1]
+    assert not any(counter for _, counter in calls[:3]), calls
 
 
 _POWER_OFFSET = {"id": "power_offset", "params": {"c": 0.5, "A": None, "rho": 2.0}}

@@ -1,10 +1,14 @@
+import dataclasses
 import math
 import random
+from itertools import repeat
+from operator import mul, sub, truediv
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from asympoly import decomp
 from asympoly.catalog import CatalogRef
 from asympoly.decomp import (
     decompose_solution,
@@ -14,9 +18,79 @@ from asympoly.decomp import (
 )
 from asympoly.errors import WindowLengthError
 from asympoly.neutral_solver import EquationSpec, consistent_seeds, simulate
-from asympoly.seqcore import PolyCoeffs, Seq, csum, seq_from_function
+from asympoly.seqcore import PolyCoeffs, Seq, csum, delta, index_powers, seq_from_function
 
 from conftest import CERTIFIED, tail_sum_window
+
+
+def reference_psi(z, m, s, thresholds):
+    """extract_polynomial's coefficients computed over z's whole window.
+
+    The reference the fit is held to: every iterated difference and every
+    monomial subtraction runs on the whole window, and the least-squares
+    columns are all built with pow.
+    """
+    d_min = max(0, math.ceil(s - 1e-12))
+    tail_count = max(1, math.ceil(len(z) * thresholds.coeff_window_fraction))
+    coeffs = [0.0] * m
+    work = tuple(z.values)
+    for d in range(m - 1, d_min - 1, -1):
+        diff = work
+        for _ in range(d):
+            diff = tuple(map(sub, diff[1:], diff))
+        tail = diff[-tail_count:]
+        coeffs[d] = csum(tail) / len(tail) / math.factorial(d)
+        monomial = map(mul, repeat(coeffs[d]), index_powers(z.start, len(z), d))
+        work = tuple(map(sub, work, monomial))
+    half = len(z) - len(z) // 2
+    scale = float(z.end)
+    ns = range(z.end - half + 1, z.end + 1)
+    cols = [list(map(pow, map(truediv, ns, repeat(scale)), repeat(d))) for d in range(m)]
+    ata = [[csum(map(mul, ci, cj)) for cj in cols] for ci in cols]
+    atb = [csum(map(mul, ci, work[-half:])) for ci in cols]
+    sol = decomp._solve_normal_equations(ata, atb)
+    for d in range(d_min, m):
+        coeffs[d] += sol[d] / scale**d
+    return tuple(coeffs)
+
+
+@pytest.mark.parametrize("fraction", [None, 0.75, 1.0])
+@pytest.mark.parametrize("name", sorted(CERTIFIED))
+def test_psi_matches_the_whole_window_reference_bit_for_bit(name, fraction, traces):
+    cfg = CERTIFIED[name]
+    thresholds = cfg.thresholds
+    if fraction is not None:
+        thresholds = dataclasses.replace(thresholds, coeff_window_fraction=fraction)
+    m, s = cfg.spec.m, cfg.spec.s
+    for seq in (traces[name].z, traces[name].x):
+        got = extract_polynomial(seq, m, s, thresholds=thresholds).psi.coeffs
+        want = reference_psi(seq, m, s, thresholds)
+        assert list(map(float.hex, got)) == list(map(float.hex, want)), (name, seq.start)
+
+
+@pytest.mark.parametrize("q", [1, 3])
+def test_regularity_levels_are_the_iterated_differences_bit_for_bit(q, traces, monkeypatch):
+    rng = random.Random(q)
+    windows = [
+        Seq(1, [rng.uniform(-1.0, 1.0) * n for n in range(1, 2001)]),
+        extract_polynomial(traces["t2_regular_m3"].x, 3, 2.0).remainder,
+    ]
+    levels = []
+    order_estimate = decomp.order_estimate
+
+    def recording(x, *args, **kwargs):
+        levels.append(x)
+        return order_estimate(x, *args, **kwargs)
+
+    monkeypatch.setattr(decomp, "order_estimate", recording)
+    for w in windows:
+        levels.clear()
+        regularity_check(w, q)
+        assert len(levels) == q + 1
+        for p, level in enumerate(levels):
+            want = delta(w, p)
+            assert level.start == want.start
+            assert level.values.tobytes() == want.values.tobytes(), p
 
 
 class TestExtractPolynomial:

@@ -39,6 +39,26 @@ class TestSeq:
         with pytest.raises(ValueError):
             Seq(1, (math.nan,))
 
+    @pytest.mark.parametrize(
+        "values, first_bad",
+        [
+            ((1.0, math.nan, 2.0), 1),
+            ((1.0, 2.0, math.inf), 2),
+            ((-math.inf, 1.0), 0),
+            ((1.0, math.inf, -math.inf), 1),  # the sum is NaN, not an infinity
+            ((1e308, 1e308, math.nan), 2),  # the sum overflows before the NaN
+        ],
+    )
+    def test_rejects_each_non_finite_value_naming_the_first(self, values, first_bad):
+        with pytest.raises(ValueError, match=rf"^non-finite value at index {3 + first_bad}$"):
+            Seq(3, values)
+        with pytest.raises(ValueError, match=rf"^non-finite value at index {3 + first_bad}$"):
+            Seq(3, iter(values))
+
+    @pytest.mark.parametrize("values", [(1e308, 1e308), (1e308, 1e308, -1e308)])
+    def test_finite_values_whose_sum_overflows_are_accepted(self, values):
+        assert tuple(Seq(1, values).values) == values
+
     def test_later_changes_to_the_source_do_not_reach_the_window(self):
         source = array("d", (1.0, 2.0, 3.0))
         x = Seq(1, source)
