@@ -27,7 +27,6 @@ from .bihari import (
     adaptive_simpson,
     bhl2_constant,
     bihari_bound,
-    integrate_recip_g,
     worst_case_w,
 )
 from .decomp import (

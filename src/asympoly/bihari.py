@@ -85,27 +85,6 @@ def _recip(g: Callable[[float], float]) -> Callable[[float], float]:
     return integrand
 
 
-def integrate_recip_g(
-    g: Majorant | Callable[[float], float], lam: float, t: float
-) -> float:
-    """Integral of 1/g over [lam, t].
-
-    Catalog majorants short-circuit to their exact primitive after a
-    positivity check at the lower endpoint (nondecreasing g is then
-    positive on the whole interval); a plain callable goes through
-    adaptive quadrature, which checks positivity at every sample.
-    """
-    if t < lam:
-        raise ValueError(f"upper limit {t} below lower limit {lam}")
-    if isinstance(g, Majorant):
-        g_lam = g(lam)
-        if g_lam <= 0.0:
-            raise QuadratureDomainError(f"g(lambda) = {g_lam!r} is not positive")
-        return g.recip_primitive(lam, t)
-    value, _ = adaptive_simpson(_recip(g), lam, t, QUAD_TOL)
-    return value
-
-
 def _check_weights(values: Sequence[float], start: int) -> None:
     """Reject the first negative weight; ``values[i]`` is a_{start + i}."""
     if values and min(values) < 0.0:
@@ -172,6 +151,11 @@ def bihari_bound(prob: BihariProblem) -> BihariBound:
     reported when G plateaus (growth < PLATEAU_EPS per doubling, or the
     exact improper integral is finite) strictly below the weight sum.
 
+    A catalog majorant is nondecreasing, so the g(lambda) > 0 that
+    BihariProblem checks keeps it positive on the whole bracket.  A plain
+    callable is checked at every sample and raises QuadratureDomainError
+    where it is not positive.
+
     On the quadrature route each new G value is carried forward from the
     nearest point below it where G is already known, G(b) = G(a) + the
     integral over [a, b], so every piece of [lambda, M] is integrated once.
@@ -187,29 +171,16 @@ def bihari_bound(prob: BihariProblem) -> BihariBound:
     err_seen = 0.0
 
     if isinstance(prob.g, Majorant):
-        g_lam = prob.g(lam)
-        if g_lam <= 0.0:
-            raise QuadratureDomainError(f"g(lambda) = {g_lam!r} is not positive")
-
         def G_from(a: float, g_a: float, b: float, budget: float) -> float:
             return prob.g.recip_primitive(lam, b)
 
     else:
         recip = _recip(prob.g)
-        # Pieces share endpoints, and a bisection piece inside the previous
-        # one revisits its sample points: each g value is computed once.
-        recip_at: dict[float, float] = {}
-
-        def integrand(t: float) -> float:
-            value = recip_at.get(t)
-            if value is None:
-                value = recip_at[t] = recip(t)
-            return value
 
         def G_from(a: float, g_a: float, b: float, budget: float) -> float:
             """G(b) from G(a) = g_a, integrating only [a, b] within the budget."""
             nonlocal err_seen
-            value, err = adaptive_simpson(integrand, a, b, budget)
+            value, err = adaptive_simpson(recip, a, b, budget)
             err_seen += err
             return g_a + value
 

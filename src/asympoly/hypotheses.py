@@ -171,7 +171,7 @@ def polynomial_growth_check(
 def _composed_growth_check(trace: SolutionTrace, p: float) -> CheckResult:
     """Trailing-half sup of |x_{sigma(n)}|/n**p against the mid-window sup."""
     x = trace.x
-    ns = range(trace.start, trace.z.end + 1)
+    ns = range(trace.z.start, trace.z.end + 1)
     sig = trace.samples.sigma
     if min(sig) < x.start or max(sig) > x.end:
         x.at(next(sv for sv in sig if not x.start <= sv <= x.end))  # raises IndexRangeError
@@ -250,8 +250,7 @@ def theorem_dispatch(
     validate_mode(spec, mode)
     rt = spec.rt
     m, s = spec.m, spec.s
-    n0 = trace.start
-    N = trace.z.end
+    n0, N = trace.z.start, trace.z.end
     p_eff = float(m - 1)
 
     samples = trace.samples
@@ -279,39 +278,38 @@ def theorem_dispatch(
             ),
         ]
 
-        if case_id == "a":
-            checks.append(CheckResult(
-                "g-nondecreasing", rt.g.nondecreasing, 0.0, "catalog guarantee"))
-            grid = check_g_p_bounded(rt.f, rt.g, p_eff, n_max=trace.horizon)
-            checks.append(CheckResult(
-                "f-g-bounded", grid.passed, grid.worst_ratio,
-                f"(g, {p_eff:g})-bounded, worst ratio {grid.worst_ratio:.6g}"))
-            sigma_excess = max(map(sub, samples.sigma, range(n0, N + 1)))
-            checks.append(CheckResult(
-                "sigma-within-past", sigma_excess <= 0, float(sigma_excess),
-                f"max(sigma(n) - n) = {sigma_excess}"))
-            checks.append(CheckResult(
-                "g-integral-divergent", rt.g.integral_diverges, 0.0,
-                "exact catalog primitive"))
-            labels = classify_oscillation(trace.x, u_window, spec.k, thresholds)
-            checks.append(CheckResult(
-                "uk-nonoscillation", "uk_nonoscillatory" in labels, 0.0,
-                f"labels: {', '.join(sorted(labels))}"))
-        elif case_id == "b":
-            checks.append(CheckResult(
-                "g-locally-bounded", rt.g.locally_bounded, 0.0, "catalog guarantee"))
-            grid = check_g_p_bounded(rt.f, rt.g, p_eff, n_max=trace.horizon)
-            checks.append(CheckResult(
-                "f-g-bounded", grid.passed, grid.worst_ratio,
-                f"(g, {p_eff:g})-bounded, worst ratio {grid.worst_ratio:.6g}"))
-            checks.append(_composed_growth_check(trace, p_eff))
-            checks.append(_alternative_check(trace, spec, u_window, thresholds))
-        else:
+        if case_id == "c":
             bound = rt.f.bound if rt.f.bounded else math.inf
             checks.append(CheckResult(
                 "f-bounded", rt.f.bounded, bound,
                 f"catalog bound {bound:g}" if rt.f.bounded else "f unbounded in catalog"))
             checks.append(_alternative_check(trace, spec, u_window, thresholds))
+        else:
+            grid = check_g_p_bounded(rt.f, rt.g, p_eff, n_max=N)
+            f_g_bounded = CheckResult(
+                "f-g-bounded", grid.passed, grid.worst_ratio,
+                f"(g, {p_eff:g})-bounded, worst ratio {grid.worst_ratio:.6g}")
+            if case_id == "a":
+                checks.append(CheckResult(
+                    "g-nondecreasing", rt.g.nondecreasing, 0.0, "catalog guarantee"))
+                checks.append(f_g_bounded)
+                sigma_excess = max(map(sub, samples.sigma, range(n0, N + 1)))
+                checks.append(CheckResult(
+                    "sigma-within-past", sigma_excess <= 0, float(sigma_excess),
+                    f"max(sigma(n) - n) = {sigma_excess}"))
+                checks.append(CheckResult(
+                    "g-integral-divergent", rt.g.integral_diverges, 0.0,
+                    "exact catalog primitive"))
+                labels = classify_oscillation(trace.x, u_window, spec.k, thresholds)
+                checks.append(CheckResult(
+                    "uk-nonoscillation", "uk_nonoscillatory" in labels, 0.0,
+                    f"labels: {', '.join(sorted(labels))}"))
+            else:
+                checks.append(CheckResult(
+                    "g-locally-bounded", rt.g.locally_bounded, 0.0, "catalog guarantee"))
+                checks.append(f_g_bounded)
+                checks.append(_composed_growth_check(trace, p_eff))
+                checks.append(_alternative_check(trace, spec, u_window, thresholds))
 
         decomposition = decompose_solution(trace, spec, thresholds)
 

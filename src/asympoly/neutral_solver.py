@@ -194,14 +194,12 @@ def sample_coefficients(spec: EquationSpec, N: int) -> CoefficientSamples:
 
 @dataclass(frozen=True)
 class SolutionTrace:
-    """Simulated solution: x, z, the horizon, the n0 the run was seeded at,
-    and the coefficient samples the run stepped with (which the hypothesis
-    checks read instead of evaluating the catalog again)."""
+    """Simulated solution: x, z on [n0, horizon], and the coefficient
+    samples the run stepped with (which the hypothesis checks read instead
+    of evaluating the catalog again)."""
 
     x: Seq
     z: Seq
-    horizon: int
-    start: int
     samples: CoefficientSamples
 
 
@@ -393,7 +391,7 @@ def simulate(spec: EquationSpec, x_seed: Seq | None, z_seed: Seq, N: int) -> Sol
     x = Seq(xs, x_vals)
     z = Seq(n0, z_vals)
     _verify_relation(x, z, u_z, k)
-    return SolutionTrace(x=x, z=z, horizon=N, start=n0, samples=samples)
+    return SolutionTrace(x=x, z=z, samples=samples)
 
 
 def _verify_relation(x: Seq, z: Seq, u_z: Iterable[float], k: int) -> None:

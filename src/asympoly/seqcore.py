@@ -437,15 +437,6 @@ def order_estimate(
     return OrderVerdict(kind, s, metric, trend, early_sup, excluded)
 
 
-#: Labels classify_oscillation may grant.
-OSCILLATION_LABELS = (
-    "nonoscillatory",
-    "k_nonoscillatory",
-    "uk_nonoscillatory",
-    "oscillatory",
-)
-
-
 def _any_negative(values: Iterable[float]) -> bool:
     return any(map(lt, values, repeat(0.0)))
 

@@ -9,7 +9,6 @@ from asympoly.bihari import (
     adaptive_simpson,
     bhl2_constant,
     bihari_bound,
-    integrate_recip_g,
     worst_case_w,
 )
 from asympoly.catalog import CatalogRef, make_g
@@ -29,16 +28,53 @@ CATALOG_GS = (
 )
 
 
+#: The plain-callable g of the quadrature tests, by name.
+QUADRATURE_GS = {"t": lambda t: t, "sqrt": math.sqrt, "2t+1": lambda t: 2.0 * t + 1.0}
+
+#: float.hex of (M, G_at_M, quadrature_error) on the quadrature route, keyed
+#: by (g, lambda, total).  Any change to the sample points, the carried-forward
+#: pieces, their budgets or the order of the sums moves at least one of them.
+QUADRATURE_PINNED = {
+    ("t", 0.5, 0.25): ("0x1.48b5e3c3ea000p-1", "0x1.0000000005efcp-2", "0x1.9a5af1b4fbef0p-35"),
+    ("sqrt", 0.5, 0.25): ("0x1.62827999fe000p-1", "0x1.000000000292fp-2", "0x1.d7a72a012cccdp-35"),
+    ("2t+1", 0.5, 0.25): ("0x1.261298e1e2000p+0", "0x1.0000000001f6fp-2", "0x1.a6e82b3d9bbcep-35"),
+    ("t", 0.5, 0.5): ("0x1.a61298e1e4000p-1", "0x1.00000000045a9p-1", "0x1.c9741a2e6aaccp-35"),
+    ("sqrt", 0.5, 0.5): ("0x1.d504f333fc000p-1", "0x1.00000000023c7p-1", "0x1.a37113fc44897p-35"),
+    ("2t+1", 0.5, 0.5): ("0x1.1bf0a8b145800p+1", "0x1.00000000000b5p-1", "0x1.9c7e652302567p-35"),
+    ("t", 0.5, 1.0): ("0x1.5bf0a8b146000p+0", "0x1.0000000000663p+0", "0x1.62c231f1c476cp-35"),
+    ("sqrt", 0.5, 1.0): ("0x1.7504f333fa000p+0", "0x1.00000000001f5p+0", "0x1.e0ab81b7be869p-35"),
+    ("2t+1", 0.5, 1.0): ("0x1.b8e64b8d4e800p+2", "0x1.00000000002e5p+0", "0x1.1ab3eb3788b1dp-35"),
+    ("t", 0.5, 2.0): ("0x1.d8e64b8d4e000p+1", "0x1.00000000000a8p+1", "0x1.53a16a8f5f56ap-35"),
+    ("sqrt", 0.5, 2.0): ("0x1.7504f333fa000p+1", "0x1.000000000014ep+1", "0x1.620ee3bf86d3dp-35"),
+    ("2t+1", 0.5, 2.0): ("0x1.b0c902e275000p+5", "0x1.000000000033bp+1", "0x1.4217ac09ce53dp-35"),
+    ("t", 1.0, 0.25): ("0x1.48b5e3c3ea000p+0", "0x1.0000000005efcp-2", "0x1.6398d99b62556p-35"),
+    ("sqrt", 1.0, 0.25): ("0x1.4400000000000p+0", "0x1.000000000006ep-2", "0x1.0e8f12378f1c7p-34"),
+    ("2t+1", 1.0, 0.25): ("0x1.f91be552d2000p+0", "0x1.0000000001314p-2", "0x1.c73c3c859baf0p-35"),
+    ("t", 1.0, 0.5): ("0x1.a61298e1e2000p+0", "0x1.0000000001f05p-1", "0x1.e9c5c703c0020p-35"),
+    ("sqrt", 1.0, 0.5): ("0x1.9000000000000p+0", "0x1.0000000000051p-1", "0x1.96a3c91be9056p-35"),
+    ("2t+1", 1.0, 0.5): ("0x1.c9e8fd09ea000p+1", "0x1.0000000000e7cp-1", "0x1.4962b595503bdp-35"),
+    ("t", 1.0, 1.0): ("0x1.5bf0a8b146000p+1", "0x1.0000000000663p+0", "0x1.3ab7a2fa4cff5p-35"),
+    ("sqrt", 1.0, 1.0): ("0x1.2000000000000p+1", "0x1.0000000000012p+0", "0x1.2f2a4d0604c95p-35"),
+    ("2t+1", 1.0, 1.0): ("0x1.52acb8a9fb000p+3", "0x1.00000000003a2p+0", "0x1.15794d80b8d85p-35"),
+    ("t", 1.0, 2.0): ("0x1.d8e64b8d4e000p+2", "0x1.00000000000adp+1", "0x1.58c21c6acf5fbp-35"),
+    ("sqrt", 1.0, 2.0): ("0x1.0000000000000p+2", "0x1.000000000000bp+1", "0x1.5328b73cccd9ap-35"),
+    ("2t+1", 1.0, 2.0): ("0x1.4596c229d7000p+6", "0x1.00000000000e3p+1", "0x1.33575c5f400cdp-35"),
+}
+
+
 class TestIntegrateRecipG:
+    """The integral of 1/g: exact catalog primitives, adaptive Simpson on a
+    plain callable, and bihari_bound's positivity check along the bracket."""
+
     def test_identity_log(self):
-        assert abs(integrate_recip_g(IDENTITY, 1.0, math.e) - 1.0) < 1e-14
+        assert abs(IDENTITY.recip_primitive(1.0, math.e) - 1.0) < 1e-14
 
     def test_constant(self):
         g = make_g(CatalogRef("constant", {"value": 4.0}))
-        assert integrate_recip_g(g, 0.0, 10.0) == 2.5
+        assert g.recip_primitive(0.0, 10.0) == 2.5
 
     def test_inverse_square(self):
-        assert abs(integrate_recip_g(POWER2, 1.0, 2.0) - 0.5) < 1e-14
+        assert abs(POWER2.recip_primitive(1.0, 2.0) - 0.5) < 1e-14
 
     def test_quadrature_matches_closed_forms(self):
         # the adaptive route must agree with the exact primitives
@@ -49,18 +85,18 @@ class TestIntegrateRecipG:
             (CONST, 0.0, 11.0),
         ):
             exact = g.recip_primitive(lam, t)
-            quad = integrate_recip_g(g.fn, lam, t)
+            quad, _ = adaptive_simpson(lambda s, fn=g.fn: 1.0 / fn(s), lam, t)
             assert abs(quad - exact) <= 1e-9 * (1.0 + abs(exact)), g.ref.id
 
     def test_nonpositive_g_rejected(self):
-        with pytest.raises(QuadratureDomainError):
-            integrate_recip_g(IDENTITY, 0.0, 1.0)  # g(0) = 0
-        with pytest.raises(QuadratureDomainError):
-            integrate_recip_g(lambda t: t - 2.0, 1.0, 3.0)
+        # g(1) = 1 passes BihariProblem, but g(2) = 0 at the first bracket end.
+        prob = BihariProblem(lambda t: 2.0 - t, 1.0, 1.0)
+        with pytest.raises(QuadratureDomainError, match=r"g\(2\.0\) = 0\.0 is not positive"):
+            bihari_bound(prob)
 
     def test_inverted_interval_rejected(self):
-        with pytest.raises(ValueError):
-            integrate_recip_g(IDENTITY, 2.0, 1.0)
+        with pytest.raises(ValueError, match="inverted interval"):
+            adaptive_simpson(lambda t: 1.0 / t, 2.0, 1.0)
 
 
 def test_adaptive_simpson_polynomial_exact():
@@ -104,6 +140,18 @@ class TestBihariBound:
         b = bihari_bound(BihariProblem(g, 1.0, 2.0))
         assert b.condition_violated
         assert len(calls) < 10_000
+
+    def test_quadrature_route_pinned_bit_for_bit(self):
+        for (name, lam, total), want in QUADRATURE_PINNED.items():
+            b = bihari_bound(BihariProblem(QUADRATURE_GS[name], lam, total))
+            assert not b.condition_violated
+            got = (b.M.hex(), b.G_at_M.hex(), b.quadrature_error.hex())
+            assert got == want, (name, lam, total)
+        # The t**3 plateau: the integral over [1, inf) is 1/2 < 1.
+        b = bihari_bound(BihariProblem(lambda t: t**3, 1.0, 1.0))
+        assert b.condition_violated and b.M == math.inf
+        got = (b.G_at_M.hex(), b.quadrature_error.hex())
+        assert got == ("0x1.00000000005f9p-1", "0x1.f23977336fe8fp-36")
 
     def test_plain_callable_agrees_with_catalog(self):
         exact = bihari_bound(BihariProblem(IDENTITY, 1.0, 1.0)).M

@@ -254,7 +254,7 @@ class TestSimulate:
             dz = delta(tr.z, inst.spec.m)
             zmax = max(abs(v) for v in tr.z.values)
             worst = 0.0
-            for n in range(tr.start, dz.end + 1):
+            for n in range(tr.z.start, dz.end + 1):
                 rhs = rt.a(n) * rt.f(n, tr.x.at(rt.sigma(n))) + rt.b(n)
                 worst = max(worst, abs(dz.at(n) - rhs))
             assert worst <= 1e-8 * (1.0 + zmax), name
