@@ -68,9 +68,7 @@ from .neutral_solver import (
     consistent_seeds,
     simulate,
     start_index,
-    x_from_z,
     x_start_index,
-    z_from_x,
 )
 from .seqcore import (
     DEFAULT_THRESHOLDS,
@@ -84,7 +82,6 @@ from .seqcore import (
     csum,
     delta,
     order_estimate,
-    seq_from_function,
     weighted_sum_diagnostic,
 )
 

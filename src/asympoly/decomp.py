@@ -127,8 +127,7 @@ def _decay_fit(remainder: Seq, trail_fraction: float) -> tuple[float, float]:
     ys = list(map(math.log, compress(map(abs, vals), kept)))
     if len(xs) < 2:
         return math.nan, math.nan
-    slope, resid = line_fit(xs, ys)
-    ym = csum(ys) / len(ys)
+    slope, ym, resid = line_fit(xs, ys)
     ss_res = csum(map(pow, resid, repeat(2)))
     ss_tot = csum(map(pow, map(sub, ys, repeat(ym)), repeat(2)))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot

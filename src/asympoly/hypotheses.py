@@ -122,9 +122,10 @@ def check_g_p_bounded(
     worst = 0.0
     witness = None
     ok = True
+    ts = _log_grid_t()
     for n in _log_grid_n(n_max):
         np_ = float(n) ** p
-        for t in _log_grid_t():
+        for t in ts:
             fv = abs(f(n, t))
             gv = g(abs(t) / np_)
             if gv <= 0.0:
@@ -162,7 +163,7 @@ def polynomial_growth_check(
     lo = max(tail.start, 1)
     log_n = list(map(math.log, range(lo, tail.end + 1)))
     log_x = list(map(math.log1p, map(abs, tail.values[lo - tail.start :])))
-    slope, resid = line_fit(log_n, log_x)
+    slope, _, resid = line_fit(log_n, log_x)
     max_resid = max(map(abs, resid))
     allowance = 0.5 * math.log(x.end)
     return GrowthCheck(max_resid < allowance, slope, max_resid, allowance)

@@ -42,7 +42,6 @@ from .errors import (
     DivergenceError,
     SeedError,
     SingularRecoveryError,
-    WindowLengthError,
 )
 from .seqcore import MAX_DIFFERENCE_ORDER, Seq
 
@@ -203,18 +202,6 @@ class SolutionTrace:
     samples: CoefficientSamples
 
 
-def z_from_x(x: Seq, u: Seq, k: int) -> Seq:
-    """Associated sequence z_n = x_n + u_n x_{n+k} on the largest valid window."""
-    lo = max(x.start, u.start, x.start - k, 0, -k)
-    hi = min(x.end, u.end, x.end - k)
-    if lo > hi:
-        raise WindowLengthError(
-            f"x window [{x.start}, {x.end}] and u window [{u.start}, {u.end}] "
-            f"leave no valid index for shift k={k}"
-        )
-    return Seq(lo, tuple(x.at(n) + u.at(n) * x.at(n + k) for n in range(lo, hi + 1)))
-
-
 def _recover_x(x_vals: MutableSequence[float], k: int, n: int, zn: float, un: float) -> float:
     """Append the x value that z_n unlocks, inverting z_n = x_n + u_n x_{n+k}.
 
@@ -235,36 +222,6 @@ def _recover_x(x_vals: MutableSequence[float], k: int, n: int, zn: float, un: fl
         xv = (zn - x_vals[-k]) / un
     x_vals.append(xv)
     return xv
-
-
-def x_from_z(z: Seq, u: Seq, k: int, seed: Seq | None = None) -> Seq:
-    """Recover x from z = x + u x_{+k} by forward recursion.
-
-    k < 0 needs a seed on [z.start + k, z.start - 1]; k > 0 needs a seed on
-    [z.start, z.start + k - 1] and u bounded away from 0; k == 0 needs no
-    seed and 1 + u bounded away from 0.  Round-trips z_from_x up to
-    floating error on stable configurations.
-    """
-    if u.start > z.start or u.end < z.end:
-        raise WindowLengthError(
-            f"u window [{u.start}, {u.end}] does not cover z window [{z.start}, {z.end}]"
-        )
-    if k == 0:
-        if seed is not None:
-            raise SeedError("k=0 recovery takes no seed")
-    elif seed is None:
-        raise SeedError(f"recovery with k={k} requires a seed window")
-    else:
-        lo = z.start + min(k, 0)
-        if seed.start != lo or len(seed) != abs(k):
-            raise SeedError(
-                f"k={k} recovery needs seed exactly on [{lo}, {lo + abs(k) - 1}], "
-                f"got [{seed.start}, {seed.end}]"
-            )
-    vals = [] if seed is None else list(seed.values)
-    for n, zn, un in zip(count(z.start), z.values, u.values[z.start - u.start :]):
-        _recover_x(vals, k, n, zn, un)
-    return Seq(z.start + min(k, 0), vals)
 
 
 def consistent_seeds(spec: EquationSpec, profile: Seq) -> tuple[Seq | None, Seq]:
@@ -354,8 +311,10 @@ def simulate(spec: EquationSpec, x_seed: Seq | None, z_seed: Seq, N: int) -> Sol
             raise SeedError(f"x seed must cover exactly [{lo}, {hi}], got {got}")
     samples = sample_coefficients(spec, N)
 
-    # Signed binomial coefficient of z_{n+i}, i < m, in the m-th difference at n.
-    coeffs = tuple((-1) ** (m - i) * math.comb(m, i) for i in range(m))
+    # Signed binomial coefficient of z_{n+i}, i < m, in the m-th difference at n,
+    # as a float (exact for m <= MAX_DIFFERENCE_ORDER): a float-by-float
+    # product takes CPython's fast path, an int-by-float one does not.
+    coeffs = tuple(float((-1) ** (m - i) * math.comb(m, i)) for i in range(m))
     # z values indexed from n0, x values indexed from xs; the last m z values,
     # oldest first, for the m-th difference.
     z_vals = array("d", z_seed.values)

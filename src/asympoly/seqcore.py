@@ -29,7 +29,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import islice, repeat
 from operator import add, lt, mul, sub, truediv
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import IndexRangeError, WindowLengthError
 
@@ -120,11 +120,6 @@ class Seq:
             )
         return self.values[n - self.start]
 
-    def items(self) -> Iterator[tuple[int, float]]:
-        """Pairs (n, x_n) in index order."""
-        start = self.start
-        return ((start + i, v) for i, v in enumerate(self.values))
-
     def window(self, lo: int, hi: int) -> "Seq":
         """Sub-window on [lo, hi], inclusive on both ends."""
         if lo > hi:
@@ -139,13 +134,6 @@ class Seq:
         """Trailing part of the window holding ceil(len * fraction) entries."""
         count = max(1, math.ceil(len(self.values) * fraction))
         return Seq(self.end - count + 1, self.values[-count:])
-
-
-def seq_from_function(fn: Callable[[int], float], start: int = 1, length: int = 1) -> Seq:
-    """Materialize fn on the window [start, start + length - 1]."""
-    if length < 1:
-        raise ValueError("length must be >= 1")
-    return Seq(start, tuple(map(fn, range(start, start + length))))
 
 
 #: The innermost index_power_tables scope: its last index and its tables,
@@ -238,9 +226,6 @@ class PolyCoeffs:
             acc = map(add, map(mul, acc, ns), repeat(c))
         return iter(acc)
 
-    def sample(self, start: int, length: int) -> Seq:
-        return Seq(start, self.at_indices(start, length))
-
     def padded(self, degree: int) -> tuple[float, ...]:
         """Coefficients extended with zeros through the given degree."""
         if degree < len(self.coeffs) - 1:
@@ -290,10 +275,12 @@ def csum(values: Iterable[float]) -> float:
         return math.nan
 
 
-def line_fit(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, Iterator[float]]:
+def line_fit(
+    xs: Sequence[float], ys: Sequence[float]
+) -> tuple[float, float, Iterator[float]]:
     """Least-squares line through the points (xs, ys), with exactly rounded sums.
 
-    Returns the slope and an iterator over the residuals
+    Returns the slope, mean(ys) and an iterator over the residuals
     y - (mean(ys) + slope (x - mean(xs))) in input order; the slope is NaN
     when the xs do not vary.  Nothing of the size of the input is stored.
     """
@@ -305,7 +292,7 @@ def line_fit(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, Iterator[
     else:
         slope = math.nan
     fitted = map(add, repeat(ym), map(mul, repeat(slope), map(sub, xs, repeat(xm))))
-    return slope, map(sub, ys, fitted)
+    return slope, ym, map(sub, ys, fitted)
 
 
 def delta(x: Seq, m: int) -> Seq:

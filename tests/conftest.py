@@ -36,6 +36,13 @@ def traces():
     }
 
 
+def seq_from_function(fn, start, length):
+    """fn materialized on the window [start, start + length - 1]."""
+    from asympoly.seqcore import Seq
+
+    return Seq(start, map(fn, range(start, start + length)))
+
+
 def cumsum_window(dvals, start, m):
     """m-fold forward cumulative sums with zero initial conditions.
 

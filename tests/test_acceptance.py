@@ -20,10 +20,10 @@ from asympoly.decomp import (
 )
 from asympoly.errors import CausalityError
 from asympoly.hypotheses import theorem_dispatch
-from asympoly.neutral_solver import EquationSpec, consistent_seeds, simulate
-from asympoly.seqcore import PolyCoeffs, Seq, delta, seq_from_function
+from asympoly.neutral_solver import EquationSpec, consistent_seeds, simulate, x_start_index
+from asympoly.seqcore import PolyCoeffs, Seq, delta
 
-from conftest import CERTIFIED, cumsum_window, load_fixture
+from conftest import CERTIFIED, cumsum_window, load_fixture, seq_from_function
 
 T1_NAMES = tuple(name for name, cfg in CERTIFIED.items() if cfg.mode == "plain")
 T2_NAMES = tuple(name for name, cfg in CERTIFIED.items() if cfg.mode == "regular")
@@ -93,32 +93,38 @@ def test_criterion_3_transfer_exactness():
 
 
 def test_criterion_4_round_trips():
+    # simulate forms z from the x profile and recovers x from z; with a = b = 0
+    # and m = 1 it steps z as a constant, so the round trip is the whole run.
     t0 = time.monotonic()
-    from asympoly.neutral_solver import x_from_z, z_from_x
-
     rng = random.Random(123)
     shifts = [-3, -2, -1, 0, 1, 2, 3]
     mags = [0.3, 0.5, 2.0, 3.0]
+    zero = CatalogRef("constant", {"value": 0.0})
     for trial in range(500):
         k = shifts[trial % len(shifts)]
         c = mags[(trial // len(shifts)) % len(mags)] * (1.0 if trial % 2 else -1.0)
-        if k == 0 and abs(1.0 + c) < 0.2:
-            c = abs(c)
-        length = 8 + 2 * abs(k)
-        u = Seq(1, tuple(c + 0.05 * math.sin(1.7 * n) / n for n in range(1, length + 1)))
-        x = Seq(1, tuple(rng.uniform(-5.0, 5.0) for _ in range(length)))
-        z = z_from_x(x, u, k)
-        if k == 0:
-            seed = None
-        elif k > 0:
-            seed = x.window(z.start, z.start + k - 1)
-        else:
-            seed = x.window(z.start + k, z.start - 1)
-        xr = x_from_z(z, u, k, seed)
-        scale = max(1.0, max(abs(v) for v in x.values))
-        lo, hi = max(x.start, xr.start), min(x.end, xr.end)
-        err = max(abs(xr.at(n) - x.at(n)) for n in range(lo, hi + 1))
-        assert err <= 1e-9 * scale, (trial, k, c)
+        spec = EquationSpec(
+            m=1, k=k, c=c,
+            u=CatalogRef("power_offset", {"c": c, "A": 0.05, "rho": 1.0}),
+            a=zero, b=zero, f=CatalogRef("sigmoid"), g=CatalogRef("constant", {"value": 1.0}),
+            sigma=CatalogRef("identity"), s=0.0,
+        )
+        profile = Seq(
+            x_start_index(spec), tuple(rng.uniform(-5.0, 5.0) for _ in range(1 + abs(k)))
+        )
+        x_seed, z_seed = consistent_seeds(spec, profile)
+        trace = simulate(spec, x_seed, z_seed, 8 + 2 * abs(k))
+        x, z, u = trace.x, trace.z, trace.samples.u
+        if x_seed is not None:
+            assert x.window(x_seed.start, x_seed.end).values == x_seed.values, (trial, k, c)
+        # The one profile value that is not a seed comes back through z.
+        scale = max(1.0, max(map(abs, profile.values)))
+        for n, v in enumerate(profile.values, profile.start):
+            assert abs(x.at(n) - v) <= 1e-9 * scale, (trial, k, c, n)
+        for n in range(z.start, z.end + 1):
+            zn, term = z.at(n), u[n - 1] * x.at(n + k)
+            err = abs(zn - (x.at(n) + term))
+            assert err <= 1e-9 * (abs(zn) + abs(x.at(n)) + abs(term)), (trial, k, c, n)
     _report(4, "x/z round trips, 500 instances", t0, 5.0)
 
 

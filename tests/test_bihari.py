@@ -13,7 +13,9 @@ from asympoly.bihari import (
 )
 from asympoly.catalog import CatalogRef, make_g
 from asympoly.errors import QuadratureDomainError, WindowLengthError
-from asympoly.seqcore import CompensatedSum, Seq, delta, seq_from_function
+from asympoly.seqcore import CompensatedSum, Seq, delta
+
+from conftest import seq_from_function
 
 IDENTITY = make_g(CatalogRef("identity"))
 POWER2 = make_g(CatalogRef("power", {"gamma": 2.0}))

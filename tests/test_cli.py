@@ -316,6 +316,24 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "sigma" in err
 
+    @pytest.mark.parametrize(
+        "k, c, A, x_seed",
+        [
+            (1, 2.0, -2.0, [1.0]),  # u_1 = 0 divides x_2 out of z_1
+            (0, -0.5, -0.5, None),  # 1 + u_1 = 0 divides x_1 out of z_1
+        ],
+    )
+    def test_singular_recovery_exits_three(self, k, c, A, x_seed, tmp_path, capsys):
+        raw = json.loads(fixture_text("t1_case_a_m1.json"))
+        u = {"id": "power_offset", "params": {"c": c, "A": A, "rho": 1.0}}
+        raw["spec"].update(k=k, c=c, u=u)
+        raw["seeds"] = {"x": x_seed, "z": [1.0]}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw), encoding="utf-8")
+        assert run(str(config), out_dir=str(tmp_path / "o")) == EXIT_SIMULATION
+        assert "at index 1 is below the singularity guard" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_failed_hypothesis_exits_two(self, tmp_path):
         out = tmp_path / "o"
         code = run(str(FIXTURES / "fail_b_summability.json"), out_dir=str(out))

@@ -18,9 +18,9 @@ from asympoly.decomp import (
 )
 from asympoly.errors import WindowLengthError
 from asympoly.neutral_solver import EquationSpec, consistent_seeds, simulate
-from asympoly.seqcore import PolyCoeffs, Seq, csum, delta, index_powers, seq_from_function
+from asympoly.seqcore import PolyCoeffs, Seq, csum, delta, index_powers
 
-from conftest import CERTIFIED, tail_sum_window
+from conftest import CERTIFIED, seq_from_function, tail_sum_window
 
 
 def reference_psi(z, m, s, thresholds):
@@ -103,7 +103,7 @@ class TestExtractPolynomial:
 
     def test_exact_polynomial(self):
         p = PolyCoeffs((2.0, -1.5, 0.25))
-        z = p.sample(1, 512)
+        z = Seq(1, p.at_indices(1, 512))
         rep = extract_polynomial(z, 3, 0.0)
         for got, want in zip(rep.psi.padded(2), p.padded(2)):
             assert abs(got - want) < 1e-8
@@ -119,7 +119,7 @@ class TestExtractPolynomial:
         z = seq_from_function(lambda n: 1.5 * n + math.cos(n), 1, 256)
         rep = extract_polynomial(z, 2, 0.0)
         rebuilt = tuple(
-            rep.psi(n) + rep.remainder.at(n) for n, _ in z.items()
+            rep.psi(n) + rep.remainder.at(n) for n in range(z.start, z.end + 1)
         )
         assert rebuilt == tuple(z.values)
 
@@ -162,7 +162,7 @@ class TestExtractPolynomial:
         poly = PolyCoeffs((1.0, 0.5))
         d = [float(n) ** -4 for n in range(1, 10_001)]
         w = tail_sum_window(d, 1, m)
-        z = Seq(1, tuple(poly(n) + w.at(n) for n, _ in w.items()))
+        z = Seq(1, tuple(poly(n) + w.at(n) for n in range(w.start, w.end + 1)))
         rep = extract_polynomial(z, m, s)
         assert rep.remainder_verdict.kind == "small_o"
         assert abs(rep.psi.padded(1)[1] - 0.5) < 1e-6

@@ -13,9 +13,9 @@ from asympoly.hypotheses import (
     theorem_dispatch,
 )
 from asympoly.neutral_solver import EquationSpec, consistent_seeds, simulate
-from asympoly.seqcore import Seq, seq_from_function
+from asympoly.seqcore import Seq
 
-from conftest import CERTIFIED, load_fixture
+from conftest import CERTIFIED, load_fixture, seq_from_function
 
 CONST_ONE = make_g(CatalogRef("constant", {"value": 1.0}))
 IDENTITY_G = make_g(CatalogRef("identity"))

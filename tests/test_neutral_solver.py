@@ -1,10 +1,7 @@
 import dataclasses
-import math
 import sys
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from asympoly.catalog import CatalogRef
 from asympoly.errors import (
@@ -13,7 +10,6 @@ from asympoly.errors import (
     DivergenceError,
     SeedError,
     SingularRecoveryError,
-    WindowLengthError,
 )
 from asympoly.hypotheses import theorem_dispatch
 from asympoly.neutral_solver import (
@@ -21,20 +17,11 @@ from asympoly.neutral_solver import (
     consistent_seeds,
     simulate,
     start_index,
-    x_from_z,
     x_start_index,
-    z_from_x,
 )
-from asympoly.seqcore import (
-    Seq,
-    classify_oscillation,
-    csum,
-    delta,
-    order_estimate,
-    seq_from_function,
-)
+from asympoly.seqcore import Seq, classify_oscillation, csum, delta, order_estimate
 
-from conftest import CERTIFIED, load_fixture
+from conftest import CERTIFIED, load_fixture, seq_from_function
 
 
 def spec_with(**overrides):
@@ -102,104 +89,67 @@ class TestEquationSpec:
         assert x_start_index(s2) == 1
 
 
+def neutral_trace(k, c, profile, N, m=1, **overrides):
+    """Trace from the x profile with u = c and, unless overridden, a = b = 0."""
+    spec = spec_with(m=m, k=k, c=c, u=CatalogRef("constant", {"value": c}), **overrides)
+    return simulate(spec, *consistent_seeds(spec, Seq(x_start_index(spec), profile)), N)
+
+
 class TestZFromX:
+    # simulate forms z = x + u x_{+k} from the seed profile and keeps it.
     def test_doubling_cancels(self):
-        # x = 2^n with u = -1/2, k = 1 gives z identically zero
-        x = seq_from_function(lambda n: 2.0**n, 1, 40)
-        u = seq_from_function(lambda n: -0.5, 1, 40)
-        z = z_from_x(x, u, 1)
-        assert all(v == 0.0 for v in z.values)
+        # x = 2^(n-1) with u = -1/2, k = 1 gives z identically 0
+        tr = neutral_trace(1, -0.5, (1.0, 2.0), 40)
+        assert all(v == 0.0 for v in tr.z.values)
 
     def test_zero_u_gives_x(self):
-        x = seq_from_function(lambda n: math.sin(float(n)), 1, 30)
-        u = seq_from_function(lambda n: 0.0, 1, 30)
-        z = z_from_x(x, u, 0)
-        assert z.values == x.values
+        tr = neutral_trace(0, 0.0, (1.0,), 30, b=CatalogRef("power", {"A": 1.0, "rho": 2.0}))
+        assert len(set(tr.z.values)) == 30
+        assert tr.x.values == tr.z.values
 
     def test_constant_x(self):
-        x = seq_from_function(lambda n: 1.0, 1, 30)
-        u = seq_from_function(lambda n: 0.7, 1, 30)
         for k in (-2, 0, 3):
-            z = z_from_x(x, u, k)
-            assert all(abs(v - 1.7) < 1e-15 for v in z.values)
-
-    def test_no_overlap(self):
-        x = seq_from_function(float, 1, 5)
-        u = seq_from_function(float, 1, 5)
-        with pytest.raises(WindowLengthError):
-            z_from_x(x, u, 10)
+            tr = neutral_trace(k, 0.7, (1.0,) * (1 + abs(k)), 30)
+            assert all(abs(v - 1.7) < 1e-15 for v in tr.z.values), k
+            assert all(abs(v - 1.0) < 1e-12 for v in tr.x.values), k
 
 
 class TestXFromZ:
+    # simulate is the one place x is recovered from z.
     def test_negative_shift_roundtrip(self):
-        x = seq_from_function(lambda n: float(n * n), 1, 60)
-        u = seq_from_function(lambda n: 0.5, 1, 60)
-        z = z_from_x(x, u, -1)
-        seed = x.window(1, 1)
-        xr = x_from_z(z, u, -1, seed)
-        scale = max(abs(v) for v in x.values)
-        assert max(abs(xr.at(n) - x.at(n)) for n in range(1, 61)) <= 1e-10 * scale
+        tr = neutral_trace(-1, 0.5, (4.0, 9.0, 16.0, 25.0), 60, m=3)
+        assert (tr.x.start, tr.x.end) == (2, 60)
+        scale = 60.0**2
+        assert max(abs(tr.x.at(n) - float(n * n)) for n in range(2, 61)) <= 1e-10 * scale
 
     def test_k_zero_scalar(self):
-        z = seq_from_function(lambda n: 3.0, 1, 20)
-        u = seq_from_function(lambda n: 0.5, 1, 20)
-        x = x_from_z(z, u, 0)
-        assert all(v == 2.0 for v in x.values)
+        tr = neutral_trace(0, 0.5, (2.0,), 20)
+        assert all(v == 3.0 for v in tr.z.values)
+        assert all(v == 2.0 for v in tr.x.values)
 
     def test_growing_recovery_is_well_posed(self):
-        # z = 0, u = -1/2, k = 1, seed x_1 = 1 recovers x = 2^(n-1) exactly
-        z = Seq(1, (0.0,) * 40)
-        u = seq_from_function(lambda n: -0.5, 1, 40)
-        x = x_from_z(z, u, 1, Seq(1, (1.0,)))
-        for n, v in x.items():
+        # z = 0, u = -1/2, k = 1 and the seed x_1 = 1 recover x = 2^(n-1) exactly
+        tr = neutral_trace(1, -0.5, (1.0, 2.0), 40)
+        for n, v in enumerate(tr.x.values, tr.x.start):
             assert v == 2.0 ** (n - 1)
 
     def test_singular_divisor(self):
-        z = seq_from_function(lambda n: 1.0, 1, 10)
-        u = seq_from_function(lambda n: 0.0, 1, 10)
-        with pytest.raises(SingularRecoveryError, match="index 1"):
-            x_from_z(z, u, 1, Seq(1, (1.0,)))
-        um = seq_from_function(lambda n: -1.0, 1, 10)
-        with pytest.raises(SingularRecoveryError):
-            x_from_z(z, um, 0)
+        # u_1 = c + A vanishes (k = 1) or equals -1 (k = 0)
+        cases = [
+            (1, 2.0, -2.0, Seq(1, (1.0,)), r"u_n = 0\.0 at index 1 is below"),
+            (0, -0.5, -0.5, None, r"1 \+ u_n = 0\.0 at index 1 is below"),
+        ]
+        for k, c, A, x_seed, message in cases:
+            spec = spec_with(k=k, c=c, u=CatalogRef("power_offset", {"c": c, "A": A, "rho": 1.0}))
+            with pytest.raises(SingularRecoveryError, match=message):
+                simulate(spec, x_seed, Seq(1, (1.0,)), 10)
 
     def test_missing_or_misaligned_seed(self):
-        z = seq_from_function(lambda n: 1.0, 2, 10)
-        u = seq_from_function(lambda n: 0.5, 1, 20)
+        spec = spec_with(m=2, k=1, c=2.0, u=CatalogRef("constant", {"value": 2.0}))
         with pytest.raises(SeedError):
-            x_from_z(z, u, 1, None)
+            simulate(spec, None, Seq(2, (1.0, 1.0)), 100)
         with pytest.raises(SeedError):
-            x_from_z(z, u, 1, Seq(3, (1.0,)))
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        st.integers(-3, 3),
-        st.sampled_from([0.3, 0.5, 2.0, 3.0]),
-        st.booleans(),
-        st.integers(0, 2**31 - 1),
-    )
-    def test_roundtrip_property(self, k, cmag, negate, seed_int):
-        import random
-
-        rng = random.Random(seed_int)
-        c = -cmag if negate else cmag
-        if k == 0 and abs(1.0 + c) < 0.2:
-            c = cmag
-        length = 8 + 2 * abs(k)
-        u = Seq(1, tuple(c + 0.05 * math.sin(1.7 * n) / n for n in range(1, length + 1)))
-        x = Seq(1, tuple(rng.uniform(-5.0, 5.0) for _ in range(length)))
-        z = z_from_x(x, u, k)
-        if k == 0:
-            seed = None
-        elif k > 0:
-            seed = x.window(z.start, z.start + k - 1)
-        else:
-            seed = x.window(z.start + k, z.start - 1)
-        xr = x_from_z(z, u, k, seed)
-        scale = max(abs(v) for v in x.values)
-        lo, hi = max(x.start, xr.start), min(x.end, xr.end)
-        err = max(abs(xr.at(n) - x.at(n)) for n in range(lo, hi + 1))
-        assert err <= 1e-9 * max(scale, 1.0)
+            simulate(spec, Seq(3, (1.0,)), Seq(2, (1.0, 1.0)), 100)
 
 
 class TestConsistentSeeds:

@@ -20,12 +20,11 @@ from asympoly.seqcore import (
     index_power_tables,
     index_powers,
     order_estimate,
-    seq_from_function,
     weighted_sum_diagnostic,
 )
 
 from asympoly import seqcore
-from conftest import cumsum_window
+from conftest import cumsum_window, seq_from_function
 
 
 class TestSeq:
@@ -107,7 +106,7 @@ class TestPolyCoeffs:
         # degree-d polynomials are annihilated by the (d+1)-th difference
         for coeffs in ((3.0,), (1.0, -2.0), (0.5, 1.0, -0.25), (1.0, 0.0, 0.0, 2.0)):
             p = PolyCoeffs(coeffs)
-            x = p.sample(1, 200)
+            x = Seq(1, p.at_indices(1, 200))
             d = delta(x, p.degree + 1)
             scale = max(abs(v) for v in x.values)
             assert max(abs(v) for v in d.values) <= 1e-9 * scale
@@ -122,7 +121,7 @@ class TestDelta:
         x = seq_from_function(lambda n: (-1.0) ** n, 1, 40)
         for m in (1, 2, 3, 5):
             d = delta(x, m)
-            for n, v in d.items():
+            for n, v in enumerate(d.values, d.start):
                 assert v == 2.0**m * (-1.0) ** (m + n)
 
     def test_quadratic(self):
@@ -164,7 +163,7 @@ class TestDelta:
         lhs = delta(combo, m)
         dx, dy = delta(x, m), delta(y, m)
         scale = 1.0 + max(max(abs(v) for v in dx.values), max(abs(v) for v in dy.values))
-        for n, v in lhs.items():
+        for n, v in enumerate(lhs.values, lhs.start):
             assert abs(v - (alpha * dx.at(n) + beta * dy.at(n))) <= 1e-12 * scale * (
                 1.0 + abs(alpha) + abs(beta)
             )
