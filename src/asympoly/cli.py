@@ -54,10 +54,11 @@ EXIT_SIMULATION = 3
 CSV_CHUNK_ROWS = 1024
 #: Memory estimate of one run per step of horizon.  The peak traced memory
 #: (tracemalloc) of simulate, dispatch and the three writes is at most
-#: 144 B per step at horizon 1e5 on the shipped certified fixtures
-#: (t1_case_a_m3; 144 at 1e4).  Fixed costs weigh more at short horizons:
-#: at 2000, where tests/test_cli.py re-measures it, the peak reaches 223.
-#: Rounded up from that, with headroom for other Python versions.
+#: 142 B per step at horizon 1e5 on the shipped certified fixtures
+#: (t2_regular_m3; 149 at 1e4, which tests/test_cli.py bounds by 160).
+#: Fixed costs weigh more at short horizons: at 2000, where
+#: tests/test_cli.py re-measures it, the peak reaches 224.  Rounded up
+#: from that, with headroom for other Python versions.
 BYTES_PER_STEP = 250
 #: Largest accepted horizon, about 2 GB of run memory at BYTES_PER_STEP.
 MAX_HORIZON = 8_000_000

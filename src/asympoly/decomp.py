@@ -98,12 +98,20 @@ def _lstsq_degrees(ns: range, resid: Sequence[float], degrees: list[int]) -> dic
     """
     scale = float(ns[-1])
 
-    def column(d: int) -> list[float]:
-        # pow(t, 0) is 1.0 and pow(t, 1) is t, exactly, so those need no pow.
+    def column(d: int) -> list[float] | None:
+        # pow(t, 0) is 1.0 and pow(t, 1) is t, exactly, so those need no pow;
+        # the column of ones is not built (None), see dot.
         if d == 0:
-            return [1.0] * len(ns)
+            return None
         scaled = map(truediv, ns, repeat(scale))
         return list(scaled if d == 1 else map(pow, scaled, repeat(d)))
+
+    def dot(a: list[float] | None, b: Sequence[float] | None) -> float:
+        # 1.0 * v is v, so a product with the column of ones is the other
+        # column, and the ones alone sum to their count: both exact.
+        if a is None:
+            return float(len(ns)) if b is None else csum(b)
+        return csum(a) if b is None else csum(map(mul, a, b))
 
     cols = [column(d) for d in degrees]
     # The normal matrix is symmetric: each entry is summed once.
@@ -111,8 +119,8 @@ def _lstsq_degrees(ns: range, resid: Sequence[float], degrees: list[int]) -> dic
     ata = [[0.0] * k for _ in range(k)]
     for i in range(k):
         for j in range(i, k):
-            ata[i][j] = ata[j][i] = csum(map(mul, cols[i], cols[j]))
-    atb = [csum(map(mul, ci, resid)) for ci in cols]
+            ata[i][j] = ata[j][i] = dot(cols[i], cols[j])
+    atb = [dot(ci, resid) for ci in cols]
     sol = _solve_normal_equations(ata, atb)
     return {d: sol[i] / scale**d for i, d in enumerate(degrees)}
 

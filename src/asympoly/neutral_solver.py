@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections import deque
 from dataclasses import dataclass, field
 from itertools import count
 from typing import Iterable, MutableSequence, Sequence
@@ -43,7 +42,7 @@ from .errors import (
     SeedError,
     SingularRecoveryError,
 )
-from .seqcore import MAX_DIFFERENCE_ORDER, Seq
+from .seqcore import MAX_DIFFERENCE_ORDER, Seq, fill_array
 
 #: |x| or |z| beyond this aborts a run with DivergenceError.
 DIVERGENCE_LIMIT = 1e300
@@ -184,9 +183,9 @@ def sample_coefficients(spec: EquationSpec, N: int) -> CoefficientSamples:
         sigma = list(rt.sigma.window(n0, N - n0 + 1))
     _check_causality(spec, N, sigma)
     return CoefficientSamples(
-        u=array("d", rt.u.window(1, N + max(spec.k, 0))),
-        a=array("d", rt.a.window(1, N)),
-        b=array("d", rt.b.window(1, N)),
+        u=fill_array(rt.u.window(1, N + max(spec.k, 0))),
+        a=fill_array(rt.a.window(1, N)),
+        b=fill_array(rt.b.window(1, N)),
         sigma=sigma,
     )
 
@@ -311,14 +310,14 @@ def simulate(spec: EquationSpec, x_seed: Seq | None, z_seed: Seq, N: int) -> Sol
             raise SeedError(f"x seed must cover exactly [{lo}, {hi}], got {got}")
     samples = sample_coefficients(spec, N)
 
-    # Signed binomial coefficient of z_{n+i}, i < m, in the m-th difference at n,
-    # as a float (exact for m <= MAX_DIFFERENCE_ORDER): a float-by-float
-    # product takes CPython's fast path, an int-by-float one does not.
-    coeffs = tuple(float((-1) ** (m - i) * math.comb(m, i)) for i in range(m))
-    # z values indexed from n0, x values indexed from xs; the last m z values,
-    # oldest first, for the m-th difference.
+    # For each i < m, oldest first: the signed binomial coefficient of z_{n+i}
+    # in the m-th difference at n, as a float (exact for m <=
+    # MAX_DIFFERENCE_ORDER; a float-by-float product takes CPython's fast
+    # path, an int-by-float one does not), and z_{n+i}'s position i - m from
+    # the end of z_vals, which holds z up to z_{n+m-1} at step n.
+    terms = tuple((float((-1) ** (m - i) * math.comb(m, i)), i - m) for i in range(m))
+    # z values indexed from n0, x values indexed from xs.
     z_vals = array("d", z_seed.values)
-    z_last = deque(z_seed.values, maxlen=m)
     x_vals = array("d", x_seed.values if x_seed is not None else ())
     f = spec.rt.f.fn
     # u_n for n in [n0, N], the z window; a_n and b_n for each step n.
@@ -337,12 +336,11 @@ def simulate(spec: EquationSpec, x_seed: Seq | None, z_seed: Seq, N: int) -> Sol
     u_next = u_z[m:]  # u at the z index each step adds
     for n, sv, an, bn, un in zip(steps, samples.sigma, a_steps, b_steps, u_next):
         acc = an * f(n, x_vals[sv - xs]) + bn
-        for coeff, zv in zip(coeffs, z_last):
-            acc -= coeff * zv
+        for coeff, back in terms:
+            acc -= coeff * z_vals[back]
         if not -limit <= acc <= limit:
             _check_finite(acc, "|z|", n + m)
         z_vals.append(acc)
-        z_last.append(acc)
         xv = _recover_x(x_vals, k, n + m, acc, un)
         if not -limit <= xv <= limit:
             _check_finite(xv, "|x|", n + m + shift)

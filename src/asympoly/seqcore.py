@@ -35,6 +35,28 @@ from .errors import IndexRangeError, WindowLengthError
 
 #: Difference orders above this are rejected everywhere in the package.
 MAX_DIFFERENCE_ORDER = 20
+#: Values moved per step by :func:`fill_array`.
+FILL_CHUNK = 4096
+
+
+def fill_array(values: Iterable[float]) -> array:
+    """A new ``array('d')`` holding the values in order.
+
+    An array, list or tuple is copied in one call.  Any other iterable
+    (a lazy ``map``, say) is read FILL_CHUNK values at a time into a list
+    that ``fromlist`` appends: ``array('d', it)`` would append it one
+    value at a time, which costs more, and a list of the whole input
+    would hold a boxed float per value.  The extra memory is one chunk.
+    """
+    if isinstance(values, (array, list, tuple)):
+        return array("d", values)
+    out = array("d")
+    it = iter(values)
+    while True:
+        chunk = list(islice(it, FILL_CHUNK))
+        out.fromlist(chunk)
+        if len(chunk) < FILL_CHUNK:
+            return out
 
 
 @dataclass(frozen=True)
@@ -77,10 +99,13 @@ class Seq:
     takes any iterable of reals (a lazy ``map`` included, so no caller
     builds a tuple first) and stores its own ``array('d')`` copy, 8 bytes
     per entry, so later changes to the source do not reach the window;
-    treat ``values`` as read-only.  Entries are finite floats: the window
-    is summed once, and only a sum that is not finite triggers the
-    entry-by-entry scan, which rejects the first NaN or infinity and
-    accepts a window of finite values whose sum merely overflows.
+    treat ``values`` as read-only.  An iterator is copied a chunk at a
+    time (:func:`fill_array`): cheaper than appending value by value, and
+    only one chunk of boxed floats is alive at once.  Entries are finite
+    floats: the window is summed once, and only a sum that is not finite
+    triggers the entry-by-entry scan, which rejects the first NaN or
+    infinity and accepts a window of finite values whose sum merely
+    overflows.
     Reading outside the window raises :class:`IndexRangeError` instead of
     silently defaulting.  An array is unhashable, so a Seq is too; nothing
     in the package or the benchmark hashes one.
@@ -94,7 +119,7 @@ class Seq:
             raise ValueError(f"start index must be an integer, got {self.start!r}")
         if self.start < 0:
             raise ValueError(f"start index must be >= 0, got {self.start}")
-        vals = array("d", self.values)
+        vals = fill_array(self.values)
         if not vals:
             raise ValueError("sequence window must be non-empty")
         # A NaN or an infinity makes the sum non-finite; finite values can too,
@@ -176,7 +201,7 @@ def index_powers(start: int, length: int, e: float) -> Iterator[float]:
         last, tables = scope
         if e not in tables:
             try:
-                tables[e] = array("d", map(pow, map(float, range(1, last + 1)), repeat(e)))
+                tables[e] = fill_array(map(pow, map(float, range(1, last + 1)), repeat(e)))
             except OverflowError:  # computed per window, where it may still fit
                 tables[e] = None
         table = tables[e]
@@ -218,11 +243,14 @@ class PolyCoeffs:
         return acc
 
     def at_indices(self, start: int, length: int) -> Iterator[float]:
-        """Values at n = start, ..., start + length - 1, each equal to self(n),
-        computed as they are read."""
+        """Values at n = start, ..., start + length - 1, each equal to self(n)
+        for n >= 0 (a window's indices), computed as they are read."""
+        if not self.coeffs:
+            return repeat(0.0, length)
         ns = range(start, start + length)
-        acc: Iterable[float] = repeat(0.0, length)
-        for c in reversed(self.coeffs):
+        # Horner's first level, 0.0 * n + c, is 0.0 + c at every n >= 0.
+        acc: Iterable[float] = repeat(0.0 + self.coeffs[-1], length)
+        for c in reversed(self.coeffs[:-1]):
             acc = map(add, map(mul, acc, ns), repeat(c))
         return iter(acc)
 
@@ -317,7 +345,7 @@ def delta(x: Seq, m: int) -> Seq:
         return x
     vals = x.values
     for _ in range(m - 1):
-        vals = array("d", map(sub, vals[1:], vals))
+        vals = fill_array(map(sub, vals[1:], vals))
     return Seq(x.start, map(sub, vals[1:], vals))
 
 
@@ -341,9 +369,11 @@ def weighted_sum_diagnostic(
         raise WindowLengthError(f"need at least 16 entries, got {len(x)}")
     skip = 1 if x.start == 0 and w != 0.0 else 0
     tail_at = (3 * len(x)) // 4 - skip
-    terms = tuple(
-        map(mul, index_powers(x.start + skip, len(x) - skip, w), map(abs, x.values[skip:]))
-    )
+    mags = map(abs, x.values[skip:])
+    if w == 0.0:  # n**0 is 1.0, and 1.0 * |x_n| is |x_n|
+        terms = tuple(mags)
+    else:
+        terms = tuple(map(mul, index_powers(x.start + skip, len(x) - skip, w), mags))
     partial = csum(terms)
     tail_part = csum(terms[tail_at:])
     return WeightedSumDiagnostic(
@@ -452,7 +482,7 @@ def classify_oscillation(
     x.at(tail_lo), x.at(tail_lo + 1), x.at(tail_lo + k), u.at(tail_lo)
     width = hi - tail_lo + 1
 
-    def window_from(seq: Seq, n: int) -> tuple[float, ...]:
+    def window_from(seq: Seq, n: int) -> array:
         return seq.values[n - seq.start : n - seq.start + width]
 
     xn, xn1, xnk = window_from(x, tail_lo), window_from(x, tail_lo + 1), window_from(x, tail_lo + k)

@@ -215,6 +215,22 @@ def test_bytes_per_step_bounds_the_run_memory(tmp_path):
         assert peak <= cli.BYTES_PER_STEP * horizon, (name, peak / horizon)
 
 
+def test_run_memory_per_step_at_a_horizon_where_windows_dominate(tmp_path):
+    # At 1e4 the per-step windows outweigh the fixed costs, so this bound
+    # tracks what a long run pays per step (t2_regular_m3 peaks at about
+    # 149 B/step here and 141 at 1e5).
+    horizon = 10_000
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = run(str(FIXTURES / "t2_regular_m3.json"), horizon, str(tmp_path / "out"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    assert peak <= 160 * horizon, peak / horizon
+
+
 def count_sampled_indices(monkeypatch):
     """Count, per catalog entry built for a spec, every index its window samples.
 

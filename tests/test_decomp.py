@@ -23,6 +23,26 @@ from asympoly.seqcore import PolyCoeffs, Seq, csum, delta, index_powers
 from conftest import CERTIFIED, seq_from_function, tail_sum_window
 
 
+def reference_lstsq(ns, resid, degrees):
+    """_lstsq_degrees with every column built with pow, ones included."""
+    scale = float(ns[-1])
+    cols = [list(map(pow, map(truediv, ns, repeat(scale)), repeat(d))) for d in degrees]
+    ata = [[csum(map(mul, ci, cj)) for cj in cols] for ci in cols]
+    atb = [csum(map(mul, ci, resid)) for ci in cols]
+    sol = decomp._solve_normal_equations(ata, atb)
+    return {d: sol[i] / scale**d for i, d in enumerate(degrees)}
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_lstsq_matches_the_reference_bit_for_bit(m):
+    rng = random.Random(m)
+    ns = range(5001, 10001)
+    resid = [rng.gauss(0.0, 1e-6) + 1e-9 * n for n in ns]
+    got = decomp._lstsq_degrees(ns, resid, list(range(m)))
+    want = reference_lstsq(ns, resid, list(range(m)))
+    assert {d: c.hex() for d, c in got.items()} == {d: c.hex() for d, c in want.items()}
+
+
 def reference_psi(z, m, s, thresholds):
     """extract_polynomial's coefficients computed over z's whole window.
 
@@ -43,14 +63,10 @@ def reference_psi(z, m, s, thresholds):
         monomial = map(mul, repeat(coeffs[d]), index_powers(z.start, len(z), d))
         work = tuple(map(sub, work, monomial))
     half = len(z) - len(z) // 2
-    scale = float(z.end)
     ns = range(z.end - half + 1, z.end + 1)
-    cols = [list(map(pow, map(truediv, ns, repeat(scale)), repeat(d))) for d in range(m)]
-    ata = [[csum(map(mul, ci, cj)) for cj in cols] for ci in cols]
-    atb = [csum(map(mul, ci, work[-half:])) for ci in cols]
-    sol = decomp._solve_normal_equations(ata, atb)
+    corrections = reference_lstsq(ns, work[-half:], list(range(m)))
     for d in range(d_min, m):
-        coeffs[d] += sol[d] / scale**d
+        coeffs[d] += corrections[d]
     return tuple(coeffs)
 
 

@@ -1,8 +1,10 @@
 import contextlib
 import math
+import random
 import threading
 from array import array
 from itertools import repeat
+from operator import add, mul
 
 import pytest
 from hypothesis import given, settings
@@ -53,6 +55,18 @@ class TestSeq:
             Seq(3, values)
         with pytest.raises(ValueError, match=rf"^non-finite value at index {3 + first_bad}$"):
             Seq(3, iter(values))
+
+    @pytest.mark.parametrize("bad", [seqcore.FILL_CHUNK, 5000])
+    def test_iterator_longer_than_one_chunk_names_the_first_non_finite(self, bad):
+        values = [float(n) for n in range(6000)]
+        values[bad] = math.nan
+        with pytest.raises(ValueError, match=rf"^non-finite value at index {2 + bad}$"):
+            Seq(2, iter(values))
+
+    @pytest.mark.parametrize("length", [1, seqcore.FILL_CHUNK, 2 * seqcore.FILL_CHUNK, 9000])
+    def test_iterator_is_copied_whole_across_chunks(self, length):
+        values = [n * 0.5 - 7.0 for n in range(length)]
+        assert Seq(1, map(float, values)).values == array("d", values)
 
     @pytest.mark.parametrize("values", [(1e308, 1e308), (1e308, 1e308, -1e308)])
     def test_finite_values_whose_sum_overflows_are_accepted(self, values):
@@ -110,6 +124,44 @@ class TestPolyCoeffs:
             d = delta(x, p.degree + 1)
             scale = max(abs(v) for v in x.values)
             assert max(abs(v) for v in d.values) <= 1e-9 * scale
+
+
+def hexes(values):
+    return [v.hex() for v in values]
+
+
+def reference_at_indices(coeffs, start, length):
+    """Horner from acc = 0.0 through every level, the top one included."""
+    ns = range(start, start + length)
+    acc = repeat(0.0, length)
+    for c in reversed(coeffs):
+        acc = map(add, map(mul, acc, ns), repeat(c))
+    return list(acc)
+
+
+@pytest.mark.parametrize("start", [0, 1, 37])
+@pytest.mark.parametrize(
+    "coeffs",
+    [(), (0.0,), (-0.0,), (2.5,), (1.5, 0.0), (1.5, -0.0), (-0.0, 0.0, -0.0), (0.1, -3.0, 1e-3, 7.25)],
+)
+def test_at_indices_matches_the_full_horner_bit_for_bit(coeffs, start):
+    got = list(PolyCoeffs(coeffs).at_indices(start, 300))
+    assert hexes(got) == hexes(reference_at_indices(coeffs, start, 300))
+    assert hexes(got) == hexes(PolyCoeffs(coeffs)(n) for n in range(start, start + 300))
+
+
+@pytest.mark.parametrize("start", [0, 1, 9])
+def test_weighted_sum_at_w_zero_matches_the_weighted_formula_bit_for_bit(start):
+    rng = random.Random(start)
+    values = [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-12, 3) for _ in range(3000)]
+    values[5] = -0.0
+    x = Seq(start, values)
+    # The general formula: each |x_n| times n**0 (1.0), summed exactly.
+    terms = tuple(map(mul, index_powers(start, len(x), 0.0), map(abs, x.values)))
+    tail_at = (3 * len(x)) // 4
+    diag = weighted_sum_diagnostic(x, 0.0)
+    assert diag.partial_sum.hex() == csum(terms).hex()
+    assert diag.tail_estimate.hex() == csum(terms[tail_at:]).hex()
 
 
 class TestDelta:
