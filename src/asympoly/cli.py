@@ -36,14 +36,8 @@ from .errors import (
     SingularRecoveryError,
 )
 from .hypotheses import HypothesisVerdict, theorem_dispatch, validate_mode
-from .neutral_solver import (
-    EquationSpec,
-    SolutionTrace,
-    simulate,
-    start_index,
-    x_start_index,
-)
-from .seqcore import Seq, Thresholds, delta
+from .neutral_solver import EquationSpec, SolutionTrace, finite_number, simulate, start_index
+from .seqcore import Thresholds, delta
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -90,21 +84,10 @@ def _int_field(value: Any, name: str) -> int:
     return int(value)
 
 
-def _num_field(value: Any, name: str) -> float:
-    """A finite JSON number; bools, non-numbers and non-finite values are rejected."""
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, (int, float))
-        or not -sys.float_info.max <= value <= sys.float_info.max
-    ):
-        raise ConfigError(f"field {name}: must be a finite number, got {value!r}")
-    return float(value)
-
-
 def _threshold_field(value: Any, key: str) -> float:
     """A threshold: a finite number in (0, 1] for a window fraction, else >= 0."""
     name = f"thresholds.{key}"
-    v = _num_field(value, name)
+    v = finite_number(value, name)
     if key in _FRACTION_THRESHOLDS:
         if not 0.0 < v <= 1.0:
             raise ConfigError(f"field {name}: must be in (0, 1], got {v!r}")
@@ -144,23 +127,6 @@ def _check_s_floor(spec: EquationSpec, horizon: int) -> None:
             )
 
 
-def _check_seed_lengths(spec: EquationSpec, x_raw: list | None, z_raw: list) -> None:
-    """seeds.z holds z on [n0, n0 + m - 1]; seeds.x holds |k| values, null when k = 0."""
-    if len(z_raw) != spec.m:
-        raise ConfigError(
-            f"field seeds.z: must hold exactly m = {spec.m} values, got {len(z_raw)}"
-        )
-    if spec.k == 0:
-        if x_raw is not None:
-            raise ConfigError("field seeds.x: must be null when k = 0")
-    elif x_raw is None:
-        raise ConfigError(f"field seeds.x: required when k = {spec.k}")
-    elif len(x_raw) != abs(spec.k):
-        raise ConfigError(
-            f"field seeds.x: must hold exactly |k| = {abs(spec.k)} values, got {len(x_raw)}"
-        )
-
-
 def _check_output_dir(out: Path) -> None:
     """Raise NotADirectoryError when out, or its nearest existing ancestor,
     is not a directory, so the run fails before simulating.  Creates nothing."""
@@ -183,7 +149,10 @@ def _ref_from_json(obj: Any, where: str) -> CatalogRef:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment: equation spec, seeds, horizon, case and thresholds."""
+    """One experiment: equation spec, seeds, horizon, case and thresholds.
+
+    x_seed and z_seed are the seed values as :func:`simulate` takes them.
+    """
 
     spec: EquationSpec
     x_seed: tuple[float, ...] | None
@@ -211,14 +180,14 @@ class ExperimentConfig:
         spec = EquationSpec(
             m=_int_field(spec_raw["m"], "m"),
             k=_int_field(spec_raw["k"], "k"),
-            c=_num_field(spec_raw["c"], "c"),
+            c=spec_raw["c"],
             u=_ref_from_json(spec_raw["u"], "u"),
             a=_ref_from_json(spec_raw["a"], "a"),
             b=_ref_from_json(spec_raw["b"], "b"),
             f=_ref_from_json(spec_raw["f"], "f"),
             g=_ref_from_json(spec_raw["g"], "g"),
             sigma=_ref_from_json(spec_raw["sigma"], "sigma"),
-            s=_num_field(spec_raw["s"], "s"),
+            s=spec_raw["s"],
             q=None if q is None else _int_field(q, "q"),
         )
         seeds = raw["seeds"]
@@ -230,15 +199,10 @@ class ExperimentConfig:
             raise ConfigError("field seeds.x: must be a list or null")
         if not isinstance(seeds["z"], list):
             raise ConfigError("field seeds.z: must be a list")
-        _check_seed_lengths(spec, x_raw, seeds["z"])
         horizon = _int_field(raw["horizon"], "horizon")
         case_id = raw["case"]
-        if case_id not in ("a", "b", "c"):
-            raise ConfigError(f"field case: must be a, b or c, got {case_id!r}")
         mode = raw.get("mode", "plain")
-        if mode not in ("plain", "regular"):
-            raise ConfigError(f"field mode: must be plain or regular, got {mode!r}")
-        validate_mode(spec, mode)
+        validate_mode(spec, case_id, mode)
         thr_raw = raw.get("thresholds", {})
         if not isinstance(thr_raw, dict):
             raise ConfigError("field thresholds: must be an object")
@@ -251,21 +215,14 @@ class ExperimentConfig:
             raise ConfigError("field output: must be a string path")
         return ExperimentConfig(
             spec=spec,
-            x_seed=None if x_raw is None else tuple(_num_field(v, "seeds.x") for v in x_raw),
-            z_seed=tuple(_num_field(v, "seeds.z") for v in seeds["z"]),
+            x_seed=None if x_raw is None else tuple(finite_number(v, "seeds.x") for v in x_raw),
+            z_seed=tuple(finite_number(v, "seeds.z") for v in seeds["z"]),
             horizon=horizon,
             case_id=case_id,
             mode=mode,
             thresholds=thresholds,
             output=output,
         )
-
-    def seed_windows(self) -> tuple[Seq | None, Seq]:
-        n0 = start_index(self.spec)
-        z_seed = Seq(n0, self.z_seed)
-        if self.x_seed is None:
-            return None, z_seed
-        return Seq(x_start_index(self.spec), self.x_seed), z_seed
 
 
 def _report_to_dict(r: DecompositionReport) -> dict:
@@ -358,8 +315,7 @@ def run(config_path: str, horizon: int | None = None, out_dir: str | None = None
         _check_horizon(config.spec, N)
         _check_s_floor(config.spec, N)
         _check_output_dir(out)
-        x_seed, z_seed = config.seed_windows()
-        trace = simulate(config.spec, x_seed, z_seed, N)
+        trace = simulate(config.spec, config.x_seed, config.z_seed, N)
     except (CausalityError, DivergenceError, SingularRecoveryError) as exc:
         print(f"simulation error: {exc}", file=sys.stderr)
         return EXIT_SIMULATION

@@ -14,7 +14,8 @@ class IndexRangeError(AsymPolyError):
 
 
 class SeedError(AsymPolyError):
-    """Seed values missing or not covering the required index range."""
+    """A seed holds the wrong number of values, or an x seed is missing
+    (k != 0) or given (k = 0); the message names ``seeds.z`` or ``seeds.x``."""
 
 
 class SingularRecoveryError(AsymPolyError):

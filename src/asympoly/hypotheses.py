@@ -218,8 +218,13 @@ def _alternative_check(
     )
 
 
-def validate_mode(spec: EquationSpec, mode: str) -> None:
-    """Regular mode needs an integer target: q set and s == q."""
+def validate_mode(spec: EquationSpec, case_id: str, mode: str) -> None:
+    """Reject a case other than a, b or c, a mode other than plain or
+    regular, and a regular mode without an integer target (q set, s == q)."""
+    if case_id not in ("a", "b", "c"):
+        raise ConfigError(f"field case: must be a, b or c, got {case_id!r}")
+    if mode not in ("plain", "regular"):
+        raise ConfigError(f"field mode: must be plain or regular, got {mode!r}")
     if mode == "regular":
         if spec.q is None:
             raise ConfigError("field q: regular mode requires q to be set")
@@ -244,11 +249,7 @@ def theorem_dispatch(
     u-rate is checked at exponent 1 - m, and the conclusion additionally
     requires the remainder to pass the iterated-difference checks.
     """
-    if case_id not in ("a", "b", "c"):
-        raise ValueError(f"case_id must be one of a, b, c; got {case_id!r}")
-    if mode not in ("plain", "regular"):
-        raise ValueError(f"mode must be plain or regular, got {mode!r}")
-    validate_mode(spec, mode)
+    validate_mode(spec, case_id, mode)
     rt = spec.rt
     m, s = spec.m, spec.s
     n0, N = trace.z.start, trace.z.end

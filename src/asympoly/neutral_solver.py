@@ -6,7 +6,8 @@ z_n = x_n + u_n x_{n+k},
     (m-th difference of z at n) = a_n f(n, x_{sigma(n)}) + b_n
 
 with u_n -> c, |c| != 1.  The simulator fixes the start at
-n0 = max(1, 1 - k, m), requires seeds exactly there, advances z with the
+n0 = max(1, 1 - k, m), takes z on [n0, n0 + m - 1] and |k| x values as
+seeds (this module alone knows where they sit), advances z with the
 binomial expansion of the m-th difference, and extends x by inverting the
 neutral relation.  The inversion is only forward-stable when k <= 0 with
 |c| < 1, k >= 0 with |c| > 1, or k == 0; outside those regimes any seed
@@ -18,6 +19,7 @@ u = -1/2, k = 1 gives z identically 0), not a solver defect.
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 from dataclasses import dataclass, field
 from itertools import count
@@ -59,6 +61,18 @@ def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def finite_number(value: object, name: str) -> float:
+    """value as a float; a bool, a non-number or a non-finite value raises
+    ConfigError naming field ``name`` (an int beyond the float range too)."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not -sys.float_info.max <= value <= sys.float_info.max
+    ):
+        raise ConfigError(f"field {name}: must be a finite number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class EquationSpec:
     """Full description of one equation instance.
@@ -66,6 +80,7 @@ class EquationSpec:
     All functional ingredients are catalog references; ``s`` is the target
     smallness exponent of the asymptotic decomposition and ``q``, when set,
     selects the regular (iterated-difference) form of the conclusion.
+    ``c`` and ``s`` are stored as floats.
     """
 
     m: int
@@ -90,9 +105,7 @@ class EquationSpec:
         if not _is_int(self.k):
             raise ConfigError(f"field k: neutral shift must be an integer, got {self.k!r}")
         for name in ("c", "s"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-                raise ConfigError(f"field {name}: must be a finite number, got {value!r}")
+            object.__setattr__(self, name, finite_number(getattr(self, name), name))
         if abs(abs(self.c) - 1.0) <= UNIT_MARGIN:
             raise ConfigError(f"field c: |c| must differ from 1 by more than {UNIT_MARGIN}, got c={self.c}")
         if self.s > self.m - 1 + 1e-12:
@@ -223,34 +236,28 @@ def _recover_x(x_vals: MutableSequence[float], k: int, n: int, zn: float, un: fl
     return xv
 
 
-def consistent_seeds(spec: EquationSpec, profile: Seq) -> tuple[Seq | None, Seq]:
-    """Build (x_seed, z_seed) from an initial stretch of x values.
+def consistent_seeds(
+    spec: EquationSpec, profile: Sequence[float]
+) -> tuple[tuple[float, ...] | None, tuple[float, ...]]:
+    """The (x_seed, z_seed) values :func:`simulate` takes, from m + |k| x values.
 
-    The profile must cover exactly the x indices that determine the z
+    profile holds x in index order on the indices that determine the z
     seeds: [n0 + k, n0 + m - 1] for k <= 0 and [n0, n0 + m + k - 1] for
-    k > 0.  The z seeds are computed through the neutral relation, so the
-    pair is consistent by construction.
+    k > 0.  Its first |k| values are the x seed (None when k = 0), and the
+    z seeds are computed through the neutral relation, so the pair is
+    consistent by construction.  A profile of another length raises
+    SeedError.
     """
+    m, k = spec.m, spec.k
+    if len(profile) != m + abs(k):
+        raise SeedError(
+            f"seed profile must hold exactly m + |k| = {m + abs(k)} values, got {len(profile)}"
+        )
     u = spec.rt.u
     n0 = start_index(spec)
-    m, k = spec.m, spec.k
-    lo = n0 + min(k, 0)
-    hi = n0 + m - 1 + max(k, 0)
-    if profile.start != lo or profile.end != hi:
-        raise SeedError(
-            f"seed profile must cover exactly [{lo}, {hi}], got [{profile.start}, {profile.end}]"
-        )
-    z_vals = tuple(
-        profile.at(n) + u(n) * profile.at(n + k) for n in range(n0, n0 + m)
-    )
-    z_seed = Seq(n0, z_vals)
-    if k > 0:
-        x_seed: Seq | None = profile.window(n0, n0 + k - 1)
-    elif k < 0:
-        x_seed = profile.window(n0 + k, n0 - 1)
-    else:
-        x_seed = None
-    return x_seed, z_seed
+    lo = x_start_index(spec)
+    z_seed = tuple(profile[n - lo] + u(n) * profile[n + k - lo] for n in range(n0, n0 + m))
+    return (tuple(profile[: abs(k)]) if k else None), z_seed
 
 
 def _check_causality(spec: EquationSpec, N: int, sigma: Iterable[int]) -> None:
@@ -278,36 +285,44 @@ def _check_finite(value: float, what: str, index: int) -> None:
         )
 
 
-def simulate(spec: EquationSpec, x_seed: Seq | None, z_seed: Seq, N: int) -> SolutionTrace:
-    """Advance the equation from its seeds to z horizon N.
+def simulate(
+    spec: EquationSpec, x_seed: Sequence[float] | None, z_seed: Sequence[float], N: int
+) -> SolutionTrace:
+    """Advance the equation from its seed values to z horizon N.
 
-    z_seed must supply z at the m indices [n0, n0 + m - 1]; x_seed must
-    cover exactly the indices listed in :func:`consistent_seeds`.  sigma,
-    u, a and b are evaluated once (:func:`sample_coefficients`), and every
-    sigma(n) is checked against the realized x window before u, a and b
-    are sampled.  The returned trace carries those samples, satisfies the
-    neutral relation on the full overlap window (re-verified before
-    returning) and the stepping residual of the equation itself is at
-    rounding level.
+    z_seed holds the m values z_n for n in [n0, n0 + m - 1], and x_seed
+    the |k| values x_n for n in [n0 + k, n0 - 1] when k < 0 or
+    [n0, n0 + k - 1] when k > 0, both in index order; x_seed is None when
+    k = 0 (:func:`consistent_seeds` builds a consistent pair).  A seed of
+    the wrong length raises SeedError naming its config field
+    (``seeds.z`` or ``seeds.x``), and a non-finite one ValueError naming
+    its index, before anything is sampled.  sigma, u, a and b are
+    evaluated once (:func:`sample_coefficients`), and every sigma(n) is
+    checked against the realized x window before u, a and b are sampled.
+    The returned trace carries those samples, satisfies the neutral
+    relation on the full overlap window (re-verified before returning) and
+    the stepping residual of the equation itself is at rounding level.
     """
     m, k = spec.m, spec.k
     n0 = start_index(spec)
     xs = x_start_index(spec)
     if N < n0 + m - 1:
         raise ConfigError(f"field horizon: need N >= {n0 + m - 1}, got {N}")
-    if z_seed.start != n0 or len(z_seed) != m:
-        raise SeedError(
-            f"z seed must cover exactly [{n0}, {n0 + m - 1}], got [{z_seed.start}, {z_seed.end}]"
-        )
+    if len(z_seed) != m:
+        raise SeedError(f"field seeds.z: must hold exactly m = {m} values, got {len(z_seed)}")
     if k == 0:
         if x_seed is not None:
-            raise SeedError("k=0 takes no x seed (x is determined by z)")
-    else:
-        lo = n0 + min(k, 0)
-        hi = n0 - 1 if k < 0 else n0 + k - 1
-        if x_seed is None or x_seed.start != lo or x_seed.end != hi:
-            got = "nothing" if x_seed is None else f"[{x_seed.start}, {x_seed.end}]"
-            raise SeedError(f"x seed must cover exactly [{lo}, {hi}], got {got}")
+            raise SeedError("field seeds.x: must be null when k = 0")
+    elif x_seed is None:
+        raise SeedError(f"field seeds.x: required when k = {k}")
+    elif len(x_seed) != abs(k):
+        raise SeedError(
+            f"field seeds.x: must hold exactly |k| = {abs(k)} values, got {len(x_seed)}"
+        )
+    # z_vals holds z from n0 and x_vals x from xs; Seq rejects a non-finite
+    # seed, naming its index.
+    z_vals = array("d", Seq(n0, z_seed).values)
+    x_vals = array("d", () if x_seed is None else Seq(xs, x_seed).values)
     samples = sample_coefficients(spec, N)
 
     # For each i < m, oldest first: the signed binomial coefficient of z_{n+i}
@@ -316,9 +331,6 @@ def simulate(spec: EquationSpec, x_seed: Seq | None, z_seed: Seq, N: int) -> Sol
     # path, an int-by-float one does not), and z_{n+i}'s position i - m from
     # the end of z_vals, which holds z up to z_{n+m-1} at step n.
     terms = tuple((float((-1) ** (m - i) * math.comb(m, i)), i - m) for i in range(m))
-    # z values indexed from n0, x values indexed from xs.
-    z_vals = array("d", z_seed.values)
-    x_vals = array("d", x_seed.values if x_seed is not None else ())
     f = spec.rt.f.fn
     # u_n for n in [n0, N], the z window; a_n and b_n for each step n.
     u_z = samples.u[n0 - 1 : N]
@@ -327,7 +339,7 @@ def simulate(spec: EquationSpec, x_seed: Seq | None, z_seed: Seq, N: int) -> Sol
     limit = DIVERGENCE_LIMIT
     shift = max(k, 0)  # the x value z_j unlocks has index j + shift
 
-    for j, zj, uj in zip(count(n0), z_seed.values, u_z):
+    for j, zj, uj in zip(count(n0), z_vals, u_z):
         xv = _recover_x(x_vals, k, j, zj, uj)
         if not -limit <= xv <= limit:
             _check_finite(xv, "|x|", j + shift)

@@ -367,15 +367,18 @@ def weighted_sum_diagnostic(
     """
     if len(x) < 16:
         raise WindowLengthError(f"need at least 16 entries, got {len(x)}")
-    skip = 1 if x.start == 0 and w != 0.0 else 0
-    tail_at = (3 * len(x)) // 4 - skip
-    mags = map(abs, x.values[skip:])
-    if w == 0.0:  # n**0 is 1.0, and 1.0 * |x_n| is |x_n|
-        terms = tuple(mags)
-    else:
-        terms = tuple(map(mul, index_powers(x.start + skip, len(x) - skip, w), mags))
-    partial = csum(terms)
-    tail_part = csum(terms[tail_at:])
+    vals = x.values
+
+    def weighted_sum(lo: int) -> float:
+        """Exact sum of the terms from window position lo on."""
+        mags = map(abs, vals[lo:])
+        if w == 0.0:  # n**0 is 1.0, and 1.0 * |x_n| is |x_n|
+            return csum(mags)
+        return csum(map(mul, index_powers(x.start + lo, len(vals) - lo, w), mags))
+
+    # Index 0 has no n**w for w < 0; it is left out whenever w != 0.
+    partial = weighted_sum(1 if x.start == 0 and w != 0.0 else 0)
+    tail_part = weighted_sum((3 * len(vals)) // 4)
     return WeightedSumDiagnostic(
         partial, tail_part, tail_part < thresholds.tau_tail * (1.0 + partial)
     )

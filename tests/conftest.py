@@ -32,7 +32,7 @@ CERTIFIED = {
 def traces():
     """Simulated traces of every certified fixture at the shared horizon."""
     return {
-        name: simulate(cfg.spec, *cfg.seed_windows(), HORIZON) for name, cfg in CERTIFIED.items()
+        name: simulate(cfg.spec, cfg.x_seed, cfg.z_seed, HORIZON) for name, cfg in CERTIFIED.items()
     }
 
 

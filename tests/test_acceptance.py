@@ -20,7 +20,7 @@ from asympoly.decomp import (
 )
 from asympoly.errors import CausalityError
 from asympoly.hypotheses import theorem_dispatch
-from asympoly.neutral_solver import EquationSpec, consistent_seeds, simulate, x_start_index
+from asympoly.neutral_solver import EquationSpec, consistent_seeds, simulate
 from asympoly.seqcore import PolyCoeffs, Seq, delta
 
 from conftest import CERTIFIED, cumsum_window, load_fixture, seq_from_function
@@ -109,17 +109,15 @@ def test_criterion_4_round_trips():
             a=zero, b=zero, f=CatalogRef("sigmoid"), g=CatalogRef("constant", {"value": 1.0}),
             sigma=CatalogRef("identity"), s=0.0,
         )
-        profile = Seq(
-            x_start_index(spec), tuple(rng.uniform(-5.0, 5.0) for _ in range(1 + abs(k)))
-        )
+        profile = tuple(rng.uniform(-5.0, 5.0) for _ in range(1 + abs(k)))
         x_seed, z_seed = consistent_seeds(spec, profile)
         trace = simulate(spec, x_seed, z_seed, 8 + 2 * abs(k))
         x, z, u = trace.x, trace.z, trace.samples.u
-        if x_seed is not None:
-            assert x.window(x_seed.start, x_seed.end).values == x_seed.values, (trial, k, c)
+        # The profile starts at x's first index; its first |k| values are x_seed.
+        assert x_seed == (tuple(x.values[: abs(k)]) if k else None), (trial, k, c)
         # The one profile value that is not a seed comes back through z.
-        scale = max(1.0, max(map(abs, profile.values)))
-        for n, v in enumerate(profile.values, profile.start):
+        scale = max(1.0, max(map(abs, profile)))
+        for n, v in enumerate(profile, x.start):
             assert abs(x.at(n) - v) <= 1e-9 * scale, (trial, k, c, n)
         for n in range(z.start, z.end + 1):
             zn, term = z.at(n), u[n - 1] * x.at(n + k)
@@ -182,7 +180,7 @@ def test_criterion_7_negative_controls():
     # (i) harmonic b breaks the b-summability hypothesis, named in the verdict
     cfg = load_fixture("fail_b_summability")
     assert cfg.spec.b == CatalogRef("power", {"A": 1.0, "rho": 1.0})
-    trace = simulate(cfg.spec, *cfg.seed_windows(), 10_000)
+    trace = simulate(cfg.spec, cfg.x_seed, cfg.z_seed, 10_000)
     verdict = theorem_dispatch(cfg.spec, trace, cfg.case_id)
     assert not verdict.passed
     assert verdict.failed_check == "b-summability"
@@ -202,7 +200,7 @@ def test_criterion_7_negative_controls():
         sigma=CatalogRef("delay_d", {"d": -1}),
         s=0.0,
     )
-    x_seed3, z_seed3 = consistent_seeds(spec3, Seq(1, (1.0,)))
+    x_seed3, z_seed3 = consistent_seeds(spec3, (1.0,))
     with pytest.raises(CausalityError):
         simulate(spec3, x_seed3, z_seed3, 100)
     _report(7, "negative controls", t0, 5.0)

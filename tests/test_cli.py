@@ -6,11 +6,14 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from asympoly import cli, neutral_solver
 from asympoly.cli import EXIT_CONFIG, EXIT_HYPOTHESIS, EXIT_OK, EXIT_SIMULATION, ExperimentConfig, run
@@ -77,6 +80,7 @@ class TestExperimentConfig:
         ("thresholds", "tau_small", -0.1),
         ("seeds", "z", [1.75, 1.75]),
         (None, "horizon", 10),
+        pytest.param("spec", "c", 10**400, id="spec-c-int-beyond-float"),
     ],
 )
 def test_bool_and_nan_rejected_at_the_boundary(section, field, value, tmp_path, capsys):
@@ -116,6 +120,39 @@ def test_seed_x_length_rejected_at_the_boundary(tmp_path, capsys):
     assert run(str(config), out_dir=str(tmp_path / "o")) == EXIT_CONFIG
     assert "field seeds.x:" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+SEED_VALUES = st.lists(st.floats(-10.0, 10.0), max_size=4)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.sampled_from(["t1_case_a_m3", "t1_case_b_m2", "t1_case_a_m2"]),  # k = -1, 0, 1
+    st.none() | SEED_VALUES,
+    SEED_VALUES,
+)
+def test_seed_lengths_are_checked_through_run(name, x_seed, z_seed):
+    raw = json.loads(fixture_text(f"{name}.json"))
+    m, k = raw["spec"]["m"], raw["spec"]["k"]
+    raw["seeds"] = {"x": x_seed, "z": z_seed}
+    if k == 0:
+        wrong = x_seed is not None
+    else:
+        wrong = x_seed is None or len(x_seed) != abs(k)
+    wrong = wrong or len(z_seed) != m
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps(raw), encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = run(str(config), horizon=200, out_dir=str(Path(tmp) / "o"))
+        assert "Traceback" not in err.getvalue()
+        if wrong:
+            assert code == EXIT_CONFIG
+            assert "field seeds." in err.getvalue()
+            assert not (Path(tmp) / "o").exists()
+        else:
+            assert code in (EXIT_OK, EXIT_HYPOTHESIS, EXIT_SIMULATION)
 
 
 @pytest.mark.parametrize(

@@ -300,7 +300,7 @@ class TestDecomposeSolution:
             sigma=CatalogRef("identity"),
             s=0.0,
         )
-        x_seed, z_seed = consistent_seeds(spec, Seq(2, (5.0, 7.0)))  # x = 2n + 1
+        x_seed, z_seed = consistent_seeds(spec, (5.0, 7.0))  # x = 2n + 1
         trace = simulate(spec, x_seed, z_seed, 2000)
         dec = decompose_solution(trace, spec)
         for got, want in zip(dec.x_report.psi.padded(1), (1.0, 2.0)):
@@ -329,7 +329,7 @@ class TestDecomposeSolution:
             sigma=CatalogRef("identity"),
             s=0.0,
         )
-        x_seed, z_seed = consistent_seeds(spec, Seq(1, (1.0,)))
+        x_seed, z_seed = consistent_seeds(spec, (1.0,))
         trace = simulate(spec, x_seed, z_seed, 10_000)
         dec = decompose_solution(trace, spec)
         product = 1.0

@@ -13,7 +13,6 @@ from asympoly.hypotheses import (
     theorem_dispatch,
 )
 from asympoly.neutral_solver import EquationSpec, consistent_seeds, simulate
-from asympoly.seqcore import Seq
 
 from conftest import CERTIFIED, load_fixture, seq_from_function
 
@@ -57,7 +56,7 @@ class TestCheckGPBounded:
 
         monkeypatch.setattr(hyp, "check_g_p_bounded", recording)
         inst = CERTIFIED["t1_case_a_m1"]
-        trace = simulate(inst.spec, *inst.seed_windows(), 100_000)
+        trace = simulate(inst.spec, inst.x_seed, inst.z_seed, 100_000)
         theorem_dispatch(inst.spec, trace, inst.case_id)
         assert min(scanned) == 1
         assert max(scanned) == 100_000
@@ -111,7 +110,7 @@ class TestTheoremDispatch:
 
     def test_broken_b_summability_is_named(self):
         cfg = load_fixture("fail_b_summability")  # harmonic b
-        trace = simulate(cfg.spec, *cfg.seed_windows(), 10_000)
+        trace = simulate(cfg.spec, cfg.x_seed, cfg.z_seed, 10_000)
         v = theorem_dispatch(cfg.spec, trace, "b")
         assert not v.passed
         assert v.failed_check == "b-summability"
@@ -127,7 +126,7 @@ class TestTheoremDispatch:
             sigma=CatalogRef("identity"),
             s=0.0,
         )
-        x_seed, z_seed = consistent_seeds(spec, Seq(2, (5.0, 7.0)))
+        x_seed, z_seed = consistent_seeds(spec, (5.0, 7.0))
         trace = simulate(spec, x_seed, z_seed, 2000)
         for case_id in ("a", "b", "c"):
             v = theorem_dispatch(spec, trace, case_id)
@@ -149,7 +148,7 @@ class TestTheoremDispatch:
             theorem_dispatch(spec, traces["t1_case_a_m2"], "a", mode="regular")
 
     def test_invalid_case_rejected(self, traces):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="field case:"):
             theorem_dispatch(CERTIFIED["t1_case_a_m2"].spec, traces["t1_case_a_m2"], "d")
 
     def test_regular_instances_pass(self, traces):
@@ -183,7 +182,7 @@ class TestAlternativeCheck:
     )
 
     def dispatch(self, profile):
-        trace = simulate(self.SPEC, *consistent_seeds(self.SPEC, Seq(1, profile)), 200)
+        trace = simulate(self.SPEC, *consistent_seeds(self.SPEC, profile), 200)
         verdict = theorem_dispatch(self.SPEC, trace, "b")
         return verdict, next(c for c in verdict.checks if c.name == "alternative")
 
@@ -216,7 +215,7 @@ def test_geometric_forcing_small_at_every_exponent():
         sigma=CatalogRef("identity"),
         s=0.0,
     )
-    x_seed, z_seed = consistent_seeds(spec, Seq(2, (1.0, 1.5)))
+    x_seed, z_seed = consistent_seeds(spec, (1.0, 1.5))
     trace = simulate(spec, x_seed, z_seed, 10_000)
     from asympoly.catalog import make_generator
 

@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from asympoly import neutral_solver
 from asympoly.catalog import CatalogRef
 from asympoly.errors import (
     CausalityError,
@@ -19,7 +20,7 @@ from asympoly.neutral_solver import (
     start_index,
     x_start_index,
 )
-from asympoly.seqcore import Seq, classify_oscillation, csum, delta, order_estimate
+from asympoly.seqcore import classify_oscillation, csum, delta, order_estimate
 
 from conftest import CERTIFIED, load_fixture, seq_from_function
 
@@ -71,9 +72,20 @@ class TestEquationSpec:
                     monkeypatch.setattr(module, name, counted)
         inst = CERTIFIED["t1_case_b_m2"]
         spec = dataclasses.replace(inst.spec)
-        trace = simulate(spec, *inst.seed_windows(), 2000)
+        trace = simulate(spec, inst.x_seed, inst.z_seed, 2000)
         theorem_dispatch(spec, trace, inst.case_id, inst.mode)
         assert len(calls) == 6
+
+    def test_c_beyond_the_float_range_rejected(self):
+        # An int beyond the float range is rejected with the config message,
+        # not an OverflowError from a float conversion.
+        with pytest.raises(ConfigError, match=r"field c: must be a finite number, got 1000"):
+            spec_with(c=10**400)
+
+    def test_c_and_s_stored_as_floats(self):
+        spec = spec_with(c=0, s=0)
+        assert type(spec.c) is float and type(spec.s) is float
+        assert spec.s == 0.0
 
     def test_u_limit_must_match_c(self):
         with pytest.raises(ConfigError, match="u"):
@@ -92,7 +104,7 @@ class TestEquationSpec:
 def neutral_trace(k, c, profile, N, m=1, **overrides):
     """Trace from the x profile with u = c and, unless overridden, a = b = 0."""
     spec = spec_with(m=m, k=k, c=c, u=CatalogRef("constant", {"value": c}), **overrides)
-    return simulate(spec, *consistent_seeds(spec, Seq(x_start_index(spec), profile)), N)
+    return simulate(spec, *consistent_seeds(spec, profile), N)
 
 
 class TestZFromX:
@@ -136,57 +148,95 @@ class TestXFromZ:
     def test_singular_divisor(self):
         # u_1 = c + A vanishes (k = 1) or equals -1 (k = 0)
         cases = [
-            (1, 2.0, -2.0, Seq(1, (1.0,)), r"u_n = 0\.0 at index 1 is below"),
+            (1, 2.0, -2.0, (1.0,), r"u_n = 0\.0 at index 1 is below"),
             (0, -0.5, -0.5, None, r"1 \+ u_n = 0\.0 at index 1 is below"),
         ]
         for k, c, A, x_seed, message in cases:
             spec = spec_with(k=k, c=c, u=CatalogRef("power_offset", {"c": c, "A": A, "rho": 1.0}))
             with pytest.raises(SingularRecoveryError, match=message):
-                simulate(spec, x_seed, Seq(1, (1.0,)), 10)
+                simulate(spec, x_seed, (1.0,), 10)
 
-    def test_missing_or_misaligned_seed(self):
+    def test_missing_or_miscounted_x_seed(self):
         spec = spec_with(m=2, k=1, c=2.0, u=CatalogRef("constant", {"value": 2.0}))
-        with pytest.raises(SeedError):
-            simulate(spec, None, Seq(2, (1.0, 1.0)), 100)
-        with pytest.raises(SeedError):
-            simulate(spec, Seq(3, (1.0,)), Seq(2, (1.0, 1.0)), 100)
+        with pytest.raises(SeedError, match="field seeds.x: required when k = 1"):
+            simulate(spec, None, (1.0, 1.0), 100)
+        with pytest.raises(SeedError, match=r"field seeds.x: must hold exactly \|k\| = 1 values, got 2"):
+            simulate(spec, (1.0, 1.0), (1.0, 1.0), 100)
+
+
+class TestSeedBoundary:
+    # Seeds are checked before sigma, u, a or b is sampled.
+    @pytest.fixture(autouse=True)
+    def no_sampling(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("sample_coefficients was reached")
+
+        monkeypatch.setattr(neutral_solver, "sample_coefficients", never)
+
+    K1 = dict(m=2, k=1, c=2.0, u=CatalogRef("constant", {"value": 2.0}))
+    K0 = dict(m=2, k=0, c=0.5, u=CatalogRef("constant", {"value": 0.5}))
+
+    @pytest.mark.parametrize(
+        "spec, x_seed, z_seed, field",
+        [
+            (K1, (1.0,), (1.0,), "seeds.z"),  # m = 2 z values
+            (K1, (1.0,), (1.0, 1.0, 1.0), "seeds.z"),
+            (K1, (), (1.0, 1.0), "seeds.x"),  # |k| = 1 x value
+            (K1, None, (1.0, 1.0), "seeds.x"),  # missing at k = 1
+            (K0, (1.0,), (1.0, 1.0), "seeds.x"),  # given at k = 0
+            (K0, (), (1.0, 1.0), "seeds.x"),
+        ],
+    )
+    def test_wrong_seed_names_its_field(self, spec, x_seed, z_seed, field):
+        with pytest.raises(SeedError, match=f"^field {field}: "):
+            simulate(spec_with(**spec), x_seed, z_seed, 100)
+
+    @pytest.mark.parametrize(
+        "spec, x_seed, z_seed, index",
+        [
+            (K1, (1.0,), (1.0, float("nan")), 3),  # z on [2, 3]
+            (K1, (float("inf"),), (1.0, 1.0), 2),  # x on [2, 2]
+        ],
+    )
+    def test_non_finite_seed_names_its_index(self, spec, x_seed, z_seed, index):
+        with pytest.raises(ValueError, match=f"non-finite value at index {index}$"):
+            simulate(spec_with(**spec), x_seed, z_seed, 100)
 
 
 class TestConsistentSeeds:
     def test_profile_window_enforced(self):
+        # m + |k| = 3 values: x on [n0, n0 + m + k - 1] = [2, 4].
         spec = spec_with(m=2, k=1, c=2.0, u=CatalogRef("constant", {"value": 2.0}))
-        with pytest.raises(SeedError):
-            consistent_seeds(spec, Seq(1, (1.0, 1.0, 1.0)))
-        x_seed, z_seed = consistent_seeds(spec, Seq(2, (1.0, 1.0, 1.0)))
-        assert x_seed.start == 2 and len(x_seed) == 1
-        assert z_seed.start == 2 and len(z_seed) == 2
-        assert tuple(z_seed.values) == (3.0, 3.0)
+        for profile in ((1.0, 1.0), (1.0,) * 4):
+            with pytest.raises(SeedError, match=r"exactly m \+ \|k\| = 3 values, got"):
+                consistent_seeds(spec, profile)
+        assert consistent_seeds(spec, (1.0, 1.0, 1.0)) == ((1.0,), (3.0, 3.0))
 
     @pytest.mark.parametrize(
         "name, profile",
         [
-            ("t1_case_a_m2", Seq(2, (1.0, 1.0, 1.0))),  # k = 1, the README example
-            ("t1_case_a_m3", Seq(2, (4.0, 9.0, 16.0, 25.0))),  # k = -1
-            ("t1_case_b_m2", Seq(2, (1.0, 2.0))),  # k = 0
+            ("t1_case_a_m2", (1.0, 1.0, 1.0)),  # k = 1, the README example
+            ("t1_case_a_m3", (4.0, 9.0, 16.0, 25.0)),  # k = -1
+            ("t1_case_b_m2", (1.0, 2.0)),  # k = 0
         ],
     )
     def test_fixture_seeds_come_from_a_profile(self, name, profile):
         cfg = CERTIFIED[name]
-        assert consistent_seeds(cfg.spec, profile) == cfg.seed_windows()
+        assert consistent_seeds(cfg.spec, profile) == (cfg.x_seed, cfg.z_seed)
 
 
 class TestSimulate:
     def test_forced_partial_sum(self):
         # m=1, k=0, u=0, a=0, b = n^-2: x at N is the partial sum of j^-2
         spec = spec_with(b=CatalogRef("power", {"A": 1.0, "rho": 2.0}))
-        x_seed, z_seed = consistent_seeds(spec, Seq(1, (0.0,)))
+        x_seed, z_seed = consistent_seeds(spec, (0.0,))
         trace = simulate(spec, x_seed, z_seed, 1000)
         direct = csum(float(j) ** -2 for j in range(1, 1000))
         assert abs(trace.x.at(1000) - direct) <= 1e-9 * (1.0 + direct)
 
     def test_polynomial_solution_stays_polynomial(self):
         spec = spec_with(m=2, c=0.5, u=CatalogRef("constant", {"value": 0.5}))
-        profile = Seq(2, (5.0, 7.0))  # x = 2n + 1
+        profile = (5.0, 7.0)  # x = 2n + 1 from n0 = 2
         x_seed, z_seed = consistent_seeds(spec, profile)
         trace = simulate(spec, x_seed, z_seed, 1000)
         for n in range(2, 1001):
@@ -228,27 +278,27 @@ class TestSimulate:
             u=CatalogRef("power_offset", {"c": 0.5, "A": 1.0, "rho": 2.0}),
             a=CatalogRef("power", {"A": 1.0, "rho": 4.0}),
         )
-        x_seed, z_seed = consistent_seeds(spec, Seq(2, (1.0, 1.0, 1.0)))
+        x_seed, z_seed = consistent_seeds(spec, (1.0, 1.0, 1.0))
         with pytest.raises(DivergenceError):
             simulate(spec, x_seed, z_seed, 10_000)
 
     def test_causality_error_names_step(self):
         spec = spec_with(sigma=CatalogRef("delay_d", {"d": -1}))
-        x_seed, z_seed = consistent_seeds(spec, Seq(1, (1.0,)))
+        x_seed, z_seed = consistent_seeds(spec, (1.0,))
         with pytest.raises(CausalityError, match=r"n=1"):
             simulate(spec, x_seed, z_seed, 100)
 
     def test_seed_window_validation(self):
         spec = spec_with(m=2, c=0.5, u=CatalogRef("constant", {"value": 0.5}))
-        with pytest.raises(SeedError):
-            simulate(spec, None, Seq(1, (1.0, 1.0)), 100)  # z must start at n0=2
-        with pytest.raises(SeedError):
-            simulate(spec, Seq(2, (1.0,)), Seq(2, (1.0, 1.0)), 100)  # no x seed for k=0
+        with pytest.raises(SeedError, match="field seeds.z: must hold exactly m = 2 values, got 1"):
+            simulate(spec, None, (1.0,), 100)
+        with pytest.raises(SeedError, match="field seeds.x: must be null when k = 0"):
+            simulate(spec, (1.0,), (1.0, 1.0), 100)
 
     def test_causality_fixture_names_the_first_bad_step(self):
         config = load_fixture("causality_violation")
         with pytest.raises(CausalityError) as err:
-            simulate(config.spec, *config.seed_windows(), config.horizon)
+            simulate(config.spec, config.x_seed, config.z_seed, config.horizon)
         assert str(err.value) == "step n=1: sigma(n)=6 outside realized x range [1, 1]"
 
     def test_boundedness_transfer(self, traces):
@@ -280,12 +330,12 @@ class TestValidateCausality:
     # simulate checks every sigma(n) against the realized x window before stepping.
     def test_identity_with_positive_shift_ok(self):
         spec = spec_with(m=2, k=1, c=2.0, u=CatalogRef("constant", {"value": 2.0}))
-        x_seed, z_seed = consistent_seeds(spec, Seq(2, (1.0, 1.0, 1.0)))
+        x_seed, z_seed = consistent_seeds(spec, (1.0, 1.0, 1.0))
         assert simulate(spec, x_seed, z_seed, 500).z.end == 500
 
     def test_future_read_reported_at_first_step(self):
         spec = spec_with(sigma=CatalogRef("delay_d", {"d": -5}))
-        x_seed, z_seed = consistent_seeds(spec, Seq(1, (1.0,)))
+        x_seed, z_seed = consistent_seeds(spec, (1.0,))
         with pytest.raises(CausalityError) as err:
             simulate(spec, x_seed, z_seed, 500)
         assert str(err.value) == "step n=1: sigma(n)=6 outside realized x range [1, 1]"
@@ -296,7 +346,7 @@ class TestValidateCausality:
             u=CatalogRef("constant", {"value": 0.5}),
             sigma=CatalogRef("half"),
         )
-        x_seed, z_seed = consistent_seeds(spec, Seq(1, (1.0, 1.0, 1.0)))
+        x_seed, z_seed = consistent_seeds(spec, (1.0, 1.0, 1.0))
         for N in (50, 500, 5000):
             assert simulate(spec, x_seed, z_seed, N).z.end == N
 

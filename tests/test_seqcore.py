@@ -267,6 +267,38 @@ class TestWeightedSumDiagnostic:
         with pytest.raises(WindowLengthError):
             weighted_sum_diagnostic(Seq(1, (1.0,) * 15), 0.0)
 
+    def test_weights_beyond_the_float_range_read_as_divergent(self):
+        # 32**400 overflows: the sum is NaN, as csum reports a divergent sum.
+        diag = weighted_sum_diagnostic(Seq(1, (1.0,) * 32), 400.0)
+        assert math.isnan(diag.partial_sum) and not diag.converged
+
+    @staticmethod
+    def tuple_formula(x, w, tau_tail):
+        """Every term boxed in one tuple, then the whole and its last quarter summed."""
+        skip = 1 if x.start == 0 and w != 0.0 else 0
+        tail_at = (3 * len(x)) // 4 - skip
+        mags = map(abs, x.values[skip:])
+        if w == 0.0:
+            terms = tuple(mags)
+        else:
+            terms = tuple(map(mul, index_powers(x.start + skip, len(x) - skip, w), mags))
+        partial = csum(terms)
+        tail_part = csum(terms[tail_at:])
+        return partial.hex(), tail_part.hex(), tail_part < tau_tail * (1.0 + partial)
+
+    @pytest.mark.parametrize("scoped", [False, True])
+    @pytest.mark.parametrize("length", [16, 1001])
+    @pytest.mark.parametrize("start", [0, 1, 7])
+    @pytest.mark.parametrize("w", [0.0, 1.0, -0.5, 2.5])
+    def test_streaming_sums_match_the_tuple_formula(self, w, start, length, scoped):
+        # Index 0 is left out at w != 0 in both; the floats are the same bits.
+        rng = random.Random(length + start)
+        x = Seq(start, [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-8, 8) for _ in range(length)])
+        with index_power_tables(2000) if scoped else contextlib.nullcontext():
+            got = weighted_sum_diagnostic(x, w)
+            want = self.tuple_formula(x, w, Thresholds().tau_tail)
+        assert (got.partial_sum.hex(), got.tail_estimate.hex(), got.converged) == want
+
 
 class TestOrderEstimate:
     def test_sqrt_is_small_o_of_n(self):
