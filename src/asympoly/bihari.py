@@ -244,11 +244,20 @@ def worst_case_w(
     weights = a.values[p - a.start : max(N, p) - a.start].tolist()
     _check_weights(weights, p)
     fn = g.fn if isinstance(g, Majorant) else g
-    add = CompensatedSum(lam).add
-    wn = float(lam)
+    # CompensatedSum.add's Neumaier step on local floats, in the same order,
+    # so every w value keeps its bits without a method call per step.
+    wn = s = float(lam)
+    c = 0.0
     w = [wn]
     for av in weights:
-        wn = add(av * fn(wn))
+        v = av * fn(wn)
+        t = s + v
+        if abs(s) >= abs(v):
+            c += (s - t) + v
+        else:
+            c += (v - t) + s
+        s = t
+        wn = t + c
         w.append(wn)
     return Seq(p, w)
 

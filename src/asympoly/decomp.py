@@ -271,7 +271,8 @@ def transfer_polynomial(phi: PolyCoeffs, c: float, k: int) -> PolyCoeffs:
 
     The coefficient system is upper triangular with 1 + c on the diagonal
     and binomial shift terms above, solved top degree down; the identity
-    is re-checked at deg + 3 sample points.  The leading coefficient is
+    is re-checked at deg + 3 sample points, each residual relative to the
+    sizes of the three terms it cancels.  The leading coefficient is
     exactly phi's divided by 1 + c.
     """
     if abs(abs(c) - 1.0) <= UNIT_MARGIN:
@@ -287,9 +288,12 @@ def transfer_polynomial(phi: PolyCoeffs, c: float, k: int) -> PolyCoeffs:
         )
         psi[i] = (phi_c[i] - c * shift) / (1.0 + c)
     result = PolyCoeffs(tuple(psi))
-    scale = 1.0 + max(abs(phi(n)) for n in range(deg + 3))
     for n in range(deg + 3):
-        if abs(result(n) + c * result(n + k) - phi(n)) > TRANSFER_RTOL * scale:
+        # The residual is measured against the terms it cancels: at a large
+        # shift c psi(n + k) dwarfs phi(n).
+        here, shifted, target = result(n), c * result(n + k), phi(n)
+        scale = 1.0 + abs(here) + abs(shifted) + abs(target)
+        if abs(here + shifted - target) > TRANSFER_RTOL * scale:
             raise ArithmeticError(
                 f"transfer residual above tolerance at n={n} (c={c}, k={k})"
             )

@@ -117,7 +117,8 @@ def check_g_p_bounded(
 
     n runs log-spaced over [1, n_max], t over a symmetric log grid up to
     1e6 plus zero.  Pointwise equality is allowed up to a relative slack
-    of 1e-12; the worst ratio and its witness are reported.
+    of 1e-12; the worst ratio and its witness are reported.  A g value
+    that overflows counts as +inf.
     """
     worst = 0.0
     witness = None
@@ -127,7 +128,11 @@ def check_g_p_bounded(
         np_ = float(n) ** p
         for t in ts:
             fv = abs(f(n, t))
-            gv = g(abs(t) / np_)
+            try:
+                gv = g(abs(t) / np_)
+            except OverflowError:
+                # A g beyond the float range bounds any finite |f|.
+                gv = math.inf
             if gv <= 0.0:
                 ratio = 0.0 if fv == 0.0 else math.inf
             else:

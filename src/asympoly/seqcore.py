@@ -266,7 +266,9 @@ class CompensatedSum:
 
     Adding values in index order gives sums whose rounding error is
     independent of magnitude ordering.  A sum of a whole window goes
-    through :func:`csum` instead.
+    through :func:`csum` instead.  ``bihari.worst_case_w`` runs the same
+    step on local floats, without a method call per term; the
+    ``TestOracleKernels`` tests pin the two bit for bit.
     """
 
     __slots__ = ("_s", "_c")

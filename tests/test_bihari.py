@@ -311,11 +311,15 @@ class TestOracleKernels:
         rng = random.Random(11)
         # p > a.start and N - 1 < a.end, so both slice offsets are exercised.
         p, N = 5, 590
-        for g in CATALOG_GS + (lambda t: 0.5 + t * t,):
-            a = Seq(2, tuple(rng.uniform(0.0, 5e-4) for _ in range(600)))
-            w = worst_case_w(a, g, 0.75, p, N)
-            assert w.start == p
-            assert _hex(w.values) == _hex(_reference_worst_case_w(a, g, 0.75, p, N))
+        # At lambda = 0 the first nonzero step has |s| < |v|, the second
+        # Neumaier branch; a negative g drives the sum through zero.
+        gs = CATALOG_GS + (lambda t: 0.5 + t * t, lambda t: -2.0 - t)
+        for lam in (0.75, 0.0):
+            for g in gs:
+                a = Seq(2, tuple(rng.uniform(0.0, 5e-4) for _ in range(600)))
+                w = worst_case_w(a, g, lam, p, N)
+                assert w.start == p
+                assert _hex(w.values) == _hex(_reference_worst_case_w(a, g, lam, p, N))
 
     def test_worst_case_w_calls_g_once_per_weight(self):
         calls = []

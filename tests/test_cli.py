@@ -394,6 +394,33 @@ class TestRunCommand:
         verdict = json.loads((out / "verdict.json").read_text())
         assert verdict["failed_check"] == "b-summability"
 
+    def _run_failing(self, raw, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw), encoding="utf-8")
+        out = tmp_path / "o"
+        assert run(str(config), out_dir=str(out)) == EXIT_HYPOTHESIS
+        return json.loads((out / "verdict.json").read_text())
+
+    def test_large_shift_transfer_reaches_the_verdict(self, tmp_path):
+        # c psi(n + k) is about k**3 times phi(n) here; the transfer's
+        # residual check must scale with it instead of raising.
+        raw = json.loads(fixture_text("t1_case_a_m1.json"))
+        zero = {"id": "constant", "params": {"value": 0.0}}
+        u = {"id": "constant", "params": {"value": 2.0}}
+        raw["spec"].update(m=4, k=2000, c=2.0, u=u, a=zero, b=zero)
+        raw["seeds"] = {"z": [1.0, 8.0, 27.0, 64.0], "x": [float(i % 7) for i in range(2000)]}
+        verdict = self._run_failing(raw, tmp_path)
+        assert verdict["failed_check"] == "conclusion"
+
+    def test_overflowing_majorant_fails_f_g_bounded(self, tmp_path):
+        # g(1e6) overflows and counts as +inf; g(1e-6) underflows to 0.
+        raw = json.loads(fixture_text("t1_case_a_m1.json"))
+        raw["spec"]["g"] = {"id": "power", "params": {"gamma": 100.0}}
+        verdict = self._run_failing(raw, tmp_path)
+        assert verdict["failed_check"] == "f-g-bounded"
+        check = next(c for c in verdict["checks"] if c["name"] == "f-g-bounded")
+        assert check["metric"] == math.inf
+
     def test_horizon_override(self, tmp_path):
         out = tmp_path / "o"
         code = run(str(FIXTURES / "t1_case_a_m1.json"), horizon=2000, out_dir=str(out))
