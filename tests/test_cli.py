@@ -439,6 +439,75 @@ class TestRunCommand:
             assert (out1 / artifact).read_bytes() == (out2 / artifact).read_bytes()
 
 
+REPORT_SIDE_KEYS = {
+    "decay_exponent", "decay_r2", "psi", "regular_checks", "regular_passed",
+    "regular_q", "remainder_verdict", "remainder_window", "s",
+}
+ORDER_VERDICT_KEYS = {"bound", "excluded_zero", "exponent", "kind", "metric", "trend"}
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [e for e in manifest_entries() if e["expect_exit"] in (EXIT_OK, EXIT_HYPOTHESIS)],
+    ids=lambda e: e["file"],
+)
+def test_report_schema(entry, tmp_path):
+    # The exact key sets of both reports, nested: a field added to or
+    # dropped from a report dataclass must show up here.
+    out = tmp_path / "o"
+    assert run(str(FIXTURES / entry["file"]), out_dir=str(out)) == entry["expect_exit"]
+    config = ExperimentConfig.from_json(fixture_text(entry["file"]))
+    decomposition = json.loads((out / "decomposition.json").read_text(encoding="utf-8"))
+    assert set(decomposition) == {"psi_x_transferred", "x", "z"}
+    for side in ("z", "x"):
+        report = decomposition[side]
+        assert set(report) == REPORT_SIDE_KEYS
+        assert set(report["remainder_verdict"]) == ORDER_VERDICT_KEYS
+        for check in report["regular_checks"] or ():
+            assert set(check) == ORDER_VERDICT_KEYS
+        window = report["remainder_window"]
+        assert len(window) == 2 and all(type(i) is int for i in window)
+    n0 = neutral_solver.start_index(config.spec)
+    assert decomposition["z"]["remainder_window"] == [n0, config.horizon]
+    if config.spec.q is not None:
+        assert len(decomposition["z"]["regular_checks"]) == config.spec.q + 1
+
+    verdict = json.loads((out / "verdict.json").read_text(encoding="utf-8"))
+    assert set(verdict) == {"case", "checks", "conclusion", "failed_check", "mode", "passed"}
+    for check in verdict["checks"]:
+        assert set(check) == {"detail", "metric", "name", "passed"}
+    assert set(verdict["conclusion"]) == {
+        "metric", "passed", "regular_passed", "remainder_kind", "s",
+    }
+
+
+@pytest.mark.parametrize(
+    "name, spec_update, message",
+    [
+        # |c| < 1 with k = 1: recovering x from z doubles it at every step.
+        (
+            "t1_case_a_m2.json",
+            {"c": 0.5, "u": {"id": "power_offset", "params": {"A": 1.0, "c": 0.5, "rho": 2.0}}},
+            "|x| exceeded the finite range at index 1001; last valid index 1000",
+        ),
+        # A linear f with a constant a makes z grow geometrically.
+        (
+            "t1_case_b_m2.json",
+            {"f": {"id": "linear", "params": {}}, "a": {"id": "constant", "params": {"value": 5.0}}},
+            "|z| exceeded the finite range at index 490; last valid index 489",
+        ),
+    ],
+)
+def test_divergence_exits_three_naming_the_index(name, spec_update, message, tmp_path, capsys):
+    raw = json.loads(fixture_text(name))
+    raw["spec"].update(spec_update)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    assert run(str(config), out_dir=str(tmp_path / "o")) == EXIT_SIMULATION
+    assert capsys.readouterr().err == f"simulation error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
 class TestCatalogCommand:
     def test_contains_required_identifiers(self):
         out = subprocess.run(
