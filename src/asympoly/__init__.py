@@ -31,7 +31,6 @@ from .bihari import (
 )
 from .decomp import (
     DecompositionReport,
-    RegularityReport,
     SolutionDecomposition,
     decompose_solution,
     extract_polynomial,
@@ -54,7 +53,6 @@ from .errors import (
 from .hypotheses import (
     CheckResult,
     ConclusionResult,
-    GridCheck,
     GrowthCheck,
     HypothesisVerdict,
     check_g_p_bounded,

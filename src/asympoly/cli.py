@@ -21,13 +21,13 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass
 from itertools import chain, islice
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
 from .catalog import CatalogRef, catalog_listing
-from .decomp import MIN_WINDOW, DecompositionReport, SolutionDecomposition
+from .decomp import MIN_WINDOW
 from .errors import (
     AsymPolyError,
     CausalityError,
@@ -35,9 +35,9 @@ from .errors import (
     DivergenceError,
     SingularRecoveryError,
 )
-from .hypotheses import HypothesisVerdict, theorem_dispatch, validate_mode
+from .hypotheses import theorem_dispatch, validate_mode
 from .neutral_solver import EquationSpec, SolutionTrace, finite_number, simulate, start_index
-from .seqcore import Thresholds, delta
+from .seqcore import PolyCoeffs, Seq, Thresholds, delta
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -225,39 +225,35 @@ class ExperimentConfig:
         )
 
 
-def _report_to_dict(r: DecompositionReport) -> dict:
-    return {
-        "psi": list(r.psi.coeffs),
-        "s": r.s,
-        "remainder_verdict": asdict(r.remainder_verdict),
-        "remainder_window": [r.remainder.start, r.remainder.end],
-        "decay_exponent": r.decay_exponent,
-        "decay_r2": r.decay_r2,
-        "regular_q": r.regular_q,
-        "regular_checks": None
-        if r.regular_checks is None
-        else [asdict(c) for c in r.regular_checks],
-        "regular_passed": r.regular_passed,
-    }
+#: Report fields written under another key; None leaves the field out
+#: (the decomposition is written as its own file).
+_REPORT_KEYS = {
+    "z_report": "z",
+    "x_report": "x",
+    "remainder": "remainder_window",
+    "case_id": "case",
+    "decomposition": None,
+}
 
 
-def _decomposition_to_dict(d: SolutionDecomposition) -> dict:
-    return {
-        "z": _report_to_dict(d.z_report),
-        "x": _report_to_dict(d.x_report),
-        "psi_x_transferred": list(d.psi_x_transferred.coeffs),
-    }
-
-
-def _hypothesis_to_dict(v: HypothesisVerdict) -> dict:
-    return {
-        "case": v.case_id,
-        "mode": v.mode,
-        "passed": v.passed,
-        "failed_check": v.failed_check,
-        "checks": [asdict(c) for c in v.checks],
-        "conclusion": asdict(v.conclusion),
-    }
+def _to_json(obj: Any) -> Any:
+    """The JSON form of a report: a PolyCoeffs is its coefficient list, a
+    Seq its [start, end] window, a tuple a list, and any other dataclass
+    its fields, keyed as _REPORT_KEYS says.  PolyCoeffs and Seq are
+    dataclasses too, so they are tested first."""
+    if isinstance(obj, PolyCoeffs):
+        return list(obj.coeffs)
+    if isinstance(obj, Seq):
+        return [obj.start, obj.end]
+    if isinstance(obj, tuple):
+        return [_to_json(v) for v in obj]
+    if is_dataclass(obj):
+        return {
+            key: _to_json(getattr(obj, f.name))
+            for f in fields(obj)
+            if (key := _REPORT_KEYS.get(f.name, f.name)) is not None
+        }
+    return obj
 
 
 def _atomic_write(path: Path, chunks: Iterable[str]) -> None:
@@ -293,8 +289,8 @@ def _trace_csv(trace: SolutionTrace, m: int) -> Iterator[str]:
         yield chunk
 
 
-def _json_text(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+def _json_text(report: Any) -> str:
+    return json.dumps(_to_json(report), sort_keys=True, indent=2) + "\n"
 
 
 def run(config_path: str, horizon: int | None = None, out_dir: str | None = None) -> int:
@@ -337,10 +333,8 @@ def run(config_path: str, horizon: int | None = None, out_dir: str | None = None
     try:
         out.mkdir(parents=True, exist_ok=True)
         _atomic_write(out / "trace.csv", _trace_csv(trace, config.spec.m))
-        _atomic_write(
-            out / "decomposition.json", [_json_text(_decomposition_to_dict(verdict.decomposition))]
-        )
-        _atomic_write(out / "verdict.json", [_json_text(_hypothesis_to_dict(verdict))])
+        _atomic_write(out / "decomposition.json", [_json_text(verdict.decomposition)])
+        _atomic_write(out / "verdict.json", [_json_text(verdict)])
     except OSError as exc:
         print(f"error: cannot write output to {out}: {exc}", file=sys.stderr)
         return EXIT_CONFIG

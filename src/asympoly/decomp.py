@@ -56,7 +56,13 @@ class DecompositionReport:
     defined as the pointwise difference).  remainder_verdict certifies
     o(n**s) membership only: kinds are small_o or neither, never big_O.
     decay_exponent is the least-squares slope of log |r_n| against log n
-    over the trailing half, with its R**2.
+    over the trailing half, with its R**2.  regular_checks holds the
+    :func:`regularity_check` verdicts when q is given, and regular_passed
+    whether all of them are small_o.
+
+    Each side of decomposition.json is this report field by field, with
+    psi as its coefficient list and the remainder as its [start, end]
+    window under the key remainder_window.
     """
 
     psi: PolyCoeffs
@@ -250,9 +256,8 @@ def extract_polynomial(
     regular_checks = None
     regular_passed = None
     if q is not None:
-        report = regularity_check(remainder, q, thresholds, scale=scale)
-        regular_checks = report.verdicts
-        regular_passed = report.passed
+        regular_checks = regularity_check(remainder, q, thresholds, scale=scale)
+        regular_passed = all(v.is_small_o for v in regular_checks)
     return DecompositionReport(
         psi=psi,
         remainder=remainder,
@@ -300,24 +305,15 @@ def transfer_polynomial(phi: PolyCoeffs, c: float, k: int) -> PolyCoeffs:
     return result
 
 
-@dataclass(frozen=True)
-class RegularityReport:
-    """Per-p verdicts for the p-th difference lying in o(n**(q-p))."""
-
-    q: int
-    verdicts: tuple[OrderVerdict, ...]
-    passed: bool
-
-
 def regularity_check(
     w: Seq,
     q: int,
     thresholds: Thresholds = DEFAULT_THRESHOLDS,
     scale: float | None = None,
-) -> RegularityReport:
-    """Certify that the p-th difference of w is o(n**(q-p)) for p = 0..q.
+) -> tuple[OrderVerdict, ...]:
+    """Verdicts, for p = 0..q, on the p-th difference of w lying in o(n**(q-p)).
 
-    Passing all levels certifies, at finite horizon, that the q-th
+    All levels small_o certifies, at finite horizon, that the q-th
     difference of w tends to zero (the regular form of smallness).
     ``scale`` is the magnitude of the data w was derived from (defaults to
     sup |w|); p-th differences at the rounding resolution 2**p ulp(scale)
@@ -341,12 +337,16 @@ def regularity_check(
                 noise_scale=NOISE_SAFETY * 2.0**p * sys.float_info.epsilon * base,
             )
         )
-    return RegularityReport(q, tuple(verdicts), all(v.kind == "small_o" for v in verdicts))
+    return tuple(verdicts)
 
 
 @dataclass(frozen=True)
 class SolutionDecomposition:
-    """Decompositions of z and x plus the transfer-predicted x polynomial."""
+    """Decompositions of z and x plus the transfer-predicted x polynomial.
+
+    decomposition.json is this decomposition field by field, with the
+    reports under the keys z and x.
+    """
 
     z_report: DecompositionReport
     x_report: DecompositionReport

@@ -51,15 +51,6 @@ class CheckResult:
 
 
 @dataclass(frozen=True)
-class GridCheck:
-    """Result of a pointwise |f(n, t)| <= g(|t|/n**p) grid scan."""
-
-    passed: bool
-    worst_ratio: float
-    worst_point: tuple[int, float] | None
-
-
-@dataclass(frozen=True)
 class GrowthCheck:
     """Result of the polynomial-growth (no exponential trend) fit."""
 
@@ -86,6 +77,8 @@ class HypothesisVerdict:
 
     ``passed`` holds iff every case check passed and the conclusion
     passed; ``failed_check`` names the first failure (or "conclusion").
+    verdict.json is this verdict field by field, with case_id under the
+    key case and without the decomposition, which decomposition.json holds.
     """
 
     case_id: str
@@ -112,17 +105,15 @@ def _log_grid_t() -> list[float]:
 
 def check_g_p_bounded(
     f: RhsFunction, g: Majorant, p: float, n_max: int = 10000
-) -> GridCheck:
-    """Grid check of |f(n, t)| <= g(|t|/n**p) over log-spaced n and t.
+) -> CheckResult:
+    """The f-g-bounded check: |f(n, t)| <= g(|t|/n**p) over log-spaced n and t.
 
     n runs log-spaced over [1, n_max], t over a symmetric log grid up to
     1e6 plus zero.  Pointwise equality is allowed up to a relative slack
-    of 1e-12; the worst ratio and its witness are reported.  A g value
-    that overflows counts as +inf.
+    of 1e-12; the metric is the worst ratio |f| / g.  A g value that
+    overflows counts as +inf.
     """
     worst = 0.0
-    witness = None
-    ok = True
     ts = _log_grid_t()
     for n in _log_grid_n(n_max):
         np_ = float(n) ** p
@@ -139,10 +130,12 @@ def check_g_p_bounded(
                 ratio = fv / gv
             if ratio > worst:
                 worst = ratio
-                witness = (n, t)
-            if ratio > 1.0 + GP_GRID_SLACK:
-                ok = False
-    return GridCheck(ok, worst, witness)
+    return CheckResult(
+        "f-g-bounded",
+        worst <= 1.0 + GP_GRID_SLACK,
+        worst,
+        f"(g, {p:g})-bounded, worst ratio {worst:.6g}",
+    )
 
 
 def check_u_rate(
@@ -292,10 +285,7 @@ def theorem_dispatch(
                 f"catalog bound {bound:g}" if rt.f.bounded else "f unbounded in catalog"))
             checks.append(_alternative_check(trace, spec, u_window, thresholds))
         else:
-            grid = check_g_p_bounded(rt.f, rt.g, p_eff, n_max=N)
-            f_g_bounded = CheckResult(
-                "f-g-bounded", grid.passed, grid.worst_ratio,
-                f"(g, {p_eff:g})-bounded, worst ratio {grid.worst_ratio:.6g}")
+            f_g_bounded = check_g_p_bounded(rt.f, rt.g, p_eff, n_max=N)
             if case_id == "a":
                 checks.append(CheckResult(
                     "g-nondecreasing", rt.g.nondecreasing, 0.0, "catalog guarantee"))

@@ -23,7 +23,7 @@ import sys
 from array import array
 from dataclasses import dataclass, field
 from itertools import count
-from typing import Iterable, MutableSequence, Sequence
+from typing import Iterable, MutableSequence, NoReturn, Sequence
 
 from .catalog import (
     CatalogRef,
@@ -278,11 +278,11 @@ def _check_causality(spec: EquationSpec, N: int, sigma: Iterable[int]) -> None:
             )
 
 
-def _check_finite(value: float, what: str, index: int) -> None:
-    if not math.isfinite(value) or abs(value) > DIVERGENCE_LIMIT:
-        raise DivergenceError(
-            f"{what} exceeded the finite range at index {index}; last valid index {index - 1}"
-        )
+def _raise_divergence(what: str, index: int) -> NoReturn:
+    """The value at index is NaN or beyond +-DIVERGENCE_LIMIT; the caller tests that."""
+    raise DivergenceError(
+        f"{what} exceeded the finite range at index {index}; last valid index {index - 1}"
+    )
 
 
 def simulate(
@@ -342,7 +342,7 @@ def simulate(
     for j, zj, uj in zip(count(n0), z_vals, u_z):
         xv = _recover_x(x_vals, k, j, zj, uj)
         if not -limit <= xv <= limit:
-            _check_finite(xv, "|x|", j + shift)
+            _raise_divergence("|x|", j + shift)
 
     steps = range(n0, N - m + 1)
     u_next = u_z[m:]  # u at the z index each step adds
@@ -351,11 +351,11 @@ def simulate(
         for coeff, back in terms:
             acc -= coeff * z_vals[back]
         if not -limit <= acc <= limit:
-            _check_finite(acc, "|z|", n + m)
+            _raise_divergence("|z|", n + m)
         z_vals.append(acc)
         xv = _recover_x(x_vals, k, n + m, acc, un)
         if not -limit <= xv <= limit:
-            _check_finite(xv, "|x|", n + m + shift)
+            _raise_divergence("|x|", n + m + shift)
 
     x = Seq(xs, x_vals)
     z = Seq(n0, z_vals)

@@ -26,14 +26,14 @@ class TestCheckGPBounded:
         for p in (0.0, 1.0, 2.0):
             res = check_g_p_bounded(f, CONST_ONE, p)
             assert res.passed
-            assert res.worst_ratio <= 0.5 + 1e-12
+            assert res.metric <= 0.5 + 1e-12
 
     def test_linear_under_identity(self):
         f = make_f(CatalogRef("linear"))
         assert check_g_p_bounded(f, IDENTITY_G, 0.0).passed
         res = check_g_p_bounded(f, IDENTITY_G, 1.0)
         assert not res.passed
-        assert res.worst_ratio > 1.0
+        assert res.metric > 1.0
 
     def test_zero_rhs_passes_everything(self):
         zero = RhsFunction(CatalogRef("linear"), lambda n, t: 0.0, True, 0.0)
