@@ -48,8 +48,8 @@ EXIT_SIMULATION = 3
 CSV_CHUNK_ROWS = 1024
 #: Memory estimate of one run per step of horizon.  The peak traced memory
 #: (tracemalloc) of simulate, dispatch and the three writes is at most
-#: 142 B per step at horizon 1e5 on the shipped certified fixtures
-#: (t2_regular_m3; 149 at 1e4, which tests/test_cli.py bounds by 160).
+#: 134 B per step at horizon 1e5 on the shipped certified fixtures
+#: (t2_regular_m3; 141 at 1e4, which tests/test_cli.py bounds by 160).
 #: Fixed costs weigh more at short horizons: at 2000, where
 #: tests/test_cli.py re-measures it, the peak reaches 224.  Rounded up
 #: from that, with headroom for other Python versions.

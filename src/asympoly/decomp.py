@@ -55,6 +55,8 @@ class DecompositionReport:
     psi + remainder reproduces the input window exactly (the remainder is
     defined as the pointwise difference).  remainder_verdict certifies
     o(n**s) membership only: kinds are small_o or neither, never big_O.
+    A remainder whose trailing third sits at the input's rounding
+    resolution is small_o with trend 0, as a regularity level is.
     decay_exponent is the least-squares slope of log |r_n| against log n
     over the trailing half, with its R**2.  regular_checks holds the
     :func:`regularity_check` verdicts when q is given, and regular_passed
@@ -216,11 +218,12 @@ def extract_polynomial(
     of the d-th difference divided by d!, the monomial is subtracted, and
     the recursion continues down to degree max(0, ceil(s)); a joint
     least-squares pass over the trailing half then corrects the kept
-    coefficients.  A remainder at rounding level relative to the input is
-    certified small_o directly; otherwise the order verdict is computed,
-    with big_O downgraded to neither (only smallness is a meaningful
-    certificate for the remainder).  When q is given, the iterated
-    difference checks of the remainder are run as well.
+    coefficients.  The remainder's verdict is :func:`order_estimate` at
+    the rounding resolution NOISE_SAFETY * eps * sup |z| of the input, the
+    rule :func:`regularity_check` applies at p = 0, with big_O downgraded
+    to neither (only smallness is a meaningful certificate for the
+    remainder).  When q is given, the iterated difference checks of the
+    remainder are run as well.
     """
     if len(z) < MIN_WINDOW:
         raise WindowLengthError(f"need at least {MIN_WINDOW} entries, got {len(z)}")
@@ -232,25 +235,14 @@ def extract_polynomial(
     psi = _fit_polynomial(z, m, d_min, thresholds)
     remainder = _remainder(z, psi)
 
+    # The remainder is derived from z, so its rounding resolution is z's:
+    # regularity_check's rule at p = 0.
     scale = max(map(abs, z.values))
-    sup_rem = max(map(abs, remainder.values))
-    if sup_rem <= thresholds.noise_floor * (1.0 + scale):
-        # Pure rounding residue: certified small directly.
-        tail_seq = remainder.trailing(1.0 / 3.0)
-        skip = 1 if tail_seq.start == 0 and s != 0.0 else 0
-        count = len(tail_seq) - skip
-        metric = max(
-            map(
-                truediv,
-                map(abs, tail_seq.values[skip:]),
-                index_powers(tail_seq.start + skip, count, s),
-            )
-        )
-        verdict = OrderVerdict("small_o", s, metric, 0.0, metric)
-    else:
-        verdict = order_estimate(remainder, s, thresholds)
-        if verdict.kind == "big_O":
-            verdict = replace(verdict, kind="neither")
+    verdict = order_estimate(
+        remainder, s, thresholds, noise_scale=NOISE_SAFETY * sys.float_info.epsilon * scale
+    )
+    if verdict.kind == "big_O":
+        verdict = replace(verdict, kind="neither")
 
     slope, r2 = _decay_fit(remainder, thresholds.trail_fraction)
     regular_checks = None

@@ -308,6 +308,8 @@ def theorem_dispatch(
                 checks.append(_composed_growth_check(trace, p_eff))
                 checks.append(_alternative_check(trace, spec, u_window, thresholds))
 
+        # The decomposition is where a run's memory peaks: drop u's copy first.
+        del u_window
         decomposition = decompose_solution(trace, spec, thresholds)
 
     x_rep = decomposition.x_report

@@ -70,20 +70,20 @@ class Thresholds:
     big_o_slack
         allowed relative excess of the trailing sup over the earlier sup
         before a big-O verdict is withheld.
-    noise_floor
-        relative magnitude below which a decomposition remainder counts
-        as zero (pure rounding residue).
     trail_fraction
         fraction of the window that "for large n" refers to.
     coeff_window_fraction
         fraction of the window averaged when estimating polynomial
         coefficients from iterated differences.
+
+    The level at which a window counts as rounding noise is not a
+    threshold: callers derive it from the data (``order_estimate``'s
+    noise_scale).
     """
 
     tau_small: float = 0.05
     tau_tail: float = 1e-3
     big_o_slack: float = 0.02
-    noise_floor: float = 1e-9
     trail_fraction: float = 0.5
     coeff_window_fraction: float = 0.125
 

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from asympoly import cli, neutral_solver
 from asympoly.cli import EXIT_CONFIG, EXIT_HYPOTHESIS, EXIT_OK, EXIT_SIMULATION, ExperimentConfig, run
 from asympoly.errors import ConfigError
+from asympoly.seqcore import Thresholds
 
 from conftest import CERTIFIED, FIXTURES, manifest_entries
 
@@ -155,6 +156,53 @@ def test_seed_lengths_are_checked_through_run(name, x_seed, z_seed):
             assert code in (EXIT_OK, EXIT_HYPOTHESIS, EXIT_SIMULATION)
 
 
+THRESHOLD_KEYS = sorted(f.name for f in dataclasses.fields(Thresholds))
+FRACTION_KEYS = sorted(cli._FRACTION_THRESHOLDS)
+#: A JSON value no threshold accepts: not a finite number.
+NOT_A_NUMBER = (
+    st.booleans()
+    | st.none()
+    | st.text(max_size=4)
+    | st.lists(st.floats(0.0, 1.0), max_size=2)
+    | st.sampled_from([math.nan, math.inf, -math.inf, 10**400])
+)
+#: (key, value) pairs the thresholds object rejects.
+BAD_THRESHOLD = st.one_of(
+    # Keys outside the schema, among them the one that older configs set.
+    st.tuples(
+        st.just("noise_floor")
+        | st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=12).filter(
+            lambda key: key not in THRESHOLD_KEYS
+        ),
+        st.floats(0.0, 1.0),
+    ),
+    st.tuples(st.sampled_from(THRESHOLD_KEYS), NOT_A_NUMBER),
+    st.tuples(st.sampled_from(THRESHOLD_KEYS), st.floats(max_value=-math.ulp(0.0))),
+    st.tuples(
+        st.sampled_from(FRACTION_KEYS),
+        st.floats(max_value=0.0) | st.floats(min_value=1.0, exclude_min=True),
+    ),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["t1_case_a_m1", "t2_regular_m3"]), BAD_THRESHOLD)
+def test_bad_thresholds_exit_one_naming_the_key(name, bad):
+    key, value = bad
+    raw = json.loads(fixture_text(f"{name}.json"))
+    raw["thresholds"][key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps(raw), encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = run(str(config), horizon=200, out_dir=str(Path(tmp) / "o"))
+        assert code == EXIT_CONFIG
+        assert "thresholds" in err.getvalue() and key in err.getvalue(), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        assert not (Path(tmp) / "o").exists()
+
+
 @pytest.mark.parametrize(
     "name, shortest",
     [
@@ -255,7 +303,7 @@ def test_bytes_per_step_bounds_the_run_memory(tmp_path):
 def test_run_memory_per_step_at_a_horizon_where_windows_dominate(tmp_path):
     # At 1e4 the per-step windows outweigh the fixed costs, so this bound
     # tracks what a long run pays per step (t2_regular_m3 peaks at about
-    # 149 B/step here and 141 at 1e5).
+    # 141 B/step here and 134 at 1e5).
     horizon = 10_000
     tracemalloc.start()
     try:

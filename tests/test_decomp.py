@@ -131,6 +131,19 @@ class TestExtractPolynomial:
         rep = extract_polynomial(z, 1, 0.0)
         assert rep.remainder_verdict.kind == "neither"
 
+    def test_remainder_with_a_one_ulp_tail_is_small(self):
+        # An early transient, then a tail that alternates between 1.0 and the
+        # next float up.  The remainder's trailing third sits at the input's
+        # rounding resolution, so no trend is measured on the quantisation: a
+        # trend ratio there reads 1.0, which would make the verdict neither.
+        w = Seq(1, [
+            1.0 + 1e-3 * 0.5**n if n < 60 else (math.nextafter(1.0, 2.0) if n % 2 else 1.0)
+            for n in range(1, 3001)
+        ])
+        verdict = extract_polynomial(w, 1, 0.0).remainder_verdict
+        assert verdict.kind == "small_o"
+        assert verdict.trend == 0.0
+
     def test_reconstruction_is_exact(self):
         z = seq_from_function(lambda n: 1.5 * n + math.cos(n), 1, 256)
         rep = extract_polynomial(z, 2, 0.0)
