@@ -60,8 +60,6 @@ MAX_HORIZON = 8_000_000
 _SPEC_KEYS = {"m", "k", "c", "u", "a", "b", "f", "g", "sigma", "s", "q"}
 _TOP_KEYS = {"spec", "seeds", "horizon", "case", "mode", "thresholds", "output"}
 _THRESHOLD_KEYS = {f.name for f in fields(Thresholds)}
-#: Thresholds that are fractions of the window, in (0, 1]; the others must be >= 0.
-_FRACTION_THRESHOLDS = {"trail_fraction", "coeff_window_fraction"}
 
 
 def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str) -> None:
@@ -85,13 +83,10 @@ def _int_field(value: Any, name: str) -> int:
 
 
 def _threshold_field(value: Any, key: str) -> float:
-    """A threshold: a finite number in (0, 1] for a window fraction, else >= 0."""
+    """A threshold: a finite number >= 0."""
     name = f"thresholds.{key}"
     v = finite_number(value, name)
-    if key in _FRACTION_THRESHOLDS:
-        if not 0.0 < v <= 1.0:
-            raise ConfigError(f"field {name}: must be in (0, 1], got {v!r}")
-    elif v < 0.0:
+    if v < 0.0:
         raise ConfigError(f"field {name}: must be >= 0, got {v!r}")
     return v
 

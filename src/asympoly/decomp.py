@@ -26,6 +26,7 @@ from .errors import DivergenceError, WindowLengthError
 from .neutral_solver import EquationSpec, SolutionTrace, UNIT_MARGIN
 from .seqcore import (
     DEFAULT_THRESHOLDS,
+    TRAIL_FRACTION,
     OrderVerdict,
     PolyCoeffs,
     Seq,
@@ -46,6 +47,9 @@ NOISE_SAFETY = 4.0
 #: Shortest window extract_polynomial accepts; regularity_check at order q
 #: needs MIN_WINDOW + q entries.
 MIN_WINDOW = 64
+#: Fraction of the window, at its end, whose mean of each iterated
+#: difference estimates a polynomial coefficient: the trailing eighth.
+COEFF_WINDOW_FRACTION = 0.125
 
 
 @dataclass(frozen=True)
@@ -133,9 +137,9 @@ def _lstsq_degrees(ns: range, resid: Sequence[float], degrees: list[int]) -> dic
     return {d: sol[i] / scale**d for i, d in enumerate(degrees)}
 
 
-def _decay_fit(remainder: Seq, trail_fraction: float) -> tuple[float, float]:
-    # The trailing ceil(len * trail_fraction) entries, index 0 left out.
-    count = max(1, math.ceil(len(remainder) * trail_fraction))
+def _decay_fit(remainder: Seq) -> tuple[float, float]:
+    # The trailing ceil(len * TRAIL_FRACTION) entries, index 0 left out.
+    count = max(1, math.ceil(len(remainder) * TRAIL_FRACTION))
     lo = max(remainder.end - count + 1, 1)
     vals = remainder.values[lo - remainder.start :]
     kept = list(map(ge, map(abs, vals), repeat(DECAY_FIT_FLOOR)))
@@ -150,21 +154,23 @@ def _decay_fit(remainder: Seq, trail_fraction: float) -> tuple[float, float]:
     return slope, r2
 
 
-def _fit_polynomial(z: Seq, m: int, d_min: int, thresholds: Thresholds) -> PolyCoeffs:
+def _fit_polynomial(z: Seq, m: int, d_min: int) -> PolyCoeffs:
     """Coefficients of degrees d_min .. m - 1 (the lower ones stay 0).
 
     Top-down trailing means of iterated differences, then one joint
     least-squares correction; see :func:`extract_polynomial`.  The means
     read the last tail_count + d values of the working window and the
     correction its trailing half, so the cascade runs on the trailing
-    max(half, tail_count + m - 1) values of z alone: each entry is the
-    same float it is over the whole window, and so is every coefficient.
+    half of z alone: each entry is the same float it is over the whole
+    window, and so is every coefficient.
     """
-    tail_count = max(1, math.ceil(len(z) * thresholds.coeff_window_fraction))
+    tail_count = max(1, math.ceil(len(z) * COEFF_WINDOW_FRACTION))
     half = len(z) - len(z) // 2
-    keep = min(len(z), max(half, tail_count + m - 1))
+    # The means need tail_count + m - 1 values, and the half holds them:
+    # ceil(len/8) + m - 1 <= ceil(len/2) for len >= MIN_WINDOW = 64 and
+    # m - 1 <= 20, the highest order delta accepts (MAX_DIFFERENCE_ORDER).
     coeffs = [0.0] * m
-    work = z.window(z.end - keep + 1, z.end)
+    work = z.window(z.end - half + 1, z.end)
     for d in range(m - 1, d_min - 1, -1):
         try:
             diff = delta(work, d)
@@ -232,7 +238,7 @@ def extract_polynomial(
     d_min = max(0, math.ceil(s - 1e-12))
     # The fit's working windows die with these helpers, before the decay fit
     # below, where a run's memory peaks.
-    psi = _fit_polynomial(z, m, d_min, thresholds)
+    psi = _fit_polynomial(z, m, d_min)
     remainder = _remainder(z, psi)
 
     # The remainder is derived from z, so its rounding resolution is z's:
@@ -244,7 +250,7 @@ def extract_polynomial(
     if verdict.kind == "big_O":
         verdict = replace(verdict, kind="neither")
 
-    slope, r2 = _decay_fit(remainder, thresholds.trail_fraction)
+    slope, r2 = _decay_fit(remainder)
     regular_checks = None
     regular_passed = None
     if q is not None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import repeat
-from operator import sub, truediv
+from operator import sub
 
 from .catalog import Majorant, RhsFunction
 from .decomp import SolutionDecomposition, decompose_solution
@@ -22,19 +22,17 @@ from .errors import ConfigError
 from .neutral_solver import EquationSpec, SolutionTrace
 from .seqcore import (
     DEFAULT_THRESHOLDS,
+    TRAIL_FRACTION,
     OrderVerdict,
     Seq,
     Thresholds,
     classify_oscillation,
     index_power_tables,
-    index_powers,
     line_fit,
     order_estimate,
     weighted_sum_diagnostic,
 )
 
-#: Multiplicative slack of the trailing-half sup in the composed-growth check.
-GROWTH_SLACK = 0.1
 #: Relative slack of the pointwise (g, p)-boundedness grid check.
 GP_GRID_SLACK = 1e-12
 #: Points per decade of the (g, p)-boundedness grid, in n and in |t|.
@@ -146,18 +144,18 @@ def check_u_rate(
     return order_estimate(shifted, e, thresholds)
 
 
-def polynomial_growth_check(
-    x: Seq, thresholds: Thresholds = DEFAULT_THRESHOLDS
-) -> GrowthCheck:
-    """No-exponential-trend test on the trailing half of the window.
+def polynomial_growth_check(x: Seq) -> GrowthCheck:
+    """No-exponential-trend test on the trailing half (TRAIL_FRACTION) of
+    the window.
 
     Fits log(1 + |x_n|) against log n; passes iff the largest residual is
     below 0.5 log(end index), i.e. the data is explained by a power law up
-    to sub-polynomial wiggle.  Reports the fitted exponent.
+    to sub-polynomial wiggle.  Reports the fitted exponent.  No threshold
+    enters.
     """
     if len(x) < 64:
         raise ValueError(f"need at least 64 entries, got {len(x)}")
-    tail = x.trailing(thresholds.trail_fraction)
+    tail = x.trailing(TRAIL_FRACTION)
     lo = max(tail.start, 1)
     log_n = list(map(math.log, range(lo, tail.end + 1)))
     log_x = list(map(math.log1p, map(abs, tail.values[lo - tail.start :])))
@@ -167,47 +165,38 @@ def polynomial_growth_check(
     return GrowthCheck(max_resid < allowance, slope, max_resid, allowance)
 
 
-def _composed_growth_check(trace: SolutionTrace, p: float) -> CheckResult:
-    """Trailing-half sup of |x_{sigma(n)}|/n**p against the mid-window sup."""
+def _composed_growth_check(
+    trace: SolutionTrace, p: float, thresholds: Thresholds
+) -> CheckResult:
+    """x_{sigma(n)} on z's window in O(n**p): the :func:`order_estimate`
+    verdict at exponent p, passed when it is small_o or big_O."""
     x = trace.x
-    ns = range(trace.z.start, trace.z.end + 1)
     sig = trace.samples.sigma
     if min(sig) < x.start or max(sig) > x.end:
         x.at(next(sv for sv in sig if not x.start <= sv <= x.end))  # raises IndexRangeError
-    x_sig = map(x.values.__getitem__, map(sub, sig, repeat(x.start)))
-    ratios = list(map(truediv, map(abs, x_sig), index_powers(ns.start, len(ns), p)))
-    count = len(ratios)
-    half = ratios[count - count // 2 :]
-    mid = ratios[count // 4 : count - count // 2]
-    trail_sup = max(half)
-    mid_sup = max(mid) if mid else trail_sup
-    if mid_sup == 0.0:
-        passed = trail_sup == 0.0
-    else:
-        passed = trail_sup <= mid_sup * (1.0 + GROWTH_SLACK)
+    x_sig = Seq(trace.z.start, map(x.values.__getitem__, map(sub, sig, repeat(x.start))))
+    verdict = order_estimate(x_sig, p, thresholds)
     return CheckResult(
         "x-sigma-growth",
-        passed,
-        trail_sup,
-        f"trailing sup {trail_sup:.6g} vs mid sup {mid_sup:.6g} at p={p}",
+        verdict.kind != "neither",
+        verdict.metric,
+        f"x_sigma(n) against n**{p:g}: {verdict.kind}, trend {verdict.trend:.6g}",
     )
 
 
-def _alternative_check(
-    trace: SolutionTrace, spec: EquationSpec, u_window: Seq, thresholds: Thresholds
-) -> CheckResult:
+def _alternative_check(trace: SolutionTrace, spec: EquationSpec, u_window: Seq) -> CheckResult:
     """The three-way alternative: k(|c|-1) >= 0, polynomial growth, or
     (u,k)-nonoscillation; the first satisfied branch is reported."""
     kc = spec.k * (abs(spec.c) - 1.0)
     if kc >= 0.0:
         return CheckResult("alternative", True, kc, f"k(|c|-1) = {kc:.6g} >= 0")
-    growth = polynomial_growth_check(trace.x, thresholds)
+    growth = polynomial_growth_check(trace.x)
     if growth.passed:
         return CheckResult(
             "alternative", True, growth.exponent,
             f"polynomial growth, exponent {growth.exponent:.3g}",
         )
-    labels = classify_oscillation(trace.x, u_window, spec.k, thresholds)
+    labels = classify_oscillation(trace.x, u_window, spec.k)
     if "uk_nonoscillatory" in labels:
         return CheckResult("alternative", True, 0.0, "(u,k)-nonoscillatory")
     return CheckResult(
@@ -242,10 +231,12 @@ def theorem_dispatch(
     """Run every hypothesis check of the selected case and the conclusion.
 
     Cases (a) and (b) check f (g, p)-bounded at p = m - 1, the exponent the
-    case (a) reduction produces, and case (b) checks the composed growth at
-    the same p.  In regular mode the spec must carry q with s == q, the
-    u-rate is checked at exponent 1 - m, and the conclusion additionally
-    requires the remainder to pass the iterated-difference checks.
+    case (a) reduction produces, and case (b) checks that x_{sigma(n)} is
+    O(n**p) at the same p, by the :func:`order_estimate` rule that every
+    other order verdict uses.  In regular mode the spec must carry q with
+    s == q, the u-rate is checked at exponent 1 - m, and the conclusion
+    additionally requires the remainder to pass the iterated-difference
+    checks.
     """
     validate_mode(spec, case_id, mode)
     rt = spec.rt
@@ -283,7 +274,7 @@ def theorem_dispatch(
             checks.append(CheckResult(
                 "f-bounded", rt.f.bounded, bound,
                 f"catalog bound {bound:g}" if rt.f.bounded else "f unbounded in catalog"))
-            checks.append(_alternative_check(trace, spec, u_window, thresholds))
+            checks.append(_alternative_check(trace, spec, u_window))
         else:
             f_g_bounded = check_g_p_bounded(rt.f, rt.g, p_eff, n_max=N)
             if case_id == "a":
@@ -297,7 +288,7 @@ def theorem_dispatch(
                 checks.append(CheckResult(
                     "g-integral-divergent", rt.g.integral_diverges, 0.0,
                     "exact catalog primitive"))
-                labels = classify_oscillation(trace.x, u_window, spec.k, thresholds)
+                labels = classify_oscillation(trace.x, u_window, spec.k)
                 checks.append(CheckResult(
                     "uk-nonoscillation", "uk_nonoscillatory" in labels, 0.0,
                     f"labels: {', '.join(sorted(labels))}"))
@@ -305,8 +296,8 @@ def theorem_dispatch(
                 checks.append(CheckResult(
                     "g-locally-bounded", rt.g.locally_bounded, 0.0, "catalog guarantee"))
                 checks.append(f_g_bounded)
-                checks.append(_composed_growth_check(trace, p_eff))
-                checks.append(_alternative_check(trace, spec, u_window, thresholds))
+                checks.append(_composed_growth_check(trace, p_eff, thresholds))
+                checks.append(_alternative_check(trace, spec, u_window))
 
         # The decomposition is where a run's memory peaks: drop u's copy first.
         del u_window

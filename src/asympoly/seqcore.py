@@ -35,6 +35,8 @@ from .errors import IndexRangeError, WindowLengthError
 
 #: Difference orders above this are rejected everywhere in the package.
 MAX_DIFFERENCE_ORDER = 20
+#: Fraction of a window that "for large n" refers to: its trailing half.
+TRAIL_FRACTION = 0.5
 #: Values moved per step by :func:`fill_array`.
 FILL_CHUNK = 4096
 
@@ -70,22 +72,17 @@ class Thresholds:
     big_o_slack
         allowed relative excess of the trailing sup over the earlier sup
         before a big-O verdict is withheld.
-    trail_fraction
-        fraction of the window that "for large n" refers to.
-    coeff_window_fraction
-        fraction of the window averaged when estimating polynomial
-        coefficients from iterated differences.
 
-    The level at which a window counts as rounding noise is not a
-    threshold: callers derive it from the data (``order_estimate``'s
-    noise_scale).
+    The windows the diagnostics read are conventions, not thresholds:
+    "for large n" is the trailing half (TRAIL_FRACTION), and coefficient
+    means read the trailing eighth (``decomp.COEFF_WINDOW_FRACTION``).
+    Nor is the level at which a window counts as rounding noise: callers
+    derive it from the data (``order_estimate``'s noise_scale).
     """
 
     tau_small: float = 0.05
     tau_tail: float = 1e-3
     big_o_slack: float = 0.02
-    trail_fraction: float = 0.5
-    coeff_window_fraction: float = 0.125
 
 
 DEFAULT_THRESHOLDS = Thresholds()
@@ -463,15 +460,14 @@ def _any_negative(values: Iterable[float]) -> bool:
     return any(map(lt, values, repeat(0.0)))
 
 
-def classify_oscillation(
-    x: Seq, u: Seq, k: int, thresholds: Thresholds = DEFAULT_THRESHOLDS
-) -> frozenset[str]:
+def classify_oscillation(x: Seq, u: Seq, k: int) -> frozenset[str]:
     """Sign-pattern labels of x relative to the shift k and weight u.
 
     Each nonoscillation label is granted iff its defining sign condition
-    holds at every n in the trailing half of the common window on which
-    x_n, x_{n+1}, x_{n+k} and u_n all exist; ``oscillatory`` is the
-    complement of ``nonoscillatory``.
+    holds at every n in the trailing half (TRAIL_FRACTION) of the common
+    window on which x_n, x_{n+1}, x_{n+k} and u_n all exist;
+    ``oscillatory`` is the complement of ``nonoscillatory``.  No
+    threshold enters.
     """
     lo = max(x.start, u.start, x.start - k)
     hi = min(x.end - 1, u.end, x.end - k)
@@ -481,10 +477,7 @@ def classify_oscillation(
             f"do not overlap sufficiently for shift k={k}"
         )
     count = hi - lo + 1
-    tail_lo = hi - max(1, math.ceil(count * thresholds.trail_fraction)) + 1
-    # A trail longer than the window (trail_fraction > 1) reaches before
-    # lo; reading its first row through at() raises IndexRangeError.
-    x.at(tail_lo), x.at(tail_lo + 1), x.at(tail_lo + k), u.at(tail_lo)
+    tail_lo = hi - max(1, math.ceil(count * TRAIL_FRACTION)) + 1
     width = hi - tail_lo + 1
 
     def window_from(seq: Seq, n: int) -> array:

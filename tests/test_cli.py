@@ -12,7 +12,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from asympoly import cli, neutral_solver
@@ -74,10 +74,6 @@ class TestExperimentConfig:
         # n**(m - 1 - s) overflows a float at the horizon 1e4.
         ("spec", "s", -400),
         ("spec", "s", -1e308),
-        ("thresholds", "coeff_window_fraction", -1),
-        ("thresholds", "coeff_window_fraction", 0),
-        ("thresholds", "trail_fraction", 0),
-        ("thresholds", "trail_fraction", 1.5),
         ("thresholds", "tau_small", -0.1),
         ("seeds", "z", [1.75, 1.75]),
         (None, "horizon", 10),
@@ -157,7 +153,8 @@ def test_seed_lengths_are_checked_through_run(name, x_seed, z_seed):
 
 
 THRESHOLD_KEYS = sorted(f.name for f in dataclasses.fields(Thresholds))
-FRACTION_KEYS = sorted(cli._FRACTION_THRESHOLDS)
+#: Keys that older configs set and the thresholds object no longer has.
+REMOVED_KEYS = ["coeff_window_fraction", "noise_floor", "trail_fraction"]
 #: A JSON value no threshold accepts: not a finite number.
 NOT_A_NUMBER = (
     st.booleans()
@@ -168,9 +165,9 @@ NOT_A_NUMBER = (
 )
 #: (key, value) pairs the thresholds object rejects.
 BAD_THRESHOLD = st.one_of(
-    # Keys outside the schema, among them the one that older configs set.
+    # Keys outside the schema, among them those that older configs set.
     st.tuples(
-        st.just("noise_floor")
+        st.sampled_from(REMOVED_KEYS)
         | st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=12).filter(
             lambda key: key not in THRESHOLD_KEYS
         ),
@@ -178,15 +175,15 @@ BAD_THRESHOLD = st.one_of(
     ),
     st.tuples(st.sampled_from(THRESHOLD_KEYS), NOT_A_NUMBER),
     st.tuples(st.sampled_from(THRESHOLD_KEYS), st.floats(max_value=-math.ulp(0.0))),
-    st.tuples(
-        st.sampled_from(FRACTION_KEYS),
-        st.floats(max_value=0.0) | st.floats(min_value=1.0, exclude_min=True),
-    ),
 )
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(["t1_case_a_m1", "t2_regular_m3"]), BAD_THRESHOLD)
+# Each removed key at the value every shipped fixture once set it to.
+@example("t1_case_a_m1", ("trail_fraction", 0.5))
+@example("t2_regular_m3", ("coeff_window_fraction", 0.125))
+@example("t1_case_a_m1", ("noise_floor", 0.0))
 def test_bad_thresholds_exit_one_naming_the_key(name, bad):
     key, value = bad
     raw = json.loads(fixture_text(f"{name}.json"))
@@ -441,6 +438,19 @@ class TestRunCommand:
         assert code == EXIT_HYPOTHESIS
         verdict = json.loads((out / "verdict.json").read_text())
         assert verdict["failed_check"] == "b-summability"
+
+    @pytest.mark.parametrize("horizon", [10_000, 100_000])
+    def test_log_growth_of_x_sigma_is_not_big_o(self, horizon, tmp_path):
+        # b_n = 1/n makes x_{sigma(n)}/n grow like log n: its trailing-third
+        # sup keeps rising against the middle third, so it is not O(n).
+        out = tmp_path / "o"
+        code = run(str(FIXTURES / "fail_b_summability.json"), horizon=horizon, out_dir=str(out))
+        assert code == EXIT_HYPOTHESIS
+        verdict = json.loads((out / "verdict.json").read_text())
+        assert verdict["failed_check"] == "b-summability"
+        check = next(c for c in verdict["checks"] if c["name"] == "x-sigma-growth")
+        assert not check["passed"]
+        assert "neither" in check["detail"], check["detail"]
 
     def _run_failing(self, raw, tmp_path):
         config = tmp_path / "config.json"

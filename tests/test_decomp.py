@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 from itertools import repeat
@@ -11,6 +10,7 @@ from hypothesis import strategies as st
 from asympoly import decomp
 from asympoly.catalog import CatalogRef
 from asympoly.decomp import (
+    COEFF_WINDOW_FRACTION,
     decompose_solution,
     extract_polynomial,
     regularity_check,
@@ -43,7 +43,7 @@ def test_lstsq_matches_the_reference_bit_for_bit(m):
     assert {d: c.hex() for d, c in got.items()} == {d: c.hex() for d, c in want.items()}
 
 
-def reference_psi(z, m, s, thresholds):
+def reference_psi(z, m, s):
     """extract_polynomial's coefficients computed over z's whole window.
 
     The reference the fit is held to: every iterated difference and every
@@ -51,7 +51,7 @@ def reference_psi(z, m, s, thresholds):
     columns are all built with pow.
     """
     d_min = max(0, math.ceil(s - 1e-12))
-    tail_count = max(1, math.ceil(len(z) * thresholds.coeff_window_fraction))
+    tail_count = max(1, math.ceil(len(z) * COEFF_WINDOW_FRACTION))
     coeffs = [0.0] * m
     work = tuple(z.values)
     for d in range(m - 1, d_min - 1, -1):
@@ -70,17 +70,13 @@ def reference_psi(z, m, s, thresholds):
     return tuple(coeffs)
 
 
-@pytest.mark.parametrize("fraction", [None, 0.75, 1.0])
 @pytest.mark.parametrize("name", sorted(CERTIFIED))
-def test_psi_matches_the_whole_window_reference_bit_for_bit(name, fraction, traces):
+def test_psi_matches_the_whole_window_reference_bit_for_bit(name, traces):
     cfg = CERTIFIED[name]
-    thresholds = cfg.thresholds
-    if fraction is not None:
-        thresholds = dataclasses.replace(thresholds, coeff_window_fraction=fraction)
     m, s = cfg.spec.m, cfg.spec.s
     for seq in (traces[name].z, traces[name].x):
-        got = extract_polynomial(seq, m, s, thresholds=thresholds).psi.coeffs
-        want = reference_psi(seq, m, s, thresholds)
+        got = extract_polynomial(seq, m, s, thresholds=cfg.thresholds).psi.coeffs
+        want = reference_psi(seq, m, s)
         assert list(map(float.hex, got)) == list(map(float.hex, want)), (name, seq.start)
 
 

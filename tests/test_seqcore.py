@@ -376,12 +376,6 @@ class TestClassifyOscillation:
         with pytest.raises(WindowLengthError):
             classify_oscillation(x, u, 10)
 
-    def test_trail_longer_than_window_is_an_index_error(self):
-        x = seq_from_function(lambda n: 1.0, 1, 100)
-        u = seq_from_function(lambda n: 1.0, 1, 100)
-        with pytest.raises(IndexRangeError):
-            classify_oscillation(x, u, 2, Thresholds(trail_fraction=2.0))
-
 
 def test_thresholds_are_data():
     t = Thresholds(tau_small=0.1)
