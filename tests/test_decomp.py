@@ -11,6 +11,7 @@ from asympoly import decomp
 from asympoly.catalog import CatalogRef
 from asympoly.decomp import (
     COEFF_WINDOW_FRACTION,
+    MIN_WINDOW,
     decompose_solution,
     extract_polynomial,
     regularity_check,
@@ -18,7 +19,7 @@ from asympoly.decomp import (
 )
 from asympoly.errors import WindowLengthError
 from asympoly.neutral_solver import EquationSpec, consistent_seeds, simulate
-from asympoly.seqcore import PolyCoeffs, Seq, csum, delta, index_powers
+from asympoly.seqcore import MAX_DIFFERENCE_ORDER, PolyCoeffs, Seq, csum, delta, index_powers
 
 from conftest import CERTIFIED, seq_from_function, tail_sum_window
 
@@ -78,6 +79,19 @@ def test_psi_matches_the_whole_window_reference_bit_for_bit(name, traces):
         got = extract_polynomial(seq, m, s, thresholds=cfg.thresholds).psi.coeffs
         want = reference_psi(seq, m, s)
         assert list(map(float.hex, got)) == list(map(float.hex, want)), (name, seq.start)
+
+
+@pytest.mark.parametrize("m", range(1, MAX_DIFFERENCE_ORDER + 2))
+def test_psi_on_the_shortest_window_matches_the_reference_at_every_order(m):
+    # The fit runs on z's trailing half, and its degree m - 1 mean reads the
+    # last ceil(len/8) of len/2 - (m - 1) differences there.  At MIN_WINDOW
+    # entries and the highest order delta accepts the half still holds them,
+    # so every mean equals the whole-window one.
+    rng = random.Random(m)
+    z = Seq(3, [rng.uniform(-1.0, 1.0) for _ in range(MIN_WINDOW)])
+    got = extract_polynomial(z, m, 0.0).psi.coeffs
+    want = reference_psi(z, m, 0.0)
+    assert list(map(float.hex, got)) == list(map(float.hex, want))
 
 
 @pytest.mark.parametrize("q", [1, 3])

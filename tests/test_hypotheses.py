@@ -227,6 +227,19 @@ def test_geometric_forcing_small_at_every_exponent():
         assert rep.remainder_verdict.kind == "small_o", s
 
 
+@pytest.mark.parametrize("name", ["t1_case_b_m2", "t1_case_b_m3", "t2_regular_m2"])
+def test_certified_case_b_has_x_sigma_in_big_o(name, traces):
+    # x_{sigma(n)} grows like n**p itself, so the O(n**p) rule reads big_O
+    # (not small_o) and the check passes.
+    inst = CERTIFIED[name]
+    verdict = theorem_dispatch(
+        inst.spec, traces[name], inst.case_id, inst.mode, inst.thresholds
+    )
+    check = next(c for c in verdict.checks if c.name == "x-sigma-growth")
+    assert check.passed
+    assert ": big_O, trend " in check.detail, check.detail
+
+
 class TestIndexPowerScope:
     def test_no_table_left_after_dispatch_returns(self, traces):
         inst = CERTIFIED["t1_case_b_m3"]

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import math
 import random
 import threading
@@ -14,6 +15,7 @@ from asympoly.errors import IndexRangeError, WindowLengthError
 from asympoly.seqcore import (
     CompensatedSum,
     PolyCoeffs,
+    TRAIL_FRACTION,
     Seq,
     Thresholds,
     classify_oscillation,
@@ -376,11 +378,34 @@ class TestClassifyOscillation:
         with pytest.raises(WindowLengthError):
             classify_oscillation(x, u, 10)
 
+    @pytest.mark.parametrize("k", [-1, 0, 2])
+    def test_only_the_trailing_half_is_read(self, k):
+        # Sign changes before the trailing half of the common window (and
+        # before the x_{n+k} it reads when k < 0) leave every label as it is
+        # on a positive x; one inside it does not.
+        u = seq_from_function(lambda n: 1.0, 1, 100)
+        lo, hi = max(1, 1 - k), min(99, 100 - k)
+        tail_lo = hi - math.ceil((hi - lo + 1) * TRAIL_FRACTION) + 1
+        first_read = tail_lo + min(k, 0)
+        positive = classify_oscillation(seq_from_function(lambda n: 1.0, 1, 100), u, k)
+        early = seq_from_function(lambda n: (-1.0) ** n if n < first_read else 1.0, 1, 100)
+        assert classify_oscillation(early, u, k) == positive
+        late = seq_from_function(lambda n: -1.0 if n == hi else 1.0, 1, 100)
+        assert "oscillatory" in classify_oscillation(late, u, k)
+
 
 def test_thresholds_are_data():
     t = Thresholds(tau_small=0.1)
     assert t.tau_small == 0.1
     assert t.tau_tail == 1e-3
+
+
+def test_thresholds_are_the_three_gates():
+    # The trailing half and the coefficient window are constants, not config.
+    assert [f.name for f in dataclasses.fields(Thresholds)] == [
+        "tau_small", "tau_tail", "big_o_slack"
+    ]
+    assert TRAIL_FRACTION == 0.5
 
 
 class TestIndexPowers:
