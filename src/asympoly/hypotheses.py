@@ -168,12 +168,17 @@ def polynomial_growth_check(x: Seq) -> GrowthCheck:
 def _composed_growth_check(
     trace: SolutionTrace, p: float, thresholds: Thresholds
 ) -> CheckResult:
-    """x_{sigma(n)} on z's window in O(n**p): the :func:`order_estimate`
-    verdict at exponent p, passed when it is small_o or big_O."""
+    """x_{sigma(n)} in O(n**p): the :func:`order_estimate` verdict at
+    exponent p, passed when it is small_o or big_O.
+
+    It reads the longest prefix of z's window on which sigma(n) lies in x's
+    window.  Causality holds on every step, so that prefix covers them all;
+    past the last step a delay that advances may read beyond x's end.
+    """
     x = trace.x
-    sig = trace.samples.sigma
+    sig = trace.sigma
     if min(sig) < x.start or max(sig) > x.end:
-        x.at(next(sv for sv in sig if not x.start <= sv <= x.end))  # raises IndexRangeError
+        sig = sig[: next(i for i, sv in enumerate(sig) if not x.start <= sv <= x.end)]
     x_sig = Seq(trace.z.start, map(x.values.__getitem__, map(sub, sig, repeat(x.start))))
     verdict = order_estimate(x_sig, p, thresholds)
     return CheckResult(
@@ -244,15 +249,14 @@ def theorem_dispatch(
     n0, N = trace.z.start, trace.z.end
     p_eff = float(m - 1)
 
-    samples = trace.samples
     # Every n**e weight of this run is computed once, on [1, end of x].
     with index_power_tables(trace.x.end):
-        a_diag = weighted_sum_diagnostic(Seq(1, samples.a), m - 1 - s, thresholds)
-        b_diag = weighted_sum_diagnostic(Seq(1, samples.b), m - 1 - s, thresholds)
+        a_diag = weighted_sum_diagnostic(trace.a, m - 1 - s, thresholds)
+        b_diag = weighted_sum_diagnostic(trace.b, m - 1 - s, thresholds)
         rate_exp = float(1 - m) if mode == "regular" else s + 1.0 - m
         # u on [1, N] serves both the rate check and the oscillation checks:
         # those read u_n only where x_{n+1} and x_{n+k} exist, so n <= N.
-        u_window = Seq(1, samples.u[:N])
+        u_window = trace.u.window(1, N)
         u_rate = check_u_rate(u_window, spec.c, rate_exp, thresholds)
         checks = [
             CheckResult(
@@ -281,7 +285,7 @@ def theorem_dispatch(
                 checks.append(CheckResult(
                     "g-nondecreasing", rt.g.nondecreasing, 0.0, "catalog guarantee"))
                 checks.append(f_g_bounded)
-                sigma_excess = max(map(sub, samples.sigma, range(n0, N + 1)))
+                sigma_excess = max(map(sub, trace.sigma, range(n0, N + 1)))
                 checks.append(CheckResult(
                     "sigma-within-past", sigma_excess <= 0, float(sigma_excess),
                     f"max(sigma(n) - n) = {sigma_excess}"))

@@ -44,7 +44,7 @@ from .errors import (
     SeedError,
     SingularRecoveryError,
 )
-from .seqcore import MAX_DIFFERENCE_ORDER, Seq, fill_array
+from .seqcore import MAX_DIFFERENCE_ORDER, Seq
 
 #: |x| or |z| beyond this aborts a run with DivergenceError.
 DIVERGENCE_LIMIT = 1e300
@@ -161,30 +161,14 @@ def x_start_index(spec: EquationSpec) -> int:
     return start_index(spec) + min(spec.k, 0)
 
 
-@dataclass(frozen=True)
-class CoefficientSamples:
-    """u, a, b and sigma, each evaluated once per run at every index it is read.
-
-    ``u[n - 1]`` is u_n for n in [1, end of x]; ``a[n - 1]`` and
-    ``b[n - 1]`` are a_n and b_n for n in [1, N]; ``sigma[n - n0]`` is
-    sigma(n) for n in [n0, N].  u, a and b are stored as ``array('d')``
-    and sigma as ``array('q')``, 8 bytes a value, holding exactly what the
-    catalog windows give (sigma stays a list when a value does not fit
-    64 bits).  They are read-only: the run's checks read them after
-    simulate has stepped with them.
-    """
-
-    u: array
-    a: array
-    b: array
-    sigma: Sequence[int]
-
-
-def sample_coefficients(spec: EquationSpec, N: int) -> CoefficientSamples:
-    """Evaluate u, a, b and sigma once on the windows a run to horizon N reads.
+def sample_coefficients(spec: EquationSpec, N: int) -> tuple[Seq, Seq, Seq, Sequence[int]]:
+    """u on [1, end of x], a and b on [1, N], and sigma(n) for n in [n0, N]:
+    what a run to horizon N reads, each sampled once.
 
     sigma comes first and is checked for causality (:func:`_check_causality`),
-    so a run that reads the future fails before u, a or b is sampled.
+    so a run that reads the future fails before u, a or b is sampled.  sigma
+    is an ``array('q')``, 8 bytes a value (a list when a value does not fit
+    64 bits).
     """
     rt = spec.rt
     n0 = start_index(spec)
@@ -195,23 +179,22 @@ def sample_coefficients(spec: EquationSpec, N: int) -> CoefficientSamples:
         # failed array may have consumed part of the window, so sample it anew.
         sigma = list(rt.sigma.window(n0, N - n0 + 1))
     _check_causality(spec, N, sigma)
-    return CoefficientSamples(
-        u=fill_array(rt.u.window(1, N + max(spec.k, 0))),
-        a=fill_array(rt.a.window(1, N)),
-        b=fill_array(rt.b.window(1, N)),
-        sigma=sigma,
-    )
+    return rt.u.sample(1, N + max(spec.k, 0)), rt.a.sample(1, N), rt.b.sample(1, N), sigma
 
 
 @dataclass(frozen=True)
 class SolutionTrace:
-    """Simulated solution: x, z on [n0, horizon], and the coefficient
-    samples the run stepped with (which the hypothesis checks read instead
-    of evaluating the catalog again)."""
+    """Simulated solution: x and z, and the coefficient samples the run
+    stepped with (which the hypothesis checks read instead of evaluating
+    the catalog again): u on [1, x.end], a and b on [1, z.end], and
+    ``sigma[n - z.start]`` = sigma(n) for n on z's window."""
 
     x: Seq
     z: Seq
-    samples: CoefficientSamples
+    u: Seq
+    a: Seq
+    b: Seq
+    sigma: Sequence[int]
 
 
 def _recover_x(x_vals: MutableSequence[float], k: int, n: int, zn: float, un: float) -> float:
@@ -323,7 +306,7 @@ def simulate(
     # seed, naming its index.
     z_vals = array("d", Seq(n0, z_seed).values)
     x_vals = array("d", () if x_seed is None else Seq(xs, x_seed).values)
-    samples = sample_coefficients(spec, N)
+    u, a, b, sigma = sample_coefficients(spec, N)
 
     # For each i < m, oldest first: the signed binomial coefficient of z_{n+i}
     # in the m-th difference at n, as a float (exact for m <=
@@ -333,9 +316,9 @@ def simulate(
     terms = tuple((float((-1) ** (m - i) * math.comb(m, i)), i - m) for i in range(m))
     f = spec.rt.f.fn
     # u_n for n in [n0, N], the z window; a_n and b_n for each step n.
-    u_z = samples.u[n0 - 1 : N]
-    a_steps = samples.a[n0 - 1 : N - m]
-    b_steps = samples.b[n0 - 1 : N - m]
+    u_z = u.values[n0 - 1 : N]
+    a_steps = a.values[n0 - 1 : N - m]
+    b_steps = b.values[n0 - 1 : N - m]
     limit = DIVERGENCE_LIMIT
     shift = max(k, 0)  # the x value z_j unlocks has index j + shift
 
@@ -346,7 +329,7 @@ def simulate(
 
     steps = range(n0, N - m + 1)
     u_next = u_z[m:]  # u at the z index each step adds
-    for n, sv, an, bn, un in zip(steps, samples.sigma, a_steps, b_steps, u_next):
+    for n, sv, an, bn, un in zip(steps, sigma, a_steps, b_steps, u_next):
         acc = an * f(n, x_vals[sv - xs]) + bn
         for coeff, back in terms:
             acc -= coeff * z_vals[back]
@@ -360,7 +343,7 @@ def simulate(
     x = Seq(xs, x_vals)
     z = Seq(n0, z_vals)
     _verify_relation(x, z, u_z, k)
-    return SolutionTrace(x=x, z=z, samples=samples)
+    return SolutionTrace(x=x, z=z, u=u, a=a, b=b, sigma=sigma)
 
 
 def _verify_relation(x: Seq, z: Seq, u_z: Iterable[float], k: int) -> None:

@@ -112,7 +112,7 @@ def test_criterion_4_round_trips():
         profile = tuple(rng.uniform(-5.0, 5.0) for _ in range(1 + abs(k)))
         x_seed, z_seed = consistent_seeds(spec, profile)
         trace = simulate(spec, x_seed, z_seed, 8 + 2 * abs(k))
-        x, z, u = trace.x, trace.z, trace.samples.u
+        x, z, u = trace.x, trace.z, trace.u
         # The profile starts at x's first index; its first |k| values are x_seed.
         assert x_seed == (tuple(x.values[: abs(k)]) if k else None), (trial, k, c)
         # The one profile value that is not a seed comes back through z.
@@ -120,7 +120,7 @@ def test_criterion_4_round_trips():
         for n, v in enumerate(profile, x.start):
             assert abs(x.at(n) - v) <= 1e-9 * scale, (trial, k, c, n)
         for n in range(z.start, z.end + 1):
-            zn, term = z.at(n), u[n - 1] * x.at(n + k)
+            zn, term = z.at(n), u.at(n) * x.at(n + k)
             err = abs(zn - (x.at(n) + term))
             assert err <= 1e-9 * (abs(zn) + abs(x.at(n)) + abs(term)), (trial, k, c, n)
     _report(4, "x/z round trips, 500 instances", t0, 5.0)

@@ -152,6 +152,46 @@ def test_seed_lengths_are_checked_through_run(name, x_seed, z_seed):
             assert code in (EXIT_OK, EXIT_HYPOTHESIS, EXIT_SIMULATION)
 
 
+SIGMAS = st.sampled_from(
+    [{"id": "identity"}, {"id": "half"}, {"id": "floor_log"}]
+    + [{"id": "delay_d", "params": {"d": d}} for d in range(-3, 4)]
+)
+F_ENTRIES = st.sampled_from(
+    [{"id": f} for f in ("sigmoid", "arctan", "linear", "bounded_sin")]
+    + [{"id": "power_sgn", "params": {"gamma": 0.5}}]
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(CERTIFIED)), SIGMAS, F_ENTRIES, st.sampled_from("abc"))
+def test_valid_swaps_of_sigma_f_and_case_never_exit_one(name, sigma, f, case):
+    raw = json.loads(fixture_text(f"{name}.json"))
+    raw["spec"]["sigma"], raw["spec"]["f"], raw["case"] = sigma, f, case
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps(raw), encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = run(str(config), horizon=300, out_dir=str(Path(tmp) / "o"))
+        assert "Traceback" not in err.getvalue()
+        assert code in (EXIT_OK, EXIT_HYPOTHESIS, EXIT_SIMULATION), err.getvalue()
+        if code == EXIT_SIMULATION:
+            assert not (Path(tmp) / "o").exists()
+
+
+def test_x_sigma_growth_reads_x_where_an_advancing_delay_leaves_it(tmp_path):
+    # With sigma(n) = n + 1 and k = 0, every step reads x causally, but
+    # sigma(N) = N + 1 lies past x's last index N.
+    raw = json.loads(fixture_text("t1_case_b_m2.json"))
+    raw["spec"]["sigma"] = {"id": "delay_d", "params": {"d": -1}}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    assert run(str(config), horizon=2000, out_dir=str(tmp_path / "o")) in (EXIT_OK, EXIT_HYPOTHESIS)
+    checks = json.loads((tmp_path / "o" / "verdict.json").read_text(encoding="utf-8"))["checks"]
+    growth = next(c for c in checks if c["name"] == "x-sigma-growth")
+    assert math.isfinite(growth["metric"])
+
+
 THRESHOLD_KEYS = sorted(f.name for f in dataclasses.fields(Thresholds))
 #: Keys that older configs set and the thresholds object no longer has.
 REMOVED_KEYS = ["coeff_window_fraction", "noise_floor", "trail_fraction"]

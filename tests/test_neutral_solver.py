@@ -259,6 +259,21 @@ class TestSimulate:
                 worst = max(worst, abs(dz.at(n) - rhs))
             assert worst <= 1e-8 * (1.0 + zmax), name
 
+    @pytest.mark.parametrize("name", ["t1_case_a_m3", "t1_case_b_m2", "t1_case_a_m2"])  # k = -1, 0, 1
+    def test_trace_carries_the_coefficient_windows(self, traces, name):
+        spec, tr = CERTIFIED[name].spec, traces[name]
+        n0, N = start_index(spec), tr.z.end
+        assert (tr.u.start, tr.u.end) == (1, tr.x.end)
+        assert (tr.a.start, tr.a.end) == (tr.b.start, tr.b.end) == (1, N)
+        assert len(tr.sigma) == N - n0 + 1
+        # The samples are the catalog's values, at the ends of each window too.
+        rt = spec.rt
+        for n in (1, N):
+            assert (tr.a.at(n), tr.b.at(n)) == (rt.a(n), rt.b(n))
+        for n in (1, tr.x.end):
+            assert tr.u.at(n) == rt.u(n)
+        assert (tr.sigma[0], tr.sigma[-1]) == (rt.sigma(n0), rt.sigma(N))
+
     def test_trace_relation_holds(self, traces):
         from asympoly.neutral_solver import runtime
 
