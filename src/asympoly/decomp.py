@@ -20,13 +20,12 @@ import sys
 from dataclasses import dataclass, replace
 from itertools import compress, repeat
 from operator import ge, mul, sub, truediv
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import DivergenceError, WindowLengthError
 from .neutral_solver import EquationSpec, SolutionTrace, UNIT_MARGIN
 from .seqcore import (
     DEFAULT_THRESHOLDS,
-    TRAIL_FRACTION,
     OrderVerdict,
     PolyCoeffs,
     Seq,
@@ -36,6 +35,7 @@ from .seqcore import (
     index_powers,
     line_fit,
     order_estimate,
+    trail_length,
 )
 
 #: Relative residual allowed when re-checking a polynomial transfer.
@@ -138,9 +138,8 @@ def _lstsq_degrees(ns: range, resid: Sequence[float], degrees: list[int]) -> dic
 
 
 def _decay_fit(remainder: Seq) -> tuple[float, float]:
-    # The trailing ceil(len * TRAIL_FRACTION) entries, index 0 left out.
-    count = max(1, math.ceil(len(remainder) * TRAIL_FRACTION))
-    lo = max(remainder.end - count + 1, 1)
+    # The trailing half, index 0 left out.
+    lo = max(remainder.end - trail_length(len(remainder)) + 1, 1)
     vals = remainder.values[lo - remainder.start :]
     kept = list(map(ge, map(abs, vals), repeat(DECAY_FIT_FLOOR)))
     xs = list(map(math.log, compress(range(lo, remainder.end + 1), kept)))
@@ -165,12 +164,11 @@ def _fit_polynomial(z: Seq, m: int, d_min: int) -> PolyCoeffs:
     window, and so is every coefficient.
     """
     tail_count = max(1, math.ceil(len(z) * COEFF_WINDOW_FRACTION))
-    half = len(z) - len(z) // 2
     # The means need tail_count + m - 1 values, and the half holds them:
     # ceil(len/8) + m - 1 <= ceil(len/2) for len >= MIN_WINDOW = 64 and
     # m - 1 <= 20, the highest order delta accepts (MAX_DIFFERENCE_ORDER).
     coeffs = [0.0] * m
-    work = z.window(z.end - half + 1, z.end)
+    work = z.trailing()
     for d in range(m - 1, d_min - 1, -1):
         try:
             diff = delta(work, d)
@@ -191,8 +189,8 @@ def _fit_polynomial(z: Seq, m: int, d_min: int) -> PolyCoeffs:
     # Joint least-squares pass on the residual: degrees below d_min enter
     # as nuisance columns so their content cannot leak into the kept
     # coefficients, but only kept degrees receive corrections.
-    ns = range(z.end - half + 1, z.end + 1)
-    corrections = _lstsq_degrees(ns, work.values[-half:], list(range(m)))
+    ns = range(work.start, work.end + 1)
+    corrections = _lstsq_degrees(ns, work.values, list(range(m)))
     for d in range(d_min, m):
         coeffs[d] += corrections[d]
     return PolyCoeffs(tuple(coeffs))
@@ -200,15 +198,17 @@ def _fit_polynomial(z: Seq, m: int, d_min: int) -> PolyCoeffs:
 
 def _remainder(z: Seq, psi: PolyCoeffs) -> Seq:
     """z - psi on z's window; a non-finite entry is a DivergenceError."""
-
-    def values() -> Iterator[float]:
-        return map(sub, z.values, psi.at_indices(z.start, len(z)))
-
     try:
-        return Seq(z.start, values())
-    except ValueError:
-        i = next(i for i, v in enumerate(values()) if not math.isfinite(v))
-        raise DivergenceError(f"remainder not finite at index {z.start + i}") from None
+        return Seq(z.start, map(sub, z.values, psi.at_indices(z.start, len(z))))
+    except ValueError as exc:  # Seq names the first non-finite index
+        raise DivergenceError(f"remainder: {exc}") from None
+
+
+def rounding_resolution(scale: float, p: int = 0) -> float:
+    """Level at or below which the p-th difference of data of magnitude scale
+    is rounding noise: NOISE_SAFETY units of eps * scale, doubled per level.
+    The one rule for the remainder verdict (p = 0) and :func:`regularity_check`."""
+    return NOISE_SAFETY * 2.0**p * sys.float_info.epsilon * scale
 
 
 def extract_polynomial(
@@ -225,10 +225,9 @@ def extract_polynomial(
     the recursion continues down to degree max(0, ceil(s)); a joint
     least-squares pass over the trailing half then corrects the kept
     coefficients.  The remainder's verdict is :func:`order_estimate` at
-    the rounding resolution NOISE_SAFETY * eps * sup |z| of the input, the
-    rule :func:`regularity_check` applies at p = 0, with big_O downgraded
-    to neither (only smallness is a meaningful certificate for the
-    remainder).  When q is given, the iterated difference checks of the
+    the :func:`rounding_resolution` of sup |z| (p = 0), with big_O
+    downgraded to neither (only smallness is a meaningful certificate for
+    the remainder).  When q is given, the iterated difference checks of the
     remainder are run as well.
     """
     if len(z) < MIN_WINDOW:
@@ -241,12 +240,9 @@ def extract_polynomial(
     psi = _fit_polynomial(z, m, d_min)
     remainder = _remainder(z, psi)
 
-    # The remainder is derived from z, so its rounding resolution is z's:
-    # regularity_check's rule at p = 0.
+    # The remainder is derived from z, so its rounding resolution is z's.
     scale = max(map(abs, z.values))
-    verdict = order_estimate(
-        remainder, s, thresholds, noise_scale=NOISE_SAFETY * sys.float_info.epsilon * scale
-    )
+    verdict = order_estimate(remainder, s, thresholds, noise_scale=rounding_resolution(scale))
     if verdict.kind == "big_O":
         verdict = replace(verdict, kind="neither")
 
@@ -314,8 +310,8 @@ def regularity_check(
     All levels small_o certifies, at finite horizon, that the q-th
     difference of w tends to zero (the regular form of smallness).
     ``scale`` is the magnitude of the data w was derived from (defaults to
-    sup |w|); p-th differences at the rounding resolution 2**p ulp(scale)
-    are quantization noise and certified small directly.
+    sup |w|); p-th differences at their :func:`rounding_resolution` are
+    quantization noise and certified small directly.
     """
     if q < 0:
         raise ValueError(f"q must be >= 0, got {q}")
@@ -332,7 +328,7 @@ def regularity_check(
                 level,
                 float(q - p),
                 thresholds,
-                noise_scale=NOISE_SAFETY * 2.0**p * sys.float_info.epsilon * base,
+                noise_scale=rounding_resolution(base, p),
             )
         )
     return tuple(verdicts)

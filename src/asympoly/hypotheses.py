@@ -17,12 +17,11 @@ from itertools import repeat
 from operator import sub
 
 from .catalog import Majorant, RhsFunction
-from .decomp import SolutionDecomposition, decompose_solution
-from .errors import ConfigError
+from .decomp import MIN_WINDOW, SolutionDecomposition, decompose_solution
+from .errors import ConfigError, WindowLengthError
 from .neutral_solver import EquationSpec, SolutionTrace
 from .seqcore import (
     DEFAULT_THRESHOLDS,
-    TRAIL_FRACTION,
     OrderVerdict,
     Seq,
     Thresholds,
@@ -145,17 +144,17 @@ def check_u_rate(
 
 
 def polynomial_growth_check(x: Seq) -> GrowthCheck:
-    """No-exponential-trend test on the trailing half (TRAIL_FRACTION) of
-    the window.
+    """No-exponential-trend test on the trailing half (:meth:`Seq.trailing`)
+    of a window of at least MIN_WINDOW entries.
 
     Fits log(1 + |x_n|) against log n; passes iff the largest residual is
     below 0.5 log(end index), i.e. the data is explained by a power law up
     to sub-polynomial wiggle.  Reports the fitted exponent.  No threshold
     enters.
     """
-    if len(x) < 64:
-        raise ValueError(f"need at least 64 entries, got {len(x)}")
-    tail = x.trailing(TRAIL_FRACTION)
+    if len(x) < MIN_WINDOW:
+        raise WindowLengthError(f"need at least {MIN_WINDOW} entries, got {len(x)}")
+    tail = x.trailing()
     lo = max(tail.start, 1)
     log_n = list(map(math.log, range(lo, tail.end + 1)))
     log_x = list(map(math.log1p, map(abs, tail.values[lo - tail.start :])))
@@ -189,7 +188,7 @@ def _composed_growth_check(
     )
 
 
-def _alternative_check(trace: SolutionTrace, spec: EquationSpec, u_window: Seq) -> CheckResult:
+def _alternative_check(trace: SolutionTrace, spec: EquationSpec) -> CheckResult:
     """The three-way alternative: k(|c|-1) >= 0, polynomial growth, or
     (u,k)-nonoscillation; the first satisfied branch is reported."""
     kc = spec.k * (abs(spec.c) - 1.0)
@@ -201,7 +200,7 @@ def _alternative_check(trace: SolutionTrace, spec: EquationSpec, u_window: Seq) 
             "alternative", True, growth.exponent,
             f"polynomial growth, exponent {growth.exponent:.3g}",
         )
-    labels = classify_oscillation(trace.x, u_window, spec.k)
+    labels = classify_oscillation(trace.x, trace.u, spec.k)
     if "uk_nonoscillatory" in labels:
         return CheckResult("alternative", True, 0.0, "(u,k)-nonoscillatory")
     return CheckResult(
@@ -254,10 +253,7 @@ def theorem_dispatch(
         a_diag = weighted_sum_diagnostic(trace.a, m - 1 - s, thresholds)
         b_diag = weighted_sum_diagnostic(trace.b, m - 1 - s, thresholds)
         rate_exp = float(1 - m) if mode == "regular" else s + 1.0 - m
-        # u on [1, N] serves both the rate check and the oscillation checks:
-        # those read u_n only where x_{n+1} and x_{n+k} exist, so n <= N.
-        u_window = trace.u.window(1, N)
-        u_rate = check_u_rate(u_window, spec.c, rate_exp, thresholds)
+        u_rate = check_u_rate(trace.u, spec.c, rate_exp, thresholds)
         checks = [
             CheckResult(
                 "a-summability", a_diag.converged, a_diag.tail_estimate,
@@ -278,7 +274,7 @@ def theorem_dispatch(
             checks.append(CheckResult(
                 "f-bounded", rt.f.bounded, bound,
                 f"catalog bound {bound:g}" if rt.f.bounded else "f unbounded in catalog"))
-            checks.append(_alternative_check(trace, spec, u_window))
+            checks.append(_alternative_check(trace, spec))
         else:
             f_g_bounded = check_g_p_bounded(rt.f, rt.g, p_eff, n_max=N)
             if case_id == "a":
@@ -292,7 +288,7 @@ def theorem_dispatch(
                 checks.append(CheckResult(
                     "g-integral-divergent", rt.g.integral_diverges, 0.0,
                     "exact catalog primitive"))
-                labels = classify_oscillation(trace.x, u_window, spec.k)
+                labels = classify_oscillation(trace.x, trace.u, spec.k)
                 checks.append(CheckResult(
                     "uk-nonoscillation", "uk_nonoscillatory" in labels, 0.0,
                     f"labels: {', '.join(sorted(labels))}"))
@@ -301,10 +297,8 @@ def theorem_dispatch(
                     "g-locally-bounded", rt.g.locally_bounded, 0.0, "catalog guarantee"))
                 checks.append(f_g_bounded)
                 checks.append(_composed_growth_check(trace, p_eff, thresholds))
-                checks.append(_alternative_check(trace, spec, u_window))
+                checks.append(_alternative_check(trace, spec))
 
-        # The decomposition is where a run's memory peaks: drop u's copy first.
-        del u_window
         decomposition = decompose_solution(trace, spec, thresholds)
 
     x_rep = decomposition.x_report

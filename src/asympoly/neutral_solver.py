@@ -162,8 +162,8 @@ def x_start_index(spec: EquationSpec) -> int:
 
 
 def sample_coefficients(spec: EquationSpec, N: int) -> tuple[Seq, Seq, Seq, Sequence[int]]:
-    """u on [1, end of x], a and b on [1, N], and sigma(n) for n in [n0, N]:
-    what a run to horizon N reads, each sampled once.
+    """u, a and b on [1, N], and sigma(n) for n in [n0, N]: what a run to
+    horizon N reads (u past N is never read, whatever k), each sampled once.
 
     sigma comes first and is checked for causality (:func:`_check_causality`),
     so a run that reads the future fails before u, a or b is sampled.  sigma
@@ -179,14 +179,14 @@ def sample_coefficients(spec: EquationSpec, N: int) -> tuple[Seq, Seq, Seq, Sequ
         # failed array may have consumed part of the window, so sample it anew.
         sigma = list(rt.sigma.window(n0, N - n0 + 1))
     _check_causality(spec, N, sigma)
-    return rt.u.sample(1, N + max(spec.k, 0)), rt.a.sample(1, N), rt.b.sample(1, N), sigma
+    return rt.u.sample(1, N), rt.a.sample(1, N), rt.b.sample(1, N), sigma
 
 
 @dataclass(frozen=True)
 class SolutionTrace:
     """Simulated solution: x and z, and the coefficient samples the run
     stepped with (which the hypothesis checks read instead of evaluating
-    the catalog again): u on [1, x.end], a and b on [1, z.end], and
+    the catalog again): u, a and b on [1, z.end], and
     ``sigma[n - z.start]`` = sigma(n) for n on z's window."""
 
     x: Seq

@@ -9,7 +9,7 @@ values can be shared freely between threads.
 Conventions fixed once here and reused everywhere:
 
 * "for large n" means: for every n in the trailing half of the realized
-  common window;
+  common window, whose length is :func:`trail_length`;
 * a small-o verdict at exponent s requires the trailing-third sup of
   |x_n|/n**s to be below ``tau_small`` *and* to have decreased against the
   middle third;
@@ -39,6 +39,11 @@ MAX_DIFFERENCE_ORDER = 20
 TRAIL_FRACTION = 0.5
 #: Values moved per step by :func:`fill_array`.
 FILL_CHUNK = 4096
+
+
+def trail_length(n: int) -> int:
+    """Length of the trailing half (TRAIL_FRACTION) of n entries: ceil(n / 2), at least 1."""
+    return max(1, math.ceil(n * TRAIL_FRACTION))
 
 
 def fill_array(values: Iterable[float]) -> array:
@@ -152,9 +157,9 @@ class Seq:
             )
         return Seq(lo, self.values[lo - self.start : hi - self.start + 1])
 
-    def trailing(self, fraction: float) -> "Seq":
-        """Trailing part of the window holding ceil(len * fraction) entries."""
-        count = max(1, math.ceil(len(self.values) * fraction))
+    def trailing(self) -> "Seq":
+        """The trailing half of the window: its last trail_length(len) entries."""
+        count = trail_length(len(self.values))
         return Seq(self.end - count + 1, self.values[-count:])
 
 
@@ -464,7 +469,7 @@ def classify_oscillation(x: Seq, u: Seq, k: int) -> frozenset[str]:
     """Sign-pattern labels of x relative to the shift k and weight u.
 
     Each nonoscillation label is granted iff its defining sign condition
-    holds at every n in the trailing half (TRAIL_FRACTION) of the common
+    holds at every n in the trailing half (:func:`trail_length`) of the common
     window on which x_n, x_{n+1}, x_{n+k} and u_n all exist;
     ``oscillatory`` is the complement of ``nonoscillatory``.  No
     threshold enters.
@@ -476,9 +481,8 @@ def classify_oscillation(x: Seq, u: Seq, k: int) -> frozenset[str]:
             f"x window [{x.start}, {x.end}] and u window [{u.start}, {u.end}] "
             f"do not overlap sufficiently for shift k={k}"
         )
-    count = hi - lo + 1
-    tail_lo = hi - max(1, math.ceil(count * TRAIL_FRACTION)) + 1
-    width = hi - tail_lo + 1
+    width = trail_length(hi - lo + 1)
+    tail_lo = hi - width + 1
 
     def window_from(seq: Seq, n: int) -> array:
         return seq.values[n - seq.start : n - seq.start + width]

@@ -192,6 +192,23 @@ def test_x_sigma_growth_reads_x_where_an_advancing_delay_leaves_it(tmp_path):
     assert math.isfinite(growth["metric"])
 
 
+@pytest.mark.parametrize("horizon", [
+    10_000,
+    pytest.param(100_000, marks=pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 1: binomial stepping carries its rounding forward as a degree m - 1 "
+        "polynomial, so at 1e5 the x remainder holds a flat quadratic residue and reads neither"
+    ))),
+])
+def test_exactly_quadratic_z_is_certified(horizon, tmp_path):
+    # With a = b = 0 the third difference of z is 0: z is exactly quadratic,
+    # and x is the transferred quadratic plus an o(n**2) remainder.
+    raw = json.loads(fixture_text("t2_regular_m3.json"))
+    raw["spec"]["a"] = raw["spec"]["b"] = {"id": "constant", "params": {"value": 0.0}}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    assert run(str(config), horizon=horizon, out_dir=str(tmp_path / "o")) == EXIT_OK
+
+
 THRESHOLD_KEYS = sorted(f.name for f in dataclasses.fields(Thresholds))
 #: Keys that older configs set and the thresholds object no longer has.
 REMOVED_KEYS = ["coeff_window_fraction", "noise_floor", "trail_fraction"]

@@ -17,7 +17,7 @@ from asympoly.decomp import (
     regularity_check,
     transfer_polynomial,
 )
-from asympoly.errors import WindowLengthError
+from asympoly.errors import DivergenceError, WindowLengthError
 from asympoly.neutral_solver import EquationSpec, consistent_seeds, simulate
 from asympoly.seqcore import MAX_DIFFERENCE_ORDER, PolyCoeffs, Seq, csum, delta, index_powers
 
@@ -153,6 +153,12 @@ class TestExtractPolynomial:
         verdict = extract_polynomial(w, 1, 0.0).remainder_verdict
         assert verdict.kind == "small_o"
         assert verdict.trend == 0.0
+
+    def test_remainder_of_an_overflowing_psi_names_the_index(self):
+        # 1e306 * n leaves the float range first at n = 180.
+        z = Seq(1, [0.0] * 300)
+        with pytest.raises(DivergenceError, match=r"^remainder: non-finite value at index 180$"):
+            decomp._remainder(z, PolyCoeffs((0.0, 1e306)))
 
     def test_reconstruction_is_exact(self):
         z = seq_from_function(lambda n: 1.5 * n + math.cos(n), 1, 256)

@@ -4,8 +4,8 @@ import pytest
 
 from asympoly import hypotheses, seqcore
 from asympoly.catalog import CatalogRef, RhsFunction, make_f, make_g
-from asympoly.decomp import extract_polynomial
-from asympoly.errors import ConfigError
+from asympoly.decomp import MIN_WINDOW, extract_polynomial
+from asympoly.errors import ConfigError, WindowLengthError
 from asympoly.hypotheses import (
     check_g_p_bounded,
     check_u_rate,
@@ -87,6 +87,12 @@ class TestPolynomialGrowthCheck:
     def test_exponential_fails(self):
         x = seq_from_function(lambda n: math.exp(n), 1, 300)
         assert not polynomial_growth_check(x).passed
+
+    def test_window_below_min_window_is_rejected(self):
+        # The same minimum, and the same error, as extract_polynomial.
+        x = seq_from_function(float, 1, MIN_WINDOW - 1)
+        with pytest.raises(WindowLengthError, match=r"^need at least 64 entries, got 63$"):
+            polynomial_growth_check(x)
 
     def test_bounded_passes_with_exponent_zero(self):
         x = seq_from_function(lambda n: 2.0 + math.sin(float(n)), 1, 10_000)

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import sys
 
 import pytest
@@ -263,15 +264,13 @@ class TestSimulate:
     def test_trace_carries_the_coefficient_windows(self, traces, name):
         spec, tr = CERTIFIED[name].spec, traces[name]
         n0, N = start_index(spec), tr.z.end
-        assert (tr.u.start, tr.u.end) == (1, tr.x.end)
-        assert (tr.a.start, tr.a.end) == (tr.b.start, tr.b.end) == (1, N)
+        # u is read nowhere past N, so it stops there whatever k is.
+        assert (tr.u.start, tr.u.end) == (tr.a.start, tr.a.end) == (tr.b.start, tr.b.end) == (1, N)
         assert len(tr.sigma) == N - n0 + 1
         # The samples are the catalog's values, at the ends of each window too.
         rt = spec.rt
         for n in (1, N):
-            assert (tr.a.at(n), tr.b.at(n)) == (rt.a(n), rt.b(n))
-        for n in (1, tr.x.end):
-            assert tr.u.at(n) == rt.u(n)
+            assert (tr.u.at(n), tr.a.at(n), tr.b.at(n)) == (rt.u(n), rt.a(n), rt.b(n))
         assert (tr.sigma[0], tr.sigma[-1]) == (rt.sigma(n0), rt.sigma(N))
 
     def test_trace_relation_holds(self, traces):
@@ -323,7 +322,7 @@ class TestSimulate:
             lambda n: 0.5 + 0.25 / n, tr.x.start, len(tr.x)
         )
         b = max(abs(v) for v in tr.z.values)
-        beta = max(u.trailing(0.5).values)
+        beta = max(u.trailing().values)
         seed_max = abs(tr.x.at(tr.x.start))
         bound = b / (1.0 - beta) + seed_max
         assert max(abs(v) for v in tr.x.values) <= bound
@@ -334,8 +333,9 @@ class TestSimulate:
         inst = CERTIFIED["t1_case_a_m1"]
         tr = traces["t1_case_a_m1"]
         assert order_estimate(tr.x, 0.5).kind == "small_o"  # x bounded
-        x_tail = tr.x.trailing(0.25)
-        z_tail = tr.z.trailing(0.25)
+        # the trailing quarters, ceil(len / 4) entries each
+        x_tail = tr.x.window(tr.x.end - math.ceil(len(tr.x) / 4) + 1, tr.x.end)
+        z_tail = tr.z.window(tr.z.end - math.ceil(len(tr.z) / 4) + 1, tr.z.end)
         x_mean = csum(x_tail.values) / len(x_tail)
         z_mean = csum(z_tail.values) / len(z_tail)
         assert abs((1.0 + inst.spec.c) * x_mean - z_mean) <= 0.02 * abs(z_mean)

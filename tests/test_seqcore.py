@@ -24,6 +24,7 @@ from asympoly.seqcore import (
     index_power_tables,
     index_powers,
     order_estimate,
+    trail_length,
     weighted_sum_diagnostic,
 )
 
@@ -96,9 +97,17 @@ class TestSeq:
     def test_window_and_trailing(self):
         x = seq_from_function(float, 1, 10)
         assert tuple(x.window(3, 5).values) == (3.0, 4.0, 5.0)
-        assert tuple(x.trailing(0.5).values) == (6.0, 7.0, 8.0, 9.0, 10.0)
+        assert tuple(x.trailing().values) == (6.0, 7.0, 8.0, 9.0, 10.0)
         with pytest.raises(IndexRangeError):
             x.window(0, 4)
+
+    def test_trailing_holds_trail_length_entries(self):
+        # trail_length is the one definition of the trailing half: ceil(n / 2).
+        x = Seq(1, map(float, range(1, 4097)))
+        for n in range(1, 4097):
+            assert trail_length(n) == n - n // 2
+            tail = x.window(1, n).trailing()
+            assert (len(tail), tail.end) == (trail_length(n), n)
 
 
 class TestPolyCoeffs:
