@@ -53,7 +53,6 @@ from .errors import (
 from .hypotheses import (
     CheckResult,
     ConclusionResult,
-    GrowthCheck,
     HypothesisVerdict,
     check_g_p_bounded,
     check_u_rate,

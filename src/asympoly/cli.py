@@ -8,8 +8,8 @@ byte-identical outputs (exactly rounded sums, fixed evaluation order,
 canonical JSON).
 
 Exit codes: 0 all hypotheses and the conclusion certified; 1 config
-error; 2 a hypothesis or the conclusion failed; 3 the simulation errored
-(causality, divergence or singular recovery).
+or usage error; 2 a hypothesis or the conclusion failed; 3 the simulation
+errored (causality, divergence or singular recovery).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import tempfile
 from dataclasses import dataclass, fields, is_dataclass
 from itertools import chain, islice
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, NoReturn
 
 from .catalog import CatalogRef, catalog_listing
 from .decomp import MIN_WINDOW
@@ -368,8 +368,17 @@ def selftest() -> int:
     return 0 if failures == 0 else 1
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """A parser whose usage errors exit EXIT_CONFIG: argparse's own code, 2,
+    is EXIT_HYPOTHESIS here.  Subparsers are built from this class too."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="asympoly",
         description="Simulate neutral difference equations and certify "
         "asymptotically polynomial structure.",

@@ -12,6 +12,7 @@ probe counterexamples.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import repeat
 from operator import sub
@@ -37,6 +38,9 @@ GP_GRID_SLACK = 1e-12
 #: Points per decade of the (g, p)-boundedness grid, in n and in |t|.
 GRID_N_PER_DECADE = 6
 GRID_T_PER_DECADE = 2
+#: Exponent slack of the polynomial-growth verdict: x is judged against
+#: n**(t + GROWTH_SLACK), t the growth exponent fitted on the trailing half.
+GROWTH_SLACK = 0.5
 
 
 @dataclass(frozen=True)
@@ -45,16 +49,6 @@ class CheckResult:
     passed: bool
     metric: float
     detail: str = ""
-
-
-@dataclass(frozen=True)
-class GrowthCheck:
-    """Result of the polynomial-growth (no exponential trend) fit."""
-
-    passed: bool
-    exponent: float
-    max_residual: float
-    allowance: float
 
 
 @dataclass(frozen=True)
@@ -143,25 +137,26 @@ def check_u_rate(
     return order_estimate(shifted, e, thresholds)
 
 
-def polynomial_growth_check(x: Seq) -> GrowthCheck:
-    """No-exponential-trend test on the trailing half (:meth:`Seq.trailing`)
-    of a window of at least MIN_WINDOW entries.
+def polynomial_growth_check(x: Seq, thresholds: Thresholds = DEFAULT_THRESHOLDS) -> OrderVerdict:
+    """x in O(n**t) for some t: the :func:`order_estimate` verdict on the
+    trailing half of a window of at least MIN_WINDOW entries (so past index
+    0), at exponent t + GROWTH_SLACK.
 
-    Fits log(1 + |x_n|) against log n; passes iff the largest residual is
-    below 0.5 log(end index), i.e. the data is explained by a power law up
-    to sub-polynomial wiggle.  Reports the fitted exponent.  No threshold
-    enters.
+    t is the slope of log(1 + |x_n|) against log n over the first two thirds
+    of that half, clamped at 0: a bounded x is O(n**0).  If n**(t +
+    GROWTH_SLACK) overflows by the window's end, the verdict is neither,
+    with infinite metric, trend and bound, and order_estimate is not called.
     """
     if len(x) < MIN_WINDOW:
         raise WindowLengthError(f"need at least {MIN_WINDOW} entries, got {len(x)}")
     tail = x.trailing()
-    lo = max(tail.start, 1)
-    log_n = list(map(math.log, range(lo, tail.end + 1)))
-    log_x = list(map(math.log1p, map(abs, tail.values[lo - tail.start :])))
-    slope, _, resid = line_fit(log_n, log_x)
-    max_resid = max(map(abs, resid))
-    allowance = 0.5 * math.log(x.end)
-    return GrowthCheck(max_resid < allowance, slope, max_resid, allowance)
+    fit_len = 2 * len(tail) // 3
+    log_n = list(map(math.log, range(tail.start, tail.start + fit_len)))
+    log_x = list(map(math.log1p, map(abs, tail.values[:fit_len])))
+    s = max(line_fit(log_n, log_x)[0], 0.0) + GROWTH_SLACK
+    if s * math.log(tail.end) > math.log(sys.float_info.max):
+        return OrderVerdict("neither", s, math.inf, math.inf, math.inf)
+    return order_estimate(tail, s, thresholds)
 
 
 def _composed_growth_check(
@@ -188,17 +183,21 @@ def _composed_growth_check(
     )
 
 
-def _alternative_check(trace: SolutionTrace, spec: EquationSpec) -> CheckResult:
-    """The three-way alternative: k(|c|-1) >= 0, polynomial growth, or
+def _alternative_check(
+    trace: SolutionTrace, spec: EquationSpec, thresholds: Thresholds
+) -> CheckResult:
+    """The three-way alternative: k(|c|-1) >= 0, polynomial growth (a
+    :func:`polynomial_growth_check` verdict of small_o or big_O), or
     (u,k)-nonoscillation; the first satisfied branch is reported."""
     kc = spec.k * (abs(spec.c) - 1.0)
     if kc >= 0.0:
         return CheckResult("alternative", True, kc, f"k(|c|-1) = {kc:.6g} >= 0")
-    growth = polynomial_growth_check(trace.x)
-    if growth.passed:
+    growth = polynomial_growth_check(trace.x, thresholds)
+    if growth.kind != "neither":
         return CheckResult(
-            "alternative", True, growth.exponent,
-            f"polynomial growth, exponent {growth.exponent:.3g}",
+            "alternative", True, growth.metric,
+            f"polynomial growth: x against n**{growth.exponent:.6g}: "
+            f"{growth.kind}, trend {growth.trend:.6g}",
         )
     labels = classify_oscillation(trace.x, trace.u, spec.k)
     if "uk_nonoscillatory" in labels:
@@ -274,7 +273,7 @@ def theorem_dispatch(
             checks.append(CheckResult(
                 "f-bounded", rt.f.bounded, bound,
                 f"catalog bound {bound:g}" if rt.f.bounded else "f unbounded in catalog"))
-            checks.append(_alternative_check(trace, spec))
+            checks.append(_alternative_check(trace, spec, thresholds))
         else:
             f_g_bounded = check_g_p_bounded(rt.f, rt.g, p_eff, n_max=N)
             if case_id == "a":
@@ -297,7 +296,7 @@ def theorem_dispatch(
                     "g-locally-bounded", rt.g.locally_bounded, 0.0, "catalog guarantee"))
                 checks.append(f_g_bounded)
                 checks.append(_composed_growth_check(trace, p_eff, thresholds))
-                checks.append(_alternative_check(trace, spec))
+                checks.append(_alternative_check(trace, spec, thresholds))
 
         decomposition = decompose_solution(trace, spec, thresholds)
 

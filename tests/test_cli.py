@@ -444,6 +444,120 @@ def test_bad_catalog_params_rejected_at_the_boundary(field, ref, param, literal,
     assert not (tmp_path / "o").exists()
 
 
+#: JSON values of every kind, among them values that no field accepts.
+ANY_VALUE = (
+    st.booleans()
+    | st.none()
+    | st.text(max_size=3)
+    | st.integers(-3, 3)
+    | st.floats(-10.0, 10.0)
+    | st.sampled_from([math.nan, math.inf, -math.inf, 10**400, -(10**400), 1e308, -1e308])
+    | st.lists(st.floats(-2.0, 2.0), max_size=2)
+    | st.just({"extra": 1.0})
+)
+#: A horizon that runs (at most 300) or that is rejected before anything is allocated.
+HORIZON_VALUE = ANY_VALUE | st.integers(60, 300) | st.just(cli.MAX_HORIZON + 1)
+CATALOG_FIELDS = ["u", "a", "b", "f", "g", "sigma"]
+
+
+@st.composite
+def mutated_config(draw):
+    """A shipped fixture at horizon 300 with one value of its seeds, its
+    horizon or a catalog reference replaced by another JSON value, or one
+    key deleted or added."""
+    name = draw(st.sampled_from(sorted(entry["file"] for entry in manifest_entries())))
+    raw = json.loads(fixture_text(name))
+    raw["horizon"] = 300
+    target = draw(st.sampled_from(["seeds", "seed entry", "horizon", "ref", "params"]))
+    values = ANY_VALUE
+    if target == "seeds":
+        container, keys = raw["seeds"], ["x", "z", "extra"]
+    elif target == "seed entry":
+        container = raw["seeds"]["z"]
+        keys = list(range(len(container)))
+    elif target == "horizon":
+        container, keys, values = raw, ["horizon"], HORIZON_VALUE
+    else:
+        ref = raw["spec"][draw(st.sampled_from(CATALOG_FIELDS))]
+        if target == "ref":
+            container, keys = ref, ["id", "params", "extra"]
+        else:
+            container = ref.setdefault("params", {})
+            keys = sorted(container) + ["extra"]
+    key = draw(st.sampled_from(keys))
+    present = key in container if isinstance(container, dict) else True
+    if present and draw(st.booleans()):
+        del container[key]
+    else:
+        container[key] = draw(values)
+    return raw
+
+
+@settings(max_examples=40, deadline=None)
+@given(mutated_config())
+def test_mutated_seeds_horizon_and_params_exit_cleanly(raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps(raw), encoding="utf-8")
+        out = Path(tmp) / "o"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = run(str(config), out_dir=str(out))
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_HYPOTHESIS, EXIT_SIMULATION), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        if code in (EXIT_CONFIG, EXIT_SIMULATION):
+            assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", str(FIXTURES / "t1_case_a_m1.json"), "--horizon", "abc"],
+    ["run", str(FIXTURES / "t1_case_a_m1.json"), "--horizon", "1e4"],
+    ["run"],
+    ["bogus"],
+    [],
+])
+def test_usage_error_exits_one(argv, capsys):
+    # argparse's own exit code, 2, means a failed hypothesis here.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == EXIT_CONFIG
+    assert "usage: asympoly" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]])
+def test_help_exits_zero(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == EXIT_OK
+    assert "usage: asympoly" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("k, c, expected", [
+    (1, 0.99, EXIT_HYPOTHESIS),
+    (-1, 1.01, EXIT_HYPOTHESIS),
+    (1, 0.999, EXIT_OK),
+])
+def test_case_c_alternative_rejects_exponential_growth(k, c, expected, tmp_path):
+    # k(|c| - 1) < 0, so the alternative reaches its polynomial-growth branch.
+    # The forward solve follows the homogeneous mode, |x| reaching 1e9 to
+    # 1e49 at 1e4, except at (1, 0.999), where |x| stays near n.
+    raw = json.loads(fixture_text("t1_case_b_m2.json"))
+    raw["case"] = "c"
+    raw["spec"]["k"] = k
+    raw["spec"]["c"] = raw["spec"]["u"]["params"]["c"] = c
+    raw["seeds"]["x"] = [1.0] * abs(k)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    assert run(str(config), horizon=10_000, out_dir=str(tmp_path / "o")) == expected
+    verdict = json.loads((tmp_path / "o" / "verdict.json").read_text(encoding="utf-8"))
+    alternative = next(ch for ch in verdict["checks"] if ch["name"] == "alternative")
+    if expected == EXIT_OK:
+        assert alternative["detail"].startswith("polynomial growth: ")
+    else:
+        assert verdict["failed_check"] == "alternative"
+        assert not alternative["passed"]
+
+
 class TestRunCommand:
     def test_passing_instance_writes_reports(self, tmp_path):
         out = tmp_path / "out"

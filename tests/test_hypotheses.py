@@ -7,6 +7,7 @@ from asympoly.catalog import CatalogRef, RhsFunction, make_f, make_g
 from asympoly.decomp import MIN_WINDOW, extract_polynomial
 from asympoly.errors import ConfigError, WindowLengthError
 from asympoly.hypotheses import (
+    GROWTH_SLACK,
     check_g_p_bounded,
     check_u_rate,
     polynomial_growth_check,
@@ -81,12 +82,19 @@ class TestPolynomialGrowthCheck:
     def test_cubic_passes_with_exponent_three(self):
         x = seq_from_function(lambda n: float(n) ** 3, 1, 10_000)
         res = polynomial_growth_check(x)
-        assert res.passed
-        assert abs(res.exponent - 3.0) <= 0.1
+        assert res.kind == "small_o"
+        assert abs(res.exponent - GROWTH_SLACK - 3.0) <= 0.1
 
-    def test_exponential_fails(self):
-        x = seq_from_function(lambda n: math.exp(n), 1, 300)
-        assert not polynomial_growth_check(x).passed
+    def test_exponential_fails(self, monkeypatch):
+        # The fitted t is about 197 on [1, 300], and 300**t overflows a
+        # float: the verdict is neither, without order_estimate.
+        def unreachable(*args):
+            raise AssertionError("order_estimate called")
+
+        monkeypatch.setattr(hypotheses, "order_estimate", unreachable)
+        res = polynomial_growth_check(seq_from_function(math.exp, 1, 300))
+        assert res.kind == "neither"
+        assert res.metric == res.trend == res.bound == math.inf
 
     def test_window_below_min_window_is_rejected(self):
         # The same minimum, and the same error, as extract_polynomial.
@@ -97,8 +105,45 @@ class TestPolynomialGrowthCheck:
     def test_bounded_passes_with_exponent_zero(self):
         x = seq_from_function(lambda n: 2.0 + math.sin(float(n)), 1, 10_000)
         res = polynomial_growth_check(x)
-        assert res.passed
-        assert abs(res.exponent) <= 0.1
+        assert res.kind == "small_o"
+        assert abs(res.exponent - GROWTH_SLACK) <= 0.1
+
+    @pytest.mark.parametrize("r", [0.01, 0.001])
+    def test_exponential_growth_is_neither(self, r):
+        x = seq_from_function(lambda n: math.exp(r * n), 1, 10_000)
+        assert polynomial_growth_check(x).kind == "neither"
+
+    @pytest.mark.parametrize("fn", [
+        lambda n: float(n) ** 2,
+        lambda n: float(n) ** 2 * math.log(n),
+        lambda n: n * (2.0 + math.sin(n)),
+        lambda n: (-1.0) ** n * n,
+        lambda n: 3.0,
+        lambda n: 1.0 / n,
+    ], ids=["n^2", "n^2 log n", "n(2 + sin n)", "(-1)^n n", "constant", "1/n"])
+    def test_polynomial_and_bounded_growth_is_small_o(self, fn):
+        assert polynomial_growth_check(seq_from_function(fn, 1, 10_000)).kind == "small_o"
+
+    def test_slow_exponential_is_big_o(self):
+        """e^{0.0002 n} at N = 1e4, rN = 2: an honest ambiguity at this horizon.
+
+        e^{rn} on [1, N] reads big_O for rN below about 7.38 and neither
+        above it, at N = 1e3, 1e4 and 1e5 alike: below that rN the
+        exponential cannot be told from a power on the trailing half.
+        """
+        x = seq_from_function(lambda n: math.exp(0.0002 * n), 1, 10_000)
+        assert polynomial_growth_check(x).kind == "big_O"
+
+    def test_steep_decay_is_clamped_at_exponent_zero(self):
+        # Unclamped, the fitted slope is about -330.
+        x = seq_from_function(lambda n: 1e300 * math.exp(-0.05 * n), 1, 10_000)
+        res = polynomial_growth_check(x)
+        assert res.exponent == GROWTH_SLACK
+        assert res.kind == "big_O"
+
+    def test_thresholds_reach_the_verdict(self):
+        x = seq_from_function(lambda n: float(n) ** 2, 1, 10_000)
+        assert polynomial_growth_check(x, seqcore.Thresholds(tau_small=0.0)).kind == "big_O"
 
 
 class TestTheoremDispatch:
@@ -196,7 +241,7 @@ class TestAlternativeCheck:
         _, check = self.dispatch((0.0, 0.0))
         assert check.passed
         assert check.metric == 0.0
-        assert check.detail == "polynomial growth, exponent 0"
+        assert check.detail == "polynomial growth: x against n**0.5: small_o, trend 0"
 
     def test_oscillating_exponential_solution_fails(self):
         # z = 1, so x_{n+1} = 2 - 2 x_n: the distance to 2/3 doubles each step
