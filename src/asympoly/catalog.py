@@ -17,7 +17,7 @@ from itertools import cycle, islice, repeat
 from operator import add, floordiv, mul
 from typing import Callable, Iterable, Mapping
 
-from .errors import CatalogError
+from .errors import CatalogError, finite_number, integer
 from .seqcore import Seq
 
 
@@ -51,25 +51,12 @@ class Entry:
         return (names or "-") + rule
 
 
-def _param(ref: CatalogRef, name: str, integer: bool) -> float:
+def _param(ref: CatalogRef, name: str, is_integer: bool) -> float:
     if name not in ref.params:
         raise CatalogError(f"catalog entry {ref.id!r} requires parameter {name!r}")
-    value = ref.params[name]
-    try:
-        finite = not isinstance(value, bool) and math.isfinite(value)
-    except (TypeError, OverflowError):  # not a number, or an int beyond float range
-        finite = False
-    if not finite:
-        raise CatalogError(
-            f"parameter {name!r} of {ref.id!r} must be a finite number, got {value!r}"
-        )
-    if integer:
-        if value != int(value):
-            raise CatalogError(
-                f"parameter {name!r} of {ref.id!r} must be an integer, got {value!r}"
-            )
-        return int(value)
-    return float(value)
+    value, subject = ref.params[name], f"parameter {name!r} of {ref.id!r}"
+    number = finite_number(value, subject, CatalogError)
+    return integer(value, subject, CatalogError) if is_integer else number
 
 
 def _build(table: Mapping[str, Entry], family: str, ref: CatalogRef) -> tuple:
@@ -127,19 +114,16 @@ def make_f(ref: CatalogRef) -> RhsFunction:
 class Majorant:
     """Catalog entry for the nondecreasing majorant g.
 
-    All catalog majorants are nondecreasing and locally bounded by
-    construction.  ``recip_primitive`` is the exact value of
-    the integral of 1/g over [lam, t]; ``integral_diverges`` states whether
-    that integral diverges as t grows without bound.
+    Every catalog majorant is nondecreasing and locally bounded by
+    construction, so neither is a field.  ``recip_primitive`` is the exact
+    value of the integral of 1/g over [lam, t]; ``integral_diverges`` states
+    whether that integral diverges as t grows without bound.
     """
 
     ref: CatalogRef
     fn: Callable[[float], float]
     integral_diverges: bool
     _primitive: Callable[[float, float], float]
-
-    nondecreasing: bool = True
-    locally_bounded: bool = True
 
     def __call__(self, t: float) -> float:
         return self.fn(t)

@@ -34,9 +34,11 @@ from .errors import (
     ConfigError,
     DivergenceError,
     SingularRecoveryError,
+    finite_number,
+    integer,
 )
 from .hypotheses import theorem_dispatch, validate_mode
-from .neutral_solver import EquationSpec, SolutionTrace, finite_number, simulate, start_index
+from .neutral_solver import EquationSpec, SolutionTrace, simulate, start_index
 from .seqcore import PolyCoeffs, Seq, Thresholds, delta
 
 EXIT_OK = 0
@@ -71,23 +73,11 @@ def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str) 
         raise ConfigError(f"missing key(s) {sorted(missing)} in {where}")
 
 
-def _int_field(value: Any, name: str) -> int:
-    """An integer-valued JSON number; bools, non-finite and fractional values are rejected."""
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, (int, float))
-        or (isinstance(value, float) and not value.is_integer())
-    ):
-        raise ConfigError(f"field {name}: must be an integer, got {value!r}")
-    return int(value)
-
-
 def _threshold_field(value: Any, key: str) -> float:
     """A threshold: a finite number >= 0."""
-    name = f"thresholds.{key}"
-    v = finite_number(value, name)
+    v = finite_number(value, f"field thresholds.{key}:")
     if v < 0.0:
-        raise ConfigError(f"field {name}: must be >= 0, got {v!r}")
+        raise ConfigError(f"field thresholds.{key}: must be >= 0, got {v!r}")
     return v
 
 
@@ -171,10 +161,9 @@ class ExperimentConfig:
         if not isinstance(spec_raw, dict):
             raise ConfigError("field spec: must be an object")
         _require_keys(spec_raw, _SPEC_KEYS, _SPEC_KEYS - {"q"}, "spec")
-        q = spec_raw.get("q")
         spec = EquationSpec(
-            m=_int_field(spec_raw["m"], "m"),
-            k=_int_field(spec_raw["k"], "k"),
+            m=spec_raw["m"],
+            k=spec_raw["k"],
             c=spec_raw["c"],
             u=_ref_from_json(spec_raw["u"], "u"),
             a=_ref_from_json(spec_raw["a"], "a"),
@@ -183,7 +172,7 @@ class ExperimentConfig:
             g=_ref_from_json(spec_raw["g"], "g"),
             sigma=_ref_from_json(spec_raw["sigma"], "sigma"),
             s=spec_raw["s"],
-            q=None if q is None else _int_field(q, "q"),
+            q=spec_raw.get("q"),
         )
         seeds = raw["seeds"]
         if not isinstance(seeds, dict):
@@ -194,7 +183,7 @@ class ExperimentConfig:
             raise ConfigError("field seeds.x: must be a list or null")
         if not isinstance(seeds["z"], list):
             raise ConfigError("field seeds.z: must be a list")
-        horizon = _int_field(raw["horizon"], "horizon")
+        horizon = integer(raw["horizon"], "field horizon:")
         case_id = raw["case"]
         mode = raw.get("mode", "plain")
         validate_mode(spec, case_id, mode)
@@ -210,8 +199,8 @@ class ExperimentConfig:
             raise ConfigError("field output: must be a string path")
         return ExperimentConfig(
             spec=spec,
-            x_seed=None if x_raw is None else tuple(finite_number(v, "seeds.x") for v in x_raw),
-            z_seed=tuple(finite_number(v, "seeds.z") for v in seeds["z"]),
+            x_seed=None if x_raw is None else tuple(finite_number(v, "field seeds.x:") for v in x_raw),
+            z_seed=tuple(finite_number(v, "field seeds.z:") for v in seeds["z"]),
             horizon=horizon,
             case_id=case_id,
             mode=mode,
@@ -377,6 +366,19 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
+def _horizon_arg(text: str) -> int:
+    """--horizon read as the config's "horizon" is, a JSON number (1e4 is 10000).
+    argparse makes an ArgumentTypeError, not a ConfigError, a usage error."""
+    try:
+        value = json.loads(text)
+    except ValueError:  # not JSON: the rule rejects the text itself
+        value = text
+    try:
+        return integer(value, "horizon")
+    except ConfigError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _ArgumentParser(
         prog="asympoly",
@@ -386,7 +388,7 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     p_run = sub.add_parser("run", help="run one experiment config")
     p_run.add_argument("config", help="path to the experiment JSON config")
-    p_run.add_argument("--horizon", type=int, default=None, help="override the config horizon")
+    p_run.add_argument("--horizon", type=_horizon_arg, default=None, help="override the config horizon")
     p_run.add_argument("--out", default=None, help="override the output directory")
     sub.add_parser("catalog", help="list all catalog identifiers")
     sub.add_parser("selftest", help="run the shipped fixture suite")

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the two rules by which
+every config number is read: :func:`finite_number` and :func:`integer`."""
+
+import sys
 
 
 class AsymPolyError(Exception):
@@ -44,3 +47,26 @@ class ConfigError(AsymPolyError):
 
 class CatalogError(ConfigError):
     """Unknown catalog identifier or invalid catalog parameters."""
+
+
+def finite_number(value: object, subject: str, error: type[ConfigError] = ConfigError) -> float:
+    """value as a float.  A bool, a non-number or a value outside the float
+    range (NaN, an infinity, an int such as 10**400) raises ``error``, whose
+    message begins with ``subject``, e.g. ``field c:``."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not -sys.float_info.max <= value <= sys.float_info.max
+    ):
+        raise error(f"{subject} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def integer(value: object, subject: str, error: type[ConfigError] = ConfigError) -> int:
+    """value as an int: an int that is not a bool, of any size (each field
+    bounds its own), or an integer-valued float (2.0 reads as 2)."""
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    ):
+        raise error(f"{subject} must be an integer, got {value!r}")
+    return int(value)

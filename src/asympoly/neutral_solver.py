@@ -11,15 +11,15 @@ seeds (this module alone knows where they sit), advances z with the
 binomial expansion of the m-th difference, and extends x by inverting the
 neutral relation.  The inversion is only forward-stable when k <= 0 with
 |c| < 1, k >= 0 with |c| > 1, or k == 0; outside those regimes any seed
-or rounding error is amplified each step and the run ends in a
-DivergenceError - an inherent property of the recursion (x = 2**n with
-u = -1/2, k = 1 gives z identically 0), not a solver defect.
+or rounding error is amplified each step - an inherent property of the
+recursion (x = 2**n with u = -1/2, k = 1 gives z identically 0), not a
+solver defect.  Such a run ends in a DivergenceError, or reaches the
+horizon with an x that the alternative or the conclusion rejects.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from array import array
 from dataclasses import dataclass, field
 from itertools import count
@@ -43,6 +43,8 @@ from .errors import (
     DivergenceError,
     SeedError,
     SingularRecoveryError,
+    finite_number,
+    integer,
 )
 from .seqcore import MAX_DIFFERENCE_ORDER, Seq
 
@@ -56,23 +58,6 @@ UNIT_MARGIN = 1e-6
 RELATION_RTOL = 1e-9
 
 
-def _is_int(value: object) -> bool:
-    """True for an int that is not a bool (True would otherwise read as 1)."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def finite_number(value: object, name: str) -> float:
-    """value as a float; a bool, a non-number or a non-finite value raises
-    ConfigError naming field ``name`` (an int beyond the float range too)."""
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, (int, float))
-        or not -sys.float_info.max <= value <= sys.float_info.max
-    ):
-        raise ConfigError(f"field {name}: must be a finite number, got {value!r}")
-    return float(value)
-
-
 @dataclass(frozen=True)
 class EquationSpec:
     """Full description of one equation instance.
@@ -80,7 +65,8 @@ class EquationSpec:
     All functional ingredients are catalog references; ``s`` is the target
     smallness exponent of the asymptotic decomposition and ``q``, when set,
     selects the regular (iterated-difference) form of the conclusion.
-    ``c`` and ``s`` are stored as floats.
+    ``m``, ``k`` and ``q`` are stored as ints (2.0 reads as 2), ``c`` and
+    ``s`` as floats, by the config's rules in :mod:`asympoly.errors`.
     """
 
     m: int
@@ -98,21 +84,21 @@ class EquationSpec:
     rt: Runtime = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not _is_int(self.m) or self.m < 1:
+        rules = (("m", integer), ("k", integer), ("c", finite_number), ("s", finite_number))
+        for name, rule in rules:
+            object.__setattr__(self, name, rule(getattr(self, name), f"field {name}:"))
+        if self.q is not None:
+            object.__setattr__(self, "q", integer(self.q, "field q:"))
+        if self.m < 1:
             raise ConfigError(f"field m: difference order must be an integer >= 1, got {self.m!r}")
         if self.m > MAX_DIFFERENCE_ORDER:
             raise ConfigError(f"field m: order {self.m} exceeds supported maximum {MAX_DIFFERENCE_ORDER}")
-        if not _is_int(self.k):
-            raise ConfigError(f"field k: neutral shift must be an integer, got {self.k!r}")
-        for name in ("c", "s"):
-            object.__setattr__(self, name, finite_number(getattr(self, name), name))
         if abs(abs(self.c) - 1.0) <= UNIT_MARGIN:
             raise ConfigError(f"field c: |c| must differ from 1 by more than {UNIT_MARGIN}, got c={self.c}")
         if self.s > self.m - 1 + 1e-12:
             raise ConfigError(f"field s: need s <= m - 1 = {self.m - 1}, got {self.s}")
-        if self.q is not None:
-            if not _is_int(self.q) or not 0 <= self.q <= self.m - 1:
-                raise ConfigError(f"field q: need an integer in [0, {self.m - 1}], got {self.q!r}")
+        if self.q is not None and not 0 <= self.q <= self.m - 1:
+            raise ConfigError(f"field q: need an integer in [0, {self.m - 1}], got {self.q!r}")
         object.__setattr__(self, "rt", runtime(self))
         if abs(self.rt.u.limit - self.c) > 1e-12 * (1.0 + abs(self.c)):
             raise ConfigError(

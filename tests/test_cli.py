@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -493,9 +494,24 @@ def mutated_config(draw):
     return raw
 
 
-@settings(max_examples=40, deadline=None)
-@given(mutated_config())
-def test_mutated_seeds_horizon_and_params_exit_cleanly(raw):
+@st.composite
+def mutated_spec_scalar(draw):
+    """A shipped fixture at horizon 300 with one of spec.m, k, c, s and q,
+    case and mode replaced by another JSON value, or deleted."""
+    name = draw(st.sampled_from(sorted(entry["file"] for entry in manifest_entries())))
+    raw = json.loads(fixture_text(name))
+    raw["horizon"] = 300
+    key = draw(st.sampled_from(["m", "k", "c", "s", "q", "case", "mode"]))
+    container = raw if key in ("case", "mode") else raw["spec"]
+    if draw(st.booleans()):
+        container.pop(key, None)
+    else:
+        container[key] = draw(ANY_VALUE)
+    return raw
+
+
+def assert_exits_cleanly(raw):
+    """Run raw: exit 0-3, no traceback, and no output directory on exits 1 and 3."""
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "config.json"
         config.write_text(json.dumps(raw), encoding="utf-8")
@@ -509,9 +525,54 @@ def test_mutated_seeds_horizon_and_params_exit_cleanly(raw):
             assert not out.exists()
 
 
+@settings(max_examples=40, deadline=None)
+@given(mutated_config())
+def test_mutated_seeds_horizon_and_params_exit_cleanly(raw):
+    assert_exits_cleanly(raw)
+
+
+@settings(max_examples=40, deadline=None)
+@given(mutated_spec_scalar())
+def test_mutated_spec_scalars_case_and_mode_exit_cleanly(raw):
+    assert_exits_cleanly(raw)
+
+
+def artifact_digests(out):
+    return [
+        hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ("trace.csv", "decomposition.json", "verdict.json")
+    ]
+
+
+@pytest.mark.parametrize("text, same_as", [("1e4", "10000"), ("1.5e3", "1500")])
+def test_horizon_flag_reads_a_json_number(text, same_as, tmp_path):
+    # --horizon is read as the config's "horizon" is: 1e4 is the integer 10000.
+    config = str(FIXTURES / "t1_case_a_m1.json")
+    for value, out in ((text, tmp_path / "a"), (same_as, tmp_path / "b")):
+        assert cli.main(["run", config, "--horizon", value, "--out", str(out)]) == EXIT_OK
+    assert artifact_digests(tmp_path / "a") == artifact_digests(tmp_path / "b")
+
+
+@pytest.mark.parametrize("text", ["1.5", "1.5e-3", "NaN", "true"])
+def test_horizon_flag_rejects_what_the_config_rejects(text, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", str(FIXTURES / "t1_case_a_m1.json"), "--horizon", text,
+                  "--out", str(tmp_path / "o")])
+    assert exc.value.code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "usage: asympoly" in err and "argument --horizon:" in err
+    assert "Traceback" not in err
+    raw = json.loads(fixture_text("t1_case_a_m1.json"))
+    raw["horizon"] = "@horizon"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw).replace('"@horizon"', text), encoding="utf-8")
+    assert run(str(config), out_dir=str(tmp_path / "o")) == EXIT_CONFIG
+    assert "field horizon:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["run", str(FIXTURES / "t1_case_a_m1.json"), "--horizon", "abc"],
-    ["run", str(FIXTURES / "t1_case_a_m1.json"), "--horizon", "1e4"],
     ["run"],
     ["bogus"],
     [],

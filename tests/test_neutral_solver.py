@@ -83,6 +83,19 @@ class TestEquationSpec:
         with pytest.raises(ConfigError, match=r"field c: must be a finite number, got 1000"):
             spec_with(c=10**400)
 
+    def test_integer_valued_floats_read_as_ints(self):
+        # The library reads m, k and q by the config's integer rule.
+        spec = spec_with(m=2.0, k=0.0, s=1.0, q=1.0)
+        assert spec == spec_with(m=2, k=0, s=1.0, q=1)
+        assert type(spec.m) is int and type(spec.k) is int and type(spec.q) is int
+
+    @pytest.mark.parametrize("field, value", [
+        ("m", 1.5), ("m", True), ("m", "2"), ("k", math.nan), ("k", [0]), ("q", math.inf),
+    ])
+    def test_non_integers_rejected_naming_the_field(self, field, value):
+        with pytest.raises(ConfigError, match=f"field {field}: must be an integer, got"):
+            spec_with(**{field: value})
+
     def test_c_and_s_stored_as_floats(self):
         spec = spec_with(c=0, s=0)
         assert type(spec.c) is float and type(spec.s) is float
