@@ -7,15 +7,17 @@ decomposition.json and verdict.json.  Identical configs produce
 byte-identical outputs (exactly rounded sums, fixed evaluation order,
 canonical JSON).
 
-Exit codes: 0 all hypotheses and the conclusion certified; 1 config
-or usage error; 2 a hypothesis or the conclusion failed; 3 the simulation
-errored (causality, divergence or singular recovery).
+Exit codes: 0 all hypotheses and the conclusion certified; 1 config, usage
+or output error; 2 a hypothesis or the conclusion failed; 3 a causality
+violation, a singular recovery or a divergence, found while simulating or
+while decomposing the trace.  Past the config read, the error's class picks it.
 """
 
 from __future__ import annotations
 
 import argparse
 import errno
+import io
 import json
 import math
 import os
@@ -38,7 +40,7 @@ from .errors import (
     integer,
 )
 from .hypotheses import theorem_dispatch, validate_mode
-from .neutral_solver import EquationSpec, SolutionTrace, simulate, start_index
+from .neutral_solver import EquationSpec, SolutionTrace, check_seeds, simulate, start_index
 from .seqcore import PolyCoeffs, Seq, Thresholds, delta
 
 EXIT_OK = 0
@@ -281,21 +283,29 @@ def run(config_path: str, horizon: int | None = None, out_dir: str | None = None
     """Execute one experiment config; returns the process exit code."""
     path = Path(config_path)
     try:
-        config = ExperimentConfig.from_json(path.read_text(encoding="utf-8"))
+        data = path.read_bytes()
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ConfigError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
 
-    N = config.horizon if horizon is None else horizon
-    out = Path(out_dir or config.output or f"{path.stem}_out")
+    out: Path | None = None
     try:
+        text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()  # as read_text
+        config = ExperimentConfig.from_json(text)
+        check_seeds(config.spec, config.x_seed, config.z_seed)
+        N = config.horizon if horizon is None else horizon
+        out = Path(out_dir or config.output or f"{path.stem}_out")
         _check_horizon(config.spec, N)
         _check_s_floor(config.spec, N)
         _check_output_dir(out)
         trace = simulate(config.spec, config.x_seed, config.z_seed, N)
+        verdict = theorem_dispatch(
+            config.spec, trace, config.case_id, config.mode, thresholds=config.thresholds
+        )
+        out.mkdir(parents=True, exist_ok=True)
+        _atomic_write(out / "trace.csv", _trace_csv(trace, config.spec.m))
+        _atomic_write(out / "decomposition.json", [_json_text(verdict.decomposition)])
+        _atomic_write(out / "verdict.json", [_json_text(verdict)])
     except (CausalityError, DivergenceError, SingularRecoveryError) as exc:
         print(f"simulation error: {exc}", file=sys.stderr)
         return EXIT_SIMULATION
@@ -304,23 +314,6 @@ def run(config_path: str, horizon: int | None = None, out_dir: str | None = None
         return EXIT_CONFIG
     except (AsymPolyError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
-        verdict = theorem_dispatch(
-            config.spec, trace, config.case_id, config.mode, thresholds=config.thresholds
-        )
-    except (AsymPolyError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        _atomic_write(out / "trace.csv", _trace_csv(trace, config.spec.m))
-        _atomic_write(out / "decomposition.json", [_json_text(verdict.decomposition)])
-        _atomic_write(out / "verdict.json", [_json_text(verdict)])
-    except OSError as exc:
-        print(f"error: cannot write output to {out}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     status = "pass" if verdict.passed else f"fail ({verdict.failed_check})"
     print(f"{path.name}: {status}; reports in {out}")

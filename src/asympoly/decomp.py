@@ -169,31 +169,29 @@ def _fit_polynomial(z: Seq, m: int, d_min: int) -> PolyCoeffs:
     # m - 1 <= 20, the highest order delta accepts (MAX_DIFFERENCE_ORDER).
     coeffs = [0.0] * m
     work = z.trailing()
-    for d in range(m - 1, d_min - 1, -1):
-        try:
-            diff = delta(work, d)
-        except ValueError as exc:  # non-finite intermediate difference
-            raise DivergenceError(f"divergent input: {exc}") from exc
-        tail = diff.values[-tail_count:]
-        mean = csum(tail) / len(tail)
-        if not math.isfinite(mean):
-            raise DivergenceError(f"difference mean at degree {d} is not finite")
-        c = mean / math.factorial(d)
-        coeffs[d] = c
-        try:
+    # A non-finite difference, residual or coefficient raises ValueError
+    # (from Seq or PolyCoeffs): the input diverges.
+    try:
+        for d in range(m - 1, d_min - 1, -1):
+            tail = delta(work, d).values[-tail_count:]
+            mean = csum(tail) / len(tail)
+            if not math.isfinite(mean):
+                raise DivergenceError(f"difference mean at degree {d} is not finite")
+            c = mean / math.factorial(d)
+            coeffs[d] = c
             monomial = map(mul, repeat(c), index_powers(work.start, len(work), d))
             work = Seq(work.start, map(sub, work.values, monomial))
-        except ValueError as exc:
-            raise DivergenceError(f"divergent input: {exc}") from exc
 
-    # Joint least-squares pass on the residual: degrees below d_min enter
-    # as nuisance columns so their content cannot leak into the kept
-    # coefficients, but only kept degrees receive corrections.
-    ns = range(work.start, work.end + 1)
-    corrections = _lstsq_degrees(ns, work.values, list(range(m)))
-    for d in range(d_min, m):
-        coeffs[d] += corrections[d]
-    return PolyCoeffs(tuple(coeffs))
+        # Joint least-squares pass on the residual: degrees below d_min enter
+        # as nuisance columns so their content cannot leak into the kept
+        # coefficients, but only kept degrees receive corrections.
+        ns = range(work.start, work.end + 1)
+        corrections = _lstsq_degrees(ns, work.values, list(range(m)))
+        for d in range(d_min, m):
+            coeffs[d] += corrections[d]
+        return PolyCoeffs(tuple(coeffs))
+    except ValueError as exc:
+        raise DivergenceError(f"divergent input: {exc}") from exc
 
 
 def _remainder(z: Seq, psi: PolyCoeffs) -> Seq:

@@ -13,8 +13,10 @@ neutral relation.  The inversion is only forward-stable when k <= 0 with
 |c| < 1, k >= 0 with |c| > 1, or k == 0; outside those regimes any seed
 or rounding error is amplified each step - an inherent property of the
 recursion (x = 2**n with u = -1/2, k = 1 gives z identically 0), not a
-solver defect.  Such a run ends in a DivergenceError, or reaches the
-horizon with an x that the alternative or the conclusion rejects.
+solver defect.  Such a run ends in a DivergenceError, here or from the
+decomposition of an x that stays finite but whose polynomial fit
+overflows, or reaches the horizon with an x the alternative or the
+conclusion rejects.
 """
 
 from __future__ import annotations
@@ -229,6 +231,23 @@ def consistent_seeds(
     return (tuple(profile[: abs(k)]) if k else None), z_seed
 
 
+def check_seeds(spec: EquationSpec, x_seed: Sequence[float] | None, z_seed: Sequence[float]) -> None:
+    """Raise SeedError naming ``seeds.z`` or ``seeds.x`` unless the seeds hold
+    m z values and |k| x values (x_seed None when k = 0), as :func:`simulate` takes them."""
+    m, k = spec.m, spec.k
+    if len(z_seed) != m:
+        raise SeedError(f"field seeds.z: must hold exactly m = {m} values, got {len(z_seed)}")
+    if k == 0:
+        if x_seed is not None:
+            raise SeedError("field seeds.x: must be null when k = 0")
+    elif x_seed is None:
+        raise SeedError(f"field seeds.x: required when k = {k}")
+    elif len(x_seed) != abs(k):
+        raise SeedError(
+            f"field seeds.x: must hold exactly |k| = {abs(k)} values, got {len(x_seed)}"
+        )
+
+
 def _check_causality(spec: EquationSpec, N: int, sigma: Iterable[int]) -> None:
     """Raise CausalityError at the first step whose sigma(n) leaves the x window.
 
@@ -263,31 +282,21 @@ def simulate(
     the |k| values x_n for n in [n0 + k, n0 - 1] when k < 0 or
     [n0, n0 + k - 1] when k > 0, both in index order; x_seed is None when
     k = 0 (:func:`consistent_seeds` builds a consistent pair).  A seed of
-    the wrong length raises SeedError naming its config field
-    (``seeds.z`` or ``seeds.x``), and a non-finite one ValueError naming
-    its index, before anything is sampled.  sigma, u, a and b are
-    evaluated once (:func:`sample_coefficients`), and every sigma(n) is
-    checked against the realized x window before u, a and b are sampled.
+    the wrong length raises SeedError (:func:`check_seeds`, called first),
+    and a non-finite one ValueError naming its index, before anything is
+    sampled.  sigma, u, a and b are evaluated once (:func:`sample_coefficients`),
+    and every sigma(n) is checked against the realized x window before u, a
+    and b are sampled.
     The returned trace carries those samples, satisfies the neutral
     relation on the full overlap window (re-verified before returning) and
     the stepping residual of the equation itself is at rounding level.
     """
+    check_seeds(spec, x_seed, z_seed)
     m, k = spec.m, spec.k
     n0 = start_index(spec)
     xs = x_start_index(spec)
     if N < n0 + m - 1:
         raise ConfigError(f"field horizon: need N >= {n0 + m - 1}, got {N}")
-    if len(z_seed) != m:
-        raise SeedError(f"field seeds.z: must hold exactly m = {m} values, got {len(z_seed)}")
-    if k == 0:
-        if x_seed is not None:
-            raise SeedError("field seeds.x: must be null when k = 0")
-    elif x_seed is None:
-        raise SeedError(f"field seeds.x: required when k = {k}")
-    elif len(x_seed) != abs(k):
-        raise SeedError(
-            f"field seeds.x: must hold exactly |k| = {abs(k)} values, got {len(x_seed)}"
-        )
     # z_vals holds z from n0 and x_vals x from xs; Seq rejects a non-finite
     # seed, naming its index.
     z_vals = array("d", Seq(n0, z_seed).values)

@@ -20,6 +20,18 @@ def load_fixture(name):
     return ExperimentConfig.from_json((FIXTURES / f"{name}.json").read_text(encoding="utf-8"))
 
 
+def fit_divergent_raw():
+    """t1_case_b_m2 as order 5 in case (c) with k = 1 and c = 0.9, an unstable
+    inversion: x stays finite up to index 6642, but from horizon 6500 on the
+    polynomial fit of x overflows.  Not a shipped fixture."""
+    raw = json.loads((FIXTURES / "t1_case_b_m2.json").read_text(encoding="utf-8"))
+    raw["spec"].update(m=5, k=1, c=0.9, s=4.0)
+    raw["spec"]["u"]["params"]["c"] = 0.9
+    raw["case"] = "c"
+    raw["seeds"] = {"x": [1.0], "z": [1.0, 1.1, 1.2, 1.3, 1.4]}
+    return raw
+
+
 #: Every shipped fixture whose run certifies the theorem (exit 0), by name.
 CERTIFIED = {
     Path(e["file"]).stem: load_fixture(Path(e["file"]).stem)

@@ -21,7 +21,7 @@ from asympoly.cli import EXIT_CONFIG, EXIT_HYPOTHESIS, EXIT_OK, EXIT_SIMULATION,
 from asympoly.errors import ConfigError
 from asympoly.seqcore import Thresholds
 
-from conftest import CERTIFIED, FIXTURES, manifest_entries
+from conftest import CERTIFIED, FIXTURES, fit_divergent_raw, manifest_entries
 
 
 def fixture_text(name):
@@ -117,6 +117,21 @@ def test_seed_x_length_rejected_at_the_boundary(tmp_path, capsys):
     config.write_text(json.dumps(raw), encoding="utf-8")
     assert run(str(config), out_dir=str(tmp_path / "o")) == EXIT_CONFIG
     assert "field seeds.x:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("k", [
+    pytest.param(-(10**400), id="k-int-beyond-float"),
+    pytest.param(-1e308, id="k-minus-1e308"),
+])
+def test_seeds_are_checked_before_the_horizon(k, tmp_path, capsys):
+    # |k| x seeds are needed; the horizon check would print an n0 of 309+ digits.
+    raw = json.loads(fixture_text("t2_regular_m3.json"))  # one x seed
+    raw["spec"]["k"] = k
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    assert run(str(config), out_dir=str(tmp_path / "o")) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: field seeds.x: must hold exactly |k| = ")
     assert not (tmp_path / "o").exists()
 
 
@@ -338,6 +353,12 @@ def test_unwritable_output_exits_one(out, tmp_path, capsys, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
 
 
+def test_output_path_with_a_null_byte_exits_one(tmp_path, capsys):
+    # mkdir raises ValueError, not OSError, for a null byte: a config error.
+    assert run(str(FIXTURES / "t1_case_a_m1.json"), horizon=200, out_dir=str(tmp_path / "o\0")) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: embedded null byte\n"
+
+
 def test_bytes_per_step_bounds_the_run_memory(tmp_path):
     # The memory estimate behind MAX_HORIZON: a whole run (simulate, dispatch
     # and the writes) peaks below BYTES_PER_STEP per step on every certified
@@ -459,6 +480,15 @@ ANY_VALUE = (
 #: A horizon that runs (at most 300) or that is rejected before anything is allocated.
 HORIZON_VALUE = ANY_VALUE | st.integers(60, 300) | st.just(cli.MAX_HORIZON + 1)
 CATALOG_FIELDS = ["u", "a", "b", "f", "g", "sigma"]
+SCALAR_KEYS = ["m", "k", "c", "s", "q", "case", "mode"]
+FIXTURE_FILES = sorted(entry["file"] for entry in manifest_entries())
+
+
+def draw_fixture(draw):
+    """A shipped fixture, drawn by name, at horizon 300."""
+    raw = json.loads(fixture_text(draw(st.sampled_from(FIXTURE_FILES))))
+    raw["horizon"] = 300
+    return raw
 
 
 @st.composite
@@ -466,9 +496,7 @@ def mutated_config(draw):
     """A shipped fixture at horizon 300 with one value of its seeds, its
     horizon or a catalog reference replaced by another JSON value, or one
     key deleted or added."""
-    name = draw(st.sampled_from(sorted(entry["file"] for entry in manifest_entries())))
-    raw = json.loads(fixture_text(name))
-    raw["horizon"] = 300
+    raw = draw_fixture(draw)
     target = draw(st.sampled_from(["seeds", "seed entry", "horizon", "ref", "params"]))
     values = ANY_VALUE
     if target == "seeds":
@@ -494,19 +522,39 @@ def mutated_config(draw):
     return raw
 
 
-@st.composite
-def mutated_spec_scalar(draw):
-    """A shipped fixture at horizon 300 with one of spec.m, k, c, s and q,
-    case and mode replaced by another JSON value, or deleted."""
-    name = draw(st.sampled_from(sorted(entry["file"] for entry in manifest_entries())))
-    raw = json.loads(fixture_text(name))
-    raw["horizon"] = 300
-    key = draw(st.sampled_from(["m", "k", "c", "s", "q", "case", "mode"]))
+def mutate_scalar(draw, raw, key):
+    """Replace spec.<key>, or the top-level case or mode, by another JSON value, or delete it."""
     container = raw if key in ("case", "mode") else raw["spec"]
     if draw(st.booleans()):
         container.pop(key, None)
     else:
         container[key] = draw(ANY_VALUE)
+
+
+@st.composite
+def mutated_spec_scalar(draw):
+    """A shipped fixture at horizon 300 with one of spec.m, k, c, s and q,
+    case and mode replaced by another JSON value, or deleted."""
+    raw = draw_fixture(draw)
+    mutate_scalar(draw, raw, draw(st.sampled_from(SCALAR_KEYS)))
+    return raw
+
+
+@st.composite
+def mutated_structure(draw):
+    """A shipped fixture at horizon 300 with its whole spec replaced (by
+    another JSON value or another fixture's spec), its output replaced by
+    another JSON value, or two of the SCALAR_KEYS mutated at once."""
+    raw = draw_fixture(draw)
+    target = draw(st.sampled_from(["spec", "output", "two keys"]))
+    if target == "spec":
+        other = json.loads(fixture_text(draw(st.sampled_from(FIXTURE_FILES))))["spec"]
+        raw["spec"] = draw(ANY_VALUE | st.just(other))
+    elif target == "output":
+        raw["output"] = draw(ANY_VALUE)
+    else:
+        for key in draw(st.lists(st.sampled_from(SCALAR_KEYS), min_size=2, max_size=2, unique=True)):
+            mutate_scalar(draw, raw, key)
     return raw
 
 
@@ -534,6 +582,12 @@ def test_mutated_seeds_horizon_and_params_exit_cleanly(raw):
 @settings(max_examples=40, deadline=None)
 @given(mutated_spec_scalar())
 def test_mutated_spec_scalars_case_and_mode_exit_cleanly(raw):
+    assert_exits_cleanly(raw)
+
+
+@settings(max_examples=40, deadline=None)
+@given(mutated_structure())
+def test_replaced_spec_or_output_and_double_mutations_exit_cleanly(raw):
     assert_exits_cleanly(raw)
 
 
@@ -796,6 +850,22 @@ def test_divergence_exits_three_naming_the_index(name, spec_update, message, tmp
     assert run(str(config), out_dir=str(tmp_path / "o")) == EXIT_SIMULATION
     assert capsys.readouterr().err == f"simulation error: {message}\n"
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("horizon, expected", [
+    (6400, EXIT_HYPOTHESIS),  # below the band, the fit is finite
+    (6540, EXIT_SIMULATION),  # a non-finite coefficient of x's fit
+    (6620, EXIT_SIMULATION),  # a non-finite difference of x
+])
+def test_divergence_found_while_decomposing_exits_three(horizon, expected, tmp_path, capsys):
+    # x is finite through index 6642, so simulate returns; the exit code
+    # must not depend on which stage finds the divergence.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(fit_divergent_raw()), encoding="utf-8")
+    assert run(str(config), horizon=horizon, out_dir=str(tmp_path / "o")) == expected
+    if expected == EXIT_SIMULATION:
+        assert capsys.readouterr().err.startswith("simulation error: divergent input: ")
+        assert not (tmp_path / "o").exists()
 
 
 class TestCatalogCommand:

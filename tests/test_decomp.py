@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from itertools import repeat
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from asympoly import decomp
 from asympoly.catalog import CatalogRef
+from asympoly.cli import ExperimentConfig
 from asympoly.decomp import (
     COEFF_WINDOW_FRACTION,
     MIN_WINDOW,
@@ -21,7 +23,7 @@ from asympoly.errors import DivergenceError, WindowLengthError
 from asympoly.neutral_solver import EquationSpec, consistent_seeds, simulate
 from asympoly.seqcore import MAX_DIFFERENCE_ORDER, PolyCoeffs, Seq, csum, delta, index_powers
 
-from conftest import CERTIFIED, seq_from_function, tail_sum_window
+from conftest import CERTIFIED, fit_divergent_raw, seq_from_function, tail_sum_window
 
 
 def reference_lstsq(ns, resid, degrees):
@@ -159,6 +161,14 @@ class TestExtractPolynomial:
         z = Seq(1, [0.0] * 300)
         with pytest.raises(DivergenceError, match=r"^remainder: non-finite value at index 180$"):
             decomp._remainder(z, PolyCoeffs((0.0, 1e306)))
+
+    def test_overflowing_fit_of_a_finite_x_is_a_divergence(self):
+        # A non-finite coefficient is the input's divergence, as a non-finite
+        # difference is, not a ValueError.
+        cfg = ExperimentConfig.from_json(json.dumps(fit_divergent_raw()))
+        trace = simulate(cfg.spec, cfg.x_seed, cfg.z_seed, 6540)
+        with pytest.raises(DivergenceError, match=r"^divergent input: non-finite coefficient"):
+            extract_polynomial(trace.x, cfg.spec.m, cfg.spec.s)
 
     def test_reconstruction_is_exact(self):
         z = seq_from_function(lambda n: 1.5 * n + math.cos(n), 1, 256)
