@@ -80,29 +80,26 @@ def _build(table: Mapping[str, Entry], family: str, ref: CatalogRef) -> tuple:
 
 @dataclass(frozen=True)
 class RhsFunction:
-    """Catalog entry for the right-hand side f(n, t)."""
+    """Catalog entry for the right-hand side f(n, t); ``bound`` is sup |f|, inf if unbounded."""
 
     ref: CatalogRef
     fn: Callable[[int, float], float]
-    bounded: bool
-    bound: float | None
+    bound: float
 
     def __call__(self, n: int, t: float) -> float:
         return self.fn(n, t)
 
 
 F_TABLE = {
-    "sigmoid": Entry((), lambda: (lambda n, t: t / (1.0 + t * t), True, 0.5)),
-    "arctan": Entry((), lambda: (lambda n, t: math.atan(t), True, math.pi / 2)),
+    "sigmoid": Entry((), lambda: (lambda n, t: t / (1.0 + t * t), 0.5)),
+    "arctan": Entry((), lambda: (lambda n, t: math.atan(t), math.pi / 2)),
     "power_sgn": Entry(
         ("gamma",),
-        lambda gamma: (
-            lambda n, t: math.copysign(abs(t) ** gamma, t) if t else 0.0, False, None
-        ),
+        lambda gamma: (lambda n, t: math.copysign(abs(t) ** gamma, t) if t else 0.0, math.inf),
         ("gamma", lambda v: 0.0 < v <= 1.0, "0 < gamma <= 1"),
     ),
-    "linear": Entry((), lambda: (lambda n, t: t, False, None)),
-    "bounded_sin": Entry((), lambda: (lambda n, t: math.sin(t), True, 1.0)),
+    "linear": Entry((), lambda: (lambda n, t: t, math.inf)),
+    "bounded_sin": Entry((), lambda: (lambda n, t: math.sin(t), 1.0)),
 }
 
 

@@ -23,7 +23,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from itertools import chain, islice
 from pathlib import Path
 from typing import Any, Iterable, Iterator, NoReturn
@@ -61,7 +61,9 @@ BYTES_PER_STEP = 250
 #: Largest accepted horizon, about 2 GB of run memory at BYTES_PER_STEP.
 MAX_HORIZON = 8_000_000
 
-_SPEC_KEYS = {"m", "k", "c", "u", "a", "b", "f", "g", "sigma", "s", "q"}
+#: The spec's keys: EquationSpec's init fields, required unless defaulted.
+_SPEC_FIELDS = tuple(f for f in fields(EquationSpec) if f.init)
+_SPEC_KEYS = {f.name for f in _SPEC_FIELDS}
 _TOP_KEYS = {"spec", "seeds", "horizon", "case", "mode", "thresholds", "output"}
 _THRESHOLD_KEYS = {f.name for f in fields(Thresholds)}
 
@@ -116,7 +118,10 @@ def _check_s_floor(spec: EquationSpec, horizon: int) -> None:
 
 def _check_output_dir(out: Path) -> None:
     """Raise NotADirectoryError when out, or its nearest existing ancestor,
-    is not a directory, so the run fails before simulating.  Creates nothing."""
+    is not a directory, so the run fails before simulating.  Creates nothing.
+    A null byte, which os.path.lexists reports as absent, raises ConfigError."""
+    if "\0" in str(out):
+        raise ConfigError(f"output path {str(out)!r} holds a null byte")
     for path in (out, *out.parents):
         if os.path.lexists(path):  # a dangling symlink also blocks mkdir
             if not path.is_dir():
@@ -162,20 +167,12 @@ class ExperimentConfig:
         spec_raw = raw["spec"]
         if not isinstance(spec_raw, dict):
             raise ConfigError("field spec: must be an object")
-        _require_keys(spec_raw, _SPEC_KEYS, _SPEC_KEYS - {"q"}, "spec")
-        spec = EquationSpec(
-            m=spec_raw["m"],
-            k=spec_raw["k"],
-            c=spec_raw["c"],
-            u=_ref_from_json(spec_raw["u"], "u"),
-            a=_ref_from_json(spec_raw["a"], "a"),
-            b=_ref_from_json(spec_raw["b"], "b"),
-            f=_ref_from_json(spec_raw["f"], "f"),
-            g=_ref_from_json(spec_raw["g"], "g"),
-            sigma=_ref_from_json(spec_raw["sigma"], "sigma"),
-            s=spec_raw["s"],
-            q=spec_raw.get("q"),
-        )
+        required = {f.name for f in _SPEC_FIELDS if f.default is MISSING}
+        _require_keys(spec_raw, _SPEC_KEYS, required, "spec")
+        spec = EquationSpec(**{  # in field order; a CatalogRef field is an id/params object
+            f.name: _ref_from_json(spec_raw[f.name], f.name) if f.type == "CatalogRef" else spec_raw[f.name]
+            for f in _SPEC_FIELDS if f.name in spec_raw
+        })
         seeds = raw["seeds"]
         if not isinstance(seeds, dict):
             raise ConfigError("field seeds: must be an object")

@@ -52,7 +52,7 @@ class CatalogError(ConfigError):
 def finite_number(value: object, subject: str, error: type[ConfigError] = ConfigError) -> float:
     """value as a float.  A bool, a non-number or a value outside the float
     range (NaN, an infinity, an int such as 10**400) raises ``error``, whose
-    message begins with ``subject``, e.g. ``field c:``."""
+    message begins with ``subject``, e.g. ``field s:``."""
     if (
         isinstance(value, bool)
         or not isinstance(value, (int, float))

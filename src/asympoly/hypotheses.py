@@ -269,10 +269,10 @@ def theorem_dispatch(
         ]
 
         if case_id == "c":
-            bound = rt.f.bound if rt.f.bounded else math.inf
+            bounded = rt.f.bound < math.inf
             checks.append(CheckResult(
-                "f-bounded", rt.f.bounded, bound,
-                f"catalog bound {bound:g}" if rt.f.bounded else "f unbounded in catalog"))
+                "f-bounded", bounded, rt.f.bound,
+                f"catalog bound {rt.f.bound:g}" if bounded else "f unbounded in catalog"))
             checks.append(_alternative_check(trace, spec, thresholds))
         else:
             f_g_bounded = check_g_p_bounded(rt.f, rt.g, p_eff, n_max=N)

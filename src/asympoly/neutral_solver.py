@@ -5,18 +5,18 @@ z_n = x_n + u_n x_{n+k},
 
     (m-th difference of z at n) = a_n f(n, x_{sigma(n)}) + b_n
 
-with u_n -> c, |c| != 1.  The simulator fixes the start at
-n0 = max(1, 1 - k, m), takes z on [n0, n0 + m - 1] and |k| x values as
-seeds (this module alone knows where they sit), advances z with the
-binomial expansion of the m-th difference, and extends x by inverting the
-neutral relation.  The inversion is only forward-stable when k <= 0 with
-|c| < 1, k >= 0 with |c| > 1, or k == 0; outside those regimes any seed
-or rounding error is amplified each step - an inherent property of the
-recursion (x = 2**n with u = -1/2, k = 1 gives z identically 0), not a
-solver defect.  Such a run ends in a DivergenceError, here or from the
-decomposition of an x that stays finite but whose polynomial fit
-overflows, or reaches the horizon with an x the alternative or the
-conclusion rejects.
+with u_n -> c (the limit u's catalog entry records), |c| != 1.  The
+simulator fixes the start at n0 = max(1, 1 - k, m), takes z on
+[n0, n0 + m - 1] and |k| x values as seeds (this module alone knows where
+they sit), advances z with the binomial expansion of the m-th difference, and
+extends x by inverting the neutral relation.  The inversion is only
+forward-stable when k <= 0 with |c| < 1, k >= 0 with |c| > 1, or k == 0;
+outside those regimes any seed or rounding error is amplified each step -
+an inherent property of the recursion (x = 2**n with u = -1/2, k = 1
+gives z identically 0), not a solver defect.  Such a run ends in a
+DivergenceError, here or from the decomposition of an x that stays finite
+but whose polynomial fit overflows, or reaches the horizon with an x the
+alternative or the conclusion rejects.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from .seqcore import MAX_DIFFERENCE_ORDER, Seq
 DIVERGENCE_LIMIT = 1e300
 #: |u_n| (k > 0) or |1 + u_n| (k == 0) below this is a singular recovery.
 SINGULAR_GUARD = 1e-9
-#: ||c| - 1| must exceed this margin.
+#: ||c| - 1| must exceed this margin, c being u's limit.
 UNIT_MARGIN = 1e-6
 #: Tolerance of the post-simulation z = x + u x_{+k} re-verification.
 RELATION_RTOL = 1e-9
@@ -67,13 +67,12 @@ class EquationSpec:
     All functional ingredients are catalog references; ``s`` is the target
     smallness exponent of the asymptotic decomposition and ``q``, when set,
     selects the regular (iterated-difference) form of the conclusion.
-    ``m``, ``k`` and ``q`` are stored as ints (2.0 reads as 2), ``c`` and
-    ``s`` as floats, by the config's rules in :mod:`asympoly.errors`.
+    ``m``, ``k`` and ``q`` are stored as ints (2.0 reads as 2) and ``s`` as
+    a float, by the config's rules in :mod:`asympoly.errors`.  ``c`` is u's limit.
     """
 
     m: int
     k: int
-    c: float
     u: CatalogRef
     a: CatalogRef
     b: CatalogRef
@@ -82,12 +81,12 @@ class EquationSpec:
     sigma: CatalogRef
     s: float
     q: int | None = None
+    c: float = field(init=False, compare=False)
     #: The catalog entries, built once from the references above.
     rt: Runtime = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        rules = (("m", integer), ("k", integer), ("c", finite_number), ("s", finite_number))
-        for name, rule in rules:
+        for name, rule in (("m", integer), ("k", integer), ("s", finite_number)):
             object.__setattr__(self, name, rule(getattr(self, name), f"field {name}:"))
         if self.q is not None:
             object.__setattr__(self, "q", integer(self.q, "field q:"))
@@ -95,17 +94,14 @@ class EquationSpec:
             raise ConfigError(f"field m: difference order must be an integer >= 1, got {self.m!r}")
         if self.m > MAX_DIFFERENCE_ORDER:
             raise ConfigError(f"field m: order {self.m} exceeds supported maximum {MAX_DIFFERENCE_ORDER}")
-        if abs(abs(self.c) - 1.0) <= UNIT_MARGIN:
-            raise ConfigError(f"field c: |c| must differ from 1 by more than {UNIT_MARGIN}, got c={self.c}")
         if self.s > self.m - 1 + 1e-12:
             raise ConfigError(f"field s: need s <= m - 1 = {self.m - 1}, got {self.s}")
         if self.q is not None and not 0 <= self.q <= self.m - 1:
             raise ConfigError(f"field q: need an integer in [0, {self.m - 1}], got {self.q!r}")
         object.__setattr__(self, "rt", runtime(self))
-        if abs(self.rt.u.limit - self.c) > 1e-12 * (1.0 + abs(self.c)):
-            raise ConfigError(
-                f"field u: generator limit {self.rt.u.limit} inconsistent with c={self.c}"
-            )
+        object.__setattr__(self, "c", self.rt.u.limit)
+        if abs(abs(self.c) - 1.0) <= UNIT_MARGIN:
+            raise ConfigError(f"field u: |c| must differ from 1 by more than {UNIT_MARGIN}, got limit c={self.c}")
 
 
 @dataclass(frozen=True)
@@ -231,6 +227,13 @@ def consistent_seeds(
     return (tuple(profile[: abs(k)]) if k else None), z_seed
 
 
+def _brief(n: int) -> str:
+    """n as written, or, past 20 digits, its leading digits and digit count
+    (an integer k may have hundreds of digits)."""
+    text = str(n)
+    return text if len(text) <= 20 else f"{text[:6]}... ({len(text.lstrip('-'))} digits)"
+
+
 def check_seeds(spec: EquationSpec, x_seed: Sequence[float] | None, z_seed: Sequence[float]) -> None:
     """Raise SeedError naming ``seeds.z`` or ``seeds.x`` unless the seeds hold
     m z values and |k| x values (x_seed None when k = 0), as :func:`simulate` takes them."""
@@ -241,10 +244,10 @@ def check_seeds(spec: EquationSpec, x_seed: Sequence[float] | None, z_seed: Sequ
         if x_seed is not None:
             raise SeedError("field seeds.x: must be null when k = 0")
     elif x_seed is None:
-        raise SeedError(f"field seeds.x: required when k = {k}")
+        raise SeedError(f"field seeds.x: required when k = {_brief(k)}")
     elif len(x_seed) != abs(k):
         raise SeedError(
-            f"field seeds.x: must hold exactly |k| = {abs(k)} values, got {len(x_seed)}"
+            f"field seeds.x: must hold exactly |k| = {_brief(abs(k))} values, got {len(x_seed)}"
         )
 
 

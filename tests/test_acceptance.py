@@ -104,7 +104,7 @@ def test_criterion_4_round_trips():
         k = shifts[trial % len(shifts)]
         c = mags[(trial // len(shifts)) % len(mags)] * (1.0 if trial % 2 else -1.0)
         spec = EquationSpec(
-            m=1, k=k, c=c,
+            m=1, k=k,
             u=CatalogRef("power_offset", {"c": c, "A": 0.05, "rho": 1.0}),
             a=zero, b=zero, f=CatalogRef("sigmoid"), g=CatalogRef("constant", {"value": 1.0}),
             sigma=CatalogRef("identity"), s=0.0,
@@ -191,7 +191,7 @@ def test_criterion_7_negative_controls():
     assert checks[1].kind != "small_o"
     # (iii) sigma(n) = n + 1 with k = 0 reads the future
     spec3 = EquationSpec(
-        m=1, k=0, c=0.5,
+        m=1, k=0,
         u=CatalogRef("constant", {"value": 0.5}),
         a=CatalogRef("constant", {"value": 0.0}),
         b=CatalogRef("constant", {"value": 0.0}),

@@ -38,7 +38,7 @@ def test_unknown_parameters_rejected():
 def test_f_entries():
     sig = make_f(CatalogRef("sigmoid"))
     assert sig(5, 1.0) == 0.5
-    assert sig.bounded and sig.bound == 0.5
+    assert sig.bound == 0.5
     atan = make_f(CatalogRef("arctan"))
     assert atan(1, 1.0) == math.atan(1.0)
     psgn = make_f(CatalogRef("power_sgn", {"gamma": 0.5}))
@@ -47,6 +47,7 @@ def test_f_entries():
     assert psgn(1, 0.0) == 0.0
     lin = make_f(CatalogRef("linear"))
     assert lin(9, -2.5) == -2.5
+    assert lin.bound == psgn.bound == math.inf  # unbounded
     bsin = make_f(CatalogRef("bounded_sin"))
     assert bsin(1, math.pi / 2) == math.sin(math.pi / 2)
     with pytest.raises(CatalogError):

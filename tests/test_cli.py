@@ -66,10 +66,8 @@ class TestExperimentConfig:
         ("spec", "m", True),
         ("spec", "k", True),
         (None, "horizon", True),
-        ("spec", "c", math.nan),
         ("spec", "s", math.nan),
         ("spec", "s", [0]),
-        ("spec", "c", "abc"),
         ("seeds", "z", [True]),
         ("thresholds", "tau_small", True),
         # n**(m - 1 - s) overflows a float at the horizon 1e4.
@@ -78,7 +76,6 @@ class TestExperimentConfig:
         ("thresholds", "tau_small", -0.1),
         ("seeds", "z", [1.75, 1.75]),
         (None, "horizon", 10),
-        pytest.param("spec", "c", 10**400, id="spec-c-int-beyond-float"),
     ],
 )
 def test_bool_and_nan_rejected_at_the_boundary(section, field, value, tmp_path, capsys):
@@ -89,6 +86,32 @@ def test_bool_and_nan_rejected_at_the_boundary(section, field, value, tmp_path, 
     assert run(str(config), out_dir=str(tmp_path / "o")) == EXIT_CONFIG
     name = field if section in (None, "spec") else f"{section}.{field}"
     assert f"field {name}:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("value", [
+    math.nan, "abc", pytest.param(10**400, id="int-beyond-float"),
+])
+def test_u_limit_parameter_read_by_the_finite_number_rule(value, tmp_path, capsys):
+    # c is u's limit: the c parameter of u's power_offset entry.
+    raw = json.loads(fixture_text("t1_case_a_m1.json"))
+    raw["spec"]["u"]["params"]["c"] = value
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    assert run(str(config), out_dir=str(tmp_path / "o")) == EXIT_CONFIG
+    assert "field u: parameter 'c' of 'power_offset' must be a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("name", sorted(entry["file"] for entry in manifest_entries()))
+def test_spec_c_is_an_unknown_key(name, tmp_path, capsys):
+    # c is u's limit, not a config key.
+    raw = json.loads(fixture_text(name))
+    raw["spec"]["c"] = 0.5
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    assert run(str(config), out_dir=str(tmp_path / "o")) == EXIT_CONFIG
+    assert "config error: unknown key(s) ['c'] in spec" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -126,13 +149,19 @@ def test_seed_x_length_rejected_at_the_boundary(tmp_path, capsys):
 ])
 def test_seeds_are_checked_before_the_horizon(k, tmp_path, capsys):
     # |k| x seeds are needed; the horizon check would print an n0 of 309+ digits.
+    # The seed message itself abbreviates |k| to its leading digits and count.
     raw = json.loads(fixture_text("t2_regular_m3.json"))  # one x seed
     raw["spec"]["k"] = k
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(raw), encoding="utf-8")
-    assert run(str(config), out_dir=str(tmp_path / "o")) == EXIT_CONFIG
-    assert capsys.readouterr().err.startswith("config error: field seeds.x: must hold exactly |k| = ")
-    assert not (tmp_path / "o").exists()
+    digits = f"({len(str(abs(int(k))))} digits)"
+    for x_seed, message in (([4.0], "must hold exactly |k| = "), (None, "required when k = ")):
+        raw["seeds"]["x"] = x_seed
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw), encoding="utf-8")
+        assert run(str(config), out_dir=str(tmp_path / "o")) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: field seeds.x: {message}") and digits in err
+        assert len(err.splitlines()) == 1 and len(err) < 200, err
+        assert not (tmp_path / "o").exists()
 
 
 SEED_VALUES = st.lists(st.floats(-10.0, 10.0), max_size=4)
@@ -353,10 +382,16 @@ def test_unwritable_output_exits_one(out, tmp_path, capsys, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
 
 
-def test_output_path_with_a_null_byte_exits_one(tmp_path, capsys):
-    # mkdir raises ValueError, not OSError, for a null byte: a config error.
-    assert run(str(FIXTURES / "t1_case_a_m1.json"), horizon=200, out_dir=str(tmp_path / "o\0")) == EXIT_CONFIG
-    assert capsys.readouterr().err == "config error: embedded null byte\n"
+def test_output_path_with_a_null_byte_exits_one(tmp_path, capsys, monkeypatch):
+    # Rejected before simulating, naming the path: os.path.lexists reports
+    # such a path as absent, and mkdir raises ValueError, not OSError.
+    simulated = []
+    monkeypatch.setattr(cli, "simulate", lambda *args: simulated.append(args))
+    out = str(tmp_path / "o\0")
+    assert run(str(FIXTURES / "t1_case_a_m1.json"), horizon=200, out_dir=out) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: output path {out!r} holds a null byte\n"
+    assert simulated == []
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bytes_per_step_bounds_the_run_memory(tmp_path):
@@ -480,7 +515,7 @@ ANY_VALUE = (
 #: A horizon that runs (at most 300) or that is rejected before anything is allocated.
 HORIZON_VALUE = ANY_VALUE | st.integers(60, 300) | st.just(cli.MAX_HORIZON + 1)
 CATALOG_FIELDS = ["u", "a", "b", "f", "g", "sigma"]
-SCALAR_KEYS = ["m", "k", "c", "s", "q", "case", "mode"]
+SCALAR_KEYS = ["m", "k", "s", "q", "case", "mode"]
 FIXTURE_FILES = sorted(entry["file"] for entry in manifest_entries())
 
 
@@ -533,7 +568,7 @@ def mutate_scalar(draw, raw, key):
 
 @st.composite
 def mutated_spec_scalar(draw):
-    """A shipped fixture at horizon 300 with one of spec.m, k, c, s and q,
+    """A shipped fixture at horizon 300 with one of spec.m, k, s and q,
     case and mode replaced by another JSON value, or deleted."""
     raw = draw_fixture(draw)
     mutate_scalar(draw, raw, draw(st.sampled_from(SCALAR_KEYS)))
@@ -659,7 +694,7 @@ def test_case_c_alternative_rejects_exponential_growth(k, c, expected, tmp_path)
     raw = json.loads(fixture_text("t1_case_b_m2.json"))
     raw["case"] = "c"
     raw["spec"]["k"] = k
-    raw["spec"]["c"] = raw["spec"]["u"]["params"]["c"] = c
+    raw["spec"]["u"]["params"]["c"] = c
     raw["seeds"]["x"] = [1.0] * abs(k)
     config = tmp_path / "config.json"
     config.write_text(json.dumps(raw), encoding="utf-8")
@@ -692,7 +727,7 @@ class TestRunCommand:
     def test_unit_c_exits_one_naming_c(self, tmp_path, capsys):
         code = run(str(FIXTURES / "bad_c_unit.json"), out_dir=str(tmp_path / "o"))
         assert code == EXIT_CONFIG
-        assert "c" in capsys.readouterr().err
+        assert "field u: |c| must differ from 1 by more than" in capsys.readouterr().err
 
     def test_future_sigma_exits_three(self, tmp_path, capsys):
         code = run(str(FIXTURES / "causality_violation.json"), out_dir=str(tmp_path / "o"))
@@ -710,7 +745,7 @@ class TestRunCommand:
     def test_singular_recovery_exits_three(self, k, c, A, x_seed, tmp_path, capsys):
         raw = json.loads(fixture_text("t1_case_a_m1.json"))
         u = {"id": "power_offset", "params": {"c": c, "A": A, "rho": 1.0}}
-        raw["spec"].update(k=k, c=c, u=u)
+        raw["spec"].update(k=k, u=u)
         raw["seeds"] = {"x": x_seed, "z": [1.0]}
         config = tmp_path / "config.json"
         config.write_text(json.dumps(raw), encoding="utf-8")
@@ -751,7 +786,7 @@ class TestRunCommand:
         raw = json.loads(fixture_text("t1_case_a_m1.json"))
         zero = {"id": "constant", "params": {"value": 0.0}}
         u = {"id": "constant", "params": {"value": 2.0}}
-        raw["spec"].update(m=4, k=2000, c=2.0, u=u, a=zero, b=zero)
+        raw["spec"].update(m=4, k=2000, u=u, a=zero, b=zero)
         raw["seeds"] = {"z": [1.0, 8.0, 27.0, 64.0], "x": [float(i % 7) for i in range(2000)]}
         verdict = self._run_failing(raw, tmp_path)
         assert verdict["failed_check"] == "conclusion"
@@ -831,7 +866,7 @@ def test_report_schema(entry, tmp_path):
         # |c| < 1 with k = 1: recovering x from z doubles it at every step.
         (
             "t1_case_a_m2.json",
-            {"c": 0.5, "u": {"id": "power_offset", "params": {"A": 1.0, "c": 0.5, "rho": 2.0}}},
+            {"u": {"id": "power_offset", "params": {"A": 1.0, "c": 0.5, "rho": 2.0}}},
             "|x| exceeded the finite range at index 1001; last valid index 1000",
         ),
         # A linear f with a constant a makes z grow geometrically.

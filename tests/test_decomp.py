@@ -330,7 +330,7 @@ class TestRegularityCheck:
 class TestDecomposeSolution:
     def test_polynomial_trivial(self, traces):
         spec = EquationSpec(
-            m=2, k=0, c=0.5,
+            m=2, k=0,
             u=CatalogRef("constant", {"value": 0.5}),
             a=CatalogRef("constant", {"value": 0.0}),
             b=CatalogRef("constant", {"value": 0.0}),
@@ -359,7 +359,7 @@ class TestDecomposeSolution:
         # m=1, k=0, u = c: the equation collapses to the scalar recursion
         # x_{n+1} = x_n (1 + a_n/(1+c)), whose limit is an explicit product
         spec = EquationSpec(
-            m=1, k=0, c=0.5,
+            m=1, k=0,
             u=CatalogRef("constant", {"value": 0.5}),
             a=CatalogRef("power", {"A": 0.5, "rho": 2.0}),
             b=CatalogRef("constant", {"value": 0.0}),

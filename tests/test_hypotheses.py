@@ -37,7 +37,7 @@ class TestCheckGPBounded:
         assert res.metric > 1.0
 
     def test_zero_rhs_passes_everything(self):
-        zero = RhsFunction(CatalogRef("linear"), lambda n, t: 0.0, True, 0.0)
+        zero = RhsFunction(CatalogRef("linear"), lambda n, t: 0.0, 0.0)
         for g in (CONST_ONE, IDENTITY_G):
             for p in (0.0, 1.0):
                 assert check_g_p_bounded(zero, g, p).passed
@@ -168,7 +168,7 @@ class TestTheoremDispatch:
 
     def test_polynomial_solution_passes_every_case(self):
         spec = EquationSpec(
-            m=2, k=0, c=0.5,
+            m=2, k=0,
             u=CatalogRef("constant", {"value": 0.5}),
             a=CatalogRef("constant", {"value": 0.0}),
             b=CatalogRef("constant", {"value": 0.0}),
@@ -222,7 +222,7 @@ class TestAlternativeCheck:
     # m = 1, k = 1 and c = 0.5 give k(|c| - 1) < 0, so the three-way
     # alternative falls through to its polynomial-growth branch and past it.
     SPEC = EquationSpec(
-        m=1, k=1, c=0.5,
+        m=1, k=1,
         u=CatalogRef("constant", {"value": 0.5}),
         a=CatalogRef("constant", {"value": 0.0}),
         b=CatalogRef("constant", {"value": 0.0}),
@@ -257,7 +257,7 @@ def test_geometric_forcing_small_at_every_exponent():
     # a and b decaying geometrically: the remainder is certified small at
     # every exponent from m-1 down to -1 (root test: (2^-n)^(1/n) = 1/2 < 1)
     spec = EquationSpec(
-        m=2, k=0, c=0.5,
+        m=2, k=0,
         u=CatalogRef("constant", {"value": 0.5}),
         a=CatalogRef("geometric", {"A": 1.0, "ratio": 0.5}),
         b=CatalogRef("geometric", {"A": 0.5, "ratio": 0.5}),

@@ -28,7 +28,7 @@ from conftest import CERTIFIED, load_fixture, seq_from_function
 
 def spec_with(**overrides):
     base = dict(
-        m=1, k=0, c=0.0,
+        m=1, k=0,
         u=CatalogRef("constant", {"value": 0.0}),
         a=CatalogRef("constant", {"value": 0.0}),
         b=CatalogRef("constant", {"value": 0.0}),
@@ -42,11 +42,26 @@ def spec_with(**overrides):
 
 
 class TestEquationSpec:
-    def test_unit_c_rejected(self):
-        with pytest.raises(ConfigError, match="c"):
-            spec_with(c=1.0, u=CatalogRef("constant", {"value": 1.0}))
-        with pytest.raises(ConfigError, match="c"):
-            spec_with(c=-1.0000004, u=CatalogRef("constant", {"value": -1.0000004}))
+    @pytest.mark.parametrize("limit", [1.0, -1.0000004])
+    def test_unit_c_rejected(self, limit):
+        with pytest.raises(ConfigError, match=r"^field u: \|c\| must differ from 1 by more than 1e-06, got limit c="):
+            spec_with(u=CatalogRef("constant", {"value": limit}))
+
+    @pytest.mark.parametrize("u", [
+        CatalogRef("constant", {"value": -0.5}),
+        CatalogRef("power_offset", {"c": 2.0, "A": 1.0, "rho": 2.0}),
+        CatalogRef("power", {"A": 1.0, "rho": 1.0}),
+        CatalogRef("alt_power", {"A": 1.0, "rho": 1.0}),
+        CatalogRef("geometric", {"A": 1.0, "ratio": 0.5}),
+    ], ids=lambda ref: ref.id)
+    def test_c_is_the_limit_of_u(self, u):
+        spec = spec_with(u=u)
+        assert spec.c == spec.rt.u.limit
+        assert spec.c == u.params.get("value", u.params.get("c", 0.0))
+
+    def test_c_is_not_a_parameter(self):
+        with pytest.raises(TypeError, match="'c'"):
+            spec_with(c=0.0)
 
     def test_s_above_order_rejected(self):
         with pytest.raises(ConfigError, match="s"):
@@ -80,8 +95,11 @@ class TestEquationSpec:
     def test_c_beyond_the_float_range_rejected(self):
         # An int beyond the float range is rejected with the config message,
         # not an OverflowError from a float conversion.
-        with pytest.raises(ConfigError, match=r"field c: must be a finite number, got 1000"):
-            spec_with(c=10**400)
+        u = CatalogRef("power_offset", {"c": 10**400, "A": 1.0, "rho": 1.0})
+        with pytest.raises(
+            ConfigError, match=r"field u: parameter 'c' of 'power_offset' must be a finite number, got 1000"
+        ):
+            spec_with(u=u)
 
     def test_integer_valued_floats_read_as_ints(self):
         # The library reads m, k and q by the config's integer rule.
@@ -97,27 +115,23 @@ class TestEquationSpec:
             spec_with(**{field: value})
 
     def test_c_and_s_stored_as_floats(self):
-        spec = spec_with(c=0, s=0)
+        spec = spec_with(u=CatalogRef("constant", {"value": 0}), s=0)
         assert type(spec.c) is float and type(spec.s) is float
         assert spec.s == 0.0
 
-    def test_u_limit_must_match_c(self):
-        with pytest.raises(ConfigError, match="u"):
-            spec_with(c=0.5, u=CatalogRef("constant", {"value": 0.4}))
-
     def test_start_indices(self):
         assert start_index(spec_with(m=2)) == 2
-        s = spec_with(m=2, k=-3, c=0.5, u=CatalogRef("constant", {"value": 0.5}))
+        s = spec_with(m=2, k=-3, u=CatalogRef("constant", {"value": 0.5}))
         assert start_index(s) == 4
         assert x_start_index(s) == 1
-        s2 = spec_with(m=1, k=2, c=2.0, u=CatalogRef("constant", {"value": 2.0}))
+        s2 = spec_with(m=1, k=2, u=CatalogRef("constant", {"value": 2.0}))
         assert start_index(s2) == 1
         assert x_start_index(s2) == 1
 
 
 def neutral_trace(k, c, profile, N, m=1, **overrides):
     """Trace from the x profile with u = c and, unless overridden, a = b = 0."""
-    spec = spec_with(m=m, k=k, c=c, u=CatalogRef("constant", {"value": c}), **overrides)
+    spec = spec_with(m=m, k=k, u=CatalogRef("constant", {"value": c}), **overrides)
     return simulate(spec, *consistent_seeds(spec, profile), N)
 
 
@@ -166,12 +180,12 @@ class TestXFromZ:
             (0, -0.5, -0.5, None, r"1 \+ u_n = 0\.0 at index 1 is below"),
         ]
         for k, c, A, x_seed, message in cases:
-            spec = spec_with(k=k, c=c, u=CatalogRef("power_offset", {"c": c, "A": A, "rho": 1.0}))
+            spec = spec_with(k=k, u=CatalogRef("power_offset", {"c": c, "A": A, "rho": 1.0}))
             with pytest.raises(SingularRecoveryError, match=message):
                 simulate(spec, x_seed, (1.0,), 10)
 
     def test_missing_or_miscounted_x_seed(self):
-        spec = spec_with(m=2, k=1, c=2.0, u=CatalogRef("constant", {"value": 2.0}))
+        spec = spec_with(m=2, k=1, u=CatalogRef("constant", {"value": 2.0}))
         with pytest.raises(SeedError, match="field seeds.x: required when k = 1"):
             simulate(spec, None, (1.0, 1.0), 100)
         with pytest.raises(SeedError, match=r"field seeds.x: must hold exactly \|k\| = 1 values, got 2"):
@@ -187,8 +201,8 @@ class TestSeedBoundary:
 
         monkeypatch.setattr(neutral_solver, "sample_coefficients", never)
 
-    K1 = dict(m=2, k=1, c=2.0, u=CatalogRef("constant", {"value": 2.0}))
-    K0 = dict(m=2, k=0, c=0.5, u=CatalogRef("constant", {"value": 0.5}))
+    K1 = dict(m=2, k=1, u=CatalogRef("constant", {"value": 2.0}))
+    K0 = dict(m=2, k=0, u=CatalogRef("constant", {"value": 0.5}))
 
     @pytest.mark.parametrize(
         "spec, x_seed, z_seed, field",
@@ -220,7 +234,7 @@ class TestSeedBoundary:
 class TestConsistentSeeds:
     def test_profile_window_enforced(self):
         # m + |k| = 3 values: x on [n0, n0 + m + k - 1] = [2, 4].
-        spec = spec_with(m=2, k=1, c=2.0, u=CatalogRef("constant", {"value": 2.0}))
+        spec = spec_with(m=2, k=1, u=CatalogRef("constant", {"value": 2.0}))
         for profile in ((1.0, 1.0), (1.0,) * 4):
             with pytest.raises(SeedError, match=r"exactly m \+ \|k\| = 3 values, got"):
                 consistent_seeds(spec, profile)
@@ -249,7 +263,7 @@ class TestSimulate:
         assert abs(trace.x.at(1000) - direct) <= 1e-9 * (1.0 + direct)
 
     def test_polynomial_solution_stays_polynomial(self):
-        spec = spec_with(m=2, c=0.5, u=CatalogRef("constant", {"value": 0.5}))
+        spec = spec_with(m=2, u=CatalogRef("constant", {"value": 0.5}))
         profile = (5.0, 7.0)  # x = 2n + 1 from n0 = 2
         x_seed, z_seed = consistent_seeds(spec, profile)
         trace = simulate(spec, x_seed, z_seed, 1000)
@@ -301,7 +315,7 @@ class TestSimulate:
         # |c| < 1 with k > 0: any seed deviation doubles per step, so the
         # run must end in a divergence error long before the horizon
         spec = spec_with(
-            m=2, k=1, c=0.5,
+            m=2, k=1,
             u=CatalogRef("power_offset", {"c": 0.5, "A": 1.0, "rho": 2.0}),
             a=CatalogRef("power", {"A": 1.0, "rho": 4.0}),
         )
@@ -316,7 +330,7 @@ class TestSimulate:
             simulate(spec, x_seed, z_seed, 100)
 
     def test_seed_window_validation(self):
-        spec = spec_with(m=2, c=0.5, u=CatalogRef("constant", {"value": 0.5}))
+        spec = spec_with(m=2, u=CatalogRef("constant", {"value": 0.5}))
         with pytest.raises(SeedError, match="field seeds.z: must hold exactly m = 2 values, got 1"):
             simulate(spec, None, (1.0,), 100)
         with pytest.raises(SeedError, match="field seeds.x: must be null when k = 0"):
@@ -357,7 +371,7 @@ class TestSimulate:
 class TestValidateCausality:
     # simulate checks every sigma(n) against the realized x window before stepping.
     def test_identity_with_positive_shift_ok(self):
-        spec = spec_with(m=2, k=1, c=2.0, u=CatalogRef("constant", {"value": 2.0}))
+        spec = spec_with(m=2, k=1, u=CatalogRef("constant", {"value": 2.0}))
         x_seed, z_seed = consistent_seeds(spec, (1.0, 1.0, 1.0))
         assert simulate(spec, x_seed, z_seed, 500).z.end == 500
 
@@ -370,7 +384,7 @@ class TestValidateCausality:
 
     def test_half_delay_with_negative_shift_ok(self):
         spec = spec_with(
-            m=1, k=-2, c=0.5,
+            m=1, k=-2,
             u=CatalogRef("constant", {"value": 0.5}),
             sigma=CatalogRef("half"),
         )
