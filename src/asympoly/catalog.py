@@ -17,7 +17,7 @@ from itertools import cycle, islice, repeat
 from operator import add, floordiv, mul
 from typing import Callable, Iterable, Mapping
 
-from .errors import CatalogError, finite_number, integer
+from .errors import CatalogError, brief, finite_number, integer
 from .seqcore import Seq
 
 
@@ -74,7 +74,7 @@ def _build(table: Mapping[str, Entry], family: str, ref: CatalogRef) -> tuple:
         name, holds, text = entry.rule
         value = values[entry.params.index(name)]
         if not holds(value):
-            raise CatalogError(f"{ref.id} needs {text}, got {value}")
+            raise CatalogError(f"{ref.id} needs {text}, got {brief(value)}")
     return entry.build(*values)
 
 

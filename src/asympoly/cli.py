@@ -36,10 +36,11 @@ from .errors import (
     ConfigError,
     DivergenceError,
     SingularRecoveryError,
+    brief,
     finite_number,
     integer,
 )
-from .hypotheses import theorem_dispatch, validate_mode
+from .hypotheses import theorem_dispatch, validate_case
 from .neutral_solver import EquationSpec, SolutionTrace, check_seeds, simulate, start_index
 from .seqcore import PolyCoeffs, Seq, Thresholds, delta
 
@@ -64,7 +65,7 @@ MAX_HORIZON = 8_000_000
 #: The spec's keys: EquationSpec's init fields, required unless defaulted.
 _SPEC_FIELDS = tuple(f for f in fields(EquationSpec) if f.init)
 _SPEC_KEYS = {f.name for f in _SPEC_FIELDS}
-_TOP_KEYS = {"spec", "seeds", "horizon", "case", "mode", "thresholds", "output"}
+_TOP_KEYS = {"spec", "seeds", "horizon", "case", "thresholds", "output"}
 _THRESHOLD_KEYS = {f.name for f in fields(Thresholds)}
 
 
@@ -93,12 +94,12 @@ def _check_horizon(spec: EquationSpec, horizon: int) -> None:
     if horizon - n0 + 1 < need:
         raise ConfigError(
             f"field horizon: the analysis needs at least {need} z values on "
-            f"[n0, horizon] with n0 = {n0}, so horizon >= {n0 + need - 1}; got {horizon}"
+            f"[n0, horizon] with n0 = {n0}, so horizon >= {n0 + need - 1}; got {brief(horizon)}"
         )
     if horizon > MAX_HORIZON:
         # The figure is the cap's: a horizon beyond the float range has none.
         raise ConfigError(
-            f"field horizon: {horizon} exceeds the cap {MAX_HORIZON}, about "
+            f"field horizon: {brief(horizon)} exceeds the cap {MAX_HORIZON}, about "
             f"{MAX_HORIZON * BYTES_PER_STEP / 1e9:.3g} GB of run memory at "
             f"{BYTES_PER_STEP} B per step"
         )
@@ -151,7 +152,6 @@ class ExperimentConfig:
     z_seed: tuple[float, ...]
     horizon: int
     case_id: str
-    mode: str = "plain"
     thresholds: Thresholds = Thresholds()
     output: str | None = None
 
@@ -184,8 +184,7 @@ class ExperimentConfig:
             raise ConfigError("field seeds.z: must be a list")
         horizon = integer(raw["horizon"], "field horizon:")
         case_id = raw["case"]
-        mode = raw.get("mode", "plain")
-        validate_mode(spec, case_id, mode)
+        validate_case(case_id)
         thr_raw = raw.get("thresholds", {})
         if not isinstance(thr_raw, dict):
             raise ConfigError("field thresholds: must be an object")
@@ -202,7 +201,6 @@ class ExperimentConfig:
             z_seed=tuple(finite_number(v, "field seeds.z:") for v in seeds["z"]),
             horizon=horizon,
             case_id=case_id,
-            mode=mode,
             thresholds=thresholds,
             output=output,
         )
@@ -296,9 +294,7 @@ def run(config_path: str, horizon: int | None = None, out_dir: str | None = None
         _check_s_floor(config.spec, N)
         _check_output_dir(out)
         trace = simulate(config.spec, config.x_seed, config.z_seed, N)
-        verdict = theorem_dispatch(
-            config.spec, trace, config.case_id, config.mode, thresholds=config.thresholds
-        )
+        verdict = theorem_dispatch(config.spec, trace, config.case_id, thresholds=config.thresholds)
         out.mkdir(parents=True, exist_ok=True)
         _atomic_write(out / "trace.csv", _trace_csv(trace, config.spec.m))
         _atomic_write(out / "decomposition.json", [_json_text(verdict.decomposition)])

@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the two rules by which
-every config number is read: :func:`finite_number` and :func:`integer`."""
+"""Exception types shared across the package, the two rules by which
+every config number is read (:func:`finite_number` and :func:`integer`),
+and :func:`brief`, the form in which a message echoes a config value."""
 
 import sys
 
@@ -49,6 +50,19 @@ class CatalogError(ConfigError):
     """Unknown catalog identifier or invalid catalog parameters."""
 
 
+def brief(value: object) -> str:
+    """value as a message echoes it: its repr, or, for an int past 20
+    digits (a config integer may have hundreds), its leading digits and
+    its digit count, and for any other repr past 40 characters, its first
+    20 and its length."""
+    text = repr(value)
+    if isinstance(value, int) and len(text) > 20:
+        return f"{text[:6]}... ({len(text.lstrip('-'))} digits)"
+    if len(text) > 40:
+        return f"{text[:20]}... ({len(text)} characters)"
+    return text
+
+
 def finite_number(value: object, subject: str, error: type[ConfigError] = ConfigError) -> float:
     """value as a float.  A bool, a non-number or a value outside the float
     range (NaN, an infinity, an int such as 10**400) raises ``error``, whose
@@ -58,7 +72,7 @@ def finite_number(value: object, subject: str, error: type[ConfigError] = Config
         or not isinstance(value, (int, float))
         or not -sys.float_info.max <= value <= sys.float_info.max
     ):
-        raise error(f"{subject} must be a finite number, got {value!r}")
+        raise error(f"{subject} must be a finite number, got {brief(value)}")
     return float(value)
 
 
@@ -68,5 +82,5 @@ def integer(value: object, subject: str, error: type[ConfigError] = ConfigError)
     if isinstance(value, bool) or not (
         isinstance(value, int) or isinstance(value, float) and value.is_integer()
     ):
-        raise error(f"{subject} must be an integer, got {value!r}")
+        raise error(f"{subject} must be an integer, got {brief(value)}")
     return int(value)

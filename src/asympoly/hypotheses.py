@@ -2,24 +2,24 @@
 
 Given an equation spec and a simulated trace, runs every hypothesis of the
 selected case, then verifies the conclusion (the solution splits into a
-polynomial of degree < m plus a remainder certified o(n**s), and in
-regular mode additionally passes the iterated-difference checks).  Every
-check is a finite-horizon diagnostic with declared thresholds; a failure
-verdict names the first failing hypothesis so the tool can be used to
-probe counterexamples.
+polynomial of degree < m plus a remainder certified o(n**s), and, in the
+regular form that a spec with q set selects, the remainder additionally
+passes the iterated-difference checks).  Every check is a finite-horizon
+diagnostic with declared thresholds; a failure verdict names the first
+failing hypothesis so the tool can be used to probe counterexamples.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import repeat
 from operator import sub
 
 from .catalog import Majorant, RhsFunction
 from .decomp import MIN_WINDOW, SolutionDecomposition, decompose_solution
-from .errors import ConfigError, WindowLengthError
+from .errors import ConfigError, WindowLengthError, brief
 from .neutral_solver import EquationSpec, SolutionTrace
 from .seqcore import (
     DEFAULT_THRESHOLDS,
@@ -68,17 +68,23 @@ class HypothesisVerdict:
 
     ``passed`` holds iff every case check passed and the conclusion
     passed; ``failed_check`` names the first failure (or "conclusion").
-    verdict.json is this verdict field by field, with case_id under the
-    key case and without the decomposition, which decomposition.json holds.
+    ``mode`` is derived: "regular" when the regular checks ran (the spec
+    set q), else "plain".  verdict.json is this verdict field by field,
+    with case_id under the key case and without the decomposition, which
+    decomposition.json holds.
     """
 
     case_id: str
-    mode: str
+    mode: str = field(init=False)
     checks: tuple[CheckResult, ...]
     conclusion: ConclusionResult
     passed: bool
     failed_check: str | None
     decomposition: SolutionDecomposition
+
+    def __post_init__(self) -> None:
+        regular = self.conclusion.regular_passed is not None
+        object.__setattr__(self, "mode", "regular" if regular else "plain")
 
 
 def _log_grid_n(n_max: int) -> list[int]:
@@ -208,27 +214,17 @@ def _alternative_check(
     )
 
 
-def validate_mode(spec: EquationSpec, case_id: str, mode: str) -> None:
-    """Reject a case other than a, b or c, a mode other than plain or
-    regular, and a regular mode without an integer target (q set, s == q)."""
+def validate_case(case_id: str) -> None:
+    """Reject a case other than a, b or c."""
     if case_id not in ("a", "b", "c"):
-        raise ConfigError(f"field case: must be a, b or c, got {case_id!r}")
-    if mode not in ("plain", "regular"):
-        raise ConfigError(f"field mode: must be plain or regular, got {mode!r}")
-    if mode == "regular":
-        if spec.q is None:
-            raise ConfigError("field q: regular mode requires q to be set")
-        if spec.s != spec.q:
-            raise ConfigError(
-                f"field s: regular mode requires s == q, got s={spec.s}, q={spec.q}"
-            )
+        raise ConfigError(f"field case: must be a, b or c, got {brief(case_id)}")
 
 
 def theorem_dispatch(
     spec: EquationSpec,
     trace: SolutionTrace,
     case_id: str,
-    mode: str = "plain",
+    *,
     thresholds: Thresholds = DEFAULT_THRESHOLDS,
 ) -> HypothesisVerdict:
     """Run every hypothesis check of the selected case and the conclusion.
@@ -236,12 +232,12 @@ def theorem_dispatch(
     Cases (a) and (b) check f (g, p)-bounded at p = m - 1, the exponent the
     case (a) reduction produces, and case (b) checks that x_{sigma(n)} is
     O(n**p) at the same p, by the :func:`order_estimate` rule that every
-    other order verdict uses.  In regular mode the spec must carry q with
-    s == q, the u-rate is checked at exponent 1 - m, and the conclusion
-    additionally requires the remainder to pass the iterated-difference
-    checks.
+    other order verdict uses.  A spec with q set (so s == q, which
+    EquationSpec enforces) selects the regular form: the u-rate is checked
+    at exponent 1 - m, and the conclusion additionally requires the
+    remainder to pass the iterated-difference checks.
     """
-    validate_mode(spec, case_id, mode)
+    validate_case(case_id)
     rt = spec.rt
     m, s = spec.m, spec.s
     n0, N = trace.z.start, trace.z.end
@@ -251,7 +247,7 @@ def theorem_dispatch(
     with index_power_tables(trace.x.end):
         a_diag = weighted_sum_diagnostic(trace.a, m - 1 - s, thresholds)
         b_diag = weighted_sum_diagnostic(trace.b, m - 1 - s, thresholds)
-        rate_exp = float(1 - m) if mode == "regular" else s + 1.0 - m
+        rate_exp = float(1 - m) if spec.q is not None else s + 1.0 - m
         u_rate = check_u_rate(trace.u, spec.c, rate_exp, thresholds)
         checks = [
             CheckResult(
@@ -301,16 +297,12 @@ def theorem_dispatch(
         decomposition = decompose_solution(trace, spec, thresholds)
 
     x_rep = decomposition.x_report
-    base_ok = x_rep.remainder_verdict.is_small_o
-    regular_ok: bool | None = None
-    if mode == "regular":
-        regular_ok = bool(x_rep.regular_passed)
-    conclusion = ConclusionResult(
-        passed=base_ok and (regular_ok is not False),
+    conclusion = ConclusionResult(  # regular_passed is None when q is not set
+        passed=x_rep.remainder_verdict.is_small_o and x_rep.regular_passed is not False,
         s=s,
         remainder_kind=x_rep.remainder_verdict.kind,
         metric=x_rep.remainder_verdict.metric,
-        regular_passed=regular_ok,
+        regular_passed=x_rep.regular_passed,
     )
 
     passed = all(c.passed for c in checks) and conclusion.passed
@@ -319,7 +311,6 @@ def theorem_dispatch(
         failed = next((c.name for c in checks if not c.passed), "conclusion")
     return HypothesisVerdict(
         case_id=case_id,
-        mode=mode,
         checks=tuple(checks),
         conclusion=conclusion,
         passed=passed,

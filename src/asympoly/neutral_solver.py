@@ -45,6 +45,7 @@ from .errors import (
     DivergenceError,
     SeedError,
     SingularRecoveryError,
+    brief,
     finite_number,
     integer,
 )
@@ -66,9 +67,10 @@ class EquationSpec:
 
     All functional ingredients are catalog references; ``s`` is the target
     smallness exponent of the asymptotic decomposition and ``q``, when set,
-    selects the regular (iterated-difference) form of the conclusion.
-    ``m``, ``k`` and ``q`` are stored as ints (2.0 reads as 2) and ``s`` as
-    a float, by the config's rules in :mod:`asympoly.errors`.  ``c`` is u's limit.
+    selects the regular (iterated-difference) form of the conclusion, which
+    needs the integer target s == q.  ``m``, ``k`` and ``q`` are stored as
+    ints (2.0 reads as 2) and ``s`` as a float, by the config's rules in
+    :mod:`asympoly.errors`.  ``c`` is u's limit.
     """
 
     m: int
@@ -91,13 +93,15 @@ class EquationSpec:
         if self.q is not None:
             object.__setattr__(self, "q", integer(self.q, "field q:"))
         if self.m < 1:
-            raise ConfigError(f"field m: difference order must be an integer >= 1, got {self.m!r}")
+            raise ConfigError(f"field m: difference order must be an integer >= 1, got {brief(self.m)}")
         if self.m > MAX_DIFFERENCE_ORDER:
-            raise ConfigError(f"field m: order {self.m} exceeds supported maximum {MAX_DIFFERENCE_ORDER}")
+            raise ConfigError(f"field m: order {brief(self.m)} exceeds supported maximum {MAX_DIFFERENCE_ORDER}")
         if self.s > self.m - 1 + 1e-12:
             raise ConfigError(f"field s: need s <= m - 1 = {self.m - 1}, got {self.s}")
         if self.q is not None and not 0 <= self.q <= self.m - 1:
-            raise ConfigError(f"field q: need an integer in [0, {self.m - 1}], got {self.q!r}")
+            raise ConfigError(f"field q: need an integer in [0, {self.m - 1}], got {brief(self.q)}")
+        if self.q is not None and self.s != self.q:
+            raise ConfigError(f"field s: the regular form (q set) needs s == q, got s={self.s}, q={self.q}")
         object.__setattr__(self, "rt", runtime(self))
         object.__setattr__(self, "c", self.rt.u.limit)
         if abs(abs(self.c) - 1.0) <= UNIT_MARGIN:
@@ -227,13 +231,6 @@ def consistent_seeds(
     return (tuple(profile[: abs(k)]) if k else None), z_seed
 
 
-def _brief(n: int) -> str:
-    """n as written, or, past 20 digits, its leading digits and digit count
-    (an integer k may have hundreds of digits)."""
-    text = str(n)
-    return text if len(text) <= 20 else f"{text[:6]}... ({len(text.lstrip('-'))} digits)"
-
-
 def check_seeds(spec: EquationSpec, x_seed: Sequence[float] | None, z_seed: Sequence[float]) -> None:
     """Raise SeedError naming ``seeds.z`` or ``seeds.x`` unless the seeds hold
     m z values and |k| x values (x_seed None when k = 0), as :func:`simulate` takes them."""
@@ -244,10 +241,10 @@ def check_seeds(spec: EquationSpec, x_seed: Sequence[float] | None, z_seed: Sequ
         if x_seed is not None:
             raise SeedError("field seeds.x: must be null when k = 0")
     elif x_seed is None:
-        raise SeedError(f"field seeds.x: required when k = {_brief(k)}")
+        raise SeedError(f"field seeds.x: required when k = {brief(k)}")
     elif len(x_seed) != abs(k):
         raise SeedError(
-            f"field seeds.x: must hold exactly |k| = {_brief(abs(k))} values, got {len(x_seed)}"
+            f"field seeds.x: must hold exactly |k| = {brief(abs(k))} values, got {len(x_seed)}"
         )
 
 
@@ -265,7 +262,7 @@ def _check_causality(spec: EquationSpec, N: int, sigma: Iterable[int]) -> None:
     for n, sv in zip(range(n0, max(n0, N - spec.m + 1)), sigma):
         if sv < xs or sv > n + lag:
             raise CausalityError(
-                f"step n={n}: sigma(n)={sv} outside realized x range [{xs}, {n + lag}]"
+                f"step n={n}: sigma(n)={brief(sv)} outside realized x range [{xs}, {n + lag}]"
             )
 
 

@@ -25,8 +25,8 @@ from asympoly.seqcore import PolyCoeffs, Seq, delta
 
 from conftest import CERTIFIED, cumsum_window, load_fixture, seq_from_function
 
-T1_NAMES = tuple(name for name, cfg in CERTIFIED.items() if cfg.mode == "plain")
-T2_NAMES = tuple(name for name, cfg in CERTIFIED.items() if cfg.mode == "regular")
+T1_NAMES = tuple(name for name, cfg in CERTIFIED.items() if cfg.spec.q is None)
+T2_NAMES = tuple(name for name, cfg in CERTIFIED.items() if cfg.spec.q is not None)
 
 
 def _report(number, name, t0, budget):
@@ -141,7 +141,7 @@ def test_criterion_5_theorem_t1_end_to_end(traces):
     assert {CERTIFIED[n].spec.s for n in T1_NAMES} >= {0.0, 1.0, 2.0}
     for name in T1_NAMES:
         inst = CERTIFIED[name]
-        verdict = theorem_dispatch(inst.spec, traces[name], inst.case_id, inst.mode)
+        verdict = theorem_dispatch(inst.spec, traces[name], inst.case_id)
         assert verdict.passed, (name, verdict.failed_check)
         dec = verdict.decomposition
         assert dec.x_report.remainder_verdict.kind == "small_o", name
@@ -165,8 +165,9 @@ def test_criterion_6_regular_refinement(traces):
         assert inst.spec.q == inst.spec.s  # integer target
         assert inst.spec.u.id == "power_offset"
         assert inst.spec.u.params["rho"] == inst.spec.m  # u = c + A n^-m
-        verdict = theorem_dispatch(inst.spec, traces[name], inst.case_id, "regular")
+        verdict = theorem_dispatch(inst.spec, traces[name], inst.case_id)
         assert verdict.passed, (name, verdict.failed_check)
+        assert verdict.mode == "regular", name
         rep = verdict.decomposition.x_report
         assert rep.regular_passed is True, name
         assert len(rep.regular_checks) == inst.spec.q + 1

@@ -115,6 +115,20 @@ def test_spec_c_is_an_unknown_key(name, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("mode", ["plain", "regular"])
+@pytest.mark.parametrize("name", sorted(entry["file"] for entry in manifest_entries()))
+def test_mode_is_an_unknown_key(name, mode, tmp_path, capsys):
+    # spec.q alone selects the regular form; there is no mode key.
+    raw = json.loads(fixture_text(name))
+    raw["mode"] = mode
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    assert run(str(config), out_dir=str(tmp_path / "o")) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == "" and err == "config error: unknown key(s) ['mode'] in config\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_s_floor_follows_the_effective_horizon(tmp_path):
     # m = 1 at horizon 1e4: the floor is s >= -ln(max float) / ln(1e4) = -77.06.
     raw = json.loads(fixture_text("t1_case_a_m1.json"))
@@ -343,27 +357,111 @@ def test_horizon_beyond_the_cap_is_rejected_before_simulating(tmp_path, capsys, 
 
 
 @pytest.mark.parametrize(
-    "name, edit, field",
+    "name, key, value",
     [
-        ("t1_case_a_m2.json", {"mode": "regular"}, "q"),  # q is null
-        ("t2_regular_m2.json", {"s": 0.0}, "s"),  # q = 1
+        ("t2_regular_m2.json", "s", 0.0),  # q = 1
+        ("t1_case_a_m2.json", "q", 1),  # s = 0
+        ("t1_case_b_m3.json", "q", 0),  # s = 2
     ],
 )
-def test_inconsistent_regular_mode_is_rejected_before_simulating(
-    name, edit, field, tmp_path, capsys, monkeypatch
+def test_q_set_with_s_not_q_is_rejected_before_simulating(
+    name, key, value, tmp_path, capsys, monkeypatch
 ):
-    def never(*args):
-        raise AssertionError("simulate was reached")
-
-    monkeypatch.setattr(cli, "simulate", never)
+    calls = []
+    monkeypatch.setattr(cli, "simulate", lambda *args: calls.append(args))
     raw = json.loads(fixture_text(name))
-    for key, value in edit.items():
-        (raw if key == "mode" else raw["spec"])[key] = value
+    raw["spec"][key] = value
     config = tmp_path / "config.json"
     config.write_text(json.dumps(raw), encoding="utf-8")
     assert run(str(config), out_dir=str(tmp_path / "o")) == EXIT_CONFIG
-    assert f"field {field}: regular mode requires" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("config error: field s: ")
+    assert calls == []
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "name, q", [("t1_case_b_m2.json", 1), ("t1_case_b_m3.json", 2), ("t1_case_a_m3.json", 1)]
+)
+def test_q_set_on_a_plain_fixture_certifies_the_regular_form(name, q, tmp_path):
+    # s = q on these fixtures, so q selects the regular form. Its remainder
+    # checks pass, but u - c is not o(n**(1 - m)), the rate the regular
+    # theorem needs, so the run fails on u-rate.
+    raw = json.loads(fixture_text(name))
+    raw["spec"]["q"] = q
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    out = tmp_path / "o"
+    assert run(str(config), out_dir=str(out)) == EXIT_HYPOTHESIS
+    verdict = json.loads((out / "verdict.json").read_text(encoding="utf-8"))
+    assert verdict["mode"] == "regular"
+    assert verdict["failed_check"] == "u-rate"
+    assert verdict["conclusion"]["passed"] is True
+    assert verdict["conclusion"]["regular_passed"] is True
+
+
+def test_regular_fixture_with_q_null_runs_plain(tmp_path):
+    raw = json.loads(fixture_text("t2_regular_m2.json"))
+    raw["spec"]["q"] = None
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    out = tmp_path / "o"
+    assert run(str(config), out_dir=str(out)) == EXIT_OK
+    verdict = json.loads((out / "verdict.json").read_text(encoding="utf-8"))
+    assert verdict["mode"] == "plain"
+    assert verdict["conclusion"]["regular_passed"] is None
+
+
+def _set_path(raw, path, value):
+    """Set raw at a path of keys, e.g. ("spec", "u", "params", "c")."""
+    for key in path[:-1]:
+        raw = raw[key]
+    raw[path[-1]] = value
+
+
+#: Huge config values, by label: ints beyond the float range, and floats
+#: that an integer field reads as 309-digit ints.
+HUGE = {"1e308": 1e308, "-1e308": -1e308, "10**400": 10**400, "-10**400": -(10**400)}
+BEYOND_FLOAT = ("10**400", "-10**400")
+
+
+def huge_cases(path, labels, code, start):
+    """One case per label: set path to that value, expect code and a
+    message starting with start."""
+    name = ".".join(map(str, path))
+    return [pytest.param(path, HUGE[label], code, start, id=f"{name}={label}") for label in labels]
+
+
+#: Config values a message echoed whole before they were abbreviated.
+HUGE_VALUES = [
+    *huge_cases(("spec", "m"), HUGE, EXIT_CONFIG, "config error: field m: "),
+    *huge_cases(("spec", "s"), BEYOND_FLOAT, EXIT_CONFIG, "config error: field s: "),
+    *huge_cases(("spec", "q"), HUGE, EXIT_CONFIG, "config error: field q: "),
+    *huge_cases(("case",), BEYOND_FLOAT, EXIT_CONFIG, "config error: field case: "),
+    *huge_cases(("seeds", "z", 0), BEYOND_FLOAT, EXIT_CONFIG, "config error: field seeds.z: "),
+    *huge_cases(("spec", "u", "params", "c"), BEYOND_FLOAT, EXIT_CONFIG, "config error: field u: parameter 'c'"),
+    *huge_cases(("spec", "sigma", "params", "d"), ("1e308", "-1e308"), EXIT_SIMULATION,
+                "simulation error: step n=2: sigma(n)="),
+    *huge_cases(("spec", "sigma", "params", "d"), BEYOND_FLOAT, EXIT_CONFIG,
+                "config error: field sigma: parameter 'd'"),
+    *huge_cases(("thresholds", "tau_small"), BEYOND_FLOAT, EXIT_CONFIG,
+                "config error: field thresholds.tau_small: "),
+    *huge_cases(("horizon",), HUGE, EXIT_CONFIG, "config error: field horizon: "),
+    pytest.param(("case",), "x" * 1000, EXIT_CONFIG, "config error: field case: ", id="case=long-string"),
+]
+
+
+@pytest.mark.parametrize("path, value, code, start", HUGE_VALUES)
+def test_huge_config_values_are_abbreviated(path, value, code, start, tmp_path, capsys):
+    raw = json.loads(fixture_text("t1_case_a_m2.json"))
+    raw["spec"]["sigma"] = {"id": "delay_d", "params": {"d": 0}}  # the identity
+    raw["horizon"] = 300
+    _set_path(raw, path, value)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    assert run(str(config), out_dir=str(tmp_path / "o")) == code
+    err = capsys.readouterr().err
+    assert err.startswith(start), err
+    assert all(len(line) < 200 for line in err.splitlines()), err
 
 
 @pytest.mark.parametrize("out", ["file", "file/sub"])
@@ -515,7 +613,7 @@ ANY_VALUE = (
 #: A horizon that runs (at most 300) or that is rejected before anything is allocated.
 HORIZON_VALUE = ANY_VALUE | st.integers(60, 300) | st.just(cli.MAX_HORIZON + 1)
 CATALOG_FIELDS = ["u", "a", "b", "f", "g", "sigma"]
-SCALAR_KEYS = ["m", "k", "s", "q", "case", "mode"]
+SCALAR_KEYS = ["m", "k", "s", "q", "case"]
 FIXTURE_FILES = sorted(entry["file"] for entry in manifest_entries())
 
 
@@ -558,8 +656,8 @@ def mutated_config(draw):
 
 
 def mutate_scalar(draw, raw, key):
-    """Replace spec.<key>, or the top-level case or mode, by another JSON value, or delete it."""
-    container = raw if key in ("case", "mode") else raw["spec"]
+    """Replace spec.<key>, or the top-level case, by another JSON value, or delete it."""
+    container = raw if key == "case" else raw["spec"]
     if draw(st.booleans()):
         container.pop(key, None)
     else:
@@ -569,7 +667,7 @@ def mutate_scalar(draw, raw, key):
 @st.composite
 def mutated_spec_scalar(draw):
     """A shipped fixture at horizon 300 with one of spec.m, k, s and q,
-    case and mode replaced by another JSON value, or deleted."""
+    and case replaced by another JSON value, or deleted."""
     raw = draw_fixture(draw)
     mutate_scalar(draw, raw, draw(st.sampled_from(SCALAR_KEYS)))
     return raw
@@ -616,7 +714,7 @@ def test_mutated_seeds_horizon_and_params_exit_cleanly(raw):
 
 @settings(max_examples=40, deadline=None)
 @given(mutated_spec_scalar())
-def test_mutated_spec_scalars_case_and_mode_exit_cleanly(raw):
+def test_mutated_spec_scalars_and_case_exit_cleanly(raw):
     assert_exits_cleanly(raw)
 
 

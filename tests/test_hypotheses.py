@@ -186,17 +186,18 @@ class TestTheoremDispatch:
     def test_soundness_wiring(self, traces):
         # overall pass implies every sub-check and the conclusion passed
         for name, inst in CERTIFIED.items():
-            v = theorem_dispatch(inst.spec, traces[name], inst.case_id, inst.mode)
+            v = theorem_dispatch(inst.spec, traces[name], inst.case_id)
             if v.passed:
                 assert all(c.passed for c in v.checks)
                 assert v.conclusion.passed
             else:
                 assert v.failed_check is not None
 
-    def test_regular_mode_requires_integer_match(self, traces):
-        spec = CERTIFIED["t1_case_a_m2"].spec  # q is None
-        with pytest.raises(ConfigError):
-            theorem_dispatch(spec, traces["t1_case_a_m2"], "a", mode="regular")
+    def test_thresholds_are_keyword_only(self, traces):
+        # A fourth positional argument is rejected, not read as the thresholds.
+        spec = CERTIFIED["t1_case_a_m2"].spec
+        with pytest.raises(TypeError):
+            theorem_dispatch(spec, traces["t1_case_a_m2"], "a", "regular")
 
     def test_invalid_case_rejected(self, traces):
         with pytest.raises(ConfigError, match="field case:"):
@@ -205,8 +206,9 @@ class TestTheoremDispatch:
     def test_regular_instances_pass(self, traces):
         for name in ("t2_regular_m2", "t2_regular_m3"):
             inst = CERTIFIED[name]
-            v = theorem_dispatch(inst.spec, traces[name], inst.case_id, "regular")
+            v = theorem_dispatch(inst.spec, traces[name], inst.case_id)
             assert v.passed, (name, v.failed_check)
+            assert v.mode == "regular"
             assert v.conclusion.regular_passed is True
 
     def test_case_c_bounded_f(self, traces):
@@ -284,7 +286,7 @@ def test_certified_case_b_has_x_sigma_in_big_o(name, traces):
     # (not small_o) and the check passes.
     inst = CERTIFIED[name]
     verdict = theorem_dispatch(
-        inst.spec, traces[name], inst.case_id, inst.mode, inst.thresholds
+        inst.spec, traces[name], inst.case_id, thresholds=inst.thresholds
     )
     check = next(c for c in verdict.checks if c.name == "x-sigma-growth")
     assert check.passed
@@ -294,7 +296,7 @@ def test_certified_case_b_has_x_sigma_in_big_o(name, traces):
 class TestIndexPowerScope:
     def test_no_table_left_after_dispatch_returns(self, traces):
         inst = CERTIFIED["t1_case_b_m3"]
-        theorem_dispatch(inst.spec, traces["t1_case_b_m3"], inst.case_id, inst.mode)
+        theorem_dispatch(inst.spec, traces["t1_case_b_m3"], inst.case_id)
         assert seqcore._POWER_TABLES.get() is None
 
     def test_no_table_left_after_dispatch_raises(self, traces, monkeypatch):
@@ -307,6 +309,6 @@ class TestIndexPowerScope:
 
         monkeypatch.setattr(hypotheses, "decompose_solution", failing)
         with pytest.raises(RuntimeError, match="decomposition failed"):
-            theorem_dispatch(inst.spec, traces["t1_case_a_m2"], inst.case_id, inst.mode)
+            theorem_dispatch(inst.spec, traces["t1_case_a_m2"], inst.case_id)
         assert seen and seen[0]  # the checks before it filled the scope's tables
         assert seqcore._POWER_TABLES.get() is None

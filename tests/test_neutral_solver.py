@@ -68,9 +68,17 @@ class TestEquationSpec:
             spec_with(s=0.5)
 
     def test_q_range(self):
-        with pytest.raises(ConfigError, match="q"):
+        with pytest.raises(ConfigError, match="^field q:"):
             spec_with(m=2, s=1.0, q=2)
         spec_with(m=2, s=1.0, q=1)  # valid
+
+    def test_q_set_needs_s_equal_q(self):
+        # q selects the regular form, whose target is the integer s = q.
+        with pytest.raises(ConfigError, match=r"^field s: .*needs s == q, got s=0.0, q=1$"):
+            spec_with(m=2, s=0.0, q=1)
+        # The rule runs before the catalog is built.
+        with pytest.raises(ConfigError, match="^field s:"):
+            spec_with(m=2, s=0.0, q=1, u=CatalogRef("no_such_entry"))
 
     def test_catalog_built_once_per_spec(self, monkeypatch):
         # Spec, seeds, simulation and dispatch share the spec's one runtime.
@@ -89,7 +97,7 @@ class TestEquationSpec:
         inst = CERTIFIED["t1_case_b_m2"]
         spec = dataclasses.replace(inst.spec)
         trace = simulate(spec, inst.x_seed, inst.z_seed, 2000)
-        theorem_dispatch(spec, trace, inst.case_id, inst.mode)
+        theorem_dispatch(spec, trace, inst.case_id)
         assert len(calls) == 6
 
     def test_c_beyond_the_float_range_rejected(self):
