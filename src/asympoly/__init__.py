@@ -68,12 +68,10 @@ from .neutral_solver import (
     x_start_index,
 )
 from .seqcore import (
-    DEFAULT_THRESHOLDS,
     CompensatedSum,
     OrderVerdict,
     PolyCoeffs,
     Seq,
-    Thresholds,
     WeightedSumDiagnostic,
     classify_oscillation,
     csum,

@@ -42,7 +42,7 @@ from .errors import (
 )
 from .hypotheses import theorem_dispatch, validate_case
 from .neutral_solver import EquationSpec, SolutionTrace, check_seeds, simulate, start_index
-from .seqcore import PolyCoeffs, Seq, Thresholds, delta
+from .seqcore import PolyCoeffs, Seq, delta
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -65,8 +65,7 @@ MAX_HORIZON = 8_000_000
 #: The spec's keys: EquationSpec's init fields, required unless defaulted.
 _SPEC_FIELDS = tuple(f for f in fields(EquationSpec) if f.init)
 _SPEC_KEYS = {f.name for f in _SPEC_FIELDS}
-_TOP_KEYS = {"spec", "seeds", "horizon", "case", "thresholds", "output"}
-_THRESHOLD_KEYS = {f.name for f in fields(Thresholds)}
+_TOP_KEYS = {"spec", "seeds", "horizon", "case", "output"}
 
 
 def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str) -> None:
@@ -76,14 +75,6 @@ def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str) 
     missing = required - set(obj)
     if missing:
         raise ConfigError(f"missing key(s) {sorted(missing)} in {where}")
-
-
-def _threshold_field(value: Any, key: str) -> float:
-    """A threshold: a finite number >= 0."""
-    v = finite_number(value, f"field thresholds.{key}:")
-    if v < 0.0:
-        raise ConfigError(f"field thresholds.{key}: must be >= 0, got {v!r}")
-    return v
 
 
 def _check_horizon(spec: EquationSpec, horizon: int) -> None:
@@ -142,7 +133,7 @@ def _ref_from_json(obj: Any, where: str) -> CatalogRef:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment: equation spec, seeds, horizon, case and thresholds.
+    """One experiment: equation spec, seeds, horizon and case.
 
     x_seed and z_seed are the seed values as :func:`simulate` takes them.
     """
@@ -152,7 +143,6 @@ class ExperimentConfig:
     z_seed: tuple[float, ...]
     horizon: int
     case_id: str
-    thresholds: Thresholds = Thresholds()
     output: str | None = None
 
     @staticmethod
@@ -185,13 +175,6 @@ class ExperimentConfig:
         horizon = integer(raw["horizon"], "field horizon:")
         case_id = raw["case"]
         validate_case(case_id)
-        thr_raw = raw.get("thresholds", {})
-        if not isinstance(thr_raw, dict):
-            raise ConfigError("field thresholds: must be an object")
-        _require_keys(thr_raw, _THRESHOLD_KEYS, set(), "thresholds")
-        thresholds = Thresholds(
-            **{k: _threshold_field(v, k) for k, v in thr_raw.items()}
-        )
         output = raw.get("output")
         if output is not None and not isinstance(output, str):
             raise ConfigError("field output: must be a string path")
@@ -201,7 +184,6 @@ class ExperimentConfig:
             z_seed=tuple(finite_number(v, "field seeds.z:") for v in seeds["z"]),
             horizon=horizon,
             case_id=case_id,
-            thresholds=thresholds,
             output=output,
         )
 
@@ -294,7 +276,7 @@ def run(config_path: str, horizon: int | None = None, out_dir: str | None = None
         _check_s_floor(config.spec, N)
         _check_output_dir(out)
         trace = simulate(config.spec, config.x_seed, config.z_seed, N)
-        verdict = theorem_dispatch(config.spec, trace, config.case_id, thresholds=config.thresholds)
+        verdict = theorem_dispatch(config.spec, trace, config.case_id)
         out.mkdir(parents=True, exist_ok=True)
         _atomic_write(out / "trace.csv", _trace_csv(trace, config.spec.m))
         _atomic_write(out / "decomposition.json", [_json_text(verdict.decomposition)])

@@ -25,11 +25,9 @@ from typing import Sequence
 from .errors import DivergenceError, WindowLengthError
 from .neutral_solver import EquationSpec, SolutionTrace, UNIT_MARGIN
 from .seqcore import (
-    DEFAULT_THRESHOLDS,
     OrderVerdict,
     PolyCoeffs,
     Seq,
-    Thresholds,
     csum,
     delta,
     index_powers,
@@ -209,13 +207,7 @@ def rounding_resolution(scale: float, p: int = 0) -> float:
     return NOISE_SAFETY * 2.0**p * sys.float_info.epsilon * scale
 
 
-def extract_polynomial(
-    z: Seq,
-    m: int,
-    s: float,
-    q: int | None = None,
-    thresholds: Thresholds = DEFAULT_THRESHOLDS,
-) -> DecompositionReport:
+def extract_polynomial(z: Seq, m: int, s: float, q: int | None = None) -> DecompositionReport:
     """Split z into a degree < m polynomial and an o(n**s)-candidate rest.
 
     Coefficients are estimated top-down: c_d is the trailing-window mean
@@ -240,7 +232,7 @@ def extract_polynomial(
 
     # The remainder is derived from z, so its rounding resolution is z's.
     scale = max(map(abs, z.values))
-    verdict = order_estimate(remainder, s, thresholds, noise_scale=rounding_resolution(scale))
+    verdict = order_estimate(remainder, s, noise_scale=rounding_resolution(scale))
     if verdict.kind == "big_O":
         verdict = replace(verdict, kind="neither")
 
@@ -248,7 +240,7 @@ def extract_polynomial(
     regular_checks = None
     regular_passed = None
     if q is not None:
-        regular_checks = regularity_check(remainder, q, thresholds, scale=scale)
+        regular_checks = regularity_check(remainder, q, scale=scale)
         regular_passed = all(v.is_small_o for v in regular_checks)
     return DecompositionReport(
         psi=psi,
@@ -297,12 +289,7 @@ def transfer_polynomial(phi: PolyCoeffs, c: float, k: int) -> PolyCoeffs:
     return result
 
 
-def regularity_check(
-    w: Seq,
-    q: int,
-    thresholds: Thresholds = DEFAULT_THRESHOLDS,
-    scale: float | None = None,
-) -> tuple[OrderVerdict, ...]:
+def regularity_check(w: Seq, q: int, *, scale: float | None = None) -> tuple[OrderVerdict, ...]:
     """Verdicts, for p = 0..q, on the p-th difference of w lying in o(n**(q-p)).
 
     All levels small_o certifies, at finite horizon, that the q-th
@@ -322,12 +309,7 @@ def regularity_check(
         if p:
             level = delta(level, 1)  # the p-th difference, exactly as delta(w, p)
         verdicts.append(
-            order_estimate(
-                level,
-                float(q - p),
-                thresholds,
-                noise_scale=rounding_resolution(base, p),
-            )
+            order_estimate(level, float(q - p), noise_scale=rounding_resolution(base, p))
         )
     return tuple(verdicts)
 
@@ -345,11 +327,7 @@ class SolutionDecomposition:
     psi_x_transferred: PolyCoeffs
 
 
-def decompose_solution(
-    trace: SolutionTrace,
-    spec: EquationSpec,
-    thresholds: Thresholds = DEFAULT_THRESHOLDS,
-) -> SolutionDecomposition:
+def decompose_solution(trace: SolutionTrace, spec: EquationSpec) -> SolutionDecomposition:
     """Decompose both sides of a trace and predict x's polynomial from z's.
 
     z is decomposed directly; its polynomial is pushed through the neutral
@@ -357,7 +335,7 @@ def decompose_solution(
     polynomial; x is decomposed independently as a cross-check.  When the
     spec carries q, the regular checks run on both remainders.
     """
-    rz = extract_polynomial(trace.z, spec.m, spec.s, q=spec.q, thresholds=thresholds)
+    rz = extract_polynomial(trace.z, spec.m, spec.s, q=spec.q)
     transferred = transfer_polynomial(rz.psi, spec.c, spec.k)
-    rx = extract_polynomial(trace.x, spec.m, spec.s, q=spec.q, thresholds=thresholds)
+    rx = extract_polynomial(trace.x, spec.m, spec.s, q=spec.q)
     return SolutionDecomposition(rz, rx, transferred)

@@ -22,10 +22,8 @@ from .decomp import MIN_WINDOW, SolutionDecomposition, decompose_solution
 from .errors import ConfigError, WindowLengthError, brief
 from .neutral_solver import EquationSpec, SolutionTrace
 from .seqcore import (
-    DEFAULT_THRESHOLDS,
     OrderVerdict,
     Seq,
-    Thresholds,
     classify_oscillation,
     index_power_tables,
     line_fit,
@@ -135,15 +133,13 @@ def check_g_p_bounded(
     )
 
 
-def check_u_rate(
-    u: Seq, c: float, e: float, thresholds: Thresholds = DEFAULT_THRESHOLDS
-) -> OrderVerdict:
+def check_u_rate(u: Seq, c: float, e: float) -> OrderVerdict:
     """Order verdict for u - c against n**e (the rate hypothesis on u)."""
     shifted = Seq(u.start, map(sub, u.values, repeat(c)))
-    return order_estimate(shifted, e, thresholds)
+    return order_estimate(shifted, e)
 
 
-def polynomial_growth_check(x: Seq, thresholds: Thresholds = DEFAULT_THRESHOLDS) -> OrderVerdict:
+def polynomial_growth_check(x: Seq) -> OrderVerdict:
     """x in O(n**t) for some t: the :func:`order_estimate` verdict on the
     trailing half of a window of at least MIN_WINDOW entries (so past index
     0), at exponent t + GROWTH_SLACK.
@@ -162,12 +158,10 @@ def polynomial_growth_check(x: Seq, thresholds: Thresholds = DEFAULT_THRESHOLDS)
     s = max(line_fit(log_n, log_x)[0], 0.0) + GROWTH_SLACK
     if s * math.log(tail.end) > math.log(sys.float_info.max):
         return OrderVerdict("neither", s, math.inf, math.inf, math.inf)
-    return order_estimate(tail, s, thresholds)
+    return order_estimate(tail, s)
 
 
-def _composed_growth_check(
-    trace: SolutionTrace, p: float, thresholds: Thresholds
-) -> CheckResult:
+def _composed_growth_check(trace: SolutionTrace, p: float) -> CheckResult:
     """x_{sigma(n)} in O(n**p): the :func:`order_estimate` verdict at
     exponent p, passed when it is small_o or big_O.
 
@@ -180,7 +174,7 @@ def _composed_growth_check(
     if min(sig) < x.start or max(sig) > x.end:
         sig = sig[: next(i for i, sv in enumerate(sig) if not x.start <= sv <= x.end)]
     x_sig = Seq(trace.z.start, map(x.values.__getitem__, map(sub, sig, repeat(x.start))))
-    verdict = order_estimate(x_sig, p, thresholds)
+    verdict = order_estimate(x_sig, p)
     return CheckResult(
         "x-sigma-growth",
         verdict.kind != "neither",
@@ -189,16 +183,14 @@ def _composed_growth_check(
     )
 
 
-def _alternative_check(
-    trace: SolutionTrace, spec: EquationSpec, thresholds: Thresholds
-) -> CheckResult:
+def _alternative_check(trace: SolutionTrace, spec: EquationSpec) -> CheckResult:
     """The three-way alternative: k(|c|-1) >= 0, polynomial growth (a
     :func:`polynomial_growth_check` verdict of small_o or big_O), or
     (u,k)-nonoscillation; the first satisfied branch is reported."""
     kc = spec.k * (abs(spec.c) - 1.0)
     if kc >= 0.0:
         return CheckResult("alternative", True, kc, f"k(|c|-1) = {kc:.6g} >= 0")
-    growth = polynomial_growth_check(trace.x, thresholds)
+    growth = polynomial_growth_check(trace.x)
     if growth.kind != "neither":
         return CheckResult(
             "alternative", True, growth.metric,
@@ -220,13 +212,7 @@ def validate_case(case_id: str) -> None:
         raise ConfigError(f"field case: must be a, b or c, got {brief(case_id)}")
 
 
-def theorem_dispatch(
-    spec: EquationSpec,
-    trace: SolutionTrace,
-    case_id: str,
-    *,
-    thresholds: Thresholds = DEFAULT_THRESHOLDS,
-) -> HypothesisVerdict:
+def theorem_dispatch(spec: EquationSpec, trace: SolutionTrace, case_id: str) -> HypothesisVerdict:
     """Run every hypothesis check of the selected case and the conclusion.
 
     Cases (a) and (b) check f (g, p)-bounded at p = m - 1, the exponent the
@@ -245,10 +231,10 @@ def theorem_dispatch(
 
     # Every n**e weight of this run is computed once, on [1, end of x].
     with index_power_tables(trace.x.end):
-        a_diag = weighted_sum_diagnostic(trace.a, m - 1 - s, thresholds)
-        b_diag = weighted_sum_diagnostic(trace.b, m - 1 - s, thresholds)
+        a_diag = weighted_sum_diagnostic(trace.a, m - 1 - s)
+        b_diag = weighted_sum_diagnostic(trace.b, m - 1 - s)
         rate_exp = float(1 - m) if spec.q is not None else s + 1.0 - m
-        u_rate = check_u_rate(trace.u, spec.c, rate_exp, thresholds)
+        u_rate = check_u_rate(trace.u, spec.c, rate_exp)
         checks = [
             CheckResult(
                 "a-summability", a_diag.converged, a_diag.tail_estimate,
@@ -269,7 +255,7 @@ def theorem_dispatch(
             checks.append(CheckResult(
                 "f-bounded", bounded, rt.f.bound,
                 f"catalog bound {rt.f.bound:g}" if bounded else "f unbounded in catalog"))
-            checks.append(_alternative_check(trace, spec, thresholds))
+            checks.append(_alternative_check(trace, spec))
         else:
             f_g_bounded = check_g_p_bounded(rt.f, rt.g, p_eff, n_max=N)
             if case_id == "a":
@@ -291,10 +277,10 @@ def theorem_dispatch(
                 checks.append(CheckResult(
                     "g-locally-bounded", True, 0.0, "catalog guarantee"))
                 checks.append(f_g_bounded)
-                checks.append(_composed_growth_check(trace, p_eff, thresholds))
-                checks.append(_alternative_check(trace, spec, thresholds))
+                checks.append(_composed_growth_check(trace, p_eff))
+                checks.append(_alternative_check(trace, spec))
 
-        decomposition = decompose_solution(trace, spec, thresholds)
+        decomposition = decompose_solution(trace, spec)
 
     x_rep = decomposition.x_report
     conclusion = ConclusionResult(  # regular_passed is None when q is not set

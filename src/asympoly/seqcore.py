@@ -11,7 +11,7 @@ Conventions fixed once here and reused everywhere:
 * "for large n" means: for every n in the trailing half of the realized
   common window, whose length is :func:`trail_length`;
 * a small-o verdict at exponent s requires the trailing-third sup of
-  |x_n|/n**s to be below ``tau_small`` *and* to have decreased against the
+  |x_n|/n**s to be below ``TAU_SMALL`` *and* to have decreased against the
   middle third;
 * window sums are exactly rounded (``math.fsum``), so they do not depend
   on the order of the terms and diagnostics are reproducible;
@@ -40,6 +40,21 @@ TRAIL_FRACTION = 0.5
 #: Values moved per step by :func:`fill_array`.
 FILL_CHUNK = 4096
 
+# The three certification gates, read by :func:`order_estimate` and
+# :func:`weighted_sum_diagnostic` when they are called.  The windows those
+# diagnostics read are conventions, not gates: "for large n" is the
+# trailing half (TRAIL_FRACTION), coefficient means read the trailing
+# eighth (``decomp.COEFF_WINDOW_FRACTION``), and the level at which a
+# window counts as rounding noise is derived from the data
+# (``order_estimate``'s noise_scale).
+#: Trailing-third sup bound for a small-o verdict.
+TAU_SMALL = 0.05
+#: Relative tail bound below which a weighted sum counts as converged.
+TAU_TAIL = 1e-3
+#: Allowed relative excess of the trailing sup over the earlier sup before
+#: a big-O verdict is withheld.
+BIG_O_SLACK = 0.02
+
 
 def trail_length(n: int) -> int:
     """Length of the trailing half (TRAIL_FRACTION) of n entries: ceil(n / 2), at least 1."""
@@ -64,33 +79,6 @@ def fill_array(values: Iterable[float]) -> array:
         out.fromlist(chunk)
         if len(chunk) < FILL_CHUNK:
             return out
-
-
-@dataclass(frozen=True)
-class Thresholds:
-    """Certification thresholds for the finite-horizon diagnostics.
-
-    tau_small
-        trailing-third sup bound for a small-o verdict.
-    tau_tail
-        relative tail bound below which a weighted sum counts as converged.
-    big_o_slack
-        allowed relative excess of the trailing sup over the earlier sup
-        before a big-O verdict is withheld.
-
-    The windows the diagnostics read are conventions, not thresholds:
-    "for large n" is the trailing half (TRAIL_FRACTION), and coefficient
-    means read the trailing eighth (``decomp.COEFF_WINDOW_FRACTION``).
-    Nor is the level at which a window counts as rounding noise: callers
-    derive it from the data (``order_estimate``'s noise_scale).
-    """
-
-    tau_small: float = 0.05
-    tau_tail: float = 1e-3
-    big_o_slack: float = 0.02
-
-
-DEFAULT_THRESHOLDS = Thresholds()
 
 
 @dataclass(frozen=True)
@@ -360,13 +348,11 @@ class WeightedSumDiagnostic:
     converged: bool
 
 
-def weighted_sum_diagnostic(
-    x: Seq, w: float, thresholds: Thresholds = DEFAULT_THRESHOLDS
-) -> WeightedSumDiagnostic:
+def weighted_sum_diagnostic(x: Seq, w: float) -> WeightedSumDiagnostic:
     """Partial sum of n**w * |x_n| with a last-quarter tail estimate.
 
     ``converged`` means the trailing quarter of the window contributes less
-    than ``tau_tail * (1 + partial_sum)``.  This is a finite-horizon
+    than ``TAU_TAIL * (1 + partial_sum)``.  This is a finite-horizon
     verdict with a declared threshold, not a convergence proof.
     """
     if len(x) < 16:
@@ -384,7 +370,7 @@ def weighted_sum_diagnostic(
     partial = weighted_sum(1 if x.start == 0 and w != 0.0 else 0)
     tail_part = weighted_sum((3 * len(vals)) // 4)
     return WeightedSumDiagnostic(
-        partial, tail_part, tail_part < thresholds.tau_tail * (1.0 + partial)
+        partial, tail_part, tail_part < TAU_TAIL * (1.0 + partial)
     )
 
 
@@ -412,15 +398,15 @@ class OrderVerdict:
 def order_estimate(
     x: Seq,
     s: float,
-    thresholds: Thresholds = DEFAULT_THRESHOLDS,
+    *,
     noise_scale: float | None = None,
 ) -> OrderVerdict:
     """Order-of-growth verdict for x against the scale n**s.
 
-    small_o: trailing-third sup of |x_n|/n**s below ``tau_small`` and
+    small_o: trailing-third sup of |x_n|/n**s below ``TAU_SMALL`` and
     decreased versus the middle third.  big_O: trailing sup within
-    ``big_o_slack`` of the sup over the first two thirds.  Deterministic
-    given the window and thresholds.  Index 0 is skipped (and flagged)
+    ``BIG_O_SLACK`` of the sup over the first two thirds.  Deterministic
+    given the window.  Index 0 is skipped (and flagged)
     whenever s != 0.
 
     ``noise_scale``, when given, is the rounding resolution of the data x
@@ -446,7 +432,7 @@ def order_estimate(
     if (
         noise_scale is not None
         and max(map(abs, x.values[len(x) - third :])) <= noise_scale
-        and metric < thresholds.tau_small
+        and metric < TAU_SMALL
     ):
         return OrderVerdict("small_o", s, metric, 0.0, early_sup, excluded)
     if mid_sup > 0.0:
@@ -455,8 +441,8 @@ def order_estimate(
         trend = 0.0
     else:
         trend = math.inf
-    small = metric < thresholds.tau_small and trend < 1.0
-    big = metric <= early_sup * (1.0 + thresholds.big_o_slack)
+    small = metric < TAU_SMALL and trend < 1.0
+    big = metric <= early_sup * (1.0 + BIG_O_SLACK)
     kind = "small_o" if small else ("big_O" if big else "neither")
     return OrderVerdict(kind, s, metric, trend, early_sup, excluded)
 

@@ -78,7 +78,7 @@ def test_psi_matches_the_whole_window_reference_bit_for_bit(name, traces):
     cfg = CERTIFIED[name]
     m, s = cfg.spec.m, cfg.spec.s
     for seq in (traces[name].z, traces[name].x):
-        got = extract_polynomial(seq, m, s, thresholds=cfg.thresholds).psi.coeffs
+        got = extract_polynomial(seq, m, s).psi.coeffs
         want = reference_psi(seq, m, s)
         assert list(map(float.hex, got)) == list(map(float.hex, want)), (name, seq.start)
 
@@ -245,6 +245,10 @@ class TestExtractPolynomial:
         scale = max(abs(v) for v in x.values)
         checks = regularity_check(rep.remainder, m, scale=scale)
         assert all(v.is_small_o for v in checks), [v.kind for v in checks]
+        # An old positional third argument (the thresholds) is rejected,
+        # not read silently as the scale.
+        with pytest.raises(TypeError):
+            regularity_check(rep.remainder, m, scale)
 
 
     def test_decay_exponent_fit(self):

@@ -141,9 +141,11 @@ class TestPolynomialGrowthCheck:
         assert res.exponent == GROWTH_SLACK
         assert res.kind == "big_O"
 
-    def test_thresholds_reach_the_verdict(self):
+    def test_thresholds_reach_the_verdict(self, monkeypatch):
+        # The gate is read when the check runs, not bound at import.
         x = seq_from_function(lambda n: float(n) ** 2, 1, 10_000)
-        assert polynomial_growth_check(x, seqcore.Thresholds(tau_small=0.0)).kind == "big_O"
+        monkeypatch.setattr(seqcore, "TAU_SMALL", 0.0)
+        assert polynomial_growth_check(x).kind == "big_O"
 
 
 class TestTheoremDispatch:
@@ -194,7 +196,8 @@ class TestTheoremDispatch:
                 assert v.failed_check is not None
 
     def test_thresholds_are_keyword_only(self, traces):
-        # A fourth positional argument is rejected, not read as the thresholds.
+        # A fourth positional argument (an old mode or thresholds) is
+        # rejected, not read silently.
         spec = CERTIFIED["t1_case_a_m2"].spec
         with pytest.raises(TypeError):
             theorem_dispatch(spec, traces["t1_case_a_m2"], "a", "regular")
@@ -285,9 +288,7 @@ def test_certified_case_b_has_x_sigma_in_big_o(name, traces):
     # x_{sigma(n)} grows like n**p itself, so the O(n**p) rule reads big_O
     # (not small_o) and the check passes.
     inst = CERTIFIED[name]
-    verdict = theorem_dispatch(
-        inst.spec, traces[name], inst.case_id, thresholds=inst.thresholds
-    )
+    verdict = theorem_dispatch(inst.spec, traces[name], inst.case_id)
     check = next(c for c in verdict.checks if c.name == "x-sigma-growth")
     assert check.passed
     assert ": big_O, trend " in check.detail, check.detail

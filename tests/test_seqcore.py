@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import math
 import random
 import threading
@@ -17,7 +16,6 @@ from asympoly.seqcore import (
     PolyCoeffs,
     TRAIL_FRACTION,
     Seq,
-    Thresholds,
     classify_oscillation,
     csum,
     delta,
@@ -284,7 +282,7 @@ class TestWeightedSumDiagnostic:
         assert math.isnan(diag.partial_sum) and not diag.converged
 
     @staticmethod
-    def tuple_formula(x, w, tau_tail):
+    def tuple_formula(x, w):
         """Every term boxed in one tuple, then the whole and its last quarter summed."""
         skip = 1 if x.start == 0 and w != 0.0 else 0
         tail_at = (3 * len(x)) // 4 - skip
@@ -295,7 +293,7 @@ class TestWeightedSumDiagnostic:
             terms = tuple(map(mul, index_powers(x.start + skip, len(x) - skip, w), mags))
         partial = csum(terms)
         tail_part = csum(terms[tail_at:])
-        return partial.hex(), tail_part.hex(), tail_part < tau_tail * (1.0 + partial)
+        return partial.hex(), tail_part.hex(), tail_part < seqcore.TAU_TAIL * (1.0 + partial)
 
     @pytest.mark.parametrize("scoped", [False, True])
     @pytest.mark.parametrize("length", [16, 1001])
@@ -307,7 +305,7 @@ class TestWeightedSumDiagnostic:
         x = Seq(start, [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-8, 8) for _ in range(length)])
         with index_power_tables(2000) if scoped else contextlib.nullcontext():
             got = weighted_sum_diagnostic(x, w)
-            want = self.tuple_formula(x, w, Thresholds().tau_tail)
+            want = self.tuple_formula(x, w)
         assert (got.partial_sum.hex(), got.tail_estimate.hex(), got.converged) == want
 
 
@@ -334,6 +332,12 @@ class TestOrderEstimate:
     def test_minimum_length(self):
         with pytest.raises(WindowLengthError):
             order_estimate(Seq(1, (1.0,) * 31), 0.0)
+
+    def test_noise_scale_is_keyword_only(self):
+        # An old positional third argument (the thresholds) is rejected,
+        # not read silently as a noise scale.
+        with pytest.raises(TypeError):
+            order_estimate(Seq(1, (1.0,) * 32), 0.0, 1e-12)
 
     def test_power_grid(self):
         # n^t * (bounded, nonvanishing): small_o iff t < s, big_O iff t <= s
@@ -401,20 +405,6 @@ class TestClassifyOscillation:
         assert classify_oscillation(early, u, k) == positive
         late = seq_from_function(lambda n: -1.0 if n == hi else 1.0, 1, 100)
         assert "oscillatory" in classify_oscillation(late, u, k)
-
-
-def test_thresholds_are_data():
-    t = Thresholds(tau_small=0.1)
-    assert t.tau_small == 0.1
-    assert t.tau_tail == 1e-3
-
-
-def test_thresholds_are_the_three_gates():
-    # The trailing half and the coefficient window are constants, not config.
-    assert [f.name for f in dataclasses.fields(Thresholds)] == [
-        "tau_small", "tau_tail", "big_o_slack"
-    ]
-    assert TRAIL_FRACTION == 0.5
 
 
 class TestIndexPowers:
