@@ -25,7 +25,6 @@ from .bihari import (
     BihariBound,
     BihariProblem,
     adaptive_simpson,
-    bhl2_constant,
     bihari_bound,
     worst_case_w,
 )
@@ -44,7 +43,6 @@ from .errors import (
     CausalityError,
     ConfigError,
     DivergenceError,
-    IndexRangeError,
     QuadratureDomainError,
     SeedError,
     SingularRecoveryError,
@@ -68,7 +66,6 @@ from .neutral_solver import (
     x_start_index,
 )
 from .seqcore import (
-    CompensatedSum,
     OrderVerdict,
     PolyCoeffs,
     Seq,

@@ -8,21 +8,18 @@ where G(t) is the integral of 1/g over [lambda, t], by monotone bracketing
 and bisection on G.  Catalog majorants use their exact primitives; a plain
 callable g goes through adaptive Simpson quadrature.  The module also
 builds the extremal equality sequence (the brute-force oracle the bound is
-tested against) and the growth constant L with
-|x_n| <= n**(m-1) (L + sum |m-th differences|).
+tested against).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain
-from operator import sub, truediv
 from typing import Callable, Sequence
 
 from .catalog import Majorant
 from .errors import BracketRangeError, QuadratureDomainError, WindowLengthError
-from .seqcore import CompensatedSum, Seq, csum, delta, index_powers
+from .seqcore import Seq, csum
 
 #: Absolute tolerance of the adaptive quadrature.
 QUAD_TOL = 1e-10
@@ -32,8 +29,6 @@ BISECT_RTOL = 1e-12
 BRACKET_CAP = 1e15
 #: Growth per doubling below which G counts as plateaued (integral finite).
 PLATEAU_EPS = 1e-14
-#: Floor keeping the BHL2 constant strictly positive.
-BHL2_EPS = 1e-12
 
 
 def adaptive_simpson(
@@ -244,8 +239,8 @@ def worst_case_w(
     weights = a.values[p - a.start : max(N, p) - a.start].tolist()
     _check_weights(weights, p)
     fn = g.fn if isinstance(g, Majorant) else g
-    # CompensatedSum.add's Neumaier step on local floats, in the same order,
-    # so every w value keeps its bits without a method call per step.
+    # Neumaier's compensated running sum on local floats: s is the plain
+    # sum, c the accumulated rounding error, and each w value is s + c.
     wn = s = float(lam)
     c = 0.0
     w = [wn]
@@ -261,25 +256,3 @@ def worst_case_w(
         w.append(wn)
     return Seq(p, w)
 
-
-def bhl2_constant(x: Seq, m: int, n0: int) -> float:
-    """Minimal L > 0 with |x_n| <= n**(m-1) (L + sum_{i=n0}^{n-1} |d_i|)
-    at every window index, where d is the m-th difference of x.
-
-    L is the max over the window of |x_n|/n**(m-1) minus the running
-    difference sum, floored at a tiny epsilon to stay positive.
-    """
-    if m < 1:
-        raise ValueError(f"order m must be >= 1, got {m}")
-    if n0 < max(1, x.start):
-        raise ValueError(f"n0 must be >= max(1, start index {x.start}), got {n0}")
-    dm = delta(x, m)  # indices x.start .. x.end - m
-    if n0 > dm.end:
-        raise WindowLengthError(f"window too short: no differences at or after n0={n0}")
-    xs = x.values[n0 - x.start : dm.end + 2 - x.start]
-    # before[i] is the running sum of |d| over [n0, n0 + i).
-    add = CompensatedSum().add
-    before = [0.0]
-    before += [add(abs(d)) for d in dm.values[n0 - dm.start :]]
-    scaled = map(truediv, map(abs, xs), index_powers(n0, len(xs), m - 1))
-    return max(chain((BHL2_EPS,), map(sub, scaled, before)))

@@ -112,21 +112,18 @@ class Majorant:
     """Catalog entry for the nondecreasing majorant g.
 
     Every catalog majorant is nondecreasing and locally bounded by
-    construction, so neither is a field.  ``recip_primitive`` is the exact
-    value of the integral of 1/g over [lam, t]; ``integral_diverges`` states
-    whether that integral diverges as t grows without bound.
+    construction, so neither is a field.  ``integral_diverges`` states
+    whether the integral of 1/g diverges as t grows without bound, and
+    ``recip_primitive(lam, t)`` is its exact value over [lam, t].
     """
 
     ref: CatalogRef
     fn: Callable[[float], float]
     integral_diverges: bool
-    _primitive: Callable[[float, float], float]
+    recip_primitive: Callable[[float, float], float]
 
     def __call__(self, t: float) -> float:
         return self.fn(t)
-
-    def recip_primitive(self, lam: float, t: float) -> float:
-        return self._primitive(lam, t)
 
 
 def _power_majorant(gamma: float) -> tuple:
@@ -186,15 +183,11 @@ class DelayMap:
     """Catalog entry for the delay sigma: index -> index.
 
     ``window(start, length)`` gives sigma(n) for n = start, ...,
-    start + length - 1.  It is the entry's one formula: a single index is
-    read through it too.
+    start + length - 1.  It is the entry's one formula.
     """
 
     ref: CatalogRef
     window: Callable[[int, int], Iterable[int]]
-
-    def __call__(self, n: int) -> int:
-        return next(iter(self.window(n, 1)))
 
 
 SIGMA_TABLE = {

@@ -289,27 +289,26 @@ def transfer_polynomial(phi: PolyCoeffs, c: float, k: int) -> PolyCoeffs:
     return result
 
 
-def regularity_check(w: Seq, q: int, *, scale: float | None = None) -> tuple[OrderVerdict, ...]:
+def regularity_check(w: Seq, q: int, *, scale: float) -> tuple[OrderVerdict, ...]:
     """Verdicts, for p = 0..q, on the p-th difference of w lying in o(n**(q-p)).
 
     All levels small_o certifies, at finite horizon, that the q-th
     difference of w tends to zero (the regular form of smallness).
-    ``scale`` is the magnitude of the data w was derived from (defaults to
-    sup |w|); p-th differences at their :func:`rounding_resolution` are
-    quantization noise and certified small directly.
+    ``scale`` is the magnitude of the data w was derived from; p-th
+    differences at their :func:`rounding_resolution` are quantization
+    noise and certified small directly.
     """
     if q < 0:
         raise ValueError(f"q must be >= 0, got {q}")
     if len(w) < MIN_WINDOW + q:
         raise WindowLengthError(f"need at least {MIN_WINDOW + q} entries, got {len(w)}")
-    base = max(map(abs, w.values)) if scale is None else scale
     verdicts = []
     level = w
     for p in range(q + 1):
         if p:
             level = delta(level, 1)  # the p-th difference, exactly as delta(w, p)
         verdicts.append(
-            order_estimate(level, float(q - p), noise_scale=rounding_resolution(base, p))
+            order_estimate(level, float(q - p), noise_scale=rounding_resolution(scale, p))
         )
     return tuple(verdicts)
 

@@ -13,10 +13,6 @@ class WindowLengthError(AsymPolyError):
     """A sequence window is too short for the requested operation."""
 
 
-class IndexRangeError(AsymPolyError):
-    """Access to a sequence index outside the realized window."""
-
-
 class SeedError(AsymPolyError):
     """A seed holds the wrong number of values, or an x seed is missing
     (k != 0) or given (k = 0); the message names ``seeds.z`` or ``seeds.x``."""

@@ -98,9 +98,7 @@ def _log_grid_t() -> list[float]:
     return [-t for t in reversed(mags)] + [0.0] + mags
 
 
-def check_g_p_bounded(
-    f: RhsFunction, g: Majorant, p: float, n_max: int = 10000
-) -> CheckResult:
+def check_g_p_bounded(f: RhsFunction, g: Majorant, p: float, n_max: int) -> CheckResult:
     """The f-g-bounded check: |f(n, t)| <= g(|t|/n**p) over log-spaced n and t.
 
     n runs log-spaced over [1, n_max], t over a symmetric log grid up to

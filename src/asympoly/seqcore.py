@@ -31,7 +31,7 @@ from itertools import islice, repeat
 from operator import add, lt, mul, sub, truediv
 from typing import Iterable, Iterator, Sequence
 
-from .errors import IndexRangeError, WindowLengthError
+from .errors import WindowLengthError
 
 #: Difference orders above this are rejected everywhere in the package.
 MAX_DIFFERENCE_ORDER = 20
@@ -95,10 +95,8 @@ class Seq:
     floats: the window is summed once, and only a sum that is not finite
     triggers the entry-by-entry scan, which rejects the first NaN or
     infinity and accepts a window of finite values whose sum merely
-    overflows.
-    Reading outside the window raises :class:`IndexRangeError` instead of
-    silently defaulting.  An array is unhashable, so a Seq is too; nothing
-    in the package or the benchmark hashes one.
+    overflows.  An array is unhashable, so a Seq is too; nothing in the
+    package or the benchmark hashes one.
     """
 
     start: int
@@ -127,23 +125,6 @@ class Seq:
     def end(self) -> int:
         """Last index of the window, inclusive."""
         return self.start + len(self.values) - 1
-
-    def at(self, n: int) -> float:
-        if n < self.start or n > self.end:
-            raise IndexRangeError(
-                f"index {n} outside realized window [{self.start}, {self.end}]"
-            )
-        return self.values[n - self.start]
-
-    def window(self, lo: int, hi: int) -> "Seq":
-        """Sub-window on [lo, hi], inclusive on both ends."""
-        if lo > hi:
-            raise IndexRangeError(f"empty sub-window [{lo}, {hi}]")
-        if lo < self.start or hi > self.end:
-            raise IndexRangeError(
-                f"sub-window [{lo}, {hi}] not contained in [{self.start}, {self.end}]"
-            )
-        return Seq(lo, self.values[lo - self.start : hi - self.start + 1])
 
     def trailing(self) -> "Seq":
         """The trailing half of the window: its last trail_length(len) entries."""
@@ -249,38 +230,6 @@ class PolyCoeffs:
         if degree < len(self.coeffs) - 1:
             return self.coeffs[: degree + 1]
         return self.coeffs + (0.0,) * (degree + 1 - len(self.coeffs))
-
-
-class CompensatedSum:
-    """Neumaier compensated accumulator, for running sums read after each add.
-
-    Adding values in index order gives sums whose rounding error is
-    independent of magnitude ordering.  A sum of a whole window goes
-    through :func:`csum` instead.  ``bihari.worst_case_w`` runs the same
-    step on local floats, without a method call per term; the
-    ``TestOracleKernels`` tests pin the two bit for bit.
-    """
-
-    __slots__ = ("_s", "_c")
-
-    def __init__(self, value: float = 0.0) -> None:
-        self._s = float(value)
-        self._c = 0.0
-
-    def add(self, v: float) -> float:
-        """Add v and return the running value, the same float as ``value``."""
-        s = self._s
-        t = s + v
-        if abs(s) >= abs(v):
-            self._c += (s - t) + v
-        else:
-            self._c += (v - t) + s
-        self._s = t
-        return t + self._c
-
-    @property
-    def value(self) -> float:
-        return self._s + self._c
 
 
 def csum(values: Iterable[float]) -> float:

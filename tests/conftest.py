@@ -55,6 +55,11 @@ def seq_from_function(fn, start, length):
     return Seq(start, map(fn, range(start, start + length)))
 
 
+def sigma_at(sigma, n):
+    """sigma(n) for one index, read through the delay map's window formula."""
+    return next(iter(sigma.window(n, 1)))
+
+
 def cumsum_window(dvals, start, m):
     """m-fold forward cumulative sums with zero initial conditions.
 

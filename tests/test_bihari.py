@@ -7,15 +7,12 @@ import pytest
 from asympoly.bihari import (
     BihariProblem,
     adaptive_simpson,
-    bhl2_constant,
     bihari_bound,
     worst_case_w,
 )
 from asympoly.catalog import CatalogRef, make_g
 from asympoly.errors import QuadratureDomainError, WindowLengthError
-from asympoly.seqcore import CompensatedSum, Seq, delta
-
-from conftest import seq_from_function
+from asympoly.seqcore import Seq
 
 IDENTITY = make_g(CatalogRef("identity"))
 POWER2 = make_g(CatalogRef("power", {"gamma": 2.0}))
@@ -205,7 +202,7 @@ class TestWorstCaseW:
         n = 10_000
         a = Seq(1, (1.0 / n,) * n)
         w = worst_case_w(a, IDENTITY, 1.0, 1, n + 1)
-        assert abs(w.at(n + 1) - math.e) < 3.0 / n
+        assert abs(w.values[n + 1 - w.start] - math.e) < 3.0 / n
 
     def test_constant_g_gives_partial_sums(self):
         g1 = make_g(CatalogRef("constant", {"value": 1.0}))
@@ -244,60 +241,21 @@ class TestWorstCaseW:
         assert max(w.values) / bound.M > 0.99
 
 
-class TestBhl2Constant:
-    def test_zero_sequence(self):
-        assert bhl2_constant(Seq(1, (0.0,) * 50), 1, 1) == 1e-12
-
-    def test_pure_power(self):
-        for m in (1, 2, 3):
-            x = seq_from_function(lambda n, m=m: float(n) ** (m - 1), 1, 100)
-            assert abs(bhl2_constant(x, m, 1) - 1.0) < 1e-9
-
-    def test_alternating_minimal(self):
-        x = seq_from_function(lambda n: (-1.0) ** n, 1, 200)
-        L = bhl2_constant(x, 1, 1)
-        d = delta(x, 1)
-        # the inequality holds at every index with the returned constant
-        running = 0.0
-        for n in range(1, 200):
-            assert abs(x.at(n)) <= float(n) ** 0 * (L + running) + 1e-12
-            if n <= d.end:
-                running += abs(d.at(n))
-        # and fails somewhere if L is shrunk
-        shrunk = L - 1e-9
-        violated = False
-        running = 0.0
-        for n in range(1, 200):
-            if abs(x.at(n)) > float(n) ** 0 * (shrunk + running):
-                violated = True
-                break
-            if n <= d.end:
-                running += abs(d.at(n))
-        assert violated
-
-
 def _reference_worst_case_w(a, g, lam, p, N):
-    """The oracle recursion read index by index: at(), add, then .value."""
-    acc = CompensatedSum(lam)
-    w = [float(lam)]
+    """The oracle recursion read index by index, with its own Neumaier sum:
+    s is the plain running sum, c its accumulated rounding error."""
+    s, c = float(lam), 0.0
+    w = [s]
     for n in range(p, N):
-        acc.add(a.at(n) * g(w[-1]))
-        w.append(acc.value)
+        v = a.values[n - a.start] * g(w[-1])
+        t = s + v
+        if abs(s) >= abs(v):
+            c += (s - t) + v
+        else:
+            c += (v - t) + s
+        s = t
+        w.append(s + c)
     return w
-
-
-def _reference_bhl2(x, m, n0):
-    """The BHL2 constant read index by index: at() and .value before each add."""
-    dm = delta(x, m)
-    best = 1e-12
-    running = CompensatedSum()
-    for n in range(n0, x.end - m + 2):
-        term = abs(x.at(n)) / float(n) ** (m - 1) - running.value
-        if term > best:
-            best = term
-        if n <= dm.end:
-            running.add(abs(dm.at(n)))
-    return best
 
 
 def _hex(values):
@@ -342,13 +300,3 @@ class TestOracleKernels:
                 worst_case_w(a, IDENTITY, 1.0, p, 5)
         with pytest.raises(ValueError, match=r"negative weight a_3 = -0\.5$"):
             BihariProblem(IDENTITY, 1.0, a)
-
-    def test_bhl2_constant_matches_reference_loop(self):
-        rng = random.Random(5)
-        for m in (1, 2, 3):
-            for start in (0, 1, 3):
-                values = [rng.uniform(-5.0, 5.0) * (i + 1) ** (m - 1) for i in range(300)]
-                x = Seq(start, tuple(values))
-                for n0 in (max(1, start), max(1, start) + 7):
-                    got = bhl2_constant(x, m, n0)
-                    assert got.hex() == _reference_bhl2(x, m, n0).hex()

@@ -16,6 +16,8 @@ from asympoly.catalog import (
 )
 from asympoly.errors import CatalogError
 
+from conftest import sigma_at
+
 
 def test_unknown_identifiers_rejected():
     with pytest.raises(CatalogError):
@@ -76,14 +78,50 @@ def test_g_entries_and_primitives():
         make_g(CatalogRef("affine", {"alpha": -1.0, "beta": 1.0}))
 
 
+#: Every G_TABLE entry at parameters on the edges of its rule.
+G_EDGES = {
+    "identity": [{}],
+    "power": [{"gamma": 1e-6}, {"gamma": 1.0}, {"gamma": 50.0}],
+    "affine": [
+        {"alpha": alpha, "beta": beta} for alpha in (0.0, 1e3) for beta in (-1.0, 1.0)
+    ],
+    "constant": [{"value": 1e-300}, {"value": 1e300}],
+}
+
+
+@pytest.mark.parametrize(
+    "ident, params",
+    [
+        pytest.param(ident, params, id=f"{ident}-{params}")
+        for ident, cases in G_EDGES.items()
+        for params in cases
+    ],
+)
+def test_every_majorant_is_finite_and_nondecreasing(ident, params):
+    # dispatch reports g-nondecreasing and g-locally-bounded as a literal
+    # True ("catalog guarantee"); this is the guarantee, on t = 0 and a log
+    # grid of magnitudes from 1e-6 to 1e6.
+    assert set(G_EDGES) == set(G_TABLE)
+    g = make_g(CatalogRef(ident, params))
+    ts = [0.0] + [10.0 ** (i / 10) for i in range(-60, 61)]
+    values = []
+    for t in ts:
+        try:
+            values.append(g(t))
+        except OverflowError:  # as in check_g_p_bounded: beyond the float range
+            values.append(math.inf)
+    assert all(map(math.isfinite, values)), list(zip(ts, values))
+    assert all(a <= b for a, b in zip(values, values[1:])), list(zip(ts, values))
+
+
 def test_sigma_entries():
-    assert make_sigma(CatalogRef("identity"))(7) == 7
-    assert make_sigma(CatalogRef("delay_d", {"d": 3}))(10) == 7
-    assert make_sigma(CatalogRef("delay_d", {"d": -5}))(10) == 15
-    assert make_sigma(CatalogRef("half"))(9) == 4
+    assert sigma_at(make_sigma(CatalogRef("identity")), 7) == 7
+    assert sigma_at(make_sigma(CatalogRef("delay_d", {"d": 3})), 10) == 7
+    assert sigma_at(make_sigma(CatalogRef("delay_d", {"d": -5})), 10) == 15
+    assert sigma_at(make_sigma(CatalogRef("half")), 9) == 4
     flog = make_sigma(CatalogRef("floor_log"))
-    assert flog(1) == 0
-    assert flog(100) == 4
+    assert sigma_at(flog, 1) == 0
+    assert sigma_at(flog, 100) == 4
     with pytest.raises(CatalogError):
         make_sigma(CatalogRef("delay_d", {"d": 1.5}))
 
@@ -175,7 +213,9 @@ def test_every_table_entry_builds_with_exactly_its_params():
             assert f"  {ident:<14} params: {entry.schema()}" in listing
 
 
-@pytest.mark.parametrize("value", [True, [1], "1", math.nan, math.inf, 10**400])
+@pytest.mark.parametrize(
+    "value", [True, pytest.param([1], id="[1]"), "1", math.nan, math.inf, 10**400]
+)
 def test_non_numeric_and_non_finite_params_rejected(value):
     with pytest.raises(CatalogError, match="'A' of 'power' must be a finite number"):
         make_generator(CatalogRef("power", {"A": value, "rho": 1.0}))

@@ -60,12 +60,12 @@ class TestExperimentConfig:
         ("spec", "k", True),
         (None, "horizon", True),
         ("spec", "s", math.nan),
-        ("spec", "s", [0]),
-        ("seeds", "z", [True]),
+        pytest.param("spec", "s", [0], id="spec-s-[0]"),
+        pytest.param("seeds", "z", [True], id="seeds-z-[True]"),
         # n**(m - 1 - s) overflows a float at the horizon 1e4.
         ("spec", "s", -400),
         ("spec", "s", -1e308),
-        ("seeds", "z", [1.75, 1.75]),
+        pytest.param("seeds", "z", [1.75, 1.75], id="seeds-z-[1.75,1.75]"),
         (None, "horizon", 10),
     ],
 )
@@ -575,10 +575,10 @@ _DELAY_D = {"id": "delay_d", "params": {"d": None}}
 @pytest.mark.parametrize(
     "field, ref, param, literal",
     [
-        ("u", _POWER_OFFSET, "A", "[1]"),
-        ("u", _POWER_OFFSET, "A", "true"),
-        ("u", _POWER_OFFSET, "A", "NaN"),
-        ("sigma", _DELAY_D, "d", "1e400"),
+        pytest.param("u", _POWER_OFFSET, "A", "[1]", id="u-A-[1]"),
+        pytest.param("u", _POWER_OFFSET, "A", "true", id="u-A-true"),
+        pytest.param("u", _POWER_OFFSET, "A", "NaN", id="u-A-NaN"),
+        pytest.param("sigma", _DELAY_D, "d", "1e400", id="sigma-d-1e400"),
     ],
 )
 def test_bad_catalog_params_rejected_at_the_boundary(field, ref, param, literal, tmp_path, capsys):
@@ -752,10 +752,10 @@ def test_horizon_flag_rejects_what_the_config_rejects(text, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["run", str(FIXTURES / "t1_case_a_m1.json"), "--horizon", "abc"],
-    ["run"],
-    ["bogus"],
-    [],
+    pytest.param(["run", str(FIXTURES / "t1_case_a_m1.json"), "--horizon", "abc"], id="horizon-abc"),
+    pytest.param(["run"], id="run-without-config"),
+    pytest.param(["bogus"], id="bogus-command"),
+    pytest.param([], id="no-arguments"),
 ])
 def test_usage_error_exits_one(argv, capsys):
     # argparse's own exit code, 2, means a failed hypothesis here.
@@ -765,7 +765,9 @@ def test_usage_error_exits_one(argv, capsys):
     assert "usage: asympoly" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]])
+@pytest.mark.parametrize(
+    "argv", [pytest.param(["--help"], id="--help"), pytest.param(["run", "--help"], id="run---help")]
+)
 def test_help_exits_zero(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
@@ -829,7 +831,7 @@ class TestRunCommand:
     @pytest.mark.parametrize(
         "k, c, A, x_seed",
         [
-            (1, 2.0, -2.0, [1.0]),  # u_1 = 0 divides x_2 out of z_1
+            pytest.param(1, 2.0, -2.0, [1.0], id="1-2.0--2.0-[1.0]"),  # u_1 = 0 divides x_2 out of z_1
             (0, -0.5, -0.5, None),  # 1 + u_1 = 0 divides x_1 out of z_1
         ],
     )
@@ -955,16 +957,18 @@ def test_report_schema(entry, tmp_path):
     "name, spec_update, message",
     [
         # |c| < 1 with k = 1: recovering x from z doubles it at every step.
-        (
+        pytest.param(
             "t1_case_a_m2.json",
             {"u": {"id": "power_offset", "params": {"A": 1.0, "c": 0.5, "rho": 2.0}}},
             "|x| exceeded the finite range at index 1001; last valid index 1000",
+            id="t1_case_a_m2.json-x",
         ),
         # A linear f with a constant a makes z grow geometrically.
-        (
+        pytest.param(
             "t1_case_b_m2.json",
             {"f": {"id": "linear", "params": {}}, "a": {"id": "constant", "params": {"value": 5.0}}},
             "|z| exceeded the finite range at index 490; last valid index 489",
+            id="t1_case_b_m2.json-z",
         ),
     ],
 )

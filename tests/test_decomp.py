@@ -113,7 +113,7 @@ def test_regularity_levels_are_the_iterated_differences_bit_for_bit(q, traces, m
     monkeypatch.setattr(decomp, "order_estimate", recording)
     for w in windows:
         levels.clear()
-        regularity_check(w, q)
+        regularity_check(w, q, scale=1.0)
         assert len(levels) == q + 1
         for p, level in enumerate(levels):
             want = delta(w, p)
@@ -174,7 +174,7 @@ class TestExtractPolynomial:
         z = seq_from_function(lambda n: 1.5 * n + math.cos(n), 1, 256)
         rep = extract_polynomial(z, 2, 0.0)
         rebuilt = tuple(
-            rep.psi(n) + rep.remainder.at(n) for n in range(z.start, z.end + 1)
+            rep.psi(n) + r for n, r in enumerate(rep.remainder.values, rep.remainder.start)
         )
         assert rebuilt == tuple(z.values)
 
@@ -217,7 +217,7 @@ class TestExtractPolynomial:
         poly = PolyCoeffs((1.0, 0.5))
         d = [float(n) ** -4 for n in range(1, 10_001)]
         w = tail_sum_window(d, 1, m)
-        z = Seq(1, tuple(poly(n) + w.at(n) for n in range(w.start, w.end + 1)))
+        z = Seq(1, tuple(poly(n) + v for n, v in enumerate(w.values, w.start)))
         rep = extract_polynomial(z, m, s)
         assert rep.remainder_verdict.kind == "small_o"
         assert abs(rep.psi.padded(1)[1] - 0.5) < 1e-6
@@ -312,23 +312,23 @@ class TestRegularityCheck:
     def test_slow_power_decay_passes(self):
         for q in (1, 2):
             w = seq_from_function(lambda n, q=q: float(n) ** (q - 0.5), 1, 10_000)
-            checks = regularity_check(w, q)
+            checks = regularity_check(w, q, scale=max(w.values))
             assert all(v.is_small_o for v in checks), [v.kind for v in checks]
 
     def test_alternating_fails_at_p_one(self):
         w = seq_from_function(lambda n: (-1.0) ** n, 1, 200)
-        checks = regularity_check(w, 1)
+        checks = regularity_check(w, 1, scale=1.0)
         assert not all(v.is_small_o for v in checks)
         assert checks[0].kind == "small_o"  # (-1)^n is o(n)
         assert checks[1].kind != "small_o"  # its difference is not o(1)
 
     def test_zero_window_passes(self):
-        checks = regularity_check(Seq(1, (0.0,) * 80), 2)
+        checks = regularity_check(Seq(1, (0.0,) * 80), 2, scale=0.0)
         assert all(v.is_small_o for v in checks)
 
     def test_window_length(self):
         with pytest.raises(WindowLengthError):
-            regularity_check(Seq(1, (0.0,) * 63), 1)
+            regularity_check(Seq(1, (0.0,) * 63), 1, scale=0.0)
 
 
 class TestDecomposeSolution:

@@ -25,14 +25,14 @@ class TestCheckGPBounded:
     def test_sigmoid_under_constant_one(self):
         f = make_f(CatalogRef("sigmoid"))
         for p in (0.0, 1.0, 2.0):
-            res = check_g_p_bounded(f, CONST_ONE, p)
+            res = check_g_p_bounded(f, CONST_ONE, p, 10_000)
             assert res.passed
             assert res.metric <= 0.5 + 1e-12
 
     def test_linear_under_identity(self):
         f = make_f(CatalogRef("linear"))
-        assert check_g_p_bounded(f, IDENTITY_G, 0.0).passed
-        res = check_g_p_bounded(f, IDENTITY_G, 1.0)
+        assert check_g_p_bounded(f, IDENTITY_G, 0.0, 10_000).passed
+        res = check_g_p_bounded(f, IDENTITY_G, 1.0, 10_000)
         assert not res.passed
         assert res.metric > 1.0
 
@@ -40,7 +40,7 @@ class TestCheckGPBounded:
         zero = RhsFunction(CatalogRef("linear"), lambda n, t: 0.0, 0.0)
         for g in (CONST_ONE, IDENTITY_G):
             for p in (0.0, 1.0):
-                assert check_g_p_bounded(zero, g, p).passed
+                assert check_g_p_bounded(zero, g, p, 10_000).passed
 
     def test_dispatch_scans_n_up_to_the_trace_horizon(self, monkeypatch):
         import asympoly.hypotheses as hyp

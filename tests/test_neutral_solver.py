@@ -23,7 +23,7 @@ from asympoly.neutral_solver import (
 )
 from asympoly.seqcore import classify_oscillation, csum, delta, order_estimate
 
-from conftest import CERTIFIED, load_fixture, seq_from_function
+from conftest import CERTIFIED, load_fixture, seq_from_function, sigma_at
 
 
 def spec_with(**overrides):
@@ -116,7 +116,8 @@ class TestEquationSpec:
         assert type(spec.m) is int and type(spec.k) is int and type(spec.q) is int
 
     @pytest.mark.parametrize("field, value", [
-        ("m", 1.5), ("m", True), ("m", "2"), ("k", math.nan), ("k", [0]), ("q", math.inf),
+        ("m", 1.5), ("m", True), ("m", "2"), ("k", math.nan), pytest.param("k", [0], id="k-[0]"),
+        ("q", math.inf),
     ])
     def test_non_integers_rejected_naming_the_field(self, field, value):
         with pytest.raises(ConfigError, match=f"field {field}: must be an integer, got"):
@@ -168,7 +169,7 @@ class TestXFromZ:
         tr = neutral_trace(-1, 0.5, (4.0, 9.0, 16.0, 25.0), 60, m=3)
         assert (tr.x.start, tr.x.end) == (2, 60)
         scale = 60.0**2
-        assert max(abs(tr.x.at(n) - float(n * n)) for n in range(2, 61)) <= 1e-10 * scale
+        assert max(abs(v - float(n * n)) for n, v in enumerate(tr.x.values, 2)) <= 1e-10 * scale
 
     def test_k_zero_scalar(self):
         tr = neutral_trace(0, 0.5, (2.0,), 20)
@@ -215,12 +216,12 @@ class TestSeedBoundary:
     @pytest.mark.parametrize(
         "spec, x_seed, z_seed, field",
         [
-            (K1, (1.0,), (1.0,), "seeds.z"),  # m = 2 z values
-            (K1, (1.0,), (1.0, 1.0, 1.0), "seeds.z"),
-            (K1, (), (1.0, 1.0), "seeds.x"),  # |k| = 1 x value
-            (K1, None, (1.0, 1.0), "seeds.x"),  # missing at k = 1
-            (K0, (1.0,), (1.0, 1.0), "seeds.x"),  # given at k = 0
-            (K0, (), (1.0, 1.0), "seeds.x"),
+            pytest.param(K1, (1.0,), (1.0,), "seeds.z", id="k=1-one-z"),  # m = 2 z values
+            pytest.param(K1, (1.0,), (1.0, 1.0, 1.0), "seeds.z", id="k=1-three-z"),
+            pytest.param(K1, (), (1.0, 1.0), "seeds.x", id="k=1-no-x"),  # |k| = 1 x value
+            pytest.param(K1, None, (1.0, 1.0), "seeds.x", id="k=1-x-null"),  # missing at k = 1
+            pytest.param(K0, (1.0,), (1.0, 1.0), "seeds.x", id="k=0-one-x"),  # given at k = 0
+            pytest.param(K0, (), (1.0, 1.0), "seeds.x", id="k=0-no-x"),
         ],
     )
     def test_wrong_seed_names_its_field(self, spec, x_seed, z_seed, field):
@@ -230,8 +231,8 @@ class TestSeedBoundary:
     @pytest.mark.parametrize(
         "spec, x_seed, z_seed, index",
         [
-            (K1, (1.0,), (1.0, float("nan")), 3),  # z on [2, 3]
-            (K1, (float("inf"),), (1.0, 1.0), 2),  # x on [2, 2]
+            pytest.param(K1, (1.0,), (1.0, float("nan")), 3, id="z-nan"),  # z on [2, 3]
+            pytest.param(K1, (float("inf"),), (1.0, 1.0), 2, id="x-inf"),  # x on [2, 2]
         ],
     )
     def test_non_finite_seed_names_its_index(self, spec, x_seed, z_seed, index):
@@ -251,9 +252,10 @@ class TestConsistentSeeds:
     @pytest.mark.parametrize(
         "name, profile",
         [
-            ("t1_case_a_m2", (1.0, 1.0, 1.0)),  # k = 1, the README example
-            ("t1_case_a_m3", (4.0, 9.0, 16.0, 25.0)),  # k = -1
-            ("t1_case_b_m2", (1.0, 2.0)),  # k = 0
+            # k = 1, the README example
+            pytest.param("t1_case_a_m2", (1.0, 1.0, 1.0), id="t1_case_a_m2"),
+            pytest.param("t1_case_a_m3", (4.0, 9.0, 16.0, 25.0), id="t1_case_a_m3"),  # k = -1
+            pytest.param("t1_case_b_m2", (1.0, 2.0), id="t1_case_b_m2"),  # k = 0
         ],
     )
     def test_fixture_seeds_come_from_a_profile(self, name, profile):
@@ -268,7 +270,7 @@ class TestSimulate:
         x_seed, z_seed = consistent_seeds(spec, (0.0,))
         trace = simulate(spec, x_seed, z_seed, 1000)
         direct = csum(float(j) ** -2 for j in range(1, 1000))
-        assert abs(trace.x.at(1000) - direct) <= 1e-9 * (1.0 + direct)
+        assert abs(trace.x.values[-1] - direct) <= 1e-9 * (1.0 + direct)
 
     def test_polynomial_solution_stays_polynomial(self):
         spec = spec_with(m=2, u=CatalogRef("constant", {"value": 0.5}))
@@ -277,7 +279,7 @@ class TestSimulate:
         trace = simulate(spec, x_seed, z_seed, 1000)
         for n in range(2, 1001):
             expect = 2.0 * n + 1.0
-            assert abs(trace.x.at(n) - expect) <= 1e-8 * expect
+            assert abs(trace.x.values[n - trace.x.start] - expect) <= 1e-8 * expect
 
     def test_equation_residual(self, traces):
         # recomputing the m-th difference of z reproduces the forcing
@@ -291,8 +293,9 @@ class TestSimulate:
             zmax = max(abs(v) for v in tr.z.values)
             worst = 0.0
             for n in range(tr.z.start, dz.end + 1):
-                rhs = rt.a(n) * rt.f(n, tr.x.at(rt.sigma(n))) + rt.b(n)
-                worst = max(worst, abs(dz.at(n) - rhs))
+                x_sigma = tr.x.values[sigma_at(rt.sigma, n) - tr.x.start]
+                rhs = rt.a(n) * rt.f(n, x_sigma) + rt.b(n)
+                worst = max(worst, abs(dz.values[n - dz.start] - rhs))
             assert worst <= 1e-8 * (1.0 + zmax), name
 
     @pytest.mark.parametrize("name", ["t1_case_a_m3", "t1_case_b_m2", "t1_case_a_m2"])  # k = -1, 0, 1
@@ -305,8 +308,9 @@ class TestSimulate:
         # The samples are the catalog's values, at the ends of each window too.
         rt = spec.rt
         for n in (1, N):
-            assert (tr.u.at(n), tr.a.at(n), tr.b.at(n)) == (rt.u(n), rt.a(n), rt.b(n))
-        assert (tr.sigma[0], tr.sigma[-1]) == (rt.sigma(n0), rt.sigma(N))
+            samples = (tr.u.values[n - 1], tr.a.values[n - 1], tr.b.values[n - 1])
+            assert samples == (rt.u(n), rt.a(n), rt.b(n))
+        assert (tr.sigma[0], tr.sigma[-1]) == (sigma_at(rt.sigma, n0), sigma_at(rt.sigma, N))
 
     def test_trace_relation_holds(self, traces):
         from asympoly.neutral_solver import runtime
@@ -315,8 +319,8 @@ class TestSimulate:
         tr = traces["t1_case_a_m3"]
         rt = runtime(inst.spec)
         for n in range(tr.z.start, tr.z.end + 1, 97):
-            zn = tr.z.at(n)
-            rel = tr.x.at(n) + rt.u(n) * tr.x.at(n + inst.spec.k)
+            zn = tr.z.values[n - tr.z.start]
+            rel = tr.x.values[n - tr.x.start] + rt.u(n) * tr.x.values[n + inst.spec.k - tr.x.start]
             assert abs(zn - rel) <= 1e-9 * (1.0 + abs(zn))
 
     def test_unstable_regime_diverges(self):
@@ -358,7 +362,7 @@ class TestSimulate:
         )
         b = max(abs(v) for v in tr.z.values)
         beta = max(u.trailing().values)
-        seed_max = abs(tr.x.at(tr.x.start))
+        seed_max = abs(tr.x.values[0])
         bound = b / (1.0 - beta) + seed_max
         assert max(abs(v) for v in tr.x.values) <= bound
 
@@ -369,10 +373,10 @@ class TestSimulate:
         tr = traces["t1_case_a_m1"]
         assert order_estimate(tr.x, 0.5).kind == "small_o"  # x bounded
         # the trailing quarters, ceil(len / 4) entries each
-        x_tail = tr.x.window(tr.x.end - math.ceil(len(tr.x) / 4) + 1, tr.x.end)
-        z_tail = tr.z.window(tr.z.end - math.ceil(len(tr.z) / 4) + 1, tr.z.end)
-        x_mean = csum(x_tail.values) / len(x_tail)
-        z_mean = csum(z_tail.values) / len(z_tail)
+        x_tail = tr.x.values[-math.ceil(len(tr.x) / 4) :]
+        z_tail = tr.z.values[-math.ceil(len(tr.z) / 4) :]
+        x_mean = csum(x_tail) / len(x_tail)
+        z_mean = csum(z_tail) / len(z_tail)
         assert abs((1.0 + inst.spec.c) * x_mean - z_mean) <= 0.02 * abs(z_mean)
 
 
