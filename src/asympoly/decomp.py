@@ -136,8 +136,7 @@ def _lstsq_degrees(ns: range, resid: Sequence[float], degrees: list[int]) -> dic
 
 
 def _decay_fit(remainder: Seq) -> tuple[float, float]:
-    # The trailing half, index 0 left out.
-    lo = max(remainder.end - trail_length(len(remainder)) + 1, 1)
+    lo = remainder.end - trail_length(len(remainder)) + 1
     vals = remainder.values[lo - remainder.start :]
     kept = list(map(ge, map(abs, vals), repeat(DECAY_FIT_FLOOR)))
     xs = list(map(math.log, compress(range(lo, remainder.end + 1), kept)))

@@ -139,8 +139,8 @@ def check_u_rate(u: Seq, c: float, e: float) -> OrderVerdict:
 
 def polynomial_growth_check(x: Seq) -> OrderVerdict:
     """x in O(n**t) for some t: the :func:`order_estimate` verdict on the
-    trailing half of a window of at least MIN_WINDOW entries (so past index
-    0), at exponent t + GROWTH_SLACK.
+    trailing half of a window of at least MIN_WINDOW entries, at exponent
+    t + GROWTH_SLACK.
 
     t is the slope of log(1 + |x_n|) against log n over the first two thirds
     of that half, clamped at 0: a bounded x is O(n**0).  If n**(t +

@@ -15,9 +15,8 @@ Conventions fixed once here and reused everywhere:
   middle third;
 * window sums are exactly rounded (``math.fsum``), so they do not depend
   on the order of the terms and diagnostics are reproducible;
-* index n = 0 never enters an n**s-weighted diagnostic unless s == 0
-  (the weight is undefined or degenerate there); windows built from
-  generators start at index 1.
+* every window starts at index 1 or later (:class:`Seq` rejects a lower
+  start), so every n**s weight is defined.
 """
 
 from __future__ import annotations
@@ -85,7 +84,8 @@ def fill_array(values: Iterable[float]) -> array:
 class Seq:
     """A realized window of a real sequence.
 
-    ``values[i]`` is the entry at index ``start + i``.  The constructor
+    ``values[i]`` is the entry at index ``start + i``, and ``start`` is at
+    least 1, as the paper's sequences are indexed from 1.  The constructor
     takes any iterable of reals (a lazy ``map`` included, so no caller
     builds a tuple first) and stores its own ``array('d')`` copy, 8 bytes
     per entry, so later changes to the source do not reach the window;
@@ -105,8 +105,8 @@ class Seq:
     def __post_init__(self) -> None:
         if not isinstance(self.start, int) or isinstance(self.start, bool):
             raise ValueError(f"start index must be an integer, got {self.start!r}")
-        if self.start < 0:
-            raise ValueError(f"start index must be >= 0, got {self.start}")
+        if self.start < 1:
+            raise ValueError(f"start index must be >= 1, got {self.start}")
         vals = fill_array(self.values)
         if not vals:
             raise ValueError("sequence window must be non-empty")
@@ -315,8 +315,7 @@ def weighted_sum_diagnostic(x: Seq, w: float) -> WeightedSumDiagnostic:
             return csum(mags)
         return csum(map(mul, index_powers(x.start + lo, len(vals) - lo, w), mags))
 
-    # Index 0 has no n**w for w < 0; it is left out whenever w != 0.
-    partial = weighted_sum(1 if x.start == 0 and w != 0.0 else 0)
+    partial = weighted_sum(0)
     tail_part = weighted_sum((3 * len(vals)) // 4)
     return WeightedSumDiagnostic(
         partial, tail_part, tail_part < TAU_TAIL * (1.0 + partial)
@@ -337,7 +336,6 @@ class OrderVerdict:
     metric: float
     trend: float
     bound: float
-    excluded_zero: bool = False
 
     @property
     def is_small_o(self) -> bool:
@@ -355,8 +353,7 @@ def order_estimate(
     small_o: trailing-third sup of |x_n|/n**s below ``TAU_SMALL`` and
     decreased versus the middle third.  big_O: trailing sup within
     ``BIG_O_SLACK`` of the sup over the first two thirds.  Deterministic
-    given the window.  Index 0 is skipped (and flagged)
-    whenever s != 0.
+    given the window.
 
     ``noise_scale``, when given, is the rounding resolution of the data x
     was derived from: a window whose trailing values sit at or below that
@@ -365,13 +362,10 @@ def order_estimate(
     """
     if len(x) < 32:
         raise WindowLengthError(f"need at least 32 entries, got {len(x)}")
-    excluded = x.start == 0 and s != 0.0
-    skip = 1 if excluded else 0
-    count = len(x) - skip
-    start = x.end - count + 1
+    count = len(x)
     third = count // 3
-    mags = map(abs, islice(x.values, skip, None))
-    ratios = mags if s == 0.0 else map(truediv, mags, index_powers(start, count, s))
+    mags = map(abs, x.values)
+    ratios = mags if s == 0.0 else map(truediv, mags, index_powers(x.start, count, s))
     # One pass, no copy: the part before the middle third, the middle third,
     # then the trailing third.
     lead_sup = max(islice(ratios, count - 2 * third))
@@ -383,7 +377,7 @@ def order_estimate(
         and max(map(abs, x.values[len(x) - third :])) <= noise_scale
         and metric < TAU_SMALL
     ):
-        return OrderVerdict("small_o", s, metric, 0.0, early_sup, excluded)
+        return OrderVerdict("small_o", s, metric, 0.0, early_sup)
     if mid_sup > 0.0:
         trend = metric / mid_sup
     elif metric == 0.0:
@@ -393,7 +387,7 @@ def order_estimate(
     small = metric < TAU_SMALL and trend < 1.0
     big = metric <= early_sup * (1.0 + BIG_O_SLACK)
     kind = "small_o" if small else ("big_O" if big else "neither")
-    return OrderVerdict(kind, s, metric, trend, early_sup, excluded)
+    return OrderVerdict(kind, s, metric, trend, early_sup)
 
 
 def _any_negative(values: Iterable[float]) -> bool:

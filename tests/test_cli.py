@@ -915,7 +915,7 @@ REPORT_SIDE_KEYS = {
     "decay_exponent", "decay_r2", "psi", "regular_checks", "regular_passed",
     "regular_q", "remainder_verdict", "remainder_window", "s",
 }
-ORDER_VERDICT_KEYS = {"bound", "excluded_zero", "exponent", "kind", "metric", "trend"}
+ORDER_VERDICT_KEYS = {"bound", "exponent", "kind", "metric", "trend"}
 
 
 @pytest.mark.parametrize(

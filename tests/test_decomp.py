@@ -20,7 +20,13 @@ from asympoly.decomp import (
     transfer_polynomial,
 )
 from asympoly.errors import DivergenceError, WindowLengthError
-from asympoly.neutral_solver import EquationSpec, consistent_seeds, simulate
+from asympoly.neutral_solver import (
+    EquationSpec,
+    consistent_seeds,
+    simulate,
+    start_index,
+    x_start_index,
+)
 from asympoly.seqcore import MAX_DIFFERENCE_ORDER, PolyCoeffs, Seq, csum, delta, index_powers
 
 from conftest import CERTIFIED, fit_divergent_raw, seq_from_function, tail_sum_window
@@ -379,6 +385,19 @@ class TestDecomposeSolution:
         for n in range(1, 1_000_000):
             product *= 1.0 + (0.5 / n**2) / 1.5
         assert abs(dec.x_report.psi.padded(0)[0] - product) < 1e-3
+
+    @pytest.mark.parametrize("name", sorted(CERTIFIED))
+    def test_every_window_a_run_holds_starts_at_one_or_later(self, name, traces):
+        # Seq rejects a start below 1, and no diagnostic handles index 0:
+        # z starts at n0 = max(1, 1 - k, m), x at n0 + min(k, 0), and the
+        # coefficient samples u, a and b at 1.
+        spec, trace = CERTIFIED[name].spec, traces[name]
+        dec = decompose_solution(trace, spec)
+        assert (trace.z.start, trace.x.start) == (start_index(spec), x_start_index(spec))
+        assert (trace.u.start, trace.a.start, trace.b.start) == (1, 1, 1)
+        windows = (trace.x, trace.z, trace.u, trace.a, trace.b,
+                   dec.z_report.remainder, dec.x_report.remainder)
+        assert min(w.start for w in windows) >= 1
 
     def test_regular_reports_present_when_q_set(self, traces):
         spec = CERTIFIED["t2_regular_m2"].spec

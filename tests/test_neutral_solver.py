@@ -136,6 +136,12 @@ class TestEquationSpec:
         s2 = spec_with(m=1, k=2, u=CatalogRef("constant", {"value": 2.0}))
         assert start_index(s2) == 1
         assert x_start_index(s2) == 1
+        # Every window a run builds starts at 1 or later, which Seq requires.
+        for m in range(1, 5):
+            for k in range(-3, 4):
+                spec = spec_with(m=m, k=k, u=CatalogRef("constant", {"value": 0.5}))
+                assert start_index(spec) == max(1, 1 - k, m) >= 1
+                assert x_start_index(spec) == start_index(spec) + min(k, 0) >= 1
 
 
 def neutral_trace(k, c, profile, N, m=1, **overrides):

@@ -85,8 +85,10 @@ class TestSeq:
         assert tuple(x.values) == (1.0, 2.0, 3.0)
 
     def test_rejects_negative_start(self):
-        with pytest.raises(ValueError):
-            Seq(-1, (1.0,))
+        # Index 0 too: the paper's sequences, and every window, start at 1.
+        for start in (-1, 0):
+            with pytest.raises(ValueError, match=rf"^start index must be >= 1, got {start}$"):
+                Seq(start, (1.0,))
 
     def test_trailing_holds_trail_length_entries(self):
         # trail_length is the one definition of the trailing half: ceil(n / 2).
@@ -155,7 +157,8 @@ def test_at_indices_matches_the_full_horner_bit_for_bit(coeffs, start):
     assert hexes(got) == hexes(PolyCoeffs(coeffs)(n) for n in range(start, start + 300))
 
 
-@pytest.mark.parametrize("start", [0, 1, 9])
+# 5001 is where the trailing half of a 10,000-term window starts.
+@pytest.mark.parametrize("start", [1, 9, 5001])
 def test_weighted_sum_at_w_zero_matches_the_weighted_formula_bit_for_bit(start):
     rng = random.Random(start)
     values = [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-12, 3) for _ in range(3000)]
@@ -268,23 +271,24 @@ class TestWeightedSumDiagnostic:
     @staticmethod
     def tuple_formula(x, w):
         """Every term boxed in one tuple, then the whole and its last quarter summed."""
-        skip = 1 if x.start == 0 and w != 0.0 else 0
-        tail_at = (3 * len(x)) // 4 - skip
-        mags = map(abs, x.values[skip:])
+        tail_at = (3 * len(x)) // 4
+        mags = map(abs, x.values)
         if w == 0.0:
             terms = tuple(mags)
         else:
-            terms = tuple(map(mul, index_powers(x.start + skip, len(x) - skip, w), mags))
+            terms = tuple(map(mul, index_powers(x.start, len(x), w), mags))
         partial = csum(terms)
         tail_part = csum(terms[tail_at:])
         return partial.hex(), tail_part.hex(), tail_part < seqcore.TAU_TAIL * (1.0 + partial)
 
     @pytest.mark.parametrize("scoped", [False, True])
     @pytest.mark.parametrize("length", [16, 1001])
-    @pytest.mark.parametrize("start", [0, 1, 7])
+    @pytest.mark.parametrize("start", [1, 7, 1500])
     @pytest.mark.parametrize("w", [0.0, 1.0, -0.5, 2.5])
     def test_streaming_sums_match_the_tuple_formula(self, w, start, length, scoped):
-        # Index 0 is left out at w != 0 in both; the floats are the same bits.
+        # Streamed or boxed in one tuple, the sums are the same bits.  At start
+        # 1500 a 1001-term window runs past the scope's table, so its powers
+        # are computed per window.
         rng = random.Random(length + start)
         x = Seq(start, [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-8, 8) for _ in range(length)])
         with index_power_tables(2000) if scoped else contextlib.nullcontext():
@@ -307,11 +311,6 @@ class TestOrderEstimate:
     def test_n_log_n_is_neither(self):
         x = seq_from_function(lambda n: n * math.log(n), 1, 10_000)
         assert order_estimate(x, 1.0).kind == "neither"
-
-    def test_zero_skipped_when_weight_undefined(self):
-        x = Seq(0, tuple(float(i) for i in range(64)))
-        v = order_estimate(x, -1.0)
-        assert v.excluded_zero
 
     def test_minimum_length(self):
         with pytest.raises(WindowLengthError):
