@@ -18,8 +18,8 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
-from itertools import compress, repeat
-from operator import ge, mul, sub, truediv
+from itertools import repeat
+from operator import mul, sub, truediv
 from typing import Sequence
 
 from .errors import DivergenceError, WindowLengthError
@@ -31,15 +31,11 @@ from .seqcore import (
     csum,
     delta,
     index_powers,
-    line_fit,
     order_estimate,
-    trail_length,
 )
 
 #: Relative residual allowed when re-checking a polynomial transfer.
 TRANSFER_RTOL = 1e-10
-#: |r_n| below this is dropped from the log-log decay fit.
-DECAY_FIT_FLOOR = 1e-14
 #: Multiples of one rounding ulp treated as quantization noise.
 NOISE_SAFETY = 4.0
 #: Shortest window extract_polynomial accepts; regularity_check at order q
@@ -59,10 +55,8 @@ class DecompositionReport:
     o(n**s) membership only: kinds are small_o or neither, never big_O.
     A remainder whose trailing third sits at the input's rounding
     resolution is small_o with trend 0, as a regularity level is.
-    decay_exponent is the least-squares slope of log |r_n| against log n
-    over the trailing half, with its R**2.  regular_checks holds the
-    :func:`regularity_check` verdicts when q is given, and regular_passed
-    whether all of them are small_o.
+    regular_checks holds the :func:`regularity_check` verdicts when q is
+    given, and regular_passed whether all of them are small_o.
 
     Each side of decomposition.json is this report field by field, with
     psi as its coefficient list and the remainder as its [start, end]
@@ -73,8 +67,6 @@ class DecompositionReport:
     remainder: Seq
     s: float
     remainder_verdict: OrderVerdict
-    decay_exponent: float
-    decay_r2: float
     regular_q: int | None = None
     regular_checks: tuple[OrderVerdict, ...] | None = None
     regular_passed: bool | None = None
@@ -133,21 +125,6 @@ def _lstsq_degrees(ns: range, resid: Sequence[float], degrees: list[int]) -> dic
     atb = [dot(ci, resid) for ci in cols]
     sol = _solve_normal_equations(ata, atb)
     return {d: sol[i] / scale**d for i, d in enumerate(degrees)}
-
-
-def _decay_fit(remainder: Seq) -> tuple[float, float]:
-    lo = remainder.end - trail_length(len(remainder)) + 1
-    vals = remainder.values[lo - remainder.start :]
-    kept = list(map(ge, map(abs, vals), repeat(DECAY_FIT_FLOOR)))
-    xs = list(map(math.log, compress(range(lo, remainder.end + 1), kept)))
-    ys = list(map(math.log, compress(map(abs, vals), kept)))
-    if len(xs) < 2:
-        return math.nan, math.nan
-    slope, ym, resid = line_fit(xs, ys)
-    ss_res = csum(map(pow, resid, repeat(2)))
-    ss_tot = csum(map(pow, map(sub, ys, repeat(ym)), repeat(2)))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return slope, r2
 
 
 def _fit_polynomial(z: Seq, m: int, d_min: int) -> PolyCoeffs:
@@ -224,8 +201,9 @@ def extract_polynomial(z: Seq, m: int, s: float, q: int | None = None) -> Decomp
     if s > m - 1 + 1e-12:
         raise ValueError(f"need s <= m - 1 = {m - 1}, got {s}")
     d_min = max(0, math.ceil(s - 1e-12))
-    # The fit's working windows die with these helpers, before the decay fit
-    # below, where a run's memory peaks.
+    # The fit's working windows die with _fit_polynomial, before the
+    # remainder is built, so they never coexist with it or with the
+    # regularity levels below.
     psi = _fit_polynomial(z, m, d_min)
     remainder = _remainder(z, psi)
 
@@ -235,7 +213,6 @@ def extract_polynomial(z: Seq, m: int, s: float, q: int | None = None) -> Decomp
     if verdict.kind == "big_O":
         verdict = replace(verdict, kind="neither")
 
-    slope, r2 = _decay_fit(remainder)
     regular_checks = None
     regular_passed = None
     if q is not None:
@@ -246,8 +223,6 @@ def extract_polynomial(z: Seq, m: int, s: float, q: int | None = None) -> Decomp
         remainder=remainder,
         s=s,
         remainder_verdict=verdict,
-        decay_exponent=slope,
-        decay_r2=r2,
         regular_q=q,
         regular_checks=regular_checks,
         regular_passed=regular_passed,

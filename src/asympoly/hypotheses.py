@@ -64,25 +64,32 @@ class ConclusionResult:
 class HypothesisVerdict:
     """All checks of one theorem case plus the conclusion.
 
-    ``passed`` holds iff every case check passed and the conclusion
-    passed; ``failed_check`` names the first failure (or "conclusion").
-    ``mode`` is derived: "regular" when the regular checks ran (the spec
-    set q), else "plain".  verdict.json is this verdict field by field,
-    with case_id under the key case and without the decomposition, which
-    decomposition.json holds.
+    ``passed``, ``failed_check`` and ``mode`` are derived from the checks
+    and the conclusion.  ``passed`` holds iff every case check passed and
+    the conclusion passed; ``failed_check`` names the first failure (or
+    "conclusion"), None when passed.  ``mode`` is "regular" when the
+    regular checks ran (the spec set q), else "plain".  verdict.json is
+    this verdict field by field, with case_id under the key case and
+    without the decomposition, which decomposition.json holds.
     """
 
     case_id: str
     mode: str = field(init=False)
     checks: tuple[CheckResult, ...]
     conclusion: ConclusionResult
-    passed: bool
-    failed_check: str | None
+    passed: bool = field(init=False)
+    failed_check: str | None = field(init=False)
     decomposition: SolutionDecomposition
 
     def __post_init__(self) -> None:
         regular = self.conclusion.regular_passed is not None
         object.__setattr__(self, "mode", "regular" if regular else "plain")
+        failed = next(
+            (c.name for c in self.checks if not c.passed),
+            None if self.conclusion.passed else "conclusion",
+        )
+        object.__setattr__(self, "passed", failed is None)
+        object.__setattr__(self, "failed_check", failed)
 
 
 def _log_grid_n(n_max: int) -> list[int]:
@@ -153,7 +160,7 @@ def polynomial_growth_check(x: Seq) -> OrderVerdict:
     fit_len = 2 * len(tail) // 3
     log_n = list(map(math.log, range(tail.start, tail.start + fit_len)))
     log_x = list(map(math.log1p, map(abs, tail.values[:fit_len])))
-    s = max(line_fit(log_n, log_x)[0], 0.0) + GROWTH_SLACK
+    s = max(line_fit(log_n, log_x), 0.0) + GROWTH_SLACK
     if s * math.log(tail.end) > math.log(sys.float_info.max):
         return OrderVerdict("neither", s, math.inf, math.inf, math.inf)
     return order_estimate(tail, s)
@@ -289,15 +296,9 @@ def theorem_dispatch(spec: EquationSpec, trace: SolutionTrace, case_id: str) -> 
         regular_passed=x_rep.regular_passed,
     )
 
-    passed = all(c.passed for c in checks) and conclusion.passed
-    failed: str | None = None
-    if not passed:
-        failed = next((c.name for c in checks if not c.passed), "conclusion")
     return HypothesisVerdict(
         case_id=case_id,
         checks=tuple(checks),
         conclusion=conclusion,
-        passed=passed,
-        failed_check=failed,
         decomposition=decomposition,
     )

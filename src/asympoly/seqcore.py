@@ -244,24 +244,15 @@ def csum(values: Iterable[float]) -> float:
         return math.nan
 
 
-def line_fit(
-    xs: Sequence[float], ys: Sequence[float]
-) -> tuple[float, float, Iterator[float]]:
-    """Least-squares line through the points (xs, ys), with exactly rounded sums.
-
-    Returns the slope, mean(ys) and an iterator over the residuals
-    y - (mean(ys) + slope (x - mean(xs))) in input order; the slope is NaN
-    when the xs do not vary.  Nothing of the size of the input is stored.
-    """
+def line_fit(xs: Sequence[float], ys: Sequence[float]) -> float:
+    """Slope of the least-squares line through the points (xs, ys), with
+    exactly rounded sums; NaN when the xs do not vary."""
     xm = csum(xs) / len(xs)
     ym = csum(ys) / len(ys)
     sxx = csum(map(pow, map(sub, xs, repeat(xm)), repeat(2)))
-    if sxx:
-        slope = csum(map(mul, map(sub, xs, repeat(xm)), map(sub, ys, repeat(ym)))) / sxx
-    else:
-        slope = math.nan
-    fitted = map(add, repeat(ym), map(mul, repeat(slope), map(sub, xs, repeat(xm))))
-    return slope, ym, map(sub, ys, fitted)
+    if not sxx:
+        return math.nan
+    return csum(map(mul, map(sub, xs, repeat(xm)), map(sub, ys, repeat(ym)))) / sxx
 
 
 def delta(x: Seq, m: int) -> Seq:

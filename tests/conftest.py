@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,31 @@ from asympoly.neutral_solver import simulate
 
 HORIZON = 10_000
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "asympoly" / "fixtures"
+
+
+def pytest_collection_modifyitems(items):
+    """Refuse a parametrized id with a positional component such as value10.
+
+    pytest names a parameter it cannot render by its argument name and
+    position, so such an id changes when a case is added or moved, and a
+    list of test names that holds it goes stale.  Every id is given
+    explicitly instead.
+    """
+    positional = [
+        item.nodeid
+        for item in items
+        if hasattr(item, "callspec")
+        and any(
+            re.fullmatch(re.escape(arg) + r"\d+", part)
+            for part in item.callspec.id.split("-")
+            for arg in item.callspec.params
+        )
+    ]
+    if positional:
+        raise pytest.UsageError(
+            "parametrized ids with a positional component (give explicit ids): "
+            + ", ".join(positional)
+        )
 
 
 def manifest_entries():

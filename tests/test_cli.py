@@ -505,7 +505,7 @@ def test_bytes_per_step_bounds_the_run_memory(tmp_path):
 def test_run_memory_per_step_at_a_horizon_where_windows_dominate(tmp_path):
     # At 1e4 the per-step windows outweigh the fixed costs, so this bound
     # tracks what a long run pays per step (t2_regular_m3 peaks at about
-    # 141 B/step here and 134 at 1e5).
+    # 140 B/step here and 125 at 1e5).
     horizon = 10_000
     tracemalloc.start()
     try:
@@ -912,8 +912,8 @@ class TestRunCommand:
 
 
 REPORT_SIDE_KEYS = {
-    "decay_exponent", "decay_r2", "psi", "regular_checks", "regular_passed",
-    "regular_q", "remainder_verdict", "remainder_window", "s",
+    "psi", "regular_checks", "regular_passed", "regular_q", "remainder_verdict",
+    "remainder_window", "s",
 }
 ORDER_VERDICT_KEYS = {"bound", "exponent", "kind", "metric", "trend"}
 

@@ -257,17 +257,6 @@ class TestExtractPolynomial:
             regularity_check(rep.remainder, m, scale)
 
 
-    def test_decay_exponent_fit(self):
-        # alternating sign keeps the trailing mean of the remainder at zero,
-        # so the fitted constant does not distort the tail magnitudes
-        z = seq_from_function(
-            lambda n: 2.0 + (-1.0) ** n * float(n) ** -1.5, 1, 4096
-        )
-        rep = extract_polynomial(z, 1, 0.0)
-        assert abs(rep.decay_exponent + 1.5) < 0.1
-        assert rep.decay_r2 > 0.99
-
-
 class TestTransferPolynomial:
     def test_linear_closed_form(self):
         for c in (-0.5, 0.5, 2.0):

@@ -8,6 +8,9 @@ from asympoly.decomp import MIN_WINDOW, extract_polynomial
 from asympoly.errors import ConfigError, WindowLengthError
 from asympoly.hypotheses import (
     GROWTH_SLACK,
+    CheckResult,
+    ConclusionResult,
+    HypothesisVerdict,
     check_g_p_bounded,
     check_u_rate,
     polynomial_growth_check,
@@ -221,6 +224,33 @@ class TestTheoremDispatch:
         assert v.passed
         names = [c.name for c in v.checks]
         assert "f-bounded" in names and "alternative" in names
+
+
+class TestHypothesisVerdict:
+    # passed and failed_check are derived from the checks and the conclusion,
+    # so a verdict cannot contradict them.
+    @pytest.mark.parametrize(
+        "check_passes, conclusion_passes, passed, failed_check",
+        [
+            # the first failing check is named, even when the conclusion fails too
+            ((True, False, False), False, False, "c1"),
+            ((True, True, True), False, False, "conclusion"),
+            ((True, True, True), True, True, None),
+        ],
+        ids=["failing_check", "failing_conclusion", "all_passing"],
+    )
+    def test_outcome_is_derived(self, check_passes, conclusion_passes, passed, failed_check):
+        checks = tuple(CheckResult(f"c{i}", ok, 0.0) for i, ok in enumerate(check_passes))
+        conclusion = ConclusionResult(conclusion_passes, 0.0, "small_o", 0.0)
+        v = HypothesisVerdict("a", checks, conclusion, decomposition=None)
+        assert (v.passed, v.failed_check) == (passed, failed_check)
+
+    def test_outcome_is_not_an_argument(self):
+        conclusion = ConclusionResult(True, 0.0, "small_o", 0.0)
+        with pytest.raises(TypeError):
+            HypothesisVerdict(
+                "a", (), conclusion, passed=False, failed_check="conclusion", decomposition=None
+            )
 
 
 class TestAlternativeCheck:

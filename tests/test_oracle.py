@@ -97,7 +97,8 @@ def test_x_polynomial_is_the_transfer_plus_the_u_perturbation(oracle):
     x = trace.x
     ns = range(x.end - (len(x) - len(x) // 2) + 1, x.end + 1)
     model = [-(n**-2.0) * psi_x(n + spec.k) / (1.0 + spec.c) for n in ns]
-    slope, mean, _ = line_fit(ns, model)
+    slope = line_fit(ns, model)
+    mean = csum(model) / len(model)
     predicted = (mean - slope * csum(ns) / len(ns), slope)
     errors = [g - w for g, w in zip(dec.x_report.psi.padded(1), psi_x.padded(1))]
     for error, gap, allowance in zip(errors, predicted, allowances(trace)):

@@ -20,6 +20,7 @@ from asympoly.seqcore import (
     delta,
     index_power_tables,
     index_powers,
+    line_fit,
     order_estimate,
     trail_length,
     weighted_sum_diagnostic,
@@ -238,6 +239,15 @@ class TestCsum:
         vals = [1e16, 1.0, -1e16, 1.0, 0.1, -0.2] * 50
         exact = math.fsum(vals)
         assert abs(csum(vals) - exact) <= 1e-12 * abs(exact)
+
+
+class TestLineFit:
+    def test_exact_line(self):
+        xs = range(1, 11)
+        assert line_fit(xs, [3.0 * x - 2.0 for x in xs]) == 3.0
+
+    def test_constant_xs_give_nan(self):
+        assert math.isnan(line_fit([2.0] * 5, [1.0, 2.0, 3.0, 4.0, 5.0]))
 
 
 class TestWeightedSumDiagnostic:
