@@ -1,6 +1,6 @@
 """Closed-form catalogs for the equation building blocks.
 
-Every right-hand side f(n, t), majorant g, delay map sigma and coefficient
+Every right-hand side f(t), majorant g, delay map sigma and coefficient
 generator used anywhere in the package is drawn from the fixed tables
 below, one per family.  There is deliberately no expression interpreter:
 extending the catalog is a code change, which keeps runs deterministic
@@ -80,26 +80,31 @@ def _build(table: Mapping[str, Entry], family: str, ref: CatalogRef) -> tuple:
 
 @dataclass(frozen=True)
 class RhsFunction:
-    """Catalog entry for the right-hand side f(n, t); ``bound`` is sup |f|, inf if unbounded."""
+    """Catalog entry for the right-hand side f; ``bound`` is sup |f|, inf if unbounded.
+
+    The paper's f(n, t) may depend on n; no catalog entry does, so f is a
+    function of t alone.  An entry that reads n would bring back the
+    argument, and the n scan of ``hypotheses.check_g_p_bounded`` with it.
+    """
 
     ref: CatalogRef
-    fn: Callable[[int, float], float]
+    fn: Callable[[float], float]
     bound: float
 
-    def __call__(self, n: int, t: float) -> float:
-        return self.fn(n, t)
+    def __call__(self, t: float) -> float:
+        return self.fn(t)
 
 
 F_TABLE = {
-    "sigmoid": Entry((), lambda: (lambda n, t: t / (1.0 + t * t), 0.5)),
-    "arctan": Entry((), lambda: (lambda n, t: math.atan(t), math.pi / 2)),
+    "sigmoid": Entry((), lambda: (lambda t: t / (1.0 + t * t), 0.5)),
+    "arctan": Entry((), lambda: (math.atan, math.pi / 2)),
     "power_sgn": Entry(
         ("gamma",),
-        lambda gamma: (lambda n, t: math.copysign(abs(t) ** gamma, t) if t else 0.0, math.inf),
+        lambda gamma: (lambda t: math.copysign(abs(t) ** gamma, t) if t else 0.0, math.inf),
         ("gamma", lambda v: 0.0 < v <= 1.0, "0 < gamma <= 1"),
     ),
-    "linear": Entry((), lambda: (lambda n, t: t, math.inf)),
-    "bounded_sin": Entry((), lambda: (lambda n, t: math.sin(t), 1.0)),
+    "linear": Entry((), lambda: (lambda t: t, math.inf)),
+    "bounded_sin": Entry((), lambda: (math.sin, 1.0)),
 }
 
 

@@ -79,7 +79,8 @@ def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str) 
 
 def _check_horizon(spec: EquationSpec, horizon: int) -> None:
     """Reject a horizon whose z window [n0, N] is shorter than the analysis
-    needs, or whose estimated memory exceeds the MAX_HORIZON cap."""
+    needs, or whose estimated memory exceeds the MAX_HORIZON cap, and an s
+    whose summability weight n**(m - 1 - s) overflows by n = horizon."""
     n0 = start_index(spec)
     need = MIN_WINDOW + (spec.q or 0)
     if horizon - n0 + 1 < need:
@@ -94,18 +95,14 @@ def _check_horizon(spec: EquationSpec, horizon: int) -> None:
             f"{MAX_HORIZON * BYTES_PER_STEP / 1e9:.3g} GB of run memory at "
             f"{BYTES_PER_STEP} B per step"
         )
-
-
-def _check_s_floor(spec: EquationSpec, horizon: int) -> None:
-    """Reject an s whose summability weight n**(m - 1 - s) overflows by n = horizon."""
-    if horizon > 1:
-        ln_horizon = math.log(horizon)
-        if (spec.m - 1 - spec.s) * ln_horizon > math.log(sys.float_info.max):
-            floor = spec.m - 1 - math.log(sys.float_info.max) / ln_horizon
-            raise ConfigError(
-                f"field s: n**(m - 1 - s) overflows at horizon {horizon}; "
-                f"need s >= {floor:.6g}, got {spec.s}"
-            )
+    # The window rule leaves horizon >= MIN_WINDOW > 1, so its log is positive.
+    ln_horizon = math.log(horizon)
+    if (spec.m - 1 - spec.s) * ln_horizon > math.log(sys.float_info.max):
+        floor = spec.m - 1 - math.log(sys.float_info.max) / ln_horizon
+        raise ConfigError(
+            f"field s: n**(m - 1 - s) overflows at horizon {horizon}; "
+            f"need s >= {floor:.6g}, got {spec.s}"
+        )
 
 
 def _check_output_dir(out: Path) -> None:
@@ -273,7 +270,6 @@ def run(config_path: str, horizon: int | None = None, out_dir: str | None = None
         N = config.horizon if horizon is None else horizon
         out = Path(out_dir or config.output or f"{path.stem}_out")
         _check_horizon(config.spec, N)
-        _check_s_floor(config.spec, N)
         _check_output_dir(out)
         trace = simulate(config.spec, config.x_seed, config.z_seed, N)
         verdict = theorem_dispatch(config.spec, trace, config.case_id)

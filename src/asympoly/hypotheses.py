@@ -33,8 +33,7 @@ from .seqcore import (
 
 #: Relative slack of the pointwise (g, p)-boundedness grid check.
 GP_GRID_SLACK = 1e-12
-#: Points per decade of the (g, p)-boundedness grid, in n and in |t|.
-GRID_N_PER_DECADE = 6
+#: Points per decade of the (g, p)-boundedness grid in |t|.
 GRID_T_PER_DECADE = 2
 #: Exponent slack of the polynomial-growth verdict: x is judged against
 #: n**(t + GROWTH_SLACK), t the growth exponent fitted on the trailing half.
@@ -92,12 +91,6 @@ class HypothesisVerdict:
         object.__setattr__(self, "failed_check", failed)
 
 
-def _log_grid_n(n_max: int) -> list[int]:
-    count = max(2, int(math.log10(max(n_max, 2)) * GRID_N_PER_DECADE) + 1)
-    raw = [round(10.0 ** (i * math.log10(n_max) / (count - 1))) for i in range(count)]
-    return sorted({max(1, n) for n in raw})
-
-
 def _log_grid_t() -> list[float]:
     decades = 12  # 1e-6 .. 1e+6
     steps = decades * GRID_T_PER_DECADE
@@ -106,30 +99,30 @@ def _log_grid_t() -> list[float]:
 
 
 def check_g_p_bounded(f: RhsFunction, g: Majorant, p: float, n_max: int) -> CheckResult:
-    """The f-g-bounded check: |f(n, t)| <= g(|t|/n**p) over log-spaced n and t.
+    """The f-g-bounded check: |f(t)| <= g(|t|/n**p) for n in [1, n_max], over
+    a symmetric log grid of t up to 1e6 plus zero.
 
-    n runs log-spaced over [1, n_max], t over a symmetric log grid up to
-    1e6 plus zero.  Pointwise equality is allowed up to a relative slack
-    of 1e-12; the metric is the worst ratio |f| / g.  A g value that
+    It evaluates n = n_max alone, which bounds every n in [1, n_max]: f does
+    not read n, |t|/n**p does not grow with n for p = m - 1 >= 0, and g is
+    nondecreasing.  Pointwise equality is allowed up to a relative slack of
+    GP_GRID_SLACK; the metric is the worst ratio |f| / g.  A g value that
     overflows counts as +inf.
     """
     worst = 0.0
-    ts = _log_grid_t()
-    for n in _log_grid_n(n_max):
-        np_ = float(n) ** p
-        for t in ts:
-            fv = abs(f(n, t))
-            try:
-                gv = g(abs(t) / np_)
-            except OverflowError:
-                # A g beyond the float range bounds any finite |f|.
-                gv = math.inf
-            if gv <= 0.0:
-                ratio = 0.0 if fv == 0.0 else math.inf
-            else:
-                ratio = fv / gv
-            if ratio > worst:
-                worst = ratio
+    np_ = float(n_max) ** p
+    for t in _log_grid_t():
+        fv = abs(f(t))
+        try:
+            gv = g(abs(t) / np_)
+        except OverflowError:
+            # A g beyond the float range bounds any finite |f|.
+            gv = math.inf
+        if gv <= 0.0:
+            ratio = 0.0 if fv == 0.0 else math.inf
+        else:
+            ratio = fv / gv
+        if ratio > worst:
+            worst = ratio
     return CheckResult(
         "f-g-bounded",
         worst <= 1.0 + GP_GRID_SLACK,

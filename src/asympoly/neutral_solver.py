@@ -3,9 +3,10 @@
 The equation advanced here is, in terms of the associated sequence
 z_n = x_n + u_n x_{n+k},
 
-    (m-th difference of z at n) = a_n f(n, x_{sigma(n)}) + b_n
+    (m-th difference of z at n) = a_n f(x_{sigma(n)}) + b_n
 
-with u_n -> c (the limit u's catalog entry records), |c| != 1.  The
+with u_n -> c (the limit u's catalog entry records), |c| != 1, and f a
+catalog entry, which reads t alone (the paper's f(n, t) may read n too).  The
 simulator fixes the start at n0 = max(1, 1 - k, m), takes z on
 [n0, n0 + m - 1] and |k| x values as seeds (this module alone knows where
 they sit), advances z with the binomial expansion of the m-th difference, and
@@ -325,7 +326,7 @@ def simulate(
     steps = range(n0, N - m + 1)
     u_next = u_z[m:]  # u at the z index each step adds
     for n, sv, an, bn, un in zip(steps, sigma, a_steps, b_steps, u_next):
-        acc = an * f(n, x_vals[sv - xs]) + bn
+        acc = an * f(x_vals[sv - xs]) + bn
         for coeff, back in terms:
             acc -= coeff * z_vals[back]
         if not -limit <= acc <= limit:

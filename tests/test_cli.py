@@ -243,6 +243,36 @@ def test_valid_swaps_of_sigma_f_and_case_never_exit_one(name, sigma, f, case):
             assert not (Path(tmp) / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "name, g, code, failed, metric",
+    [
+        pytest.param("t1_case_a_m2", {"id": "identity", "params": {}},
+                     EXIT_HYPOTHESIS, "f-g-bounded", "0x1.f3fffffffdda4p+10", id="m2-identity"),
+        pytest.param("t1_case_a_m2", {"id": "power", "params": {"gamma": 2.0}},
+                     EXIT_HYPOTHESIS, "f-g-bounded", "0x1.d1a94a1ffe001p+41", id="m2-power2"),
+        pytest.param("t1_case_a_m2", {"id": "affine", "params": {"alpha": 1.0, "beta": -0.5}},
+                     EXIT_HYPOTHESIS, "f-g-bounded", "inf", id="m2-affine-negative"),
+        pytest.param("t1_case_a_m1", {"id": "identity", "params": {}},
+                     EXIT_OK, None, "0x1.fffffffffdcd0p-1", id="m1-identity"),
+        pytest.param("t1_case_a_m1", {"id": "affine", "params": {"alpha": 2.0, "beta": 1.0}},
+                     EXIT_OK, None, "0x1.68a88509cfc6ap-3", id="m1-affine"),
+    ],
+)
+def test_f_g_bounded_verdict_with_a_growing_g(name, g, code, failed, metric, tmp_path):
+    # Every shipped fixture has g = constant, where all n give the same
+    # ratio; a growing g makes the ratio depend on n, and the check must
+    # report the worst n of [1, N], n = N.  The values are the n x t grid's.
+    raw = json.loads(fixture_text(f"{name}.json"))
+    raw["spec"]["g"] = g
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    assert run(str(config), horizon=2000, out_dir=str(tmp_path / "o")) == code
+    verdict = json.loads((tmp_path / "o" / "verdict.json").read_text(encoding="utf-8"))
+    assert verdict["failed_check"] == failed
+    check = next(c for c in verdict["checks"] if c["name"] == "f-g-bounded")
+    assert float(check["metric"]).hex() == metric
+
+
 def test_x_sigma_growth_reads_x_where_an_advancing_delay_leaves_it(tmp_path):
     # With sigma(n) = n + 1 and k = 0, every step reads x causally, but
     # sigma(N) = N + 1 lies past x's last index N.

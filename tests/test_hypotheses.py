@@ -3,7 +3,7 @@ import math
 import pytest
 
 from asympoly import hypotheses, seqcore
-from asympoly.catalog import CatalogRef, RhsFunction, make_f, make_g
+from asympoly.catalog import F_TABLE, CatalogRef, RhsFunction, make_f, make_g
 from asympoly.decomp import MIN_WINDOW, extract_polynomial
 from asympoly.errors import ConfigError, WindowLengthError
 from asympoly.hypotheses import (
@@ -19,6 +19,7 @@ from asympoly.hypotheses import (
 from asympoly.neutral_solver import EquationSpec, consistent_seeds, simulate
 
 from conftest import CERTIFIED, load_fixture, seq_from_function
+from test_catalog import G_EDGES
 
 CONST_ONE = make_g(CatalogRef("constant", {"value": 1.0}))
 IDENTITY_G = make_g(CatalogRef("identity"))
@@ -40,30 +41,80 @@ class TestCheckGPBounded:
         assert res.metric > 1.0
 
     def test_zero_rhs_passes_everything(self):
-        zero = RhsFunction(CatalogRef("linear"), lambda n, t: 0.0, 0.0)
+        zero = RhsFunction(CatalogRef("linear"), lambda t: 0.0, 0.0)
         for g in (CONST_ONE, IDENTITY_G):
             for p in (0.0, 1.0):
                 assert check_g_p_bounded(zero, g, p, 10_000).passed
 
-    def test_dispatch_scans_n_up_to_the_trace_horizon(self, monkeypatch):
+    def test_dispatch_checks_at_the_trace_horizon(self, monkeypatch):
         import asympoly.hypotheses as hyp
 
-        scanned = []
+        horizons = []
         real = hyp.check_g_p_bounded
 
-        def recording(f, g, p, n_max=10000):
-            def f_rec(n, t):
-                scanned.append(n)
-                return f(n, t)
-
-            return real(f_rec, g, p, n_max)
+        def recording(f, g, p, n_max):
+            horizons.append(n_max)
+            return real(f, g, p, n_max)
 
         monkeypatch.setattr(hyp, "check_g_p_bounded", recording)
         inst = CERTIFIED["t1_case_a_m1"]
         trace = simulate(inst.spec, inst.x_seed, inst.z_seed, 100_000)
         theorem_dispatch(inst.spec, trace, inst.case_id)
-        assert min(scanned) == 1
-        assert max(scanned) == 100_000
+        assert horizons == [trace.z.end] == [100_000]
+
+
+#: Parameters for every f entry: the ends and the middle of power_sgn's range.
+F_PARAMS = {
+    "sigmoid": [{}],
+    "arctan": [{}],
+    "power_sgn": [{"gamma": 1e-6}, {"gamma": 0.5}, {"gamma": 1.0}],
+    "linear": [{}],
+    "bounded_sin": [{}],
+}
+
+
+def n_by_t_scan(f, g, p, n_max):
+    """The f-g-bounded check as an n x t grid: six log-spaced n per decade
+    over [1, n_max], each against check_g_p_bounded's t grid."""
+    count = max(2, int(math.log10(max(n_max, 2)) * 6) + 1)
+    raw = [round(10.0 ** (i * math.log10(n_max) / (count - 1))) for i in range(count)]
+    worst = 0.0
+    for n in sorted({max(1, n) for n in raw}):
+        np_ = float(n) ** p
+        for t in hypotheses._log_grid_t():
+            fv = abs(f(t))
+            try:
+                gv = g(abs(t) / np_)
+            except OverflowError:
+                gv = math.inf
+            ratio = (0.0 if fv == 0.0 else math.inf) if gv <= 0.0 else fv / gv
+            worst = max(worst, ratio)
+    passed = worst <= 1.0 + hypotheses.GP_GRID_SLACK
+    return worst, passed, f"(g, {p:g})-bounded, worst ratio {worst:.6g}"
+
+
+@pytest.mark.parametrize(
+    "f_id, f_params, g_id, g_params",
+    [
+        pytest.param(f_id, f_params, g_id, g_params, id=f"{f_id}-{f_params}-{g_id}-{g_params}")
+        for f_id, f_cases in F_PARAMS.items()
+        for f_params in f_cases
+        for g_id, g_cases in G_EDGES.items()
+        for g_params in g_cases
+    ],
+)
+def test_check_at_n_max_matches_the_n_by_t_scan(f_id, f_params, g_id, g_params):
+    # f reads t alone and g is nondecreasing, so the row n = n_max of the
+    # grid bounds every other row: one row gives the grid's exact verdict.
+    assert set(F_PARAMS) == set(F_TABLE)
+    f = make_f(CatalogRef(f_id, f_params))
+    g = make_g(CatalogRef(g_id, g_params))
+    for p in (0.0, 1.0, 2.0):
+        for n_max in (64, 2000, 10_000, 1_000_000):
+            res = check_g_p_bounded(f, g, p, n_max)
+            worst, passed, detail = n_by_t_scan(f, g, p, n_max)
+            assert (res.metric.hex(), res.passed, res.detail) == (worst.hex(), passed, detail), (
+                p, n_max)
 
 
 class TestCheckURate:

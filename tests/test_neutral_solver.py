@@ -300,7 +300,7 @@ class TestSimulate:
             worst = 0.0
             for n in range(tr.z.start, dz.end + 1):
                 x_sigma = tr.x.values[sigma_at(rt.sigma, n) - tr.x.start]
-                rhs = rt.a(n) * rt.f(n, x_sigma) + rt.b(n)
+                rhs = rt.a(n) * rt.f(x_sigma) + rt.b(n)
                 worst = max(worst, abs(dz.values[n - dz.start] - rhs))
             assert worst <= 1e-8 * (1.0 + zmax), name
 
