@@ -53,10 +53,10 @@ EXIT_SIMULATION = 3
 CSV_CHUNK_ROWS = 1024
 #: Memory estimate of one run per step of horizon.  The peak traced memory
 #: (tracemalloc) of simulate, dispatch and the three writes is at most
-#: 125 B per step at horizon 1e5 on the shipped certified fixtures
-#: (t2_regular_m3; 140 at 1e4, which tests/test_cli.py bounds by 160).
+#: 114 B per step at horizon 1e5 on the shipped certified fixtures
+#: (t2_regular_m3; 116 at 1e4, which tests/test_cli.py bounds by 160).
 #: Fixed costs weigh more at short horizons: at 2000, where
-#: tests/test_cli.py re-measures it, the peak reaches 224.  Rounded up
+#: tests/test_cli.py re-measures it, the peak is at most 228.  Rounded up
 #: from that, with headroom for other Python versions.
 BYTES_PER_STEP = 250
 #: Largest accepted horizon, about 2 GB of run memory at BYTES_PER_STEP.
@@ -80,7 +80,8 @@ def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str) 
 def _check_horizon(spec: EquationSpec, horizon: int) -> None:
     """Reject a horizon whose z window [n0, N] is shorter than the analysis
     needs, or whose estimated memory exceeds the MAX_HORIZON cap, and an s
-    whose summability weight n**(m - 1 - s) overflows by n = horizon."""
+    whose summability weight n**(m - 1 - s) overflows by the end of x's
+    window, N + max(k, 0), the last index at which any n**e is read."""
     n0 = start_index(spec)
     need = MIN_WINDOW + (spec.q or 0)
     if horizon - n0 + 1 < need:
@@ -95,12 +96,15 @@ def _check_horizon(spec: EquationSpec, horizon: int) -> None:
             f"{MAX_HORIZON * BYTES_PER_STEP / 1e9:.3g} GB of run memory at "
             f"{BYTES_PER_STEP} B per step"
         )
-    # The window rule leaves horizon >= MIN_WINDOW > 1, so its log is positive.
-    ln_horizon = math.log(horizon)
-    if (spec.m - 1 - spec.s) * ln_horizon > math.log(sys.float_info.max):
-        floor = spec.m - 1 - math.log(sys.float_info.max) / ln_horizon
+    # The window rule leaves horizon >= MIN_WINDOW > 1, so the log is positive.
+    # At or above the floor at x's end, x_end**s >= 1 / max float > 0: no n**s is 0.
+    x_end = horizon + max(spec.k, 0)
+    ln_end = math.log(x_end)
+    if (spec.m - 1 - spec.s) * ln_end > math.log(sys.float_info.max):
+        floor = spec.m - 1 - math.log(sys.float_info.max) / ln_end
+        where = f"horizon {horizon}" if x_end == horizon else f"index {x_end} = horizon + k"
         raise ConfigError(
-            f"field s: n**(m - 1 - s) overflows at horizon {horizon}; "
+            f"field s: n**(m - 1 - s) overflows at {where}; "
             f"need s >= {floor:.6g}, got {spec.s}"
         )
 

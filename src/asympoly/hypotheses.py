@@ -25,7 +25,6 @@ from .seqcore import (
     OrderVerdict,
     Seq,
     classify_oscillation,
-    index_power_tables,
     line_fit,
     order_estimate,
     weighted_sum_diagnostic,
@@ -227,58 +226,56 @@ def theorem_dispatch(spec: EquationSpec, trace: SolutionTrace, case_id: str) -> 
     n0, N = trace.z.start, trace.z.end
     p_eff = float(m - 1)
 
-    # Every n**e weight of this run is computed once, on [1, end of x].
-    with index_power_tables(trace.x.end):
-        a_diag = weighted_sum_diagnostic(trace.a, m - 1 - s)
-        b_diag = weighted_sum_diagnostic(trace.b, m - 1 - s)
-        rate_exp = float(1 - m) if spec.q is not None else s + 1.0 - m
-        u_rate = check_u_rate(trace.u, spec.c, rate_exp)
-        checks = [
-            CheckResult(
-                "a-summability", a_diag.converged, a_diag.tail_estimate,
-                f"partial sum {a_diag.partial_sum:.6g} at weight {m - 1 - s:g}",
-            ),
-            CheckResult(
-                "b-summability", b_diag.converged, b_diag.tail_estimate,
-                f"partial sum {b_diag.partial_sum:.6g} at weight {m - 1 - s:g}",
-            ),
-            CheckResult(
-                "u-rate", u_rate.is_small_o, u_rate.metric,
-                f"u - c against n**{rate_exp:g}: {u_rate.kind}",
-            ),
-        ]
+    a_diag = weighted_sum_diagnostic(trace.a, m - 1 - s)
+    b_diag = weighted_sum_diagnostic(trace.b, m - 1 - s)
+    rate_exp = float(1 - m) if spec.q is not None else s + 1.0 - m
+    u_rate = check_u_rate(trace.u, spec.c, rate_exp)
+    checks = [
+        CheckResult(
+            "a-summability", a_diag.converged, a_diag.tail_estimate,
+            f"partial sum {a_diag.partial_sum:.6g} at weight {m - 1 - s:g}",
+        ),
+        CheckResult(
+            "b-summability", b_diag.converged, b_diag.tail_estimate,
+            f"partial sum {b_diag.partial_sum:.6g} at weight {m - 1 - s:g}",
+        ),
+        CheckResult(
+            "u-rate", u_rate.is_small_o, u_rate.metric,
+            f"u - c against n**{rate_exp:g}: {u_rate.kind}",
+        ),
+    ]
 
-        if case_id == "c":
-            bounded = rt.f.bound < math.inf
+    if case_id == "c":
+        bounded = rt.f.bound < math.inf
+        checks.append(CheckResult(
+            "f-bounded", bounded, rt.f.bound,
+            f"catalog bound {rt.f.bound:g}" if bounded else "f unbounded in catalog"))
+        checks.append(_alternative_check(trace, spec))
+    else:
+        f_g_bounded = check_g_p_bounded(rt.f, rt.g, p_eff, n_max=N)
+        if case_id == "a":
             checks.append(CheckResult(
-                "f-bounded", bounded, rt.f.bound,
-                f"catalog bound {rt.f.bound:g}" if bounded else "f unbounded in catalog"))
-            checks.append(_alternative_check(trace, spec))
+                "g-nondecreasing", True, 0.0, "catalog guarantee"))
+            checks.append(f_g_bounded)
+            sigma_excess = max(map(sub, trace.sigma, range(n0, N + 1)))
+            checks.append(CheckResult(
+                "sigma-within-past", sigma_excess <= 0, float(sigma_excess),
+                f"max(sigma(n) - n) = {sigma_excess}"))
+            checks.append(CheckResult(
+                "g-integral-divergent", rt.g.integral_diverges, 0.0,
+                "exact catalog primitive"))
+            labels = classify_oscillation(trace.x, trace.u, spec.k)
+            checks.append(CheckResult(
+                "uk-nonoscillation", "uk_nonoscillatory" in labels, 0.0,
+                f"labels: {', '.join(sorted(labels))}"))
         else:
-            f_g_bounded = check_g_p_bounded(rt.f, rt.g, p_eff, n_max=N)
-            if case_id == "a":
-                checks.append(CheckResult(
-                    "g-nondecreasing", True, 0.0, "catalog guarantee"))
-                checks.append(f_g_bounded)
-                sigma_excess = max(map(sub, trace.sigma, range(n0, N + 1)))
-                checks.append(CheckResult(
-                    "sigma-within-past", sigma_excess <= 0, float(sigma_excess),
-                    f"max(sigma(n) - n) = {sigma_excess}"))
-                checks.append(CheckResult(
-                    "g-integral-divergent", rt.g.integral_diverges, 0.0,
-                    "exact catalog primitive"))
-                labels = classify_oscillation(trace.x, trace.u, spec.k)
-                checks.append(CheckResult(
-                    "uk-nonoscillation", "uk_nonoscillatory" in labels, 0.0,
-                    f"labels: {', '.join(sorted(labels))}"))
-            else:
-                checks.append(CheckResult(
-                    "g-locally-bounded", True, 0.0, "catalog guarantee"))
-                checks.append(f_g_bounded)
-                checks.append(_composed_growth_check(trace, p_eff))
-                checks.append(_alternative_check(trace, spec))
+            checks.append(CheckResult(
+                "g-locally-bounded", True, 0.0, "catalog guarantee"))
+            checks.append(f_g_bounded)
+            checks.append(_composed_growth_check(trace, p_eff))
+            checks.append(_alternative_check(trace, spec))
 
-        decomposition = decompose_solution(trace, spec)
+    decomposition = decompose_solution(trace, spec)
 
     x_rep = decomposition.x_report
     conclusion = ConclusionResult(  # regular_passed is None when q is not set

@@ -23,8 +23,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import islice, repeat
 from operator import add, lt, mul, sub, truediv
@@ -132,52 +130,16 @@ class Seq:
         return Seq(self.end - count + 1, self.values[-count:])
 
 
-#: The innermost index_power_tables scope: its last index and its tables,
-#: float(n) ** e for n in [1, last] keyed by e (None: some value overflows).
-#: A table holds 8-byte doubles; as a tuple of floats it would take 32 bytes
-#: per value and raise the peak memory of a long run by a fifth.
-_POWER_TABLES: ContextVar[tuple[int, dict[float, array | None]] | None] = ContextVar(
-    "asympoly_index_power_tables", default=None
-)
-
-
-@contextmanager
-def index_power_tables(last: int) -> Iterator[None]:
-    """Serve :func:`index_powers` on [1, last] from one table per exponent.
-
-    A table is built on the first request for its exponent and dropped when
-    the scope exits.  The scope lives in a context variable, so threads
-    never share it.
-    """
-    token = _POWER_TABLES.set((last, {}))
-    try:
-        yield
-    finally:
-        _POWER_TABLES.reset(token)
-
-
 def index_powers(start: int, length: int, e: float) -> Iterator[float]:
-    """float(n) ** e for n = start, ..., start + length - 1.
+    """float(n) ** e for n = start, ..., start + length - 1, computed as they are read.
 
-    e == 0 gives 1.0 for every n (as pow does, 0.0 ** 0 included) and
-    builds no table.  Inside an :func:`index_power_tables` scope a window
-    within [1, last] is read from the scope's table for e.  Any other
-    window is computed lazily, so n = 0 with e < 0 raises
-    ZeroDivisionError when it is reached.  All routes give the same floats.
+    e == 0 gives 1.0 for every n, as pow does (0.0 ** 0 included).  Any
+    other power is computed when it is reached, so n = 0 with e < 0 raises
+    ZeroDivisionError and a power past the float range raises
+    OverflowError there.
     """
     if e == 0:
         return repeat(1.0, length)
-    scope = _POWER_TABLES.get()
-    if scope is not None and start >= 1 and start + length - 1 <= scope[0]:
-        last, tables = scope
-        if e not in tables:
-            try:
-                tables[e] = fill_array(map(pow, map(float, range(1, last + 1)), repeat(e)))
-            except OverflowError:  # computed per window, where it may still fit
-                tables[e] = None
-        table = tables[e]
-        if table is not None:
-            return iter(table[start - 1 : start - 1 + length])
     return map(pow, map(float, range(start, start + length)), repeat(e))
 
 

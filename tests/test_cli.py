@@ -152,6 +152,26 @@ def test_s_floor_follows_the_effective_horizon(tmp_path):
     )
 
 
+def test_s_floor_is_taken_at_the_end_of_x(tmp_path, capsys):
+    # k = 60 at horizon 100: x's window ends at 160, where 160.0 ** -154.0 is 0.0,
+    # though the floor at 100 (-154.13) admits s = -154.  The floor at 160 is -139.85.
+    raw = json.loads(fixture_text("t1_case_a_m1.json"))
+    raw["spec"].update(k=60, s=-154.0)
+    raw["spec"]["u"]["params"]["c"] = 2.0
+    raw["seeds"]["x"] = [1.0] * 60
+    raw["horizon"] = 100
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    assert run(str(config), out_dir=str(tmp_path / "below")) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: field s:") and "index 160" in err, err
+    assert "Traceback" not in err
+    assert not (tmp_path / "below").exists()
+    raw["spec"]["s"] = -139.0
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    assert run(str(config), out_dir=str(tmp_path / "inside")) in (EXIT_OK, EXIT_HYPOTHESIS)
+
+
 def test_seed_x_length_rejected_at_the_boundary(tmp_path, capsys):
     raw = json.loads(fixture_text("t2_regular_m3.json"))  # k = -1: one x seed
     raw["seeds"]["x"] = [4.0, 4.0]
@@ -535,7 +555,7 @@ def test_bytes_per_step_bounds_the_run_memory(tmp_path):
 def test_run_memory_per_step_at_a_horizon_where_windows_dominate(tmp_path):
     # At 1e4 the per-step windows outweigh the fixed costs, so this bound
     # tracks what a long run pays per step (t2_regular_m3 peaks at about
-    # 140 B/step here and 125 at 1e5).
+    # 116 B/step here and 114 at 1e5).
     horizon = 10_000
     tracemalloc.start()
     try:

@@ -373,24 +373,3 @@ def test_certified_case_b_has_x_sigma_in_big_o(name, traces):
     check = next(c for c in verdict.checks if c.name == "x-sigma-growth")
     assert check.passed
     assert ": big_O, trend " in check.detail, check.detail
-
-
-class TestIndexPowerScope:
-    def test_no_table_left_after_dispatch_returns(self, traces):
-        inst = CERTIFIED["t1_case_b_m3"]
-        theorem_dispatch(inst.spec, traces["t1_case_b_m3"], inst.case_id)
-        assert seqcore._POWER_TABLES.get() is None
-
-    def test_no_table_left_after_dispatch_raises(self, traces, monkeypatch):
-        inst = CERTIFIED["t1_case_a_m2"]
-        seen = []
-
-        def failing(*args, **kwargs):
-            seen.append(dict(seqcore._POWER_TABLES.get()[1]))
-            raise RuntimeError("decomposition failed")
-
-        monkeypatch.setattr(hypotheses, "decompose_solution", failing)
-        with pytest.raises(RuntimeError, match="decomposition failed"):
-            theorem_dispatch(inst.spec, traces["t1_case_a_m2"], inst.case_id)
-        assert seen and seen[0]  # the checks before it filled the scope's tables
-        assert seqcore._POWER_TABLES.get() is None

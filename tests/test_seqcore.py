@@ -1,7 +1,5 @@
-import contextlib
 import math
 import random
-import threading
 from array import array
 from itertools import repeat
 from operator import add, mul
@@ -18,7 +16,6 @@ from asympoly.seqcore import (
     classify_oscillation,
     csum,
     delta,
-    index_power_tables,
     index_powers,
     line_fit,
     order_estimate,
@@ -291,19 +288,15 @@ class TestWeightedSumDiagnostic:
         tail_part = csum(terms[tail_at:])
         return partial.hex(), tail_part.hex(), tail_part < seqcore.TAU_TAIL * (1.0 + partial)
 
-    @pytest.mark.parametrize("scoped", [False, True])
     @pytest.mark.parametrize("length", [16, 1001])
     @pytest.mark.parametrize("start", [1, 7, 1500])
     @pytest.mark.parametrize("w", [0.0, 1.0, -0.5, 2.5])
-    def test_streaming_sums_match_the_tuple_formula(self, w, start, length, scoped):
-        # Streamed or boxed in one tuple, the sums are the same bits.  At start
-        # 1500 a 1001-term window runs past the scope's table, so its powers
-        # are computed per window.
+    def test_streaming_sums_match_the_tuple_formula(self, w, start, length):
+        # Streamed or boxed in one tuple, the sums are the same bits.
         rng = random.Random(length + start)
         x = Seq(start, [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-8, 8) for _ in range(length)])
-        with index_power_tables(2000) if scoped else contextlib.nullcontext():
-            got = weighted_sum_diagnostic(x, w)
-            want = self.tuple_formula(x, w)
+        got = weighted_sum_diagnostic(x, w)
+        want = self.tuple_formula(x, w)
         assert (got.partial_sum.hex(), got.tail_estimate.hex(), got.converged) == want
 
 
@@ -407,51 +400,22 @@ class TestIndexPowers:
     def direct(start, length, e):
         return list(map(pow, map(float, range(start, start + length)), repeat(e)))
 
-    @pytest.mark.parametrize("scoped", [False, True])
     @pytest.mark.parametrize("start", [0, 1, 5000])
-    def test_matches_pow_bit_for_bit(self, scoped, start):
+    def test_matches_pow_bit_for_bit(self, start):
         length = 3000
-        with index_power_tables(8000) if scoped else contextlib.nullcontext():
-            for e in self.EXPONENTS:
-                if start == 0 and e < 0:
-                    # 0.0 ** e: both routes raise when n = 0 is reached.
-                    with pytest.raises(ZeroDivisionError):
-                        self.direct(start, length, e)
-                    with pytest.raises(ZeroDivisionError):
-                        list(index_powers(start, length, e))
-                    continue
-                got = list(index_powers(start, length, e))
-                assert list(map(float.hex, got)) == list(map(float.hex, self.direct(start, length, e)))
-                if scoped:
-                    # Windows within [1, last] are served from the scope's table;
-                    # e == 0 is 1.0 everywhere and needs none.
-                    assert (e in seqcore._POWER_TABLES.get()[1]) == (start >= 1 and e != 0)
-        assert seqcore._POWER_TABLES.get() is None
+        for e in self.EXPONENTS:
+            if start == 0 and e < 0:
+                # 0.0 ** e: both raise when n = 0 is reached.
+                with pytest.raises(ZeroDivisionError):
+                    self.direct(start, length, e)
+                with pytest.raises(ZeroDivisionError):
+                    list(index_powers(start, length, e))
+                continue
+            got = list(index_powers(start, length, e))
+            assert list(map(float.hex, got)) == list(map(float.hex, self.direct(start, length, e)))
 
-    def test_window_past_the_scope_is_computed_directly(self):
-        with index_power_tables(100):
-            got = list(index_powers(90, 20, 1.5))
-            assert 1.5 not in seqcore._POWER_TABLES.get()[1]
-        assert got == self.direct(90, 20, 1.5)
-
-    def test_overflowing_exponent_falls_back_per_window(self):
-        # 2**1000 fits a float, 3**1000 does not: the table cannot be built,
-        # but a window that stays finite is still served.
-        with index_power_tables(3):
-            assert list(index_powers(1, 2, 1000)) == [1.0, 2.0**1000]
-            with pytest.raises(OverflowError):
-                list(index_powers(1, 3, 1000))
-
-    def test_scope_is_not_shared_with_other_threads(self):
-        seen = []
-
-        def worker():
-            seen.append((seqcore._POWER_TABLES.get(), list(index_powers(1, 5, 0.5))))
-
-        with index_power_tables(10):
-            list(index_powers(1, 5, 0.5))
-            thread = threading.Thread(target=worker)
-            thread.start()
-            thread.join(timeout=10)
-        assert not thread.is_alive()
-        assert seen == [(None, self.direct(1, 5, 0.5))]
+    def test_power_past_the_float_range_raises_when_reached(self):
+        # 2**1000 fits a float, 3**1000 does not.
+        assert list(index_powers(1, 2, 1000)) == [1.0, 2.0**1000]
+        with pytest.raises(OverflowError):
+            list(index_powers(1, 3, 1000))
