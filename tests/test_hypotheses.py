@@ -373,3 +373,13 @@ def test_certified_case_b_has_x_sigma_in_big_o(name, traces):
     check = next(c for c in verdict.checks if c.name == "x-sigma-growth")
     assert check.passed
     assert ": big_O, trend " in check.detail, check.detail
+
+
+@pytest.mark.parametrize("name", ["t1_case_a_m2", "t1_case_b_m3"])
+def test_dispatch_keeps_no_state_between_runs(name, traces):
+    # Every n**e weight is computed where it is read, so a second dispatch of
+    # the same trace finds nothing left by the first and gives the same verdict.
+    inst = CERTIFIED[name]
+    first = theorem_dispatch(inst.spec, traces[name], inst.case_id)
+    second = theorem_dispatch(inst.spec, traces[name], inst.case_id)
+    assert repr(second) == repr(first)

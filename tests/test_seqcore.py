@@ -1,7 +1,7 @@
 import math
 import random
 from array import array
-from itertools import repeat
+from itertools import islice, repeat
 from operator import add, mul
 
 import pytest
@@ -288,13 +288,17 @@ class TestWeightedSumDiagnostic:
         tail_part = csum(terms[tail_at:])
         return partial.hex(), tail_part.hex(), tail_part < seqcore.TAU_TAIL * (1.0 + partial)
 
+    @pytest.mark.parametrize("source", ["list", "iterator"])
     @pytest.mark.parametrize("length", [16, 1001])
     @pytest.mark.parametrize("start", [1, 7, 1500])
     @pytest.mark.parametrize("w", [0.0, 1.0, -0.5, 2.5])
-    def test_streaming_sums_match_the_tuple_formula(self, w, start, length):
-        # Streamed or boxed in one tuple, the sums are the same bits.
+    def test_streaming_sums_match_the_tuple_formula(self, w, start, length, source):
+        # Streamed or boxed in one tuple, the sums are the same bits, whether
+        # the window was built from a list or, as the solver builds it, from
+        # a lazy iterator.
         rng = random.Random(length + start)
-        x = Seq(start, [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-8, 8) for _ in range(length)])
+        values = [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-8, 8) for _ in range(length)]
+        x = Seq(start, values if source == "list" else iter(values))
         got = weighted_sum_diagnostic(x, w)
         want = self.tuple_formula(x, w)
         assert (got.partial_sum.hex(), got.tail_estimate.hex(), got.converged) == want
@@ -414,8 +418,17 @@ class TestIndexPowers:
             got = list(index_powers(start, length, e))
             assert list(map(float.hex, got)) == list(map(float.hex, self.direct(start, length, e)))
 
+    @pytest.mark.parametrize("e", EXPONENTS)
+    def test_powers_are_computed_as_they_are_read(self, e):
+        # A window of 10**18 indices costs nothing until it is read: no
+        # table of its powers is built up front.
+        got = list(islice(index_powers(1, 10**18, e), 5))
+        assert list(map(float.hex, got)) == list(map(float.hex, self.direct(1, 5, e)))
+
     def test_power_past_the_float_range_raises_when_reached(self):
         # 2**1000 fits a float, 3**1000 does not.
         assert list(index_powers(1, 2, 1000)) == [1.0, 2.0**1000]
+        powers = index_powers(1, 3, 1000)
+        assert [next(powers), next(powers)] == [1.0, 2.0**1000]
         with pytest.raises(OverflowError):
-            list(index_powers(1, 3, 1000))
+            next(powers)
