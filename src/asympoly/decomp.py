@@ -11,6 +11,9 @@ amplification without touching the top-down structure.
 Degrees strictly below s belong to the remainder, not the polynomial (the
 decomposition only determines coefficients of degree >= s; at integer s
 the coefficient at degree exactly s is kept).
+
+A solution is fitted once, on z: x's polynomial is the transfer of z's
+(:func:`decompose_solution`), and x's remainder is judged as z's is.
 """
 
 from __future__ import annotations
@@ -183,6 +186,11 @@ def rounding_resolution(scale: float, p: int = 0) -> float:
     return NOISE_SAFETY * 2.0**p * sys.float_info.epsilon * scale
 
 
+def _min_degree(s: float) -> int:
+    """Lowest degree the polynomial part keeps, max(0, ceil(s))."""
+    return max(0, math.ceil(s - 1e-12))
+
+
 def extract_polynomial(z: Seq, m: int, s: float, q: int | None = None) -> DecompositionReport:
     """Split z into a degree < m polynomial and an o(n**s)-candidate rest.
 
@@ -190,43 +198,34 @@ def extract_polynomial(z: Seq, m: int, s: float, q: int | None = None) -> Decomp
     of the d-th difference divided by d!, the monomial is subtracted, and
     the recursion continues down to degree max(0, ceil(s)); a joint
     least-squares pass over the trailing half then corrects the kept
-    coefficients.  The remainder's verdict is :func:`order_estimate` at
-    the :func:`rounding_resolution` of sup |z| (p = 0), with big_O
-    downgraded to neither (only smallness is a meaningful certificate for
-    the remainder).  When q is given, the iterated difference checks of the
-    remainder are run as well.
+    coefficients.  The remainder is judged by :func:`_judge`.
     """
     if len(z) < MIN_WINDOW:
         raise WindowLengthError(f"need at least {MIN_WINDOW} entries, got {len(z)}")
     if s > m - 1 + 1e-12:
         raise ValueError(f"need s <= m - 1 = {m - 1}, got {s}")
-    d_min = max(0, math.ceil(s - 1e-12))
-    # The fit's working windows die with _fit_polynomial, before the
-    # remainder is built, so they never coexist with it or with the
-    # regularity levels below.
-    psi = _fit_polynomial(z, m, d_min)
-    remainder = _remainder(z, psi)
+    # _fit_polynomial's working windows are gone before _judge builds the remainder.
+    return _judge(z, _fit_polynomial(z, m, _min_degree(s)), s, q)
 
-    # The remainder is derived from z, so its rounding resolution is z's.
-    scale = max(map(abs, z.values))
+
+def _judge(w: Seq, psi: PolyCoeffs, s: float, q: int | None) -> DecompositionReport:
+    """The report of w against psi: the remainder w - psi is judged by
+    :func:`order_estimate` at the :func:`rounding_resolution` of sup |w|
+    (p = 0), with big_O downgraded to neither (only smallness is a
+    meaningful certificate for the remainder).  When q is given, the
+    iterated difference checks of the remainder are run as well.
+    """
+    remainder = _remainder(w, psi)
+    # The remainder is derived from w, so its rounding resolution is w's.
+    scale = max(map(abs, w.values))
     verdict = order_estimate(remainder, s, noise_scale=rounding_resolution(scale))
     if verdict.kind == "big_O":
         verdict = replace(verdict, kind="neither")
-
-    regular_checks = None
-    regular_passed = None
+    regular_checks = regular_passed = None
     if q is not None:
         regular_checks = regularity_check(remainder, q, scale=scale)
         regular_passed = all(v.is_small_o for v in regular_checks)
-    return DecompositionReport(
-        psi=psi,
-        remainder=remainder,
-        s=s,
-        remainder_verdict=verdict,
-        regular_q=q,
-        regular_checks=regular_checks,
-        regular_passed=regular_passed,
-    )
+    return DecompositionReport(psi, remainder, s, verdict, q, regular_checks, regular_passed)
 
 
 def transfer_polynomial(phi: PolyCoeffs, c: float, k: int) -> PolyCoeffs:
@@ -234,9 +233,9 @@ def transfer_polynomial(phi: PolyCoeffs, c: float, k: int) -> PolyCoeffs:
 
     The coefficient system is upper triangular with 1 + c on the diagonal
     and binomial shift terms above, solved top degree down; the identity
-    is re-checked at deg + 3 sample points, each residual relative to the
-    sizes of the three terms it cancels.  The leading coefficient is
-    exactly phi's divided by 1 + c.
+    is re-checked at deg + 3 sample points.  A coefficient beyond the float
+    range, or a residual above its rounding bound, is a DivergenceError.
+    The leading coefficient is exactly phi's divided by 1 + c.
     """
     if abs(abs(c) - 1.0) <= UNIT_MARGIN:
         raise ValueError(f"|c| = {abs(c)} within {UNIT_MARGIN} of 1: transfer is ill conditioned")
@@ -250,16 +249,18 @@ def transfer_polynomial(phi: PolyCoeffs, c: float, k: int) -> PolyCoeffs:
             math.comb(j, i) * float(k) ** (j - i) * psi[j] for j in range(i + 1, deg + 1)
         )
         psi[i] = (phi_c[i] - c * shift) / (1.0 + c)
+        if not math.isfinite(psi[i]):
+            raise DivergenceError(f"transfer: non-finite coefficient at degree {i}")
     result = PolyCoeffs(tuple(psi))
+    # Horner's rounding bound: p(n) errs by a few ulps of p's absolute
+    # coefficients summed at |n|, which do not cancel at a root of p.
+    abs_psi = PolyCoeffs(tuple(map(abs, psi)))
+    abs_phi = PolyCoeffs(tuple(map(abs, phi.coeffs)))
     for n in range(deg + 3):
-        # The residual is measured against the terms it cancels: at a large
-        # shift c psi(n + k) dwarfs phi(n).
-        here, shifted, target = result(n), c * result(n + k), phi(n)
-        scale = 1.0 + abs(here) + abs(shifted) + abs(target)
-        if abs(here + shifted - target) > TRANSFER_RTOL * scale:
-            raise ArithmeticError(
-                f"transfer residual above tolerance at n={n} (c={c}, k={k})"
-            )
+        residual = result(n) + c * result(n + k) - phi(n)
+        scale = 1.0 + abs_psi(n) + abs(c) * abs_psi(abs(n + k)) + abs_phi(n)
+        if abs(residual) > TRANSFER_RTOL * scale:
+            raise DivergenceError(f"transfer residual above tolerance at n={n} (c={c}, k={k})")
     return result
 
 
@@ -289,7 +290,7 @@ def regularity_check(w: Seq, q: int, *, scale: float) -> tuple[OrderVerdict, ...
 
 @dataclass(frozen=True)
 class SolutionDecomposition:
-    """Decompositions of z and x plus the transfer-predicted x polynomial.
+    """Decompositions of z and x; x's polynomial is the transfer of z's.
 
     decomposition.json is this decomposition field by field, with the
     reports under the keys z and x.
@@ -297,18 +298,17 @@ class SolutionDecomposition:
 
     z_report: DecompositionReport
     x_report: DecompositionReport
-    psi_x_transferred: PolyCoeffs
 
 
 def decompose_solution(trace: SolutionTrace, spec: EquationSpec) -> SolutionDecomposition:
-    """Decompose both sides of a trace and predict x's polynomial from z's.
-
-    z is decomposed directly; its polynomial is pushed through the neutral
-    relation (transfer_polynomial with the spec's c and k) to predict x's
-    polynomial; x is decomposed independently as a cross-check.  When the
-    spec carries q, the regular checks run on both remainders.
+    """Decompose z by :func:`extract_polynomial`, and x against the transfer
+    of z's polynomial (transfer_polynomial with the spec's c and k), its
+    degrees below ceil(s) zeroed as the fit zeroes them.  If z = phi + o(n**s)
+    and u - c decays as the u-rate hypothesis asks, x = T(phi) + o(n**s).
+    When the spec carries q, the regular checks run on both remainders.
     """
     rz = extract_polynomial(trace.z, spec.m, spec.s, q=spec.q)
-    transferred = transfer_polynomial(rz.psi, spec.c, spec.k)
-    rx = extract_polynomial(trace.x, spec.m, spec.s, q=spec.q)
-    return SolutionDecomposition(rz, rx, transferred)
+    d_min = _min_degree(spec.s)
+    transferred = transfer_polynomial(rz.psi, spec.c, spec.k).padded(spec.m - 1)
+    psi_x = PolyCoeffs((0.0,) * d_min + transferred[d_min:])
+    return SolutionDecomposition(rz, _judge(trace.x, psi_x, spec.s, spec.q))

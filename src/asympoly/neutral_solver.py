@@ -15,9 +15,8 @@ forward-stable when k <= 0 with |c| < 1, k >= 0 with |c| > 1, or k == 0;
 outside those regimes any seed or rounding error is amplified each step -
 an inherent property of the recursion (x = 2**n with u = -1/2, k = 1
 gives z identically 0), not a solver defect.  Such a run ends in a
-DivergenceError, here or from the decomposition of an x that stays finite
-but whose polynomial fit overflows, or reaches the horizon with an x the
-alternative or the conclusion rejects.
+DivergenceError here, or reaches the horizon with an x the alternative or
+the conclusion rejects.
 """
 
 from __future__ import annotations

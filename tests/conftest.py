@@ -48,7 +48,7 @@ def load_fixture(name):
 
 def fit_divergent_raw():
     """t1_case_b_m2 as order 5 in case (c) with k = 1 and u's limit c = 0.9, an unstable
-    inversion: x stays finite up to index 6642, but from horizon 6500 on the
+    inversion: x stays finite up to index 6642, but from horizon 6500 on a
     polynomial fit of x overflows.  Not a shipped fixture."""
     raw = json.loads((FIXTURES / "t1_case_b_m2.json").read_text(encoding="utf-8"))
     raw["spec"].update(m=5, k=1, s=4.0)

@@ -980,7 +980,7 @@ def test_report_schema(entry, tmp_path):
     assert run(str(FIXTURES / entry["file"]), out_dir=str(out)) == entry["expect_exit"]
     config = ExperimentConfig.from_json(fixture_text(entry["file"]))
     decomposition = json.loads((out / "decomposition.json").read_text(encoding="utf-8"))
-    assert set(decomposition) == {"psi_x_transferred", "x", "z"}
+    assert set(decomposition) == {"x", "z"}
     for side in ("z", "x"):
         report = decomposition[side]
         assert set(report) == REPORT_SIDE_KEYS
@@ -1033,19 +1033,69 @@ def test_divergence_exits_three_naming_the_index(name, spec_update, message, tmp
 
 
 @pytest.mark.parametrize("horizon, expected", [
-    (6400, EXIT_HYPOTHESIS),  # below the band, the fit is finite
-    (6540, EXIT_SIMULATION),  # a non-finite coefficient of x's fit
-    (6620, EXIT_SIMULATION),  # a non-finite difference of x
+    (6400, EXIT_HYPOTHESIS),
+    (6540, EXIT_HYPOTHESIS),  # from 6500 on, a fit of x would overflow
+    (6620, EXIT_HYPOTHESIS),
+    (6643, EXIT_SIMULATION),  # x leaves the finite range at index 6643
 ])
-def test_divergence_found_while_decomposing_exits_three(horizon, expected, tmp_path, capsys):
-    # x is finite through index 6642, so simulate returns; the exit code
-    # must not depend on which stage finds the divergence.
+def test_unstable_inversion_exits_two_until_x_leaves_the_range(horizon, expected, tmp_path, capsys):
+    # x is never fitted, only held against the transfer of z's polynomial,
+    # so an amplified but finite x reaches the alternative check.
     config = tmp_path / "config.json"
     config.write_text(json.dumps(fit_divergent_raw()), encoding="utf-8")
-    assert run(str(config), horizon=horizon, out_dir=str(tmp_path / "o")) == expected
-    if expected == EXIT_SIMULATION:
-        assert capsys.readouterr().err.startswith("simulation error: divergent input: ")
-        assert not (tmp_path / "o").exists()
+    out = tmp_path / "o"
+    assert run(str(config), horizon=horizon, out_dir=str(out)) == expected
+    captured = capsys.readouterr()
+    if expected == EXIT_HYPOTHESIS:
+        assert captured.out.startswith("config.json: fail (alternative);")
+    else:
+        assert captured.err == (
+            "simulation error: |x| exceeded the finite range at index 6643; last valid index 6642\n"
+        )
+        assert not out.exists()
+
+
+def spec_variant(name, seeds, horizon, **spec_update):
+    """The shipped fixture ``name`` with its spec updated, seeds and horizon replaced."""
+    raw = json.loads(fixture_text(name))
+    raw["spec"].update(spec_update)
+    raw.update(seeds=seeds, horizon=horizon)
+    return raw
+
+
+def test_divergence_found_while_decomposing_exits_three(tmp_path, capsys):
+    # z = 1e291 (n - 3)(n - 4) and x stay finite, but the transfer of z's
+    # polynomial divides by 1 + c = 1.5e-6 at each degree, and the shift
+    # terms carry the top coefficient down: its constant leaves the float range.
+    zero = {"id": "constant", "params": {"value": 0.0}}
+    raw = spec_variant(
+        "t1_case_a_m2.json", {"x": [0.0], "z": [0.0, 0.0, 2e291]}, 700,
+        m=3, k=-1, u={"id": "constant", "params": {"value": -0.9999985}}, a=zero, b=zero,
+    )
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    assert run(str(config), out_dir=str(tmp_path / "o")) == EXIT_SIMULATION
+    assert capsys.readouterr().err == (
+        "simulation error: transfer: non-finite coefficient at degree 0\n"
+    )
+    assert not (tmp_path / "o").exists()
+
+
+def test_transfer_of_a_polynomial_with_a_root_reaches_the_verdict(tmp_path, capsys):
+    # z's polynomial is about (-1.47e160, 4.91e159), with its root near
+    # n = 3, where the transfer's re-check reads the rounding of terms near
+    # 1.5e160: no failure, and the run fails its first hypothesis.
+    raw = spec_variant(
+        "t1_case_a_m2.json", {"x": None, "z": [0.0, 0.0]}, 2000,
+        k=0, s=-1.0,
+        u={"id": "power_offset", "params": {"c": 2.0, "A": 1.0, "rho": 1.0}},
+        a={"id": "power", "params": {"A": 1.0, "rho": 2.0}},
+        b={"id": "alt_power", "params": {"A": 1e250, "rho": 300.0}},
+    )
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    assert run(str(config), out_dir=str(tmp_path / "o")) == EXIT_HYPOTHESIS
+    assert capsys.readouterr().out.startswith("config.json: fail (a-summability);")
 
 
 class TestCatalogCommand:

@@ -278,6 +278,25 @@ class TestTransferPolynomial:
     def test_zero_polynomial(self):
         assert transfer_polynomial(PolyCoeffs(()), 0.5, 1).coeffs == ()
 
+    def test_residual_at_a_root_of_a_large_psi(self):
+        # psi = phi / 3 has its root near n = 3, where psi(3), 2 psi(3) and
+        # phi(3) cancel to near 0: the residual, rounding of terms near
+        # 1e160, is measured against the coefficient magnitudes instead.
+        slope = math.nextafter(1e160, math.inf)
+        psi = transfer_polynomial(PolyCoeffs((-3e160, slope)), 2.0, 0)
+        assert psi.coeffs == (-3e160 / 3.0, slope / 3.0)
+
+    def test_residual_above_tolerance_is_a_divergence(self, monkeypatch):
+        monkeypatch.setattr(decomp, "TRANSFER_RTOL", -1.0)
+        with pytest.raises(DivergenceError, match=r"^transfer residual above tolerance at n=0"):
+            transfer_polynomial(PolyCoeffs((1.0, 2.0)), 0.5, 1)
+
+    def test_coefficient_beyond_the_float_range_is_a_divergence(self):
+        # 1 + c = 1.5e-6 divides at each degree, and the shift terms carry
+        # the top coefficient down: degree 0 is about 6e308.
+        with pytest.raises(DivergenceError, match=r"^transfer: non-finite coefficient at degree 0$"):
+            transfer_polynomial(PolyCoeffs((0.0, 0.0, 1e296)), -0.9999985, -1)
+
     def test_near_unit_c_rejected(self):
         with pytest.raises(ValueError):
             transfer_polynomial(PolyCoeffs((1.0,)), 1.0 + 1e-9, 1)
@@ -347,12 +366,31 @@ class TestDecomposeSolution:
         assert max(abs(v) for v in dec.x_report.remainder.values) < 1e-6
 
     def test_transfer_agrees_with_direct_extraction(self, traces):
-        dec = decompose_solution(traces["t1_case_a_m2"], CERTIFIED["t1_case_a_m2"].spec)
-        transferred = dec.psi_x_transferred.padded(1)
-        direct = dec.x_report.psi.padded(1)
+        # An independent fit of x, which a run no longer makes, is the reference.
+        spec, trace = CERTIFIED["t1_case_a_m2"].spec, traces["t1_case_a_m2"]
+        transferred = decompose_solution(trace, spec).x_report.psi.padded(1)
+        direct = extract_polynomial(trace.x, spec.m, spec.s).psi.padded(1)
         assert abs(transferred[1] - direct[1]) <= 0.02 * max(
             abs(transferred[1]), abs(direct[1])
         )
+
+    def test_one_fit_per_run(self, traces, monkeypatch):
+        fitted = []
+        fit = decomp._fit_polynomial
+        monkeypatch.setattr(decomp, "_fit_polynomial", lambda *a: fitted.append(a) or fit(*a))
+        decompose_solution(traces["t2_regular_m3"], CERTIFIED["t2_regular_m3"].spec)
+        assert len(fitted) == 1
+
+    @pytest.mark.parametrize("name", sorted(CERTIFIED))
+    def test_x_polynomial_is_the_zeroed_transfer_of_z(self, name, traces):
+        # Bit for bit: the transfer of z's polynomial, its degrees below
+        # ceil(s) zeroed as the fit zeroes them, m coefficients as z's.
+        spec = CERTIFIED[name].spec
+        dec = decompose_solution(traces[name], spec)
+        d_min = max(0, math.ceil(spec.s - 1e-12))
+        transferred = transfer_polynomial(dec.z_report.psi, spec.c, spec.k).padded(spec.m - 1)
+        want = [0.0 if d < d_min else v for d, v in enumerate(transferred)]
+        assert [v.hex() for v in dec.x_report.psi.coeffs] == [v.hex() for v in want]
 
     def test_scalar_linear_instance_matches_product_oracle(self):
         # m=1, k=0, u = c: the equation collapses to the scalar recursion

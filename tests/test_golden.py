@@ -3,8 +3,8 @@
 Each file in ``tests/golden/`` records, for one manifest entry, what a
 run of ``cli.run`` decides: the exit code, the first failed check, the
 pass flag of every check and of the conclusion, the remainder kinds of
-the z and x decompositions, and the polynomial parts psi_z, psi_x and
-the transferred psi_x.  Everything is compared exactly except the psi
+the z and x decompositions, and the polynomial parts psi_z and psi_x
+(the transfer of psi_z).  Everything is compared exactly except the psi
 coefficients, which are compared at a relative tolerance so that a
 change in summation order (for example to an exactly rounded sum) is
 not mistaken for a change of behaviour.
@@ -29,7 +29,7 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
 #: Relative tolerance of a psi coefficient, scaled by max |psi| of its vector.
 PSI_RTOL = 1e-9
-PSI_KEYS = ("psi_z", "psi_x", "psi_x_transferred")
+PSI_KEYS = ("psi_z", "psi_x")
 
 
 def manifest_files():
@@ -55,7 +55,6 @@ def golden_entry(name, out_dir):
         remainder_kind_x=decomposition["x"]["remainder_verdict"]["kind"],
         psi_z=decomposition["z"]["psi"],
         psi_x=decomposition["x"]["psi"],
-        psi_x_transferred=decomposition["psi_x_transferred"],
     )
     return entry
 
