@@ -5,8 +5,9 @@ The package simulates equations whose m-th difference acts on the neutral
 combination x_n + u_n x_{n+k}, computes the uniform bound of the discrete
 Bihari inequality, splits solutions into a polynomial part plus a
 certified-small remainder, and mechanically checks the hypotheses and
-conclusions of the associated asymptotic theorems at desk scale.  All
-verdicts are finite-horizon diagnostics with declared thresholds.
+conclusions of the associated asymptotic theorems at desk scale.  Some
+hypotheses are decided exactly from the catalog; the other checks and the
+conclusion are finite-horizon diagnostics with declared thresholds.
 """
 
 from .catalog import (
@@ -69,7 +70,6 @@ from .seqcore import (
     OrderVerdict,
     PolyCoeffs,
     Seq,
-    WeightedSumDiagnostic,
     classify_oscillation,
     csum,
     delta,

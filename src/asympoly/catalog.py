@@ -209,16 +209,22 @@ def make_sigma(ref: CatalogRef) -> DelayMap:
 
 @dataclass(frozen=True)
 class SeqGenerator:
-    """Catalog entry for a coefficient sequence (u, a or b), with its limit.
+    """Catalog entry for a coefficient sequence (u, a or b), with its limit
+    and its decay exponent.
 
     ``window(start, length)`` gives the values at n = start, ...,
     start + length - 1 through C-level maps.  It is the entry's one
-    formula: a single index is read through it too.
+    formula: a single index is read through it too.  ``decay`` is the
+    exponent rho with |v_n - limit| = |A| n**-rho (``power``,
+    ``alt_power``, ``power_offset``), and ``math.inf`` when v_n - limit
+    decays faster than every power (``constant``, ``geometric``, a zero
+    amplitude).  The summability and u-rate hypotheses read it.
     """
 
     ref: CatalogRef
     window: Callable[[int, int], Iterable[float]]
     limit: float
+    decay: float
 
     def __call__(self, n: int) -> float:
         return next(iter(self.window(n, 1)))
@@ -257,22 +263,31 @@ def _geometric(amp: float, ratio: float, start: int, length: int) -> Iterable[fl
     return map(mul, repeat(amp), map(pow, repeat(ratio), _indices(start, length)))
 
 
+def _decay(amp: float, rho: float) -> float:
+    """The decay exponent of amp * n**-rho: rho, or inf for a zero amplitude."""
+    return rho if amp else math.inf
+
+
 _RHO_RULE = ("rho", lambda v: v > 0.0, "rho > 0")
 
 GENERATOR_TABLE = {
-    "constant": Entry(("value",), lambda value: (partial(_constant, value), value)),
+    "constant": Entry(("value",), lambda value: (partial(_constant, value), value, math.inf)),
     "power_offset": Entry(
         ("c", "A", "rho"),
-        lambda c, amp, rho: (partial(_power_offset, c, amp, rho), c),
+        lambda c, amp, rho: (partial(_power_offset, c, amp, rho), c, _decay(amp, rho)),
         _RHO_RULE,
     ),
-    "power": Entry(("A", "rho"), lambda amp, rho: (partial(_power, amp, rho), 0.0), _RHO_RULE),
+    "power": Entry(
+        ("A", "rho"), lambda amp, rho: (partial(_power, amp, rho), 0.0, _decay(amp, rho)), _RHO_RULE
+    ),
     "alt_power": Entry(
-        ("A", "rho"), lambda amp, rho: (partial(_alt_power, amp, rho), 0.0), _RHO_RULE
+        ("A", "rho"),
+        lambda amp, rho: (partial(_alt_power, amp, rho), 0.0, _decay(amp, rho)),
+        _RHO_RULE,
     ),
     "geometric": Entry(
         ("A", "ratio"),
-        lambda amp, ratio: (partial(_geometric, amp, ratio), 0.0),
+        lambda amp, ratio: (partial(_geometric, amp, ratio), 0.0, math.inf),
         ("ratio", lambda v: 0.0 < v < 1.0, "0 < ratio < 1"),
     ),
 }

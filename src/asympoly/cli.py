@@ -54,9 +54,10 @@ CSV_CHUNK_ROWS = 1024
 #: Memory estimate of one run per step of horizon.  The peak traced memory
 #: (tracemalloc) of simulate, dispatch and the three writes is at most
 #: 114 B per step at horizon 1e5 on the shipped certified fixtures
-#: (t2_regular_m3; 116 at 1e4, which tests/test_cli.py bounds by 160).
-#: Fixed costs weigh more at short horizons: at 2000, where
-#: tests/test_cli.py re-measures it, the peak is at most 228.  Rounded up
+#: (t2_regular_m3; 116 at 1e4, which tests/test_cli.py bounds by 160),
+#: reached while simulating, where u, a and b are sampled.  Fixed costs
+#: weigh more at short horizons: at 2000, where tests/test_cli.py
+#: re-measures it, the peak is at most 207 (CPython 3.11).  Rounded up
 #: from that, with headroom for other Python versions.
 BYTES_PER_STEP = 250
 #: Largest accepted horizon, about 2 GB of run memory at BYTES_PER_STEP.
@@ -80,8 +81,10 @@ def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str) 
 def _check_horizon(spec: EquationSpec, horizon: int) -> None:
     """Reject a horizon whose z window [n0, N] is shorter than the analysis
     needs, or whose estimated memory exceeds the MAX_HORIZON cap, and an s
-    whose summability weight n**(m - 1 - s) overflows by the end of x's
-    window, N + max(k, 0), the last index at which any n**e is read."""
+    below the floor m - 1 - ln(max float) / ln(N + max(k, 0)), taken at the
+    end of x's window, the last index at which any n**e is read.  At or
+    above it, every n**s that order_estimate divides by is at least
+    1 / max float, so none is 0."""
     n0 = start_index(spec)
     need = MIN_WINDOW + (spec.q or 0)
     if horizon - n0 + 1 < need:

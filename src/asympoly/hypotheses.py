@@ -4,9 +4,12 @@ Given an equation spec and a simulated trace, runs every hypothesis of the
 selected case, then verifies the conclusion (the solution splits into a
 polynomial of degree < m plus a remainder certified o(n**s), and, in the
 regular form that a spec with q set selects, the remainder additionally
-passes the iterated-difference checks).  Every check is a finite-horizon
-diagnostic with declared thresholds; a failure verdict names the first
-failing hypothesis so the tool can be used to probe counterexamples.
+passes the iterated-difference checks).  a-summability, b-summability,
+u-rate, f-bounded, g-integral-divergent and sigma-within-past are exact:
+they read the catalog entries or every sampled sigma(n).  The other checks
+and the conclusion are finite-horizon diagnostics with declared thresholds.
+A failure verdict names the first failing hypothesis so the tool can be
+used to probe counterexamples.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from operator import sub
 
-from .catalog import Majorant, RhsFunction
+from .catalog import Majorant, RhsFunction, SeqGenerator
 from .decomp import MIN_WINDOW, SolutionDecomposition, decompose_solution
 from .errors import ConfigError, WindowLengthError, brief
 from .neutral_solver import EquationSpec, SolutionTrace
@@ -130,10 +133,23 @@ def check_g_p_bounded(f: RhsFunction, g: Majorant, p: float, n_max: int) -> Chec
     )
 
 
-def check_u_rate(u: Seq, c: float, e: float) -> OrderVerdict:
-    """Order verdict for u - c against n**e (the rate hypothesis on u)."""
-    shifted = Seq(u.start, map(sub, u.values, repeat(c)))
-    return order_estimate(shifted, e)
+def _summability(name: str, v: SeqGenerator, w: float) -> CheckResult:
+    """The check that the sum of n**w |v_n| converges, decided exactly from
+    v's limit and decay (:func:`weighted_sum_diagnostic`); the metric is
+    the exponent margin, and the check passes iff it is above 0."""
+    margin = weighted_sum_diagnostic(v.limit, v.decay, w)
+    return CheckResult(
+        name, margin > 0.0, margin, f"|limit| {abs(v.limit):g}, decay {v.decay:g}, weight {w:g}"
+    )
+
+
+def check_u_rate(u: SeqGenerator, e: float) -> CheckResult:
+    """The u-rate check, u - c = o(n**e), decided exactly from u's catalog
+    entry: |u_n - c| is |A| n**-decay, or decays faster than every power
+    when decay is inf.  The metric is the exponent margin ``u.decay + e``,
+    and the check passes iff it is above 0."""
+    margin = u.decay + e
+    return CheckResult("u-rate", margin > 0.0, margin, f"decay {u.decay:g} against n**{e:g}")
 
 
 def polynomial_growth_check(x: Seq) -> OrderVerdict:
@@ -226,23 +242,11 @@ def theorem_dispatch(spec: EquationSpec, trace: SolutionTrace, case_id: str) -> 
     n0, N = trace.z.start, trace.z.end
     p_eff = float(m - 1)
 
-    a_diag = weighted_sum_diagnostic(trace.a, m - 1 - s)
-    b_diag = weighted_sum_diagnostic(trace.b, m - 1 - s)
     rate_exp = float(1 - m) if spec.q is not None else s + 1.0 - m
-    u_rate = check_u_rate(trace.u, spec.c, rate_exp)
     checks = [
-        CheckResult(
-            "a-summability", a_diag.converged, a_diag.tail_estimate,
-            f"partial sum {a_diag.partial_sum:.6g} at weight {m - 1 - s:g}",
-        ),
-        CheckResult(
-            "b-summability", b_diag.converged, b_diag.tail_estimate,
-            f"partial sum {b_diag.partial_sum:.6g} at weight {m - 1 - s:g}",
-        ),
-        CheckResult(
-            "u-rate", u_rate.is_small_o, u_rate.metric,
-            f"u - c against n**{rate_exp:g}: {u_rate.kind}",
-        ),
+        _summability("a-summability", rt.a, m - 1 - s),
+        _summability("b-summability", rt.b, m - 1 - s),
+        check_u_rate(rt.u, rate_exp),
     ]
 
     if case_id == "c":

@@ -172,16 +172,14 @@ def sample_coefficients(spec: EquationSpec, N: int) -> tuple[Seq, Seq, Seq, Sequ
 
 @dataclass(frozen=True)
 class SolutionTrace:
-    """Simulated solution: x and z, and the coefficient samples the run
-    stepped with (which the hypothesis checks read instead of evaluating
-    the catalog again): u, a and b on [1, z.end], and
-    ``sigma[n - z.start]`` = sigma(n) for n on z's window."""
+    """Simulated solution: x and z, and the samples of u and sigma the run
+    stepped with (which the checks read instead of evaluating the catalog
+    again): u on [1, z.end], and ``sigma[n - z.start]`` = sigma(n) for n on
+    z's window."""
 
     x: Seq
     z: Seq
     u: Seq
-    a: Seq
-    b: Seq
     sigma: Sequence[int]
 
 
@@ -287,7 +285,7 @@ def simulate(
     sampled.  sigma, u, a and b are evaluated once (:func:`sample_coefficients`),
     and every sigma(n) is checked against the realized x window before u, a
     and b are sampled.
-    The returned trace carries those samples, satisfies the neutral
+    The returned trace carries the samples of u and sigma, satisfies the neutral
     relation on the full overlap window (re-verified before returning) and
     the stepping residual of the equation itself is at rounding level.
     """
@@ -338,7 +336,7 @@ def simulate(
     x = Seq(xs, x_vals)
     z = Seq(n0, z_vals)
     _verify_relation(x, z, u_z, k)
-    return SolutionTrace(x=x, z=z, u=u, a=a, b=b, sigma=sigma)
+    return SolutionTrace(x=x, z=z, u=u, sigma=sigma)
 
 
 def _verify_relation(x: Seq, z: Seq, u_z: Iterable[float], k: int) -> None:

@@ -37,17 +37,14 @@ TRAIL_FRACTION = 0.5
 #: Values moved per step by :func:`fill_array`.
 FILL_CHUNK = 4096
 
-# The three certification gates, read by :func:`order_estimate` and
-# :func:`weighted_sum_diagnostic` when they are called.  The windows those
-# diagnostics read are conventions, not gates: "for large n" is the
-# trailing half (TRAIL_FRACTION), coefficient means read the trailing
-# eighth (``decomp.COEFF_WINDOW_FRACTION``), and the level at which a
-# window counts as rounding noise is derived from the data
+# The two certification gates, read by :func:`order_estimate` when it is
+# called.  The windows it reads are conventions, not gates: "for large n"
+# is the trailing half (TRAIL_FRACTION), coefficient means read the
+# trailing eighth (``decomp.COEFF_WINDOW_FRACTION``), and the level at
+# which a window counts as rounding noise is derived from the data
 # (``order_estimate``'s noise_scale).
 #: Trailing-third sup bound for a small-o verdict.
 TAU_SMALL = 0.05
-#: Relative tail bound below which a weighted sum counts as converged.
-TAU_TAIL = 1e-3
 #: Allowed relative excess of the trailing sup over the earlier sup before
 #: a big-O verdict is withheld.
 BIG_O_SLACK = 0.02
@@ -243,36 +240,17 @@ def delta(x: Seq, m: int) -> Seq:
     return Seq(x.start, map(sub, vals[1:], vals))
 
 
-@dataclass(frozen=True)
-class WeightedSumDiagnostic:
-    partial_sum: float
-    tail_estimate: float
-    converged: bool
+def weighted_sum_diagnostic(limit: float, decay: float, w: float) -> float:
+    """Exponent margin of the sum of n**w * |v_n| over n >= 1, for a catalog
+    sequence v with the given limit and decay exponent
+    (:class:`asympoly.catalog.SeqGenerator`).
 
-
-def weighted_sum_diagnostic(x: Seq, w: float) -> WeightedSumDiagnostic:
-    """Partial sum of n**w * |x_n| with a last-quarter tail estimate.
-
-    ``converged`` means the trailing quarter of the window contributes less
-    than ``TAU_TAIL * (1 + partial_sum)``.  This is a finite-horizon
-    verdict with a declared threshold, not a convergence proof.
+    When the limit is not zero the terms tend to n**w |limit|; when it
+    is, they are |A| n**(w - decay).  So the sum converges iff the margin
+    ``(decay if limit == 0 else 0) - w - 1`` is above 0.  The rule is exact:
+    no window is read.
     """
-    if len(x) < 16:
-        raise WindowLengthError(f"need at least 16 entries, got {len(x)}")
-    vals = x.values
-
-    def weighted_sum(lo: int) -> float:
-        """Exact sum of the terms from window position lo on."""
-        mags = map(abs, vals[lo:])
-        if w == 0.0:  # n**0 is 1.0, and 1.0 * |x_n| is |x_n|
-            return csum(mags)
-        return csum(map(mul, index_powers(x.start + lo, len(vals) - lo, w), mags))
-
-    partial = weighted_sum(0)
-    tail_part = weighted_sum((3 * len(vals)) // 4)
-    return WeightedSumDiagnostic(
-        partial, tail_part, tail_part < TAU_TAIL * (1.0 + partial)
-    )
+    return (decay if limit == 0 else 0.0) - w - 1.0
 
 
 @dataclass(frozen=True)

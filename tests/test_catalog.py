@@ -172,6 +172,49 @@ def test_generator_windows_match_their_formulas_bit_for_bit(start):
         assert [gen(n).hex() for n in ns] == expected, ident
 
 
+#: Every GENERATOR_TABLE entry, with amplitudes of both signs and zero.
+GENERATOR_CASES = {
+    "constant": [{"value": 0.0}, {"value": -0.7}],
+    "power": [{"A": 1.0, "rho": 1.3}, {"A": -0.5, "rho": 0.2}, {"A": 0.0, "rho": 2.0}],
+    "alt_power": [{"A": 0.5, "rho": 2.0}, {"A": -3.0, "rho": 1e-3}, {"A": -0.0, "rho": 1.0}],
+    "power_offset": [
+        {"c": 2.0, "A": 1.0, "rho": 1.0},
+        {"c": 0.4, "A": -0.25, "rho": 3.0},
+        {"c": -0.5, "A": 0.0, "rho": 1.0},
+    ],
+    "geometric": [{"A": 1.0, "ratio": 0.5}, {"A": -2.0, "ratio": 0.7}],
+}
+
+
+@pytest.mark.parametrize(
+    "ident, params",
+    [
+        pytest.param(ident, params, id=f"{ident}-{params}")
+        for ident, cases in GENERATOR_CASES.items()
+        for params in cases
+    ],
+)
+def test_generator_decay_is_the_exponent_of_v_minus_its_limit(ident, params):
+    # The summability and u-rate checks read decay and limit alone.  A finite
+    # decay rho states |v_n - limit| = |A| n**-rho exactly, up to the rounding
+    # of v_n - limit; an infinite one, a v_n - limit below every power.  A
+    # builder that sets no decay cannot build its entry.
+    assert set(GENERATOR_CASES) == set(GENERATOR_TABLE)
+    gen = make_generator(CatalogRef(ident, params))
+    eps = 2.0**-52
+    assert gen.decay > 0.0
+    for n in (1, 10, 1_000, 1_000_000):
+        v = gen(n)
+        gap = abs(v - gen.limit)
+        if gen.decay == math.inf:
+            assert n < 1_000 or gap == 0.0 or gap < float(n) ** -50, (n, gap)
+        else:
+            amp = abs(params["A"])
+            scale = float(n) ** gen.decay
+            tol = 4 * eps * (abs(v) + abs(gen.limit)) * scale + 8 * eps * amp
+            assert abs(gap * scale - amp) <= tol, (n, gap * scale, amp)
+
+
 def test_listing_contains_required_identifiers_and_is_stable():
     listing = catalog_listing()
     for ident in ("sigmoid", "arctan", "power_sgn", "linear", "bounded_sin",

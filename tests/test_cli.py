@@ -1145,3 +1145,33 @@ def test_readme_library_example_certifies_its_equation():
 def test_manifest_covers_all_exit_codes():
     codes = {entry["expect_exit"] for entry in manifest_entries()}
     assert codes == {0, 1, 2, 3}
+
+
+@pytest.mark.parametrize("name, field, ref, code, failed", [
+    ("t1_case_a_m1.json", "b", {"id": "power", "params": {"A": 0.5, "rho": 1.3}}, EXIT_OK, None),
+    ("t1_case_a_m1.json", "a", {"id": "power", "params": {"A": 1.0, "rho": 1.3}}, EXIT_OK, None),
+    (
+        "t1_case_a_m2.json", "u",
+        {"id": "power_offset", "params": {"c": 2.0, "A": 1.0, "rho": 1.3}}, EXIT_OK, None,
+    ),
+    # The harmonic sum: margin 0 diverges.
+    (
+        "t1_case_a_m1.json", "b", {"id": "power", "params": {"A": 0.5, "rho": 1.0}},
+        EXIT_HYPOTHESIS, "b-summability",
+    ),
+], ids=["b-rho-1.3", "a-rho-1.3", "u-rho-1.3-at-e-minus-1", "b-harmonic"])
+def test_coefficient_hypotheses_are_decided_by_their_exponent_margin(
+    name, field, ref, code, failed, tmp_path
+):
+    # Each config satisfies (or, at margin 0, breaks) its hypothesis by a
+    # margin of 0.3 or less in the exponent, where a finite window cannot
+    # tell a slow convergence from a divergence.  The margin decides.
+    raw = json.loads(fixture_text(name))
+    raw["spec"][field] = ref
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    out = tmp_path / "o"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(str(config), out_dir=str(out)) == code
+    verdict = json.loads((out / "verdict.json").read_text())
+    assert verdict["failed_check"] == failed

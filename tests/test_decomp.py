@@ -23,6 +23,7 @@ from asympoly.errors import DivergenceError, WindowLengthError
 from asympoly.neutral_solver import (
     EquationSpec,
     consistent_seeds,
+    sample_coefficients,
     simulate,
     start_index,
     x_start_index,
@@ -420,9 +421,10 @@ class TestDecomposeSolution:
         # coefficient samples u, a and b at 1.
         spec, trace = CERTIFIED[name].spec, traces[name]
         dec = decompose_solution(trace, spec)
+        _, a, b, _ = sample_coefficients(spec, trace.z.end)
         assert (trace.z.start, trace.x.start) == (start_index(spec), x_start_index(spec))
-        assert (trace.u.start, trace.a.start, trace.b.start) == (1, 1, 1)
-        windows = (trace.x, trace.z, trace.u, trace.a, trace.b,
+        assert (trace.u.start, a.start, b.start) == (1, 1, 1)
+        windows = (trace.x, trace.z, trace.u, a, b,
                    dec.z_report.remainder, dec.x_report.remainder)
         assert min(w.start for w in windows) >= 1
 

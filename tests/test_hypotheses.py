@@ -3,7 +3,7 @@ import math
 import pytest
 
 from asympoly import hypotheses, seqcore
-from asympoly.catalog import F_TABLE, CatalogRef, RhsFunction, make_f, make_g
+from asympoly.catalog import F_TABLE, CatalogRef, RhsFunction, make_f, make_g, make_generator
 from asympoly.decomp import MIN_WINDOW, extract_polynomial
 from asympoly.errors import ConfigError, WindowLengthError
 from asympoly.hypotheses import (
@@ -118,18 +118,32 @@ def test_check_at_n_max_matches_the_n_by_t_scan(f_id, f_params, g_id, g_params):
 
 
 class TestCheckURate:
-    def test_fast_approach_is_small_o(self):
-        u = seq_from_function(lambda n: 0.5 + float(n) ** -2, 1, 2000)
-        assert check_u_rate(u, 0.5, -1.0).kind == "small_o"
+    """u - c = o(n**e) iff u's decay exponent plus e is above 0."""
 
-    def test_borderline_rate_is_not_small_o(self):
-        u = seq_from_function(lambda n: 0.5 + 1.0 / n, 1, 2000)
-        assert check_u_rate(u, 0.5, -1.0).kind != "small_o"
+    @pytest.mark.parametrize("rho, e", [(2.0, -1.0), (1.3, -1.0), (1.0, 0.0), (3.0, -2.0)])
+    def test_a_positive_margin_passes(self, rho, e):
+        u = make_generator(CatalogRef("power_offset", {"c": 0.5, "A": 1.0, "rho": rho}))
+        res = check_u_rate(u, e)
+        assert (res.name, res.passed, res.metric) == ("u-rate", True, rho + e)
+        assert res.metric > 0.0
 
-    def test_constant_u_small_o_at_any_exponent(self):
-        u = seq_from_function(lambda n: 0.5, 1, 2000)
-        for e in (-2.0, 0.0, 1.0):
-            assert check_u_rate(u, 0.5, e).kind == "small_o"
+    @pytest.mark.parametrize("rho, e", [(1.0, -1.0), (2.0, -2.0), (0.5, -1.0)])
+    def test_margin_zero_or_below_fails(self, rho, e):
+        # At margin 0, |u_n - c| = A n**e is O(n**e) but not o(n**e).
+        u = make_generator(CatalogRef("power_offset", {"c": 0.5, "A": 1.0, "rho": rho}))
+        res = check_u_rate(u, e)
+        assert not res.passed and res.metric == rho + e <= 0.0
+
+    @pytest.mark.parametrize("ref", [
+        CatalogRef("constant", {"value": 0.5}),
+        CatalogRef("power_offset", {"c": 0.5, "A": 0.0, "rho": 1.0}),
+        CatalogRef("geometric", {"A": 1.0, "ratio": 0.9}),
+    ], ids=["constant", "zero-amplitude", "geometric"])
+    def test_an_infinite_decay_passes_at_any_exponent(self, ref):
+        u = make_generator(ref)
+        for e in (-50.0, -2.0, 0.0, 1.0):
+            res = check_u_rate(u, e)
+            assert res.passed and res.metric == math.inf
 
 
 class TestPolynomialGrowthCheck:
@@ -214,6 +228,37 @@ class TestTheoremDispatch:
             "f-g-bounded", "sigma-within-past", "g-integral-divergent",
             "uk-nonoscillation",
         ]
+
+    @pytest.mark.parametrize("name", sorted(CERTIFIED) + ["fail_b_summability"])
+    def test_coefficient_metrics_are_the_exact_margins(self, name):
+        # The margins come from the catalog parameters alone: a power's
+        # decay is its rho, a constant 0 has none to lose (inf).
+        cfg = load_fixture(name)
+        spec = cfg.spec
+        trace = simulate(spec, cfg.x_seed, cfg.z_seed, 2000)
+        checks = {c.name: c for c in theorem_dispatch(spec, trace, cfg.case_id).checks}
+
+        def decay(ref):
+            return ref.params["rho"] if ref.params.get("A") else math.inf
+
+        w = spec.m - 1 - spec.s
+        e = float(1 - spec.m) if spec.q is not None else spec.s + 1 - spec.m
+        want = {
+            "a-summability": decay(spec.a) - w - 1,
+            "b-summability": decay(spec.b) - w - 1,
+            "u-rate": decay(spec.u) + e,
+        }
+        assert {k: checks[k].metric for k in want} == want
+        assert all(checks[k].passed == (want[k] > 0) for k in want)
+
+    @pytest.mark.parametrize("name", ["t1_case_a_m1", "t2_regular_m3", "fail_b_summability"])
+    def test_coefficient_checks_do_not_read_the_horizon(self, name):
+        cfg = load_fixture(name)
+        head = []
+        for horizon in (200, 3000):
+            trace = simulate(cfg.spec, cfg.x_seed, cfg.z_seed, horizon)
+            head.append(theorem_dispatch(cfg.spec, trace, cfg.case_id).checks[:3])
+        assert head[0] == head[1]
 
     def test_broken_b_summability_is_named(self):
         cfg = load_fixture("fail_b_summability")  # harmonic b

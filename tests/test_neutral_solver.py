@@ -17,6 +17,7 @@ from asympoly.hypotheses import theorem_dispatch
 from asympoly.neutral_solver import (
     EquationSpec,
     consistent_seeds,
+    sample_coefficients,
     simulate,
     start_index,
     x_start_index,
@@ -308,13 +309,18 @@ class TestSimulate:
     def test_trace_carries_the_coefficient_windows(self, traces, name):
         spec, tr = CERTIFIED[name].spec, traces[name]
         n0, N = start_index(spec), tr.z.end
-        # u is read nowhere past N, so it stops there whatever k is.
-        assert (tr.u.start, tr.u.end) == (tr.a.start, tr.a.end) == (tr.b.start, tr.b.end) == (1, N)
+        # u is read nowhere past N, so it stops there whatever k is.  a and b
+        # are sampled on the same window; the trace keeps u and sigma alone,
+        # since the checks read a and b from the catalog.
+        u, a, b, sigma = sample_coefficients(spec, N)
+        assert (tr.u.start, tr.u.end) == (a.start, a.end) == (b.start, b.end) == (1, N)
+        assert tr.u.values == u.values and list(tr.sigma) == list(sigma)
+        assert [f.name for f in dataclasses.fields(tr)] == ["x", "z", "u", "sigma"]
         assert len(tr.sigma) == N - n0 + 1
         # The samples are the catalog's values, at the ends of each window too.
         rt = spec.rt
         for n in (1, N):
-            samples = (tr.u.values[n - 1], tr.a.values[n - 1], tr.b.values[n - 1])
+            samples = (tr.u.values[n - 1], a.values[n - 1], b.values[n - 1])
             assert samples == (rt.u(n), rt.a(n), rt.b(n))
         assert (tr.sigma[0], tr.sigma[-1]) == (sigma_at(rt.sigma, n0), sigma_at(rt.sigma, N))
 
