@@ -188,7 +188,10 @@ class DelayMap:
     """Catalog entry for the delay sigma: index -> index.
 
     ``window(start, length)`` gives sigma(n) for n = start, ...,
-    start + length - 1.  It is the entry's one formula.
+    start + length - 1.  It is the entry's one formula.  Every catalog
+    delay is nondecreasing and sigma(n) - n never increases, so the first
+    step of a run decides its causality, and sigma(n0) - n0 is the largest
+    sigma(n) - n.
     """
 
     ref: CatalogRef
@@ -268,15 +271,18 @@ def _decay(amp: float, rho: float) -> float:
     return rho if amp else math.inf
 
 
+def _power_offset_entry(c: float, amp: float, rho: float) -> tuple:
+    """The power_offset fields; a finite c + A keeps c + A n**-rho finite for every n >= 1."""
+    if not math.isfinite(c + amp):
+        raise CatalogError(f"power_offset needs a finite c + A, got c={brief(c)}, A={brief(amp)}")
+    return partial(_power_offset, c, amp, rho), c, _decay(amp, rho)
+
+
 _RHO_RULE = ("rho", lambda v: v > 0.0, "rho > 0")
 
 GENERATOR_TABLE = {
     "constant": Entry(("value",), lambda value: (partial(_constant, value), value, math.inf)),
-    "power_offset": Entry(
-        ("c", "A", "rho"),
-        lambda c, amp, rho: (partial(_power_offset, c, amp, rho), c, _decay(amp, rho)),
-        _RHO_RULE,
-    ),
+    "power_offset": Entry(("c", "A", "rho"), _power_offset_entry, _RHO_RULE),
     "power": Entry(
         ("A", "rho"), lambda amp, rho: (partial(_power, amp, rho), 0.0, _decay(amp, rho)), _RHO_RULE
     ),

@@ -53,12 +53,13 @@ EXIT_SIMULATION = 3
 CSV_CHUNK_ROWS = 1024
 #: Memory estimate of one run per step of horizon.  The peak traced memory
 #: (tracemalloc) of simulate, dispatch and the three writes is at most
-#: 114 B per step at horizon 1e5 on the shipped certified fixtures
-#: (t2_regular_m3; 116 at 1e4, which tests/test_cli.py bounds by 160),
-#: reached while simulating, where u, a and b are sampled.  Fixed costs
-#: weigh more at short horizons: at 2000, where tests/test_cli.py
-#: re-measures it, the peak is at most 207 (CPython 3.11).  Rounded up
-#: from that, with headroom for other Python versions.
+#: 82 B per step at horizon 1e5 on the shipped certified fixtures
+#: (t2_regular_m3), reached while simulating, and 98 at 1e4, reached while
+#: dispatching and writing (tests/test_cli.py bounds it by 160 there, and
+#: simulate alone, 82, by 96).  Fixed costs weigh more at short horizons:
+#: at 2000, where tests/test_cli.py re-measures it, the peak is at most
+#: 207 (CPython 3.11).  Rounded up from that, with headroom for other
+#: Python versions.
 BYTES_PER_STEP = 250
 #: Largest accepted horizon, about 2 GB of run memory at BYTES_PER_STEP.
 MAX_HORIZON = 8_000_000

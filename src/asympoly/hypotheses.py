@@ -6,8 +6,9 @@ polynomial of degree < m plus a remainder certified o(n**s), and, in the
 regular form that a spec with q set selects, the remainder additionally
 passes the iterated-difference checks).  a-summability, b-summability,
 u-rate, f-bounded, g-integral-divergent and sigma-within-past are exact:
-they read the catalog entries or every sampled sigma(n).  The other checks
-and the conclusion are finite-horizon diagnostics with declared thresholds.
+they read the catalog entries, or sigma(n0), which bounds sigma(n) - n on
+the whole run (:class:`~asympoly.catalog.DelayMap`).  The other checks and
+the conclusion are finite-horizon diagnostics with declared thresholds.
 A failure verdict names the first failing hypothesis so the tool can be
 used to probe counterexamples.
 """
@@ -16,8 +17,9 @@ from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import islice, repeat
 from operator import sub
 
 from .catalog import Majorant, RhsFunction, SeqGenerator
@@ -180,12 +182,11 @@ def _composed_growth_check(trace: SolutionTrace, p: float) -> CheckResult:
 
     It reads the longest prefix of z's window on which sigma(n) lies in x's
     window.  Causality holds on every step, so that prefix covers them all;
-    past the last step a delay that advances may read beyond x's end.
+    past the last step a delay that advances may read beyond x's end.  sigma
+    is nondecreasing, so bisection finds where it passes x's end.
     """
     x = trace.x
-    sig = trace.sigma
-    if min(sig) < x.start or max(sig) > x.end:
-        sig = sig[: next(i for i, sv in enumerate(sig) if not x.start <= sv <= x.end)]
+    sig = islice(trace.sigma, bisect_right(trace.sigma, x.end))
     x_sig = Seq(trace.z.start, map(x.values.__getitem__, map(sub, sig, repeat(x.start))))
     verdict = order_estimate(x_sig, p)
     return CheckResult(
@@ -261,7 +262,7 @@ def theorem_dispatch(spec: EquationSpec, trace: SolutionTrace, case_id: str) -> 
             checks.append(CheckResult(
                 "g-nondecreasing", True, 0.0, "catalog guarantee"))
             checks.append(f_g_bounded)
-            sigma_excess = max(map(sub, trace.sigma, range(n0, N + 1)))
+            sigma_excess = trace.sigma[0] - n0  # sigma(n) - n never increases
             checks.append(CheckResult(
                 "sigma-within-past", sigma_excess <= 0, float(sigma_excess),
                 f"max(sigma(n) - n) = {sigma_excess}"))

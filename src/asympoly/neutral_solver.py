@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
-from itertools import count
+from itertools import chain, count, islice
 from typing import Iterable, MutableSequence, NoReturn, Sequence
 
 from .catalog import (
@@ -149,38 +149,37 @@ def x_start_index(spec: EquationSpec) -> int:
     return start_index(spec) + min(spec.k, 0)
 
 
-def sample_coefficients(spec: EquationSpec, N: int) -> tuple[Seq, Seq, Seq, Sequence[int]]:
-    """u, a and b on [1, N], and sigma(n) for n in [n0, N]: what a run to
-    horizon N reads (u past N is never read, whatever k), each sampled once.
+def sample_coefficients(spec: EquationSpec, N: int) -> tuple[Seq, Seq, Seq, array]:
+    """What a run to horizon N reads, each value sampled once: sigma(n) and
+    u_n for n on z's window [n0, N], and a_n and b_n for each step n in
+    [n0, N - m].
 
-    sigma comes first and is checked for causality (:func:`_check_causality`),
-    so a run that reads the future fails before u, a or b is sampled.  sigma
-    is an ``array('q')``, 8 bytes a value (a list when a value does not fit
-    64 bits).
+    sigma(n0), the first value of sigma's window, is checked for causality
+    (:func:`_check_causality`) before the rest of the window is read, so a
+    run that reads the future fails before u, a or b is sampled.  sigma is
+    an ``array('q')``, 8 bytes a value.
     """
     rt = spec.rt
     n0 = start_index(spec)
-    try:
-        sigma: Sequence[int] = array("q", rt.sigma.window(n0, N - n0 + 1))
-    except OverflowError:
-        # An index beyond 64 bits fails the causality check; keep a list.  The
-        # failed array may have consumed part of the window, so sample it anew.
-        sigma = list(rt.sigma.window(n0, N - n0 + 1))
-    _check_causality(spec, N, sigma)
-    return rt.u.sample(1, N), rt.a.sample(1, N), rt.b.sample(1, N), sigma
+    window = iter(rt.sigma.window(n0, N - n0 + 1))
+    sigma_n0 = next(window)
+    _check_causality(spec, sigma_n0)
+    sigma = array("q", chain((sigma_n0,), window))
+    steps = N - spec.m - n0 + 1
+    return rt.u.sample(n0, N - n0 + 1), rt.a.sample(n0, steps), rt.b.sample(n0, steps), sigma
 
 
 @dataclass(frozen=True)
 class SolutionTrace:
     """Simulated solution: x and z, and the samples of u and sigma the run
     stepped with (which the checks read instead of evaluating the catalog
-    again): u on [1, z.end], and ``sigma[n - z.start]`` = sigma(n) for n on
-    z's window."""
+    again), both on z's window: ``u.values[n - z.start]`` = u_n and
+    ``sigma[n - z.start]`` = sigma(n) for n in [z.start, z.end]."""
 
     x: Seq
     z: Seq
     u: Seq
-    sigma: Sequence[int]
+    sigma: array
 
 
 def _recover_x(x_vals: MutableSequence[float], k: int, n: int, zn: float, un: float) -> float:
@@ -246,22 +245,16 @@ def check_seeds(spec: EquationSpec, x_seed: Sequence[float] | None, z_seed: Sequ
         )
 
 
-def _check_causality(spec: EquationSpec, N: int, sigma: Iterable[int]) -> None:
-    """Raise CausalityError at the first step whose sigma(n) leaves the x window.
-
-    sigma holds sigma(n0), sigma(n0 + 1), ...  At step n the realized x
-    window is [x start, n + m - 1 + max(k, 0)]; reading past its end reads
-    the future, and reading before its start also enforces sigma(n) >= 1
-    on the simulated range.
-    """
+def _check_causality(spec: EquationSpec, sigma_n0: int) -> None:
+    """Raise CausalityError unless step n0 reads x inside its realized window
+    [x start, n0 + m - 1 + max(k, 0)]; by :class:`DelayMap`'s invariant every
+    later step then does too.  Reading past the end reads the future, and
+    reading before the start also enforces sigma(n) >= 1."""
     n0 = start_index(spec)
     xs = x_start_index(spec)
-    lag = spec.m - 1 + max(spec.k, 0)  # x horizon at step n is n + lag
-    for n, sv in zip(range(n0, max(n0, N - spec.m + 1)), sigma):
-        if sv < xs or sv > n + lag:
-            raise CausalityError(
-                f"step n={n}: sigma(n)={brief(sv)} outside realized x range [{xs}, {n + lag}]"
-            )
+    end = n0 + spec.m - 1 + max(spec.k, 0)
+    if not xs <= sigma_n0 <= end:
+        raise CausalityError(f"step n={n0}: sigma(n)={brief(sigma_n0)} outside realized x range [{xs}, {end}]")
 
 
 def _raise_divergence(what: str, index: int) -> NoReturn:
@@ -283,8 +276,8 @@ def simulate(
     the wrong length raises SeedError (:func:`check_seeds`, called first),
     and a non-finite one ValueError naming its index, before anything is
     sampled.  sigma, u, a and b are evaluated once (:func:`sample_coefficients`),
-    and every sigma(n) is checked against the realized x window before u, a
-    and b are sampled.
+    and causality is decided at n0 before u, a and b are sampled.  N must
+    leave at least one step, N >= n0 + m.
     The returned trace carries the samples of u and sigma, satisfies the neutral
     relation on the full overlap window (re-verified before returning) and
     the stepping residual of the equation itself is at rounding level.
@@ -293,8 +286,8 @@ def simulate(
     m, k = spec.m, spec.k
     n0 = start_index(spec)
     xs = x_start_index(spec)
-    if N < n0 + m - 1:
-        raise ConfigError(f"field horizon: need N >= {n0 + m - 1}, got {N}")
+    if N < n0 + m:
+        raise ConfigError(f"field horizon: need N >= {n0 + m}, got {N}")
     # z_vals holds z from n0 and x_vals x from xs; Seq rejects a non-finite
     # seed, naming its index.
     z_vals = array("d", Seq(n0, z_seed).values)
@@ -308,21 +301,16 @@ def simulate(
     # the end of z_vals, which holds z up to z_{n+m-1} at step n.
     terms = tuple((float((-1) ** (m - i) * math.comb(m, i)), i - m) for i in range(m))
     f = spec.rt.f.fn
-    # u_n for n in [n0, N], the z window; a_n and b_n for each step n.
-    u_z = u.values[n0 - 1 : N]
-    a_steps = a.values[n0 - 1 : N - m]
-    b_steps = b.values[n0 - 1 : N - m]
     limit = DIVERGENCE_LIMIT
     shift = max(k, 0)  # the x value z_j unlocks has index j + shift
 
-    for j, zj, uj in zip(count(n0), z_vals, u_z):
+    for j, zj, uj in zip(count(n0), z_vals, u.values):
         xv = _recover_x(x_vals, k, j, zj, uj)
         if not -limit <= xv <= limit:
             _raise_divergence("|x|", j + shift)
 
-    steps = range(n0, N - m + 1)
-    u_next = u_z[m:]  # u at the z index each step adds
-    for n, sv, an, bn, un in zip(steps, sigma, a_steps, b_steps, u_next):
+    # a and b hold one value per step; un is u at the z index step n adds.
+    for n, sv, an, bn, un in zip(count(n0), sigma, a.values, b.values, islice(u.values, m, None)):
         acc = an * f(x_vals[sv - xs]) + bn
         for coeff, back in terms:
             acc -= coeff * z_vals[back]
@@ -335,7 +323,7 @@ def simulate(
 
     x = Seq(xs, x_vals)
     z = Seq(n0, z_vals)
-    _verify_relation(x, z, u_z, k)
+    _verify_relation(x, z, u.values, k)
     return SolutionTrace(x=x, z=z, u=u, sigma=sigma)
 
 

@@ -81,6 +81,15 @@ def seq_from_function(fn, start, length):
     return Seq(start, map(fn, range(start, start + length)))
 
 
+#: Parameter sets of every SIGMA_TABLE id: delay_d at d in -3..3 and +-10**6.
+SIGMA_CASES = {
+    "identity": [{}],
+    "delay_d": [{"d": d} for d in (*range(-3, 4), 10**6, -(10**6))],
+    "half": [{}],
+    "floor_log": [{}],
+}
+
+
 def sigma_at(sigma, n):
     """sigma(n) for one index, read through the delay map's window formula."""
     return next(iter(sigma.window(n, 1)))

@@ -1,4 +1,7 @@
 import math
+import sys
+from array import array
+from operator import sub
 
 import pytest
 
@@ -16,7 +19,7 @@ from asympoly.catalog import (
 )
 from asympoly.errors import CatalogError
 
-from conftest import sigma_at
+from conftest import SIGMA_CASES, sigma_at
 
 
 def test_unknown_identifiers_rejected():
@@ -126,6 +129,19 @@ def test_sigma_entries():
         make_sigma(CatalogRef("delay_d", {"d": 1.5}))
 
 
+@pytest.mark.parametrize("ident", sorted(SIGMA_TABLE))
+def test_every_delay_is_nondecreasing_and_never_gains_on_n(ident):
+    # Causality and sigma-within-past are decided at n0 because of this:
+    # sigma(n + 1) - sigma(n) is 0 or 1, so sigma is nondecreasing and
+    # sigma(n) - n never increases.  A new table entry needs its own case.
+    for params in SIGMA_CASES[ident]:
+        window = make_sigma(CatalogRef(ident, params)).window
+        for start, length in ((1, 10**6), (10**9, 10**4), (10**15, 10**4)):
+            values = array("q", window(start, length))
+            steps = set(map(sub, values[1:], values[:-1]))
+            assert steps <= {0, 1}, (ident, params, start, sorted(steps))
+
+
 def test_generator_entries_and_limits():
     const = make_generator(CatalogRef("constant", {"value": 0.5}))
     assert const(3) == 0.5 and const.limit == 0.5
@@ -141,6 +157,18 @@ def test_generator_entries_and_limits():
         make_generator(CatalogRef("geometric", {"A": 1.0, "ratio": 1.0}))
     with pytest.raises(CatalogError):
         make_generator(CatalogRef("power", {"A": 1.0, "rho": 0.0}))
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_power_offset_with_c_plus_a_at_the_float_limit_is_accepted(sign):
+    # c + A is the largest float: accepted, and every value is finite,
+    # since |A n**-rho| <= |A|.  One step further is rejected.
+    half = sign * sys.float_info.max / 2
+    po = make_generator(CatalogRef("power_offset", {"c": half, "A": half, "rho": 1.0}))
+    assert po(1) == sign * sys.float_info.max
+    assert all(map(math.isfinite, po.window(1, 1000)))
+    with pytest.raises(CatalogError, match=r"^power_offset needs a finite c \+ A, got c="):
+        make_generator(CatalogRef("power_offset", {"c": half, "A": sign * sys.float_info.max, "rho": 1.0}))
 
 
 def test_generator_sampling():

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from asympoly import cli, neutral_solver
 from asympoly.cli import EXIT_CONFIG, EXIT_HYPOTHESIS, EXIT_OK, EXIT_SIMULATION, ExperimentConfig, run
-from asympoly.errors import ConfigError
+from asympoly.errors import ConfigError, brief
 
 from conftest import CERTIFIED, FIXTURES, fit_divergent_raw, manifest_entries
 
@@ -303,7 +303,8 @@ def test_x_sigma_growth_reads_x_where_an_advancing_delay_leaves_it(tmp_path):
     assert run(str(config), horizon=2000, out_dir=str(tmp_path / "o")) in (EXIT_OK, EXIT_HYPOTHESIS)
     checks = json.loads((tmp_path / "o" / "verdict.json").read_text(encoding="utf-8"))["checks"]
     growth = next(c for c in checks if c["name"] == "x-sigma-growth")
-    assert math.isfinite(growth["metric"])
+    # The metric of the longest prefix on which sigma(n) lies in x's window.
+    assert float(growth["metric"]).hex() == "0x1.fd91ad587e6fcp+0"
 
 
 @pytest.mark.parametrize("horizon", [
@@ -555,7 +556,7 @@ def test_bytes_per_step_bounds_the_run_memory(tmp_path):
 def test_run_memory_per_step_at_a_horizon_where_windows_dominate(tmp_path):
     # At 1e4 the per-step windows outweigh the fixed costs, so this bound
     # tracks what a long run pays per step (t2_regular_m3 peaks at about
-    # 116 B/step here and 114 at 1e5).
+    # 98 B/step here and 82 at 1e5).
     horizon = 10_000
     tracemalloc.start()
     try:
@@ -566,6 +567,21 @@ def test_run_memory_per_step_at_a_horizon_where_windows_dominate(tmp_path):
         tracemalloc.stop()
     assert code == EXIT_OK
     assert peak <= 160 * horizon, peak / horizon
+
+
+def test_simulate_memory_per_step():
+    # simulate holds each coefficient window once, on the window the run
+    # reads: t2_regular_m3 peaks at about 82 B/step at 1e4 inside simulate
+    # alone.  A second copy of u, a and b (as step slices) reads 114.
+    config = CERTIFIED["t2_regular_m3"]
+    horizon = 10_000
+    tracemalloc.start()
+    try:
+        neutral_solver.simulate(config.spec, config.x_seed, config.z_seed, horizon)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 96 * horizon, peak / horizon
 
 
 def count_sampled_indices(monkeypatch):
@@ -600,12 +616,17 @@ def count_sampled_indices(monkeypatch):
 
 @pytest.mark.parametrize("name", ["t1_case_a_m2.json", "t1_case_b_m3.json", "t2_regular_m3.json"])
 def test_each_coefficient_is_evaluated_once_per_index(name, tmp_path, monkeypatch):
+    config = CERTIFIED[Path(name).stem]
     calls = count_sampled_indices(monkeypatch)
     assert run(str(FIXTURES / name), out_dir=str(tmp_path / "o")) == EXIT_OK
     assert len(calls) == 4  # u, a, b and sigma
     for kind, counter in calls:
         assert counter, kind
         assert max(counter.values()) == 1, (kind, counter.most_common(1))
+    # Each on the window the run reads: u and sigma on z's, a and b on the steps'.
+    n0, N = neutral_solver.start_index(config.spec), config.horizon
+    z_window, steps = list(range(n0, N + 1)), list(range(n0, N - config.spec.m + 1))
+    assert [sorted(counter) for _, counter in calls] == [z_window, steps, steps, z_window]
 
 
 def test_causality_fails_before_u_a_and_b_are_sampled(tmp_path, monkeypatch, capsys):
@@ -639,6 +660,23 @@ def test_bad_catalog_params_rejected_at_the_boundary(field, ref, param, literal,
     config.write_text(json.dumps(raw).replace('"@value"', literal), encoding="utf-8")
     assert run(str(config), out_dir=str(tmp_path / "o")) == EXIT_CONFIG
     assert f"field {field}: parameter {param!r} of {ref['id']!r}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("field", ["u", "a", "b"])
+@pytest.mark.parametrize("sign", [1, -1], ids=["plus", "minus"])
+def test_power_offset_whose_c_plus_a_overflows_names_its_field(field, sign, tmp_path, capsys):
+    # c + A past the float range is rejected when the entry is built; the
+    # run reads no index at which the overflow would show.
+    raw = json.loads(fixture_text("t1_case_a_m2.json"))
+    raw["spec"][field] = {"id": "power_offset", "params": {"c": sign * 1e308, "A": sign * 1e308, "rho": 1}}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    assert run(str(config), out_dir=str(tmp_path / "o")) == EXIT_CONFIG
+    value = brief(sign * 1e308)
+    assert capsys.readouterr().err == (
+        f"config error: field {field}: power_offset needs a finite c + A, got c={value}, A={value}\n"
+    )
     assert not (tmp_path / "o").exists()
 
 

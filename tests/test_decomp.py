@@ -418,12 +418,12 @@ class TestDecomposeSolution:
     def test_every_window_a_run_holds_starts_at_one_or_later(self, name, traces):
         # Seq rejects a start below 1, and no diagnostic handles index 0:
         # z starts at n0 = max(1, 1 - k, m), x at n0 + min(k, 0), and the
-        # coefficient samples u, a and b at 1.
+        # coefficient samples u, a and b at n0.
         spec, trace = CERTIFIED[name].spec, traces[name]
         dec = decompose_solution(trace, spec)
         _, a, b, _ = sample_coefficients(spec, trace.z.end)
         assert (trace.z.start, trace.x.start) == (start_index(spec), x_start_index(spec))
-        assert (trace.u.start, a.start, b.start) == (1, 1, 1)
+        assert (trace.u.start, a.start, b.start) == (start_index(spec),) * 3
         windows = (trace.x, trace.z, trace.u, a, b,
                    dec.z_report.remainder, dec.x_report.remainder)
         assert min(w.start for w in windows) >= 1

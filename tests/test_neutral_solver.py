@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import sys
+from array import array
 
 import pytest
 
@@ -12,6 +13,7 @@ from asympoly.errors import (
     DivergenceError,
     SeedError,
     SingularRecoveryError,
+    brief,
 )
 from asympoly.hypotheses import theorem_dispatch
 from asympoly.neutral_solver import (
@@ -24,7 +26,7 @@ from asympoly.neutral_solver import (
 )
 from asympoly.seqcore import classify_oscillation, csum, delta, order_estimate
 
-from conftest import CERTIFIED, load_fixture, seq_from_function, sigma_at
+from conftest import CERTIFIED, SIGMA_CASES, load_fixture, seq_from_function, sigma_at
 
 
 def spec_with(**overrides):
@@ -308,20 +310,23 @@ class TestSimulate:
     @pytest.mark.parametrize("name", ["t1_case_a_m3", "t1_case_b_m2", "t1_case_a_m2"])  # k = -1, 0, 1
     def test_trace_carries_the_coefficient_windows(self, traces, name):
         spec, tr = CERTIFIED[name].spec, traces[name]
-        n0, N = start_index(spec), tr.z.end
-        # u is read nowhere past N, so it stops there whatever k is.  a and b
-        # are sampled on the same window; the trace keeps u and sigma alone,
-        # since the checks read a and b from the catalog.
+        n0, N, m = start_index(spec), tr.z.end, spec.m
+        # u and sigma are sampled on z's window, what the run reads of them
+        # whatever k is; a and b on the steps' window [n0, N - m].  The trace
+        # keeps u and sigma alone, since the checks read a and b from the
+        # catalog.
         u, a, b, sigma = sample_coefficients(spec, N)
-        assert (tr.u.start, tr.u.end) == (a.start, a.end) == (b.start, b.end) == (1, N)
-        assert tr.u.values == u.values and list(tr.sigma) == list(sigma)
+        assert (tr.u.start, tr.u.end) == (n0, N)
+        assert (a.start, a.end) == (b.start, b.end) == (n0, N - m)
+        assert tr.u.values == u.values and tr.sigma == sigma
+        assert isinstance(tr.sigma, array) and tr.sigma.typecode == "q"
         assert [f.name for f in dataclasses.fields(tr)] == ["x", "z", "u", "sigma"]
         assert len(tr.sigma) == N - n0 + 1
         # The samples are the catalog's values, at the ends of each window too.
         rt = spec.rt
-        for n in (1, N):
-            samples = (tr.u.values[n - 1], a.values[n - 1], b.values[n - 1])
-            assert samples == (rt.u(n), rt.a(n), rt.b(n))
+        assert (tr.u.values[0], tr.u.values[-1]) == (rt.u(n0), rt.u(N))
+        assert (a.values[0], a.values[-1]) == (rt.a(n0), rt.a(N - m))
+        assert (b.values[0], b.values[-1]) == (rt.b(n0), rt.b(N - m))
         assert (tr.sigma[0], tr.sigma[-1]) == (sigma_at(rt.sigma, n0), sigma_at(rt.sigma, N))
 
     def test_trace_relation_holds(self, traces):
@@ -346,6 +351,15 @@ class TestSimulate:
         x_seed, z_seed = consistent_seeds(spec, (1.0, 1.0, 1.0))
         with pytest.raises(DivergenceError):
             simulate(spec, x_seed, z_seed, 10_000)
+
+    def test_horizon_leaves_at_least_one_step(self):
+        # n0 = 2 and m = 2: the first step adds z_4, so every window the
+        # run samples is non-empty from N = 4.
+        spec = spec_with(m=2, u=CatalogRef("constant", {"value": 0.5}))
+        x_seed, z_seed = consistent_seeds(spec, (1.0, 1.0))
+        with pytest.raises(ConfigError, match=r"^field horizon: need N >= 4, got 3$"):
+            simulate(spec, x_seed, z_seed, 3)
+        assert simulate(spec, x_seed, z_seed, 4).z.end == 4
 
     def test_causality_error_names_step(self):
         spec = spec_with(sigma=CatalogRef("delay_d", {"d": -1}))
@@ -416,6 +430,28 @@ class TestValidateCausality:
         for N in (50, 500, 5000):
             assert simulate(spec, x_seed, z_seed, N).z.end == N
 
+    @pytest.mark.parametrize("name", sorted(CERTIFIED))
+    def test_the_n0_decision_agrees_with_the_full_window_scan(self, name):
+        # On the (m, k) of each certified fixture, every catalog delay and
+        # horizons from one step up, deciding at n0 raises exactly when
+        # scanning every step does, with the same message.
+        for ref in SIGMA_REFS:
+            spec = dataclasses.replace(CERTIFIED[name].spec, sigma=ref)
+            n0 = start_index(spec)
+            for N in (n0 + spec.m, 300, 2000):
+                _assert_same_decision(spec, N)
+
+    @pytest.mark.parametrize("d", [1e308, -1e308])
+    def test_the_n0_decision_agrees_on_a_delay_past_64_bits(self, d):
+        # The config's d = 1e308 reads as a 309-digit int.
+        spec = dataclasses.replace(CERTIFIED["t1_case_a_m2"].spec, sigma=CatalogRef("delay_d", {"d": d}))
+        assert "step n=2: sigma(n)=" in _assert_same_decision(spec, 300)
+
+    def test_the_n0_decision_agrees_on_the_causality_fixture(self):
+        config = load_fixture("causality_violation")
+        message = _assert_same_decision(config.spec, config.horizon)
+        assert message == "step n=1: sigma(n)=6 outside realized x range [1, 1]"
+
     def test_oscillation_labels_on_trace(self, traces):
         # the case (a) instances are (u,k)-nonoscillatory by construction
         for name in ("t1_case_a_m1", "t1_case_a_m2", "t1_case_a_m3"):
@@ -432,3 +468,38 @@ def _u_value(spec, n):
     from asympoly.catalog import make_generator
 
     return make_generator(spec.u)(n)
+
+
+#: Every catalog delay, each with its parameter sets.
+SIGMA_REFS = [CatalogRef(ident, params) for ident, cases in SIGMA_CASES.items() for params in cases]
+
+
+def _full_window_scan(spec, N, sigma):
+    """The causality check as it was before it was decided at n0: every
+    step's sigma(n) against that step's realized x window."""
+    n0 = start_index(spec)
+    xs = x_start_index(spec)
+    lag = spec.m - 1 + max(spec.k, 0)  # x horizon at step n is n + lag
+    for n, sv in zip(range(n0, max(n0, N - spec.m + 1)), sigma):
+        if sv < xs or sv > n + lag:
+            raise CausalityError(
+                f"step n={n}: sigma(n)={brief(sv)} outside realized x range [{xs}, {n + lag}]"
+            )
+
+
+def _assert_same_decision(spec, N):
+    """Assert that sample_coefficients and the full-window scan raise alike
+    at horizon N; return the message, None when neither raises."""
+    n0 = start_index(spec)
+    messages = []
+    for decide in (
+        lambda: sample_coefficients(spec, N),
+        lambda: _full_window_scan(spec, N, list(spec.rt.sigma.window(n0, N - n0 + 1))),
+    ):
+        try:
+            decide()
+            messages.append(None)
+        except CausalityError as exc:
+            messages.append(str(exc))
+    assert messages[0] == messages[1], (spec.m, spec.k, spec.sigma, N, messages)
+    return messages[0]
