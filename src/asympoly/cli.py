@@ -64,6 +64,9 @@ BYTES_PER_STEP = 250
 #: Largest accepted horizon, about 2 GB of run memory at BYTES_PER_STEP.
 MAX_HORIZON = 8_000_000
 
+#: The files a run writes into its output directory, in writing order.
+ARTIFACTS = ("trace.csv", "decomposition.json", "verdict.json")
+
 #: The spec's keys: EquationSpec's init fields, required unless defaulted.
 _SPEC_FIELDS = tuple(f for f in fields(EquationSpec) if f.init)
 _SPEC_KEYS = {f.name for f in _SPEC_FIELDS}
@@ -115,15 +118,21 @@ def _check_horizon(spec: EquationSpec, horizon: int) -> None:
 
 def _check_output_dir(out: Path) -> None:
     """Raise NotADirectoryError when out, or its nearest existing ancestor,
-    is not a directory, so the run fails before simulating.  Creates nothing.
-    A null byte, which os.path.lexists reports as absent, raises ConfigError."""
+    is not a directory, and IsADirectoryError when an artifact's path in out
+    is a directory (no file can be renamed onto it), so the run fails before
+    simulating.  Creates nothing.  A null byte, which os.path.lexists
+    reports as absent, raises ConfigError."""
     if "\0" in str(out):
         raise ConfigError(f"output path {str(out)!r} holds a null byte")
     for path in (out, *out.parents):
         if os.path.lexists(path):  # a dangling symlink also blocks mkdir
             if not path.is_dir():
                 raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(path))
-            return
+            break
+    for name in ARTIFACTS:
+        path = out / name
+        if path.is_dir() and not path.is_symlink():  # a rename replaces a symlink
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
 
 
 def _ref_from_json(obj: Any, where: str) -> CatalogRef:
@@ -224,16 +233,23 @@ def _to_json(obj: Any) -> Any:
     return obj
 
 
-def _atomic_write(path: Path, chunks: Iterable[str]) -> None:
-    """Write the concatenated chunks to a temp file, then rename it to path."""
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name, suffix=".tmp")
+def _write_artifacts(out: Path, contents: Iterable[Iterable[str]]) -> None:
+    """Write each ARTIFACTS file's chunks to a temp file in out, and rename
+    the temp files only once all are written: a failed write renames none,
+    removes every temp file and leaves out's earlier artifacts."""
+    tmps: list[str] = []
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(chunks)
-        os.replace(tmp, path)
+        for name, chunks in zip(ARTIFACTS, contents):
+            fd, tmp = tempfile.mkstemp(dir=str(out), prefix=name, suffix=".tmp")
+            tmps.append(tmp)
+            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+                fh.writelines(chunks)
+        for name, tmp in zip(ARTIFACTS, tmps):
+            os.replace(tmp, out / name)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp in tmps:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
         raise
 
 
@@ -282,9 +298,8 @@ def run(config_path: str, horizon: int | None = None, out_dir: str | None = None
         trace = simulate(config.spec, config.x_seed, config.z_seed, N)
         verdict = theorem_dispatch(config.spec, trace, config.case_id)
         out.mkdir(parents=True, exist_ok=True)
-        _atomic_write(out / "trace.csv", _trace_csv(trace, config.spec.m))
-        _atomic_write(out / "decomposition.json", [_json_text(verdict.decomposition)])
-        _atomic_write(out / "verdict.json", [_json_text(verdict)])
+        reports = [_json_text(verdict.decomposition)], [_json_text(verdict)]
+        _write_artifacts(out, (_trace_csv(trace, config.spec.m), *reports))
     except (CausalityError, DivergenceError, SingularRecoveryError) as exc:
         print(f"simulation error: {exc}", file=sys.stderr)
         return EXIT_SIMULATION
@@ -318,7 +333,7 @@ def selftest() -> int:
             code2 = run(str(fixtures / name), out_dir=str(out2))
             ok = code1 == expected and code2 == expected
             if ok and code1 in (EXIT_OK, EXIT_HYPOTHESIS):
-                for artifact in ("trace.csv", "decomposition.json", "verdict.json"):
+                for artifact in ARTIFACTS:
                     if (out1 / artifact).read_bytes() != (out2 / artifact).read_bytes():
                         ok = False
                         break

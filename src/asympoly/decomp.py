@@ -1,16 +1,10 @@
 """Asymptotic polynomial decomposition of sequence windows.
 
 Splits a window into a polynomial part plus a remainder certified small at
-a target exponent s.  Coefficients come top-down from trailing-window
-means of iterated differences (the d! c_d = limit of the d-th difference
-characterization), followed by a least-squares correction pass on the
-residual: the pure mean cascade leaves each level's estimation error
-multiplied by n**d in the levels below it, and the correction removes that
-amplification without touching the top-down structure.
-
-Degrees strictly below s belong to the remainder, not the polynomial (the
-decomposition only determines coefficients of degree >= s; at integer s
-the coefficient at degree exactly s is kept).
+a target exponent s.  The polynomial part has one rule: its coefficients of
+degree >= ceil(s) are the least-squares fit of the window's trailing half
+by a polynomial of degree < m (:func:`_fit_polynomial`); the lower degrees
+are fitted and dropped, into the remainder.
 
 A solution is fitted once, on z: x's polynomial is the transfer of z's
 (:func:`decompose_solution`), and x's remainder is judged as z's is.
@@ -44,9 +38,6 @@ NOISE_SAFETY = 4.0
 #: Shortest window extract_polynomial accepts; regularity_check at order q
 #: needs MIN_WINDOW + q entries.
 MIN_WINDOW = 64
-#: Fraction of the window, at its end, whose mean of each iterated
-#: difference estimates a polynomial coefficient: the trailing eighth.
-COEFF_WINDOW_FRACTION = 0.125
 
 
 @dataclass(frozen=True)
@@ -131,27 +122,23 @@ def _lstsq_degrees(ns: range, resid: Sequence[float], degrees: list[int]) -> dic
 
 
 def _fit_polynomial(z: Seq, m: int, d_min: int) -> PolyCoeffs:
-    """Coefficients of degrees d_min .. m - 1 (the lower ones stay 0).
+    """Coefficients of degrees d_min .. m - 1 (the lower ones stay 0): the
+    least-squares fit of z's trailing half by a polynomial of degree < m.
 
-    Top-down trailing means of iterated differences, then one joint
-    least-squares correction; see :func:`extract_polynomial`.  The means
-    read the last tail_count + d values of the working window and the
-    correction its trailing half, so the cascade runs on the trailing
-    half of z alone: each entry is the same float it is over the whole
-    window, and so is every coefficient.
+    Top degree down, c_d is the mean of the d-th difference of the working
+    half over d!, and c_d n**d is subtracted; one least-squares pass over
+    degrees 0 .. m - 1 then corrects the kept coefficients.  In exact
+    arithmetic the means decide nothing: they precondition the pass, whose
+    normal equations alone lose digits to the near-collinear columns n**d.
     """
-    tail_count = max(1, math.ceil(len(z) * COEFF_WINDOW_FRACTION))
-    # The means need tail_count + m - 1 values, and the half holds them:
-    # ceil(len/8) + m - 1 <= ceil(len/2) for len >= MIN_WINDOW = 64 and
-    # m - 1 <= 20, the highest order delta accepts (MAX_DIFFERENCE_ORDER).
     coeffs = [0.0] * m
     work = z.trailing()
     # A non-finite difference, residual or coefficient raises ValueError
     # (from Seq or PolyCoeffs): the input diverges.
     try:
         for d in range(m - 1, d_min - 1, -1):
-            tail = delta(work, d).values[-tail_count:]
-            mean = csum(tail) / len(tail)
+            diff = delta(work, d).values
+            mean = csum(diff) / len(diff)
             if not math.isfinite(mean):
                 raise DivergenceError(f"difference mean at degree {d} is not finite")
             c = mean / math.factorial(d)
@@ -194,11 +181,10 @@ def _min_degree(s: float) -> int:
 def extract_polynomial(z: Seq, m: int, s: float, q: int | None = None) -> DecompositionReport:
     """Split z into a degree < m polynomial and an o(n**s)-candidate rest.
 
-    Coefficients are estimated top-down: c_d is the trailing-window mean
-    of the d-th difference divided by d!, the monomial is subtracted, and
-    the recursion continues down to degree max(0, ceil(s)); a joint
-    least-squares pass over the trailing half then corrects the kept
-    coefficients.  The remainder is judged by :func:`_judge`.
+    The polynomial's coefficients of degree >= max(0, ceil(s)) are the
+    least-squares fit of z's trailing half by a degree < m polynomial
+    (:func:`_fit_polynomial`); the lower degrees are fitted and dropped.
+    The remainder is judged by :func:`_judge`.
     """
     if len(z) < MIN_WINDOW:
         raise WindowLengthError(f"need at least {MIN_WINDOW} entries, got {len(z)}")
@@ -240,8 +226,6 @@ def transfer_polynomial(phi: PolyCoeffs, c: float, k: int) -> PolyCoeffs:
     if abs(abs(c) - 1.0) <= UNIT_MARGIN:
         raise ValueError(f"|c| = {abs(c)} within {UNIT_MARGIN} of 1: transfer is ill conditioned")
     deg = phi.degree
-    if deg < 0:
-        return PolyCoeffs(())
     phi_c = phi.padded(deg)
     psi = [0.0] * (deg + 1)
     for i in range(deg, -1, -1):

@@ -39,10 +39,10 @@ FILL_CHUNK = 4096
 
 # The two certification gates, read by :func:`order_estimate` when it is
 # called.  The windows it reads are conventions, not gates: "for large n"
-# is the trailing half (TRAIL_FRACTION), coefficient means read the
-# trailing eighth (``decomp.COEFF_WINDOW_FRACTION``), and the level at
-# which a window counts as rounding noise is derived from the data
-# (``order_estimate``'s noise_scale).
+# is the trailing half (TRAIL_FRACTION), the polynomial part is the
+# least-squares fit of that half (``decomp._fit_polynomial``), and the
+# level at which a window counts as rounding noise is derived from the
+# data (``order_estimate``'s noise_scale).
 #: Trailing-third sup bound for a small-o verdict.
 TAU_SMALL = 0.05
 #: Allowed relative excess of the trailing sup over the earlier sup before

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import errno
 import hashlib
 import io
 import json
@@ -534,6 +535,62 @@ def test_output_path_with_a_null_byte_exits_one(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == f"config error: output path {out!r} holds a null byte\n"
     assert simulated == []
     assert list(tmp_path.iterdir()) == []
+
+
+def artifact_bytes(out):
+    return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+def test_artifact_path_that_is_a_directory_exits_one_before_simulating(tmp_path, capsys, monkeypatch):
+    # No file can be renamed onto a directory: the run fails before it
+    # simulates, and the earlier artifacts stay.
+    def never(*args):
+        raise AssertionError("simulate was reached")
+
+    monkeypatch.setattr(cli, "simulate", never)
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "trace.csv").write_text("earlier trace", encoding="utf-8")
+    (out / "decomposition.json").write_text("earlier decomposition", encoding="utf-8")
+    (out / "verdict.json").mkdir()
+    assert run(str(FIXTURES / "t1_case_a_m1.json"), out_dir=str(out)) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"error: cannot write output to {out}: [Errno {errno.EISDIR}] "
+        f"{os.strerror(errno.EISDIR)}: '{out / 'verdict.json'}'\n"
+    )
+    assert sorted(p.name for p in out.iterdir()) == ["decomposition.json", "trace.csv", "verdict.json"]
+    assert (out / "trace.csv").read_text(encoding="utf-8") == "earlier trace"
+    assert (out / "decomposition.json").read_text(encoding="utf-8") == "earlier decomposition"
+    assert list((out / "verdict.json").iterdir()) == []
+
+
+def test_a_failed_write_replaces_no_artifact(tmp_path, capsys, monkeypatch):
+    # The disk fills while the third file is written: no artifact of the
+    # earlier run is replaced, and no temp file is left behind.
+    config = str(FIXTURES / "t1_case_a_m1.json")
+    out = tmp_path / "o"
+    assert run(config, horizon=200, out_dir=str(out)) == EXIT_OK
+    earlier = artifact_bytes(out)
+    opened = []
+    fdopen = os.fdopen
+
+    def full_on_the_third(fd, *args, **kwargs):
+        fh = fdopen(fd, *args, **kwargs)
+        opened.append(fh)
+        if len(opened) == 3:
+            def no_space(chunks):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+            fh.writelines = no_space
+        return fh
+
+    monkeypatch.setattr(os, "fdopen", full_on_the_third)
+    assert run(config, horizon=300, out_dir=str(out)) == EXIT_CONFIG
+    assert len(opened) == 3
+    assert capsys.readouterr().err == (
+        f"error: cannot write output to {out}: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+    )
+    assert artifact_bytes(out) == earlier
 
 
 def test_bytes_per_step_bounds_the_run_memory(tmp_path):

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from fractions import Fraction
 from itertools import repeat
 from operator import mul, sub, truediv
 
@@ -12,7 +13,6 @@ from asympoly import decomp
 from asympoly.catalog import CatalogRef
 from asympoly.cli import ExperimentConfig
 from asympoly.decomp import (
-    COEFF_WINDOW_FRACTION,
     MIN_WINDOW,
     decompose_solution,
     extract_polynomial,
@@ -61,18 +61,18 @@ def reference_psi(z, m, s):
     columns are all built with pow.
     """
     d_min = max(0, math.ceil(s - 1e-12))
-    tail_count = max(1, math.ceil(len(z) * COEFF_WINDOW_FRACTION))
+    half = len(z) - len(z) // 2
     coeffs = [0.0] * m
     work = tuple(z.values)
     for d in range(m - 1, d_min - 1, -1):
         diff = work
         for _ in range(d):
             diff = tuple(map(sub, diff[1:], diff))
-        tail = diff[-tail_count:]
+        # The d-th difference of the trailing half: its last half - d entries.
+        tail = diff[-(half - d):]
         coeffs[d] = csum(tail) / len(tail) / math.factorial(d)
         monomial = map(mul, repeat(coeffs[d]), index_powers(z.start, len(z), d))
         work = tuple(map(sub, work, monomial))
-    half = len(z) - len(z) // 2
     ns = range(z.end - half + 1, z.end + 1)
     corrections = reference_lstsq(ns, work[-half:], list(range(m)))
     for d in range(d_min, m):
@@ -90,12 +90,60 @@ def test_psi_matches_the_whole_window_reference_bit_for_bit(name, traces):
         assert list(map(float.hex, got)) == list(map(float.hex, want)), (name, seq.start)
 
 
+def exact_lstsq(w, m):
+    """The least-squares fit of w by a polynomial of degree < m, in exact
+    rational arithmetic: each float of w is an integer over the common
+    power-of-two denominator Q, the normal equations are sums of integers,
+    and they are solved in Fractions."""
+    ratios = [v.as_integer_ratio() for v in w.values]
+    big_q = max(q for _, q in ratios)
+    scaled = [p * (big_q // q) for p, q in ratios]
+    ns = range(w.start, w.end + 1)
+    power_sums = [sum(n**e for n in ns) for e in range(2 * m - 1)]
+    aug = [
+        [Fraction(power_sums[i + j]) for j in range(m)]
+        + [Fraction(sum(n**i * v for n, v in zip(ns, scaled)), big_q)]
+        for i in range(m)
+    ]
+    for col in range(m):
+        for r in range(col + 1, m):
+            factor = aug[r][col] / aug[col][col]
+            aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
+    coeffs = [Fraction(0)] * m
+    for r in range(m - 1, -1, -1):
+        acc = aug[r][m] - sum(aug[r][c] * coeffs[c] for c in range(r + 1, m))
+        coeffs[r] = acc / aug[r][r]
+    return coeffs
+
+
+@pytest.mark.parametrize(
+    "name, horizon",
+    [
+        *((name, horizon) for name in sorted(CERTIFIED) for horizon in (2000, 10_000)),
+        ("t1_case_a_m3", 100_000),
+    ],
+)
+def test_psi_is_the_exact_least_squares_fit_of_the_trailing_half(name, horizon):
+    # The one rule for the polynomial part, held to an oracle that shares no
+    # code with the fit: ψ's kept coefficients are the least-squares fit of
+    # z's trailing half.
+    cfg = CERTIFIED[name]
+    m, s = cfg.spec.m, cfg.spec.s
+    z = simulate(cfg.spec, cfg.x_seed, cfg.z_seed, horizon).z
+    got = extract_polynomial(z, m, s).psi.coeffs
+    kept = range(decomp._min_degree(s), m)
+    want = exact_lstsq(z.trailing(), m)
+    size = max(abs(float(want[d])) for d in kept)
+    errors = [abs(Fraction(got[d]) - want[d]) for d in kept]
+    assert max(errors) <= Fraction(1e-11) * Fraction(size), (name, horizon, float(max(errors)) / size)
+    assert all(c == 0.0 for c in got[: kept.start])
+
+
 @pytest.mark.parametrize("m", range(1, MAX_DIFFERENCE_ORDER + 2))
 def test_psi_on_the_shortest_window_matches_the_reference_at_every_order(m):
-    # The fit runs on z's trailing half, and its degree m - 1 mean reads the
-    # last ceil(len/8) of len/2 - (m - 1) differences there.  At MIN_WINDOW
-    # entries and the highest order delta accepts the half still holds them,
-    # so every mean equals the whole-window one.
+    # The fit runs on z's trailing half, and its degree m - 1 mean reads all
+    # len/2 - (m - 1) differences there: at MIN_WINDOW entries and the
+    # highest order delta accepts, 12 of them.
     rng = random.Random(m)
     z = Seq(3, [rng.uniform(-1.0, 1.0) for _ in range(MIN_WINDOW)])
     got = extract_polynomial(z, m, 0.0).psi.coeffs

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -428,3 +429,61 @@ def test_dispatch_keeps_no_state_between_runs(name, traces):
     first = theorem_dispatch(inst.spec, traces[name], inst.case_id)
     second = theorem_dispatch(inst.spec, traces[name], inst.case_id)
     assert repr(second) == repr(first)
+
+
+#: A slice of the certificate's power curve: each certified fixture at horizon
+#: 2000 with a = power(1, w + 2) and b = power(0.5, w + 1 + gap_b), w = m - 1 - s,
+#: so Σ n**w |b_n| converges iff gap_b > 0.  Per gap_b, per fixture: the failed
+#: check, whether the conclusion passed, and x's remainder kind.
+POWER_CURVE_SLICE = {
+    -0.2: {
+        "t1_case_a_m1": ("b-summability", False, "neither"),
+        # A false pass: Σ n|b_n| diverges, yet the remainder reads small_o.
+        "t1_case_a_m2": ("b-summability", True, "small_o"),
+        "t1_case_a_m1_kneg": ("b-summability", False, "neither"),
+        "t1_case_b_m2": ("b-summability", False, "neither"),
+        "t1_case_b_m3": ("b-summability", False, "neither"),
+        "t1_case_a_m3": ("b-summability", False, "neither"),
+        "t2_regular_m2": ("b-summability", False, "neither"),
+        "t2_regular_m3": ("b-summability", False, "neither"),
+    },
+    0.05: {
+        "t1_case_a_m1": ("conclusion", False, "neither"),
+        "t1_case_a_m2": (None, True, "small_o"),
+        "t1_case_a_m1_kneg": ("conclusion", False, "neither"),
+        "t1_case_b_m2": ("x-sigma-growth", False, "neither"),
+        "t1_case_b_m3": ("conclusion", False, "neither"),
+        "t1_case_a_m3": ("conclusion", False, "neither"),
+        "t2_regular_m2": ("x-sigma-growth", False, "neither"),
+        "t2_regular_m3": ("conclusion", False, "neither"),
+    },
+    0.3: {
+        "t1_case_a_m1": (None, True, "small_o"),
+        "t1_case_a_m2": (None, True, "small_o"),
+        "t1_case_a_m1_kneg": (None, True, "small_o"),
+        "t1_case_b_m2": ("conclusion", False, "neither"),
+        "t1_case_b_m3": (None, True, "small_o"),
+        "t1_case_a_m3": (None, True, "small_o"),
+        "t2_regular_m2": (None, True, "small_o"),
+        # small_o, but a regularity level is not: the regular conclusion fails.
+        "t2_regular_m3": ("conclusion", False, "small_o"),
+    },
+    1.0: {name: (None, True, "small_o") for name in CERTIFIED},
+}
+
+
+@pytest.mark.parametrize("gap_b", list(POWER_CURVE_SLICE), ids=lambda g: f"gap_b={g}")
+def test_power_curve_slice_is_pinned(gap_b):
+    # A change to order_estimate, the decomposition or the stepping that moves
+    # a verdict on either side of the summability boundary shows here.
+    got = {}
+    for name, cfg in CERTIFIED.items():
+        w = cfg.spec.m - 1 - cfg.spec.s
+        spec = dataclasses.replace(
+            cfg.spec,
+            a=CatalogRef("power", {"A": 1.0, "rho": w + 2}),
+            b=CatalogRef("power", {"A": 0.5, "rho": w + 1 + gap_b}),
+        )
+        verdict = theorem_dispatch(spec, simulate(spec, cfg.x_seed, cfg.z_seed, 2000), cfg.case_id)
+        got[name] = (verdict.failed_check, verdict.conclusion.passed, verdict.conclusion.remainder_kind)
+    assert got == POWER_CURVE_SLICE[gap_b]
