@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import repeat
 from operator import mul, sub, truediv
 from typing import Sequence
@@ -50,7 +50,9 @@ class DecompositionReport:
     A remainder whose trailing third sits at the input's rounding
     resolution is small_o with trend 0, as a regularity level is.
     regular_checks holds the :func:`regularity_check` verdicts when q is
-    given, and regular_passed whether all of them are small_o.
+    given; its level 0 is remainder_verdict with big_O kept, and every
+    other field equal.  regular_passed is derived: whether all of them
+    are small_o, None when q is not given.
 
     Each side of decomposition.json is this report field by field, with
     psi as its coefficient list and the remainder as its [start, end]
@@ -63,7 +65,12 @@ class DecompositionReport:
     remainder_verdict: OrderVerdict
     regular_q: int | None = None
     regular_checks: tuple[OrderVerdict, ...] | None = None
-    regular_passed: bool | None = None
+    regular_passed: bool | None = field(init=False)
+
+    def __post_init__(self) -> None:
+        checks = self.regular_checks
+        passed = None if checks is None else all(v.is_small_o for v in checks)
+        object.__setattr__(self, "regular_passed", passed)
 
 
 def _solve_normal_equations(ata: list[list[float]], atb: list[float]) -> list[float]:
@@ -184,12 +191,15 @@ def extract_polynomial(z: Seq, m: int, s: float, q: int | None = None) -> Decomp
     The polynomial's coefficients of degree >= max(0, ceil(s)) are the
     least-squares fit of z's trailing half by a degree < m polynomial
     (:func:`_fit_polynomial`); the lower degrees are fitted and dropped.
-    The remainder is judged by :func:`_judge`.
+    The remainder is judged by :func:`_judge`.  Given q, the regular form,
+    s must equal q, as :class:`EquationSpec` requires.
     """
     if len(z) < MIN_WINDOW:
         raise WindowLengthError(f"need at least {MIN_WINDOW} entries, got {len(z)}")
     if s > m - 1 + 1e-12:
         raise ValueError(f"need s <= m - 1 = {m - 1}, got {s}")
+    if q is not None and s != q:
+        raise ValueError(f"the regular form (q set) needs s == q, got s={s}, q={q}")
     # _fit_polynomial's working windows are gone before _judge builds the remainder.
     return _judge(z, _fit_polynomial(z, m, _min_degree(s)), s, q)
 
@@ -197,21 +207,23 @@ def extract_polynomial(z: Seq, m: int, s: float, q: int | None = None) -> Decomp
 def _judge(w: Seq, psi: PolyCoeffs, s: float, q: int | None) -> DecompositionReport:
     """The report of w against psi: the remainder w - psi is judged by
     :func:`order_estimate` at the :func:`rounding_resolution` of sup |w|
-    (p = 0), with big_O downgraded to neither (only smallness is a
-    meaningful certificate for the remainder).  When q is given, the
-    iterated difference checks of the remainder are run as well.
+    (p = 0), with big_O read as neither (only smallness is a meaningful
+    certificate for the remainder).  When q is given (so s == q), that
+    judgement is level 0 of :func:`regularity_check` on the remainder,
+    made once: the remainder verdict is read from it.
     """
     remainder = _remainder(w, psi)
     # The remainder is derived from w, so its rounding resolution is w's.
     scale = max(map(abs, w.values))
-    verdict = order_estimate(remainder, s, noise_scale=rounding_resolution(scale))
+    if q is None:
+        regular_checks = None
+        verdict = order_estimate(remainder, s, noise_scale=rounding_resolution(scale))
+    else:
+        regular_checks = regularity_check(remainder, q, scale=scale)
+        verdict = regular_checks[0]
     if verdict.kind == "big_O":
         verdict = replace(verdict, kind="neither")
-    regular_checks = regular_passed = None
-    if q is not None:
-        regular_checks = regularity_check(remainder, q, scale=scale)
-        regular_passed = all(v.is_small_o for v in regular_checks)
-    return DecompositionReport(psi, remainder, s, verdict, q, regular_checks, regular_passed)
+    return DecompositionReport(psi, remainder, s, verdict, q, regular_checks)
 
 
 def transfer_polynomial(phi: PolyCoeffs, c: float, k: int) -> PolyCoeffs:
@@ -255,7 +267,9 @@ def regularity_check(w: Seq, q: int, *, scale: float) -> tuple[OrderVerdict, ...
     difference of w tends to zero (the regular form of smallness).
     ``scale`` is the magnitude of the data w was derived from; p-th
     differences at their :func:`rounding_resolution` are quantization
-    noise and certified small directly.
+    noise and certified small directly.  Level 0 is w's plain o(n**q)
+    verdict, big_O kept: :func:`_judge` reads the remainder verdict from
+    it rather than judging the remainder a second time.
     """
     if q < 0:
         raise ValueError(f"q must be >= 0, got {q}")

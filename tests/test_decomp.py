@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import repeat
 from operator import mul, sub, truediv
@@ -14,6 +15,7 @@ from asympoly.catalog import CatalogRef
 from asympoly.cli import ExperimentConfig
 from asympoly.decomp import (
     MIN_WINDOW,
+    DecompositionReport,
     decompose_solution,
     extract_polynomial,
     regularity_check,
@@ -28,7 +30,15 @@ from asympoly.neutral_solver import (
     start_index,
     x_start_index,
 )
-from asympoly.seqcore import MAX_DIFFERENCE_ORDER, PolyCoeffs, Seq, csum, delta, index_powers
+from asympoly.seqcore import (
+    MAX_DIFFERENCE_ORDER,
+    OrderVerdict,
+    PolyCoeffs,
+    Seq,
+    csum,
+    delta,
+    index_powers,
+)
 
 from conftest import CERTIFIED, fit_divergent_raw, seq_from_function, tail_sum_window
 
@@ -392,6 +402,73 @@ class TestRegularityCheck:
     def test_window_length(self):
         with pytest.raises(WindowLengthError):
             regularity_check(Seq(1, (0.0,) * 63), 1, scale=0.0)
+
+
+class TestRemainderJudgedOnce:
+    # The regular form's level 0 (p = 0, exponent q = s) is the remainder
+    # verdict: one order_estimate call per level, none more.
+    @pytest.mark.parametrize("name", sorted(CERTIFIED))
+    def test_order_estimate_calls_per_judge(self, name, traces, monkeypatch):
+        spec = CERTIFIED[name].spec
+        calls = []
+        order_estimate, judge = decomp.order_estimate, decomp._judge
+
+        def counting(*args, **kwargs):
+            calls[-1] += 1
+            return order_estimate(*args, **kwargs)
+
+        def judging(*args):
+            calls.append(0)
+            return judge(*args)
+
+        monkeypatch.setattr(decomp, "order_estimate", counting)
+        monkeypatch.setattr(decomp, "_judge", judging)
+        decompose_solution(traces[name], spec)
+        assert calls == [1 if spec.q is None else spec.q + 1] * 2  # z, then x
+
+    @pytest.mark.parametrize("name", ["t2_regular_m2", "t2_regular_m3"])
+    def test_level_zero_is_the_remainder_verdict(self, name, traces):
+        dec = decompose_solution(traces[name], CERTIFIED[name].spec)
+        for rep in (dec.z_report, dec.x_report):
+            self.assert_level_zero_is_the_verdict(rep)
+
+    def test_big_o_level_zero_reads_neither_in_the_remainder_verdict(self):
+        # n + sin n at s = q = 0: the remainder is about sin n, bounded and
+        # not decaying, so level 0 is big_O and the remainder verdict neither.
+        z = seq_from_function(lambda n: n + math.sin(n), 1, 2000)
+        rep = extract_polynomial(z, 2, 0.0, q=0)
+        assert rep.regular_checks[0].kind == "big_O"
+        assert rep.remainder_verdict.kind == "neither"
+        assert rep.regular_passed is False
+        self.assert_level_zero_is_the_verdict(rep)
+
+    @staticmethod
+    def assert_level_zero_is_the_verdict(rep):
+        level0, verdict = rep.regular_checks[0], rep.remainder_verdict
+        assert replace(level0, kind=verdict.kind) == verdict
+        assert verdict.kind == ("neither" if level0.kind == "big_O" else level0.kind)
+
+    def test_regular_form_needs_s_equal_to_q(self):
+        z = seq_from_function(lambda n: n + 1.0 / n, 1, 200)
+        with pytest.raises(ValueError, match=r"needs s == q, got s=0.0, q=1$"):
+            extract_polynomial(z, 2, 0.0, q=1)
+
+
+class TestDecompositionReport:
+    def test_regular_passed_is_not_an_argument(self):
+        verdict = OrderVerdict("small_o", 0.0, 0.0, 0.0, 0.0)
+        with pytest.raises(TypeError):
+            DecompositionReport(
+                PolyCoeffs(()), Seq(1, (0.0,)), 0.0, verdict, 0, (verdict,), regular_passed=False
+            )
+
+    def test_regular_passed_is_derived_from_the_levels(self):
+        small = OrderVerdict("small_o", 1.0, 0.0, 0.0, 0.0)
+        big = replace(small, kind="big_O")
+        args = (PolyCoeffs(()), Seq(1, (0.0,)), 1.0, small)
+        assert DecompositionReport(*args).regular_passed is None
+        assert DecompositionReport(*args, 1, (small, small)).regular_passed is True
+        assert DecompositionReport(*args, 1, (small, big)).regular_passed is False
 
 
 class TestDecomposeSolution:
