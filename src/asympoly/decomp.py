@@ -3,8 +3,9 @@
 Splits a window into a polynomial part plus a remainder certified small at
 a target exponent s.  The polynomial part has one rule: its coefficients of
 degree >= ceil(s) are the least-squares fit of the window's trailing half
-by a polynomial of degree < m (:func:`_fit_polynomial`); the lower degrees
-are fitted and dropped, into the remainder.
+by a polynomial of degree < m, solved exactly and rounded once
+(:func:`_fit_polynomial`); the lower degrees are fitted and dropped, into
+the remainder.
 
 A solution is fitted once, on z: x's polynomial is the transfer of z's
 (:func:`decompose_solution`), and x's remainder is judged as z's is.
@@ -15,9 +16,9 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from itertools import repeat
 from operator import mul, sub, truediv
-from typing import Sequence
 
 from .errors import DivergenceError, WindowLengthError
 from .neutral_solver import EquationSpec, SolutionTrace, UNIT_MARGIN
@@ -27,7 +28,6 @@ from .seqcore import (
     Seq,
     csum,
     delta,
-    index_powers,
     order_estimate,
 )
 
@@ -73,96 +73,41 @@ class DecompositionReport:
         object.__setattr__(self, "regular_passed", passed)
 
 
-def _solve_normal_equations(ata: list[list[float]], atb: list[float]) -> list[float]:
-    """Gaussian elimination with partial pivoting on a small SPD-ish system."""
-    k = len(atb)
-    aug = [row[:] + [atb[i]] for i, row in enumerate(ata)]
-    for col in range(k):
-        pivot = max(range(col, k), key=lambda r: abs(aug[r][col]))
-        if abs(aug[pivot][col]) < 1e-300:
-            raise DivergenceError("degenerate least-squares system in coefficient fit")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        for r in range(col + 1, k):
-            factor = aug[r][col] / aug[col][col]
-            for c in range(col, k + 1):
-                aug[r][c] -= factor * aug[col][c]
-    out = [0.0] * k
-    for r in range(k - 1, -1, -1):
-        acc = aug[r][k] - sum(aug[r][c] * out[c] for c in range(r + 1, k))
-        out[r] = acc / aug[r][r]
-    return out
-
-
-def _lstsq_degrees(ns: range, resid: Sequence[float], degrees: list[int]) -> dict[int, float]:
-    """Least-squares fit of the residual against the monomials n**d.
-
-    The basis is scaled by the last index to keep the normal equations
-    well conditioned; corrections are returned in the unscaled basis.
-    """
-    scale = float(ns[-1])
-
-    def column(d: int) -> list[float] | None:
-        # pow(t, 0) is 1.0 and pow(t, 1) is t, exactly, so those need no pow;
-        # the column of ones is not built (None), see dot.
-        if d == 0:
-            return None
-        scaled = map(truediv, ns, repeat(scale))
-        return list(scaled if d == 1 else map(pow, scaled, repeat(d)))
-
-    def dot(a: list[float] | None, b: Sequence[float] | None) -> float:
-        # 1.0 * v is v, so a product with the column of ones is the other
-        # column, and the ones alone sum to their count: both exact.
-        if a is None:
-            return float(len(ns)) if b is None else csum(b)
-        return csum(a) if b is None else csum(map(mul, a, b))
-
-    cols = [column(d) for d in degrees]
-    # The normal matrix is symmetric: each entry is summed once.
-    k = len(cols)
-    ata = [[0.0] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(i, k):
-            ata[i][j] = ata[j][i] = dot(cols[i], cols[j])
-    atb = [dot(ci, resid) for ci in cols]
-    sol = _solve_normal_equations(ata, atb)
-    return {d: sol[i] / scale**d for i, d in enumerate(degrees)}
-
-
 def _fit_polynomial(z: Seq, m: int, d_min: int) -> PolyCoeffs:
-    """Coefficients of degrees d_min .. m - 1 (the lower ones stay 0): the
-    least-squares fit of z's trailing half by a polynomial of degree < m.
+    """The kept coefficients, degrees d_min .. m - 1 (the lower ones are 0),
+    of the least-squares fit of z's trailing half by a polynomial of degree
+    < m, solved exactly and rounded once; one past the float range is the
+    input's divergence."""
+    half = z.trailing()
+    vals, ns = half.values, range(half.start, half.end + 1)
+    # Each value is an integer times 2**low, the last place of the least
+    # nonzero magnitude, so the normal equations are sums of integers.  ldexp
+    # finds those integers while they are floats, Fractions past that span.
+    low = math.frexp(min(filter(None, map(abs, vals)), default=1.0))[1] - 53
+    unit = Fraction(2) ** low
+    in_range = math.frexp(max(map(abs, vals)))[1] - low <= 1024
 
-    Top degree down, c_d is the mean of the d-th difference of the working
-    half over d!, and c_d n**d is subtracted; one least-squares pass over
-    degrees 0 .. m - 1 then corrects the kept coefficients.  In exact
-    arithmetic the means decide nothing: they precondition the pass, whose
-    normal equations alone lose digits to the near-collinear columns n**d.
-    """
-    coeffs = [0.0] * m
-    work = z.trailing()
-    # A non-finite difference, residual or coefficient raises ValueError
-    # (from Seq or PolyCoeffs): the input diverges.
+    def moment(i: int) -> int:  # sum n**i z_n / 2**low, the integers streamed
+        if in_range:  # float.__trunc__ is int() without the type call's cost
+            ints = map(float.__trunc__, map(math.ldexp, vals, repeat(-low)))
+        else:
+            ints = map(int, map(truediv, map(Fraction, vals), repeat(unit)))
+        return sum(map(mul, map(pow, ns, repeat(i)), ints))
+
+    power_sums = [sum(map(pow, ns, repeat(e))) for e in range(2 * m - 1)]
+    rows = [power_sums[i : i + m] + [moment(i)] for i in range(m)]
+    # Gauss-Jordan without pivoting: the half holds more than m indices, so
+    # the power-sum matrix is positive definite and every pivot is positive.
+    for i, pivot in enumerate(rows):
+        for row in rows:
+            if row is not pivot:
+                factor = Fraction(row[i], pivot[i])
+                row[:] = [a - factor * b for a, b in zip(row, pivot)]
     try:
-        for d in range(m - 1, d_min - 1, -1):
-            diff = delta(work, d).values
-            mean = csum(diff) / len(diff)
-            if not math.isfinite(mean):
-                raise DivergenceError(f"difference mean at degree {d} is not finite")
-            c = mean / math.factorial(d)
-            coeffs[d] = c
-            monomial = map(mul, repeat(c), index_powers(work.start, len(work), d))
-            work = Seq(work.start, map(sub, work.values, monomial))
-
-        # Joint least-squares pass on the residual: degrees below d_min enter
-        # as nuisance columns so their content cannot leak into the kept
-        # coefficients, but only kept degrees receive corrections.
-        ns = range(work.start, work.end + 1)
-        corrections = _lstsq_degrees(ns, work.values, list(range(m)))
-        for d in range(d_min, m):
-            coeffs[d] += corrections[d]
-        return PolyCoeffs(tuple(coeffs))
-    except ValueError as exc:
-        raise DivergenceError(f"divergent input: {exc}") from exc
+        kept = [float(unit * Fraction(rows[d][m], rows[d][d])) for d in range(d_min, m)]
+    except OverflowError:
+        raise DivergenceError("divergent input: fitted coefficient past the float range") from None
+    return PolyCoeffs((0.0,) * d_min + tuple(kept))
 
 
 def _remainder(z: Seq, psi: PolyCoeffs) -> Seq:
@@ -189,10 +134,10 @@ def extract_polynomial(z: Seq, m: int, s: float, q: int | None = None) -> Decomp
     """Split z into a degree < m polynomial and an o(n**s)-candidate rest.
 
     The polynomial's coefficients of degree >= max(0, ceil(s)) are the
-    least-squares fit of z's trailing half by a degree < m polynomial
-    (:func:`_fit_polynomial`); the lower degrees are fitted and dropped.
-    The remainder is judged by :func:`_judge`.  Given q, the regular form,
-    s must equal q, as :class:`EquationSpec` requires.
+    least-squares fit of z's trailing half by a degree < m polynomial, the
+    exact fit rounded once (:func:`_fit_polynomial`); the lower degrees are
+    fitted and dropped.  The remainder is judged by :func:`_judge`.  Given
+    q, the regular form, s must equal q, as :class:`EquationSpec` requires.
     """
     if len(z) < MIN_WINDOW:
         raise WindowLengthError(f"need at least {MIN_WINDOW} entries, got {len(z)}")
@@ -200,7 +145,6 @@ def extract_polynomial(z: Seq, m: int, s: float, q: int | None = None) -> Decomp
         raise ValueError(f"need s <= m - 1 = {m - 1}, got {s}")
     if q is not None and s != q:
         raise ValueError(f"the regular form (q set) needs s == q, got s={s}, q={q}")
-    # _fit_polynomial's working windows are gone before _judge builds the remainder.
     return _judge(z, _fit_polynomial(z, m, _min_degree(s)), s, q)
 
 

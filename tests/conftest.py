@@ -46,10 +46,11 @@ def load_fixture(name):
     return ExperimentConfig.from_json((FIXTURES / f"{name}.json").read_text(encoding="utf-8"))
 
 
-def fit_divergent_raw():
+def unstable_inversion_raw():
     """t1_case_b_m2 as order 5 in case (c) with k = 1 and u's limit c = 0.9, an unstable
-    inversion: x stays finite up to index 6642, but from horizon 6500 on a
-    polynomial fit of x overflows.  Not a shipped fixture."""
+    inversion: x grows by about 1 / 0.9 a step and stays finite up to index
+    6642.  At horizon 6540 the exact fit of x is finite, its top coefficient
+    about 2.02e280.  Not a shipped fixture."""
     raw = json.loads((FIXTURES / "t1_case_b_m2.json").read_text(encoding="utf-8"))
     raw["spec"].update(m=5, k=1, s=4.0)
     raw["spec"]["u"]["params"]["c"] = 0.9

@@ -1,10 +1,7 @@
-import json
 import math
 import random
 from dataclasses import replace
 from fractions import Fraction
-from itertools import repeat
-from operator import mul, sub, truediv
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +9,6 @@ from hypothesis import strategies as st
 
 from asympoly import decomp
 from asympoly.catalog import CatalogRef
-from asympoly.cli import ExperimentConfig
 from asympoly.decomp import (
     MIN_WINDOW,
     DecompositionReport,
@@ -35,69 +31,10 @@ from asympoly.seqcore import (
     OrderVerdict,
     PolyCoeffs,
     Seq,
-    csum,
     delta,
-    index_powers,
 )
 
-from conftest import CERTIFIED, fit_divergent_raw, seq_from_function, tail_sum_window
-
-
-def reference_lstsq(ns, resid, degrees):
-    """_lstsq_degrees with every column built with pow, ones included."""
-    scale = float(ns[-1])
-    cols = [list(map(pow, map(truediv, ns, repeat(scale)), repeat(d))) for d in degrees]
-    ata = [[csum(map(mul, ci, cj)) for cj in cols] for ci in cols]
-    atb = [csum(map(mul, ci, resid)) for ci in cols]
-    sol = decomp._solve_normal_equations(ata, atb)
-    return {d: sol[i] / scale**d for i, d in enumerate(degrees)}
-
-
-@pytest.mark.parametrize("m", [1, 2, 3])
-def test_lstsq_matches_the_reference_bit_for_bit(m):
-    rng = random.Random(m)
-    ns = range(5001, 10001)
-    resid = [rng.gauss(0.0, 1e-6) + 1e-9 * n for n in ns]
-    got = decomp._lstsq_degrees(ns, resid, list(range(m)))
-    want = reference_lstsq(ns, resid, list(range(m)))
-    assert {d: c.hex() for d, c in got.items()} == {d: c.hex() for d, c in want.items()}
-
-
-def reference_psi(z, m, s):
-    """extract_polynomial's coefficients computed over z's whole window.
-
-    The reference the fit is held to: every iterated difference and every
-    monomial subtraction runs on the whole window, and the least-squares
-    columns are all built with pow.
-    """
-    d_min = max(0, math.ceil(s - 1e-12))
-    half = len(z) - len(z) // 2
-    coeffs = [0.0] * m
-    work = tuple(z.values)
-    for d in range(m - 1, d_min - 1, -1):
-        diff = work
-        for _ in range(d):
-            diff = tuple(map(sub, diff[1:], diff))
-        # The d-th difference of the trailing half: its last half - d entries.
-        tail = diff[-(half - d):]
-        coeffs[d] = csum(tail) / len(tail) / math.factorial(d)
-        monomial = map(mul, repeat(coeffs[d]), index_powers(z.start, len(z), d))
-        work = tuple(map(sub, work, monomial))
-    ns = range(z.end - half + 1, z.end + 1)
-    corrections = reference_lstsq(ns, work[-half:], list(range(m)))
-    for d in range(d_min, m):
-        coeffs[d] += corrections[d]
-    return tuple(coeffs)
-
-
-@pytest.mark.parametrize("name", sorted(CERTIFIED))
-def test_psi_matches_the_whole_window_reference_bit_for_bit(name, traces):
-    cfg = CERTIFIED[name]
-    m, s = cfg.spec.m, cfg.spec.s
-    for seq in (traces[name].z, traces[name].x):
-        got = extract_polynomial(seq, m, s).psi.coeffs
-        want = reference_psi(seq, m, s)
-        assert list(map(float.hex, got)) == list(map(float.hex, want)), (name, seq.start)
+from conftest import CERTIFIED, seq_from_function, tail_sum_window
 
 
 def exact_lstsq(w, m):
@@ -136,29 +73,50 @@ def exact_lstsq(w, m):
 def test_psi_is_the_exact_least_squares_fit_of_the_trailing_half(name, horizon):
     # The one rule for the polynomial part, held to an oracle that shares no
     # code with the fit: ψ's kept coefficients are the least-squares fit of
-    # z's trailing half.
+    # z's trailing half, each rounded once.
     cfg = CERTIFIED[name]
     m, s = cfg.spec.m, cfg.spec.s
     z = simulate(cfg.spec, cfg.x_seed, cfg.z_seed, horizon).z
     got = extract_polynomial(z, m, s).psi.coeffs
-    kept = range(decomp._min_degree(s), m)
-    want = exact_lstsq(z.trailing(), m)
-    size = max(abs(float(want[d])) for d in kept)
-    errors = [abs(Fraction(got[d]) - want[d]) for d in kept]
-    assert max(errors) <= Fraction(1e-11) * Fraction(size), (name, horizon, float(max(errors)) / size)
-    assert all(c == 0.0 for c in got[: kept.start])
+    d_min = decomp._min_degree(s)
+    want = [0.0] * d_min + [float(c) for c in exact_lstsq(z.trailing(), m)[d_min:]]
+    assert list(map(float.hex, got)) == list(map(float.hex, want))
 
 
 @pytest.mark.parametrize("m", range(1, MAX_DIFFERENCE_ORDER + 2))
 def test_psi_on_the_shortest_window_matches_the_reference_at_every_order(m):
-    # The fit runs on z's trailing half, and its degree m - 1 mean reads all
-    # len/2 - (m - 1) differences there: at MIN_WINDOW entries and the
-    # highest order delta accepts, 12 of them.
+    # At MIN_WINDOW entries the trailing half holds 32 of them, more than
+    # the highest order a spec accepts.
     rng = random.Random(m)
     z = Seq(3, [rng.uniform(-1.0, 1.0) for _ in range(MIN_WINDOW)])
     got = extract_polynomial(z, m, 0.0).psi.coeffs
-    want = reference_psi(z, m, 0.0)
+    want = [float(c) for c in exact_lstsq(z.trailing(), m)]
     assert list(map(float.hex, got)) == list(map(float.hex, want))
+
+
+def test_psi_of_a_half_spanning_the_float_range_is_exact():
+    # From 2**-1074 to about 1e308: no one power of two scales every value
+    # to an integer inside the float range.
+    rng = random.Random(7)
+    z = Seq(1, [rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-323.0, 307.0) for _ in range(100)])
+    z = Seq(1, [*z.values[:60], 5e-324, *z.values[61:]])
+    got = extract_polynomial(z, 3, 0.0).psi.coeffs
+    want = [float(c) for c in exact_lstsq(z.trailing(), 3)]
+    assert list(map(float.hex, got)) == list(map(float.hex, want))
+
+
+@pytest.mark.parametrize("horizon", [2000, 10_000])
+@pytest.mark.parametrize("m", [6, 8, 10, 12])
+def test_exact_polynomial_windows_are_certified_at_high_order(m, horizon):
+    # Float values of an integer-coefficient polynomial of degree m - 1: the
+    # exact fit recovers its top coefficient, so the remainder is the lower
+    # degrees plus rounding, o(n**(m - 1)).
+    rng = random.Random(m)
+    coeffs = [rng.randint(-9, 9) for _ in range(m - 1)] + [rng.randint(1, 9)]
+    z = Seq(1, [float(sum(c * n**d for d, c in enumerate(coeffs))) for n in range(1, horizon + 1)])
+    rep = extract_polynomial(z, m, float(m - 1))
+    assert abs(rep.psi.coeffs[-1] - coeffs[-1]) <= 5e-9 * coeffs[-1]
+    assert rep.remainder_verdict.kind == "small_o"
 
 
 @pytest.mark.parametrize("q", [1, 3])
@@ -228,12 +186,12 @@ class TestExtractPolynomial:
             decomp._remainder(z, PolyCoeffs((0.0, 1e306)))
 
     def test_overflowing_fit_of_a_finite_x_is_a_divergence(self):
-        # A non-finite coefficient is the input's divergence, as a non-finite
-        # difference is, not a ValueError.
-        cfg = ExperimentConfig.from_json(json.dumps(fit_divergent_raw()))
-        trace = simulate(cfg.spec, cfg.x_seed, cfg.z_seed, 6540)
-        with pytest.raises(DivergenceError, match=r"^divergent input: non-finite coefficient"):
-            extract_polynomial(trace.x, cfg.spec.m, cfg.spec.s)
+        # x grows by 1 / 0.9 a step, as an unstable inversion does, up to
+        # 1e308: every entry is finite, but the constant of its order-5 fit
+        # is about 3.0e308.
+        x = Seq(1, [1e308 * 0.9 ** (64 - n) for n in range(1, 65)])
+        with pytest.raises(DivergenceError, match=r"^divergent input: fitted coefficient past the float range$"):
+            extract_polynomial(x, 5, 0.0)
 
     def test_reconstruction_is_exact(self):
         z = seq_from_function(lambda n: 1.5 * n + math.cos(n), 1, 256)
@@ -290,11 +248,10 @@ class TestExtractPolynomial:
 
 
     def test_divergent_input_raises_divergence_error(self):
-        from asympoly.errors import DivergenceError
-
-        big = 9e307
-        z = Seq(1, tuple(big if n % 2 else -big for n in range(1, 101)))
-        with pytest.raises(DivergenceError):
+        # A line of slope -1e305 through 0 at n = 10031.5: at most 3.2e306 on
+        # the window, but its constant, about 1.0e309, is past the float range.
+        z = Seq(10_000, [1e305 * (10_031.5 - n) for n in range(10_000, 10_064)])
+        with pytest.raises(DivergenceError, match=r"^divergent input: fitted coefficient past the float range$"):
             extract_polynomial(z, 2, 0.0)
 
     def test_regularity_of_remainder_when_top_difference_vanishes(self):
