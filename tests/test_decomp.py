@@ -63,6 +63,30 @@ def exact_lstsq(w, m):
     return coeffs
 
 
+def reference_psi(seq, m, s):
+    """extract_polynomial's coefficients computed from seq's whole window.
+
+    The trailing half is cut here, not by Seq.trailing: its last
+    len - len // 2 entries, fitted exactly and each kept coefficient
+    rounded once.
+    """
+    d_min = max(0, math.ceil(s - 1e-12))
+    half = len(seq) - len(seq) // 2
+    tail = Seq(seq.end - half + 1, seq.values[-half:])
+    return [0.0] * d_min + [float(c) for c in exact_lstsq(tail, m)[d_min:]]
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFIED))
+def test_psi_matches_the_whole_window_reference_bit_for_bit(name, traces):
+    # Both of a run's fits, z's and x's, on the shared horizon's window.
+    cfg = CERTIFIED[name]
+    m, s = cfg.spec.m, cfg.spec.s
+    for seq in (traces[name].z, traces[name].x):
+        got = extract_polynomial(seq, m, s).psi.coeffs
+        want = reference_psi(seq, m, s)
+        assert list(map(float.hex, got)) == list(map(float.hex, want)), (name, seq.start)
+
+
 @pytest.mark.parametrize(
     "name, horizon",
     [
