@@ -7,8 +7,8 @@ by a polynomial of degree < m, solved exactly and rounded once
 (:func:`_fit_polynomial`); the lower degrees are fitted and dropped, into
 the remainder.
 
-A solution is fitted once, on z: x's polynomial is the transfer of z's
-(:func:`decompose_solution`), and x's remainder is judged as z's is.
+A solution is fitted once, on z: x's polynomial is the exact transfer of
+z's rounded once (:func:`decompose_solution`), x's remainder judged as z's.
 """
 
 from __future__ import annotations
@@ -26,13 +26,10 @@ from .seqcore import (
     OrderVerdict,
     PolyCoeffs,
     Seq,
-    csum,
     delta,
     order_estimate,
 )
 
-#: Relative residual allowed when re-checking a polynomial transfer.
-TRANSFER_RTOL = 1e-10
 #: Multiples of one rounding ulp treated as quantization noise.
 NOISE_SAFETY = 4.0
 #: Shortest window extract_polynomial accepts; regularity_check at order q
@@ -171,37 +168,28 @@ def _judge(w: Seq, psi: PolyCoeffs, s: float, q: int | None) -> DecompositionRep
 
 
 def transfer_polynomial(phi: PolyCoeffs, c: float, k: int) -> PolyCoeffs:
-    """The unique psi with psi(n) + c psi(n + k) = phi(n) and deg psi = deg phi.
+    """The unique psi with psi(n) + c psi(n + k) = phi(n) and deg psi = deg phi,
+    solved exactly from the floats of phi and c, each coefficient rounded once.
 
-    The coefficient system is upper triangular with 1 + c on the diagonal
-    and binomial shift terms above, solved top degree down; the identity
-    is re-checked at deg + 3 sample points.  A coefficient beyond the float
-    range, or a residual above its rounding bound, is a DivergenceError.
-    The leading coefficient is exactly phi's divided by 1 + c.
+    The system is upper triangular with 1 + c on the diagonal and binomial
+    shift terms above, solved top degree down in Fractions: the leading
+    coefficient is phi's over 1 + c, rounded once.  One past the float range
+    is a DivergenceError naming the highest such degree.
     """
     if abs(abs(c) - 1.0) <= UNIT_MARGIN:
-        raise ValueError(f"|c| = {abs(c)} within {UNIT_MARGIN} of 1: transfer is ill conditioned")
+        raise ValueError(f"|c| must differ from 1 by more than {UNIT_MARGIN}, got c={c}")
     deg = phi.degree
-    phi_c = phi.padded(deg)
+    exact_c = Fraction(c)
+    exact = [Fraction(0)] * (deg + 1)
     psi = [0.0] * (deg + 1)
     for i in range(deg, -1, -1):
-        shift = csum(
-            math.comb(j, i) * float(k) ** (j - i) * psi[j] for j in range(i + 1, deg + 1)
-        )
-        psi[i] = (phi_c[i] - c * shift) / (1.0 + c)
-        if not math.isfinite(psi[i]):
-            raise DivergenceError(f"transfer: non-finite coefficient at degree {i}")
-    result = PolyCoeffs(tuple(psi))
-    # Horner's rounding bound: p(n) errs by a few ulps of p's absolute
-    # coefficients summed at |n|, which do not cancel at a root of p.
-    abs_psi = PolyCoeffs(tuple(map(abs, psi)))
-    abs_phi = PolyCoeffs(tuple(map(abs, phi.coeffs)))
-    for n in range(deg + 3):
-        residual = result(n) + c * result(n + k) - phi(n)
-        scale = 1.0 + abs_psi(n) + abs(c) * abs_psi(abs(n + k)) + abs_phi(n)
-        if abs(residual) > TRANSFER_RTOL * scale:
-            raise DivergenceError(f"transfer residual above tolerance at n={n} (c={c}, k={k})")
-    return result
+        shift = sum(math.comb(j, i) * k ** (j - i) * exact[j] for j in range(i + 1, deg + 1))
+        exact[i] = (Fraction(phi.coeffs[i]) - exact_c * shift) / (1 + exact_c)
+        try:
+            psi[i] = float(exact[i])
+        except OverflowError:
+            raise DivergenceError(f"transfer: non-finite coefficient at degree {i}") from None
+    return PolyCoeffs(tuple(psi))
 
 
 def regularity_check(w: Seq, q: int, *, scale: float) -> tuple[OrderVerdict, ...]:
@@ -244,10 +232,11 @@ class SolutionDecomposition:
 
 def decompose_solution(trace: SolutionTrace, spec: EquationSpec) -> SolutionDecomposition:
     """Decompose z by :func:`extract_polynomial`, and x against the transfer
-    of z's polynomial (transfer_polynomial with the spec's c and k), its
-    degrees below ceil(s) zeroed as the fit zeroes them.  If z = phi + o(n**s)
-    and u - c decays as the u-rate hypothesis asks, x = T(phi) + o(n**s).
-    When the spec carries q, the regular checks run on both remainders.
+    of z's polynomial (:func:`transfer_polynomial` with the spec's c and k),
+    its degrees below ceil(s) zeroed as the fit zeroes them.  If z = phi +
+    o(n**s) and u - c decays as the u-rate hypothesis asks, x = T(phi) +
+    o(n**s).  The regular checks run on both remainders when the spec
+    carries q; only x's report enters the verdict.
     """
     rz = extract_polynomial(trace.z, spec.m, spec.s, q=spec.q)
     d_min = _min_degree(spec.s)

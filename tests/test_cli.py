@@ -1052,8 +1052,8 @@ class TestRunCommand:
         return json.loads((out / "verdict.json").read_text())
 
     def test_large_shift_transfer_reaches_the_verdict(self, tmp_path):
-        # c psi(n + k) is about k**3 times phi(n) here; the transfer's
-        # residual check must scale with it instead of raising.
+        # c psi(n + k) is about k**3 times phi(n) here; the transfer must
+        # carry it without raising.
         raw = json.loads(fixture_text("t1_case_a_m1.json"))
         zero = {"id": "constant", "params": {"value": 0.0}}
         u = {"id": "constant", "params": {"value": 2.0}}

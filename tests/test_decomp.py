@@ -63,6 +63,34 @@ def exact_lstsq(w, m):
     return coeffs
 
 
+def exact_transfer(phi, c, k):
+    """The psi with psi(n) + c psi(n + k) = phi(n) and deg psi = deg phi, in
+    exact rational arithmetic from the floats of phi and c: the identity is
+    collocated at the deg + 1 points n = 0 .. deg, and that square system is
+    solved in Fractions by Gauss-Jordan elimination with pivoting.  It shares
+    no code with the triangular recursion of transfer_polynomial."""
+    size = phi.degree + 1
+    c = Fraction(c)
+    rows = [
+        [n**j + c * (n + k) ** j for j in range(size)]
+        + [sum(Fraction(a) * n**j for j, a in enumerate(phi.coeffs))]
+        for n in range(size)
+    ]
+    for col in range(size):
+        pivot = next(r for r in range(col, size) if rows[r][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r in range(size):
+            if r != col and rows[r][col]:
+                factor = rows[r][col] / rows[col][col]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
+    return [rows[i][size] / rows[i][i] for i in range(size)]
+
+
+def rounded_transfer(phi, c, k):
+    """exact_transfer with each coefficient rounded once, as float.hex."""
+    return [float(v).hex() for v in exact_transfer(phi, c, k)]
+
+
 def reference_psi(seq, m, s):
     """extract_polynomial's coefficients computed from seq's whole window.
 
@@ -326,11 +354,6 @@ class TestTransferPolynomial:
         psi = transfer_polynomial(PolyCoeffs((-3e160, slope)), 2.0, 0)
         assert psi.coeffs == (-3e160 / 3.0, slope / 3.0)
 
-    def test_residual_above_tolerance_is_a_divergence(self, monkeypatch):
-        monkeypatch.setattr(decomp, "TRANSFER_RTOL", -1.0)
-        with pytest.raises(DivergenceError, match=r"^transfer residual above tolerance at n=0"):
-            transfer_polynomial(PolyCoeffs((1.0, 2.0)), 0.5, 1)
-
     def test_coefficient_beyond_the_float_range_is_a_divergence(self):
         # 1 + c = 1.5e-6 divides at each degree, and the shift terms carry
         # the top coefficient down: degree 0 is about 6e308.
@@ -360,6 +383,22 @@ class TestTransferPolynomial:
         if phi.degree >= 0:
             ratio = psi.coeffs[phi.degree] / phi.coeffs[phi.degree]
             assert abs(ratio - 1.0 / (1.0 + c)) <= 1e-12
+        assert [v.hex() for v in psi.coeffs] == rounded_transfer(phi, c, k)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(0, MAX_DIFFERENCE_ORDER - 1),
+        st.sampled_from([-3.0, -0.5, 0.0, 0.4, 0.5, 3.0]),
+        st.integers(-7, 7),
+        st.integers(0, 2**31 - 1),
+    )
+    def test_every_order_is_the_exact_transfer_rounded_once(self, deg, c, k, seed):
+        # Up to the highest order a run takes, where the shift terms reach
+        # comb(19, i) 7**(19 - i) and a float recursion rounds at each one.
+        rng = random.Random(seed)
+        phi = PolyCoeffs(tuple(rng.uniform(-4.0, 4.0) for _ in range(deg + 1)))
+        psi = transfer_polynomial(phi, c, k)
+        assert [v.hex() for v in psi.coeffs] == rounded_transfer(phi, c, k)
 
 
 class TestRegularityCheck:
@@ -490,13 +529,14 @@ class TestDecomposeSolution:
 
     @pytest.mark.parametrize("name", sorted(CERTIFIED))
     def test_x_polynomial_is_the_zeroed_transfer_of_z(self, name, traces):
-        # Bit for bit: the transfer of z's polynomial, its degrees below
-        # ceil(s) zeroed as the fit zeroes them, m coefficients as z's.
+        # Bit for bit: the exact transfer of z's polynomial rounded once, its
+        # degrees below ceil(s) zeroed as the fit zeroes them, m coefficients
+        # as z's.
         spec = CERTIFIED[name].spec
         dec = decompose_solution(traces[name], spec)
         d_min = max(0, math.ceil(spec.s - 1e-12))
-        transferred = transfer_polynomial(dec.z_report.psi, spec.c, spec.k).padded(spec.m - 1)
-        want = [0.0 if d < d_min else v for d, v in enumerate(transferred)]
+        exact = PolyCoeffs(tuple(map(float, exact_transfer(dec.z_report.psi, spec.c, spec.k))))
+        want = [0.0 if d < d_min else v for d, v in enumerate(exact.padded(spec.m - 1))]
         assert [v.hex() for v in dec.x_report.psi.coeffs] == [v.hex() for v in want]
 
     def test_scalar_linear_instance_matches_product_oracle(self):
